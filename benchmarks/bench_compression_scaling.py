@@ -1,6 +1,7 @@
 """Neighbor-backend speedup and process-sharded strong scaling.
 
-Two measurements behind the pluggable neighbor/compression backends:
+Two measurements behind the pluggable neighbor backends and the
+skeletonization fan-out:
 
 * **backend speedup** — the ANN phase (steps 1–3 of Algorithm 2.2) timed
   under the ``"reference"`` (per-row merge loop) and ``"blocked"``
@@ -12,9 +13,9 @@ Two measurements behind the pluggable neighbor/compression backends:
   speedup at n=8192 comes from.
 * **strong scaling** — the ``"sharded"`` neighbor backend (independent
   projection-tree iterations over a ``fork`` pool + shared-memory slabs)
-  swept over ``neighbor_workers`` at n≥10^5, and the ``"sharded"``
-  compression backend swept over ``compression_workers``.  Both sharded
-  backends are worker-count deterministic, so every sweep point first
+  swept over ``neighbor_workers`` at n≥10^5, and the skeletonization
+  level sweep swept over ``compression_workers``.  Both are
+  worker-count deterministic, so every sweep point first
   asserts its results equal the single-process run.  The artifact records
   ``os.cpu_count()`` — on a single-core container the curve honestly
   shows the fork/slab overhead instead of a speedup.
@@ -181,7 +182,6 @@ def compression_strong_scaling(n: int, workers_sweep, repeats: int) -> list[dict
             neighbors=16,
             budget=0.03,
             seed=0,
-            compression_backend="sharded" if workers > 1 else "batched",
             compression_workers=workers,
         )
         session = Session(matrix, config)

@@ -53,7 +53,6 @@ def _build_dags(workload: str):
         budget=max(budget, 4.0 * 128 / n), distance="angle", seed=0,
         neighbor_backend=os.environ.get("GOFMM_BENCH_NEIGHBOR_BACKEND", "blocked"),
         neighbor_workers=workers,
-        compression_backend="sharded" if workers > 1 else "batched",
         compression_workers=workers,
     )
     compressed = compress(matrix, config)

@@ -71,8 +71,9 @@ STAGE_FIELDS: Dict[str, frozenset] = {
         }
     ),
     # neighbor_workers / compression_workers are deliberately untracked:
-    # they are pure execution knobs (the sharded backends are worker-count
-    # deterministic), so changing them never invalidates an artifact.
+    # they are pure execution knobs (sharded neighbor search and the
+    # skeletonization fan-out are worker-count deterministic), so changing
+    # them never invalidates an artifact.
     "interactions": frozenset(
         {"budget", "symmetrize_lists", "max_rank", "sample_size", "oversampling", "leaf_size", "seed"}
     ),
@@ -86,7 +87,6 @@ STAGE_FIELDS: Dict[str, frozenset] = {
             "secure_accuracy",
             "dtype",
             "seed",
-            "compression_backend",
         }
     ),
     "blocks": frozenset({"cache_near_blocks", "cache_far_blocks"}),

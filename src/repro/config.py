@@ -146,22 +146,13 @@ class GOFMMConfig:
         and iterations are merged in order, so any worker count yields
         the same table — which is why this field enters no stage
         fingerprint and never invalidates session artifacts.
-    compression_backend:
-        skeletonization backend, validated against the registry of
-        :mod:`repro.core.backends`.  Built-ins: ``"batched"`` (the
-        default) runs the level-batched, shape-bucketed skeletonizer of
-        :mod:`repro.core.skeletonization_batched`; ``"reference"`` runs
-        the per-node postorder loop of Algorithm 2.6; ``"sharded"`` runs
-        the batched level sweep per subtree on a process pool of
-        ``compression_workers``.  All draw each node's row sample from
-        the same deterministic stream, so they select identical skeletons
-        at equal sampling (up to floating-point pivot ties on exactly
-        rank-deficient blocks).
     compression_workers:
-        process count of the ``"sharded"`` compression backend.  Like
-        ``neighbor_workers``, an execution knob only (per-node sampling
-        streams make the result worker-count independent), so it enters
-        no stage fingerprint.
+        process count of the skeletonization level sweep
+        (:mod:`repro.core.skeletonization`): above 1, whole subtrees are
+        skeletonized on a fork pool.  Like ``neighbor_workers``, an
+        execution knob only (per-node sampling streams make the result
+        bitwise worker-count independent), so it enters no stage
+        fingerprint.
     plan_rank_bucketing:
         how the evaluation-plan packer pads skeleton ranks so that
         adaptive-rank trees batch into fewer, larger GEMM groups:
@@ -176,13 +167,13 @@ class GOFMMConfig:
         how many times a failed sharded task (worker killed, stalled past
         ``shard_task_timeout_s``, or errored) is retried by the
         :class:`~repro.core.sharding.SupervisedPool` before the sharded
-        backend degrades to its single-process equivalent.  Retries are
+        stage degrades to its single-process equivalent.  Retries are
         deterministic — shard tasks rewrite their slab slots from
         per-node streams, so a retried task produces the bytes the first
         attempt would have.  Execution knob only: enters no stage
         fingerprint.
     shard_task_timeout_s:
-        supervision timeout of the sharded backends, in seconds: the
+        supervision timeout of the sharded stages, in seconds: the
         maximum gap between shard-task completions before the supervisor
         declares the outstanding tasks dead and retries them (a killed
         fork worker never returns its task, so without this bound a
@@ -246,7 +237,6 @@ class GOFMMConfig:
     streaming_chunk_bytes: int = 32 * 2**20
     neighbor_backend: str = "blocked"
     neighbor_workers: int = 1
-    compression_backend: str = "batched"
     compression_workers: int = 1
     plan_rank_bucketing: str = "pow2"
     prebuild_plan: bool = False
@@ -318,14 +308,6 @@ class GOFMMConfig:
             raise ConfigurationError(
                 f"evaluation_engine must be one of: {known}; got {self.evaluation_engine!r}"
             )
-        from .core.backends import BUCKETING_MODES, available_backends
-        from .core.backends import is_registered as backend_registered
-
-        if not backend_registered(self.compression_backend):
-            known = ", ".join(available_backends())
-            raise ConfigurationError(
-                f"compression_backend must be one of: {known}; got {self.compression_backend!r}"
-            )
         from .core.neighbor_backends import available_neighbor_backends
         from .core.neighbor_backends import is_registered as neighbor_backend_registered
 
@@ -342,6 +324,8 @@ class GOFMMConfig:
             raise ConfigurationError(
                 f"compression_workers must be >= 1, got {self.compression_workers}"
             )
+        from .core.plan import BUCKETING_MODES
+
         if self.plan_rank_bucketing not in BUCKETING_MODES:
             raise ConfigurationError(
                 f"plan_rank_bucketing must be one of: {', '.join(BUCKETING_MODES)}; "

@@ -14,11 +14,9 @@ algorithmic pieces in the order the paper presents them:
 * :mod:`repro.core.interactions` — neighbor / Near / Far lists
   (Algorithms 2.3–2.5) with the ``budget`` cap,
 * :mod:`repro.core.skeletonization` — nested interpolative decomposition
-  (Algorithm 2.6, tasks SKEL / COEF), the per-node ``"reference"`` backend,
-* :mod:`repro.core.skeletonization_batched` — the level-batched
-  ``"batched"`` backend (shape-bucketed stacked pivoted QRs),
-* :mod:`repro.core.backends` — the compression-backend registry (mirrors
-  the evaluation-engine registry) plus the shared rank-bucketing helpers,
+  (Algorithm 2.6, tasks SKEL / COEF) as one bottom-up level sweep of
+  shape-bucketed stacked pivoted QRs, fanned out over subtrees when
+  ``compression_workers > 1``,
 * :mod:`repro.core.compress` — Algorithm 2.2 (compression driver),
 * :mod:`repro.core.evaluate` — Algorithm 2.7 (N2S / S2S / S2N / L2L), the
   per-node reference engine,

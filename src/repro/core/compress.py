@@ -38,12 +38,11 @@ import numpy as np
 from ..config import DistanceMetric, GOFMMConfig
 from ..errors import CompressionError
 from ..matrices.base import SPDMatrix, as_spd_matrix
-from .backends import get_backend
 from .distances import Distance, make_distance
 from .hmatrix import BlockProvider, CompressedMatrix
 from .interactions import InteractionLists, build_interaction_lists, build_node_neighbor_lists
 from .neighbors import NeighborTable, all_nearest_neighbors
-from .skeletonization import SkeletonizationStats
+from .skeletonization import SkeletonizationStats, skeletonize_tree
 from .tree import BallTree, build_tree
 
 __all__ = [
@@ -200,14 +199,8 @@ def run_skeletons_stage(
     config: GOFMMConfig,
     neighbors: Optional[NeighborTable],
 ) -> SkeletonizationStats:
-    """Nested skeletonization (tasks SKEL + COEF); mutates ``tree`` nodes.
-
-    Dispatches to the backend named by ``config.compression_backend``
-    (:mod:`repro.core.backends`); all backends draw from the same stage
-    generator, so switching backend never shifts other stages' randomness.
-    """
-    backend = get_backend(config.compression_backend)
-    return backend(tree, matrix, config, neighbors, rng=stage_rng(config, "skeletons"))
+    """Nested skeletonization (tasks SKEL + COEF); mutates ``tree`` nodes."""
+    return skeletonize_tree(tree, matrix, config, neighbors, rng=stage_rng(config, "skeletons"))
 
 
 def run_blocks_stage(

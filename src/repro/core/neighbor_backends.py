@@ -2,8 +2,7 @@
 
 The iterative ANN search of Algorithm 2.2 (steps 1–3) has interchangeable
 execution back ends, mirroring the evaluation-engine registry of
-:mod:`repro.core.engines` and the compression-backend registry of
-:mod:`repro.core.backends`.  A backend's contract is
+:mod:`repro.core.engines`.  A backend's contract is
 
     ``run(distance, config, rng) -> NeighborTable``
 

@@ -63,19 +63,20 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import EvaluationError
+from ..errors import CompressionError, EvaluationError
 from ..obs import counters as _obs_counters
 from ..obs.trace import get_tracer
-from .backends import pad_ranks
 from .evaluate import EvaluationCounters, _as_matrix
 
 __all__ = [
+    "BUCKETING_MODES",
     "EvaluationPlan",
     "PassLayout",
     "PlanContext",
     "build_pass_layout",
     "build_plan",
     "evaluate_planned",
+    "pad_ranks",
 ]
 
 
@@ -732,6 +733,34 @@ def _require_block(provider, key: tuple[int, int], what: str) -> np.ndarray:
     # Keep the compression's dtype: packing must not change precision or
     # double the memory of a float32 representation.
     return np.ascontiguousarray(block)
+
+
+#: Valid values of ``GOFMMConfig.plan_rank_bucketing``.
+BUCKETING_MODES: tuple[str, ...] = ("none", "pow2", "max")
+
+
+def pad_ranks(ranks: np.ndarray, mode: str = "pow2") -> np.ndarray:
+    """Padded ranks for a group of nodes; zeros (inactive nodes) stay zero.
+
+    ``"none"`` returns the ranks unchanged, ``"pow2"`` rounds each rank up
+    to the next power of two, and ``"max"`` pads every nonzero rank to the
+    group maximum (per level, when called with one level's ranks).
+    """
+    ranks = np.asarray(ranks, dtype=np.intp)
+    if mode not in BUCKETING_MODES:
+        raise CompressionError(
+            f"rank bucketing mode must be one of {BUCKETING_MODES}, got {mode!r}"
+        )
+    if mode == "none" or ranks.size == 0:
+        return ranks.copy()
+    out = np.zeros_like(ranks)
+    nonzero = ranks > 0
+    if mode == "max":
+        out[nonzero] = int(ranks.max())
+        return out
+    bits = np.frompyfunc(lambda r: 1 << (int(r) - 1).bit_length(), 1, 1)
+    out[nonzero] = bits(ranks[nonzero]).astype(np.intp)
+    return out
 
 
 def _padded_rank_table(tree, levels, active: np.ndarray, mode: str) -> np.ndarray:

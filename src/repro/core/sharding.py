@@ -1,8 +1,8 @@
 """Shared-memory process-pool scaffolding for sharded pipeline stages.
 
 The ``"sharded"`` neighbor backend (:mod:`repro.core.neighbor_backends`)
-and the ``"sharded"`` compression backend
-(:mod:`repro.core.skeletonization_sharded`) both follow the same recipe:
+and the subtree fan-out of the skeletonization sweep
+(:mod:`repro.core.skeletonization`) both follow the same recipe:
 
 1. the parent stores the read-only problem state (distance oracle, matrix,
    tree, config) in a module-level global,
@@ -16,10 +16,10 @@ and the ``"sharded"`` compression backend
 
 Fork inheritance is load-bearing (plain numpy arrays are copy-on-write
 *into* a child but writes never propagate back, hence the slabs), so on
-platforms without the ``fork`` start method the sharded backends fall back
-to their single-process equivalents — :func:`fork_available` is the gate.
+platforms without the ``fork`` start method both callers run in process
+instead — :func:`fork_available` is the gate.
 
-A raw ``pool.map`` has a failure mode the backends cannot accept: a worker
+A raw ``pool.map`` has a failure mode the callers cannot accept: a worker
 killed mid-task (OOM killer, segfault in BLAS) never returns its result,
 and the map blocks forever.  :class:`SupervisedPool` wraps the same fork
 pool with task-level supervision — results are collected via
@@ -27,7 +27,7 @@ pool with task-level supervision — results are collected via
 are retried (re-forking the pool, with capped backoff), and a task that
 exhausts its retry budget raises a typed
 :class:`~repro.errors.WorkerCrashError` so the caller can degrade to its
-single-process backend.  Retrying is always safe here: every shard task
+in-process path.  Retrying is always safe here: every shard task
 deterministically rewrites its own slab slots from per-node streams, so a
 retry produces exactly the bytes the first attempt would have.
 """
@@ -102,7 +102,7 @@ class SharedSlab:
         return self
 
     def __exit__(self, *exc: object) -> None:
-        # Context-managed slabs always unlink: the sharded backends stack
+        # Context-managed slabs always unlink: the sharded stages stack
         # them in an ExitStack so no injection/exception path can leak a
         # /dev/shm segment.
         self.close(unlink=True)
@@ -140,7 +140,7 @@ class SupervisedPool:
     missing tasks are resubmitted with capped backoff, up to ``retries``
     extra attempts per task.  Past the budget a
     :class:`~repro.errors.WorkerCrashError` is raised so callers can
-    degrade to a single-process backend.
+    degrade to their in-process path.
 
     Telemetry: each failure round reports its losses through
     ``injection.record_detection("shard.worker", …)`` (counted as

@@ -14,40 +14,74 @@ Touching all of ``I`` would cost O(N) rows per node, so the rows are
 subsampled (``I' ⊂ I``) with *neighbor-based importance sampling*: rows that
 are neighbors of the node's indices are included first (they are where the
 off-diagonal block is largest and hardest to interpolate), and the rest of
-the sample is drawn uniformly from the remaining far-away rows.  The ID
-itself is a pivoted QR + triangular solve with adaptive rank
-(:func:`repro.linalg.id.interpolative_decomposition`).
+the sample is drawn uniformly from the remaining far-away rows.
 
-The per-node work is split into the two tasks of Table 2 — ``SKEL`` (select
-α̃, on the critical path) and ``COEF`` (form the interpolation matrix) — and
-the driver records both so the runtime substrate can schedule them.
+The only cross-node dependency is parent-on-children, so the algorithm is
+one bottom-up **level sweep** (:func:`skeletonize_level`, tasks SKEL +
+COEF of Table 2 for every node of a level at once):
+
+1. *shared sampling streams over one ownership mask* — every node draws
+   its rows from its own deterministic stream (:func:`node_stream`), the
+   whole level against one boolean mask, O(|indices| + sample) per node,
+2. *shape bucketing* — the sampled blocks are grouped by padded shape
+   (rows and columns rounded up to powers of two) and stacked; zero
+   padding never changes a block's decomposition,
+3. *stacked decompositions* — each bucket runs through one batched pivoted
+   QR + triangular solve (:mod:`repro.linalg.id`), or block by block when
+   the blocks are large enough to be LAPACK-bound.
+
+A node's result depends only on ``(stream base, node_id)``, its own
+indices / neighbor list and its children's skeletons — never on which
+other nodes share the call.  Whole *subtrees* therefore factor perfectly,
+and :func:`skeletonize_tree` fans them out over a fork pool when
+``config.compression_workers > 1``: read-only state is inherited
+copy-on-write, results come back through shared-memory slabs, and any
+worker count — including a pool that exhausts its retry budget and falls
+back to the in-process sweep — produces bit-identical trees.  The per-node
+postorder form of Algorithm 2.6 lives on as the test oracle
+``tests/oracles/skeletonization_reference.py``.
 """
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
+from typing import Iterator, Optional
 
 import numpy as np
 
 from ..config import GOFMMConfig
-from ..errors import RankDeficiencyError
-from ..linalg.id import interpolative_decomposition
+from ..errors import CompressionError, RankDeficiencyError, WorkerCrashError
+from ..linalg.id import (
+    batched_interpolative_decomposition,
+    interpolative_decomposition,
+    stacked_sweep_applies,
+)
 from ..matrices.base import SPDMatrix
 from ..obs import counters as _obs_counters
+from ..obs import get_logger
 from ..obs.trace import get_tracer
 from .neighbors import NeighborTable
+from .sharding import SharedSlab, SupervisedPool, fork_available
 from .tree import BallTree, TreeNode
 
 __all__ = [
     "SkeletonizationStats",
-    "sample_rows",
-    "fill_uniform",
-    "skeletonize_node",
-    "skeletonize_tree",
+    "collect_stats",
     "node_stream_base",
     "node_stream",
-    "collect_stats",
+    "fill_uniform",
+    "sample_rows_level",
+    "skeletonize_level",
+    "skeletonize_tree",
 ]
+
+_LOG = get_logger("core.skeletonization")
+
+#: Hard ceiling on the shared coefficient slab; configurations whose
+#: worst-case capacity would exceed it (huge ``max_rank`` × many workers)
+#: run in process rather than thrash memory.
+_MAX_COEFF_SLAB_BYTES = 512 * 2**20
 
 
 @dataclass
@@ -72,17 +106,29 @@ class SkeletonizationStats:
         return self.total_rank / self.num_nodes if self.num_nodes else 0.0
 
 
+def collect_stats(tree: BallTree) -> SkeletonizationStats:
+    """Stats of an already-skeletonized tree, recorded in postorder (root skipped)."""
+    stats = SkeletonizationStats()
+    for node in tree.postorder():
+        if node.is_root:
+            continue
+        stats.record(node.skeleton_rank)
+    return stats
+
+
+# ---------------------------------------------------------------------------
+# row sampling
+# ---------------------------------------------------------------------------
+
 def node_stream_base(rng: np.random.Generator) -> int:
     """One draw from the stage generator seeding every per-node stream.
 
     Row sampling uses an independent generator per tree node, derived
     deterministically from ``(base, node_id)`` (:func:`node_stream`).
     Because the derivation depends only on the node id — never on the
-    traversal order — the postorder ``"reference"`` backend and the
-    level-order ``"batched"`` backend draw bit-identical row samples for
-    every node, which is what makes their skeletons comparable exactly
-    (up to floating-point pivot ties on exactly rank-deficient blocks)
-    rather than merely statistically.
+    traversal order or on which process handles the node — the level
+    sweep, a subtree's slice of it in a worker, and the per-node test
+    oracle all draw bit-identical row samples for every node.
     """
     return int(rng.integers(np.iinfo(np.int64).max))
 
@@ -92,21 +138,6 @@ def node_stream(base: int, node_id: int) -> np.random.Generator:
     return np.random.default_rng([base, node_id])
 
 
-def collect_stats(tree: BallTree) -> SkeletonizationStats:
-    """Stats of an already-skeletonized tree, recorded in postorder.
-
-    Both backends report through this so their
-    :class:`SkeletonizationStats` (including the order of ``ranks``)
-    coincide whenever their per-node results do.
-    """
-    stats = SkeletonizationStats()
-    for node in tree.postorder():
-        if node.is_root:
-            continue
-        stats.record(node.skeleton_rank)
-    return stats
-
-
 def fill_uniform(rng: np.random.Generator, n: int, need: int, banned: np.ndarray) -> np.ndarray:
     """``need`` distinct uniform draws from ``{0..n-1}`` minus ``banned``.
 
@@ -114,9 +145,7 @@ def fill_uniform(rng: np.random.Generator, n: int, need: int, banned: np.ndarray
     against the ``banned`` mask (which is mutated to mark accepted rows),
     so the cost is O(need) expected instead of the O(n) pool
     materialization of ``rng.choice(pool, replace=False)``.  The caller
-    guarantees at least ``need`` unbanned rows exist.  Both compression
-    backends fill their uniform sample through this one helper, keeping
-    their draw sequences — and therefore their skeletons — identical.
+    guarantees at least ``need`` unbanned rows exist.
     """
     out: list[np.ndarray] = []
     got = 0
@@ -136,157 +165,421 @@ def fill_uniform(rng: np.random.Generator, n: int, need: int, banned: np.ndarray
     return np.concatenate(out)
 
 
-def sample_rows(
+def _sample_rows(
     node: TreeNode,
     n: int,
     sample_size: int,
-    neighbors: NeighborTable | None,
+    neighbors: Optional[NeighborTable],
     rng: np.random.Generator,
+    banned: np.ndarray,
 ) -> np.ndarray:
-    """Importance-sampled row set ``I' ⊂ {0..N-1} \\ node.indices``.
+    """Importance-sampled row set ``I' ⊂ {0..N-1} \\ node.indices`` of one node.
 
     Neighbor rows (from ``N(α)``) that lie outside the node come first; the
-    remainder of the budget is filled uniformly from the other outside rows.  If
-    the complement is smaller than the requested sample, the whole
-    complement is returned.
+    remainder of the budget is filled uniformly from the other outside
+    rows.  If the complement is smaller than the requested sample, the
+    whole complement is returned.  ``banned`` is the level's shared
+    ownership mask: this function marks the node's rows on entry and
+    un-marks exactly what it touched before returning, so each node costs
+    O(|indices| + sample) mask work instead of an O(n) allocation.
     """
-    inside = np.zeros(n, dtype=bool)
-    inside[node.indices] = True
     complement_size = n - node.indices.size
     if complement_size <= 0:
         return np.empty(0, dtype=np.intp)
-    if complement_size <= sample_size:
-        return np.nonzero(~inside)[0].astype(np.intp)
+    banned[node.indices] = True
+    touched: list[np.ndarray] = [node.indices]
+    try:
+        if complement_size <= sample_size:
+            return np.nonzero(~banned)[0].astype(np.intp)
 
-    chosen: list[np.ndarray] = []
-    count = 0
+        chosen: list[np.ndarray] = []
+        count = 0
+        if neighbors is not None and node.neighbor_list is not None:
+            cand = node.neighbor_list[~banned[node.neighbor_list]]
+            if cand.size > sample_size:
+                cand = rng.choice(cand, size=sample_size, replace=False)
+            if cand.size:
+                cand = cand.astype(np.intp)
+                chosen.append(cand)
+                banned[cand] = True  # from here on "banned" means "not eligible"
+                touched.append(cand)
+                count += cand.size
 
-    if neighbors is not None and node.neighbor_list is not None:
-        cand = node.neighbor_list[~inside[node.neighbor_list]]
-        if cand.size > sample_size:
-            cand = rng.choice(cand, size=sample_size, replace=False)
-        if cand.size:
-            chosen.append(cand.astype(np.intp))
-            inside[cand] = True  # from here on "inside" means "not eligible"
-            count += cand.size
+        if count < sample_size:
+            need = min(sample_size - count, complement_size - count)
+            if need > 0:
+                take = fill_uniform(rng, n, need, banned)
+                chosen.append(take)
+                touched.append(take)
 
-    if count < sample_size:
-        # Fill with uniform samples from rows not yet chosen and outside the node.
-        need = min(sample_size - count, complement_size - count)
-        if need > 0:
-            chosen.append(fill_uniform(rng, n, need, inside))
-
-    if not chosen:
-        return np.empty(0, dtype=np.intp)
-    return np.unique(np.concatenate(chosen))
+        if not chosen:
+            return np.empty(0, dtype=np.intp)
+        return np.unique(np.concatenate(chosen))
+    finally:
+        for indices in touched:
+            banned[indices] = False
 
 
-def skeletonize_node(
-    node: TreeNode,
+def sample_rows_level(
+    members: list[TreeNode],
+    n: int,
+    sample_size: int,
+    neighbors: Optional[NeighborTable],
+    base: int,
+) -> list[np.ndarray]:
+    """Importance-sampled row sets for every node of one tree level.
+
+    The level's nodes partition the index set, so all of the level's
+    draws run against **one** shared ownership mask; each node draws from
+    its own :func:`node_stream`, so the samples do not depend on which
+    nodes share the call.
+    """
+    banned = np.zeros(n, dtype=bool)
+    return [
+        _sample_rows(node, n, sample_size, neighbors, node_stream(base, node.node_id), banned)
+        for node in members
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the level sweep
+# ---------------------------------------------------------------------------
+
+def _pow2(size: int) -> int:
+    """``size`` rounded up to a power of two (the shape-bucket key)."""
+    return 1 << (size - 1).bit_length() if size > 0 else 0
+
+
+def _assign_empty(node: TreeNode, num_columns: int) -> None:
+    node.skeleton = np.empty(0, dtype=np.intp)
+    node.coeffs = np.zeros((0, num_columns))
+    node.skeleton_rank = 0
+
+
+def skeletonize_level(
+    members: list[TreeNode],
+    n: int,
     matrix: SPDMatrix,
     config: GOFMMConfig,
-    neighbors: NeighborTable | None,
-    rng: np.random.Generator,
-) -> int:
-    """Tasks SKEL(α) + COEF(α): compute ``node.skeleton`` and ``node.coeffs``.
+    neighbors: Optional[NeighborTable],
+    base: int,
+) -> None:
+    """Skeletonize one tree level's nodes in place (tasks SKEL + COEF).
 
-    Returns the selected rank.  Raises :class:`RankDeficiencyError` when
-    ``config.secure_accuracy`` is set and the node could not produce a
-    nonzero skeleton.
+    Samples every node's rows against one shared ownership mask, buckets
+    the sampled blocks by padded shape, runs each bucket through a stacked
+    decomposition, and assigns ``skeleton`` / ``coeffs`` /
+    ``skeleton_rank`` on the nodes.  ``members`` may be a whole level or
+    one subtree's slice of it (the results are identical) and must be
+    processed bottom-up across calls (children before parents).  Raises
+    :class:`RankDeficiencyError` when ``config.secure_accuracy`` is set
+    and a node cannot produce a nonzero skeleton.
     """
-    if node.is_leaf:
-        columns = node.indices
-    else:
-        left, right = node.children()
-        if left.skeleton is None or right.skeleton is None:
-            raise RankDeficiencyError(
-                f"children of node {node.node_id} have not been skeletonized (postorder violated)"
-            )
-        columns = np.concatenate([left.skeleton, right.skeleton])
-
-    if columns.size == 0:
-        node.skeleton = np.empty(0, dtype=np.intp)
-        node.coeffs = np.zeros((0, 0))
-        node.skeleton_rank = 0
-        if config.secure_accuracy:
-            raise RankDeficiencyError(f"node {node.node_id} has no columns to skeletonize")
-        return 0
-
     sample_size = config.effective_sample_size()
-    rows = sample_rows(node, matrix.n, sample_size, neighbors, rng)
-    if rows.size == 0:
-        # Root-like node: nothing outside it, so no off-diagonal block exists.
-        node.skeleton = np.empty(0, dtype=np.intp)
-        node.coeffs = np.zeros((0, columns.size))
-        node.skeleton_rank = 0
-        return 0
+    rows_per_node = sample_rows_level(members, n, sample_size, neighbors, base)
 
-    block = matrix.entries(rows, columns)
-    decomposition = interpolative_decomposition(
-        block,
-        max_rank=config.max_rank,
-        tolerance=config.tolerance,
-        adaptive=config.adaptive_rank,
-    )
+    # Bucket the level's sampled blocks by padded shape.
+    buckets: dict[tuple[int, int], list[tuple[TreeNode, np.ndarray, np.ndarray]]] = {}
+    for node, rows in zip(members, rows_per_node):
+        if node.is_leaf:
+            columns = node.indices
+        else:
+            left, right = node.children()
+            if left.skeleton is None or right.skeleton is None:
+                raise RankDeficiencyError(
+                    f"children of node {node.node_id} have not been skeletonized "
+                    "(level sweep violated)"
+                )
+            columns = np.concatenate([left.skeleton, right.skeleton])
 
-    if decomposition.rank == 0:
-        if config.secure_accuracy:
-            raise RankDeficiencyError(
-                f"node {node.node_id}: adaptive ID selected rank 0 "
-                f"(block norm {np.abs(block).max() if block.size else 0.0:g})"
+        if columns.size == 0:
+            node.skeleton = np.empty(0, dtype=np.intp)
+            node.coeffs = np.zeros((0, 0))
+            node.skeleton_rank = 0
+            if config.secure_accuracy:
+                raise RankDeficiencyError(
+                    f"node {node.node_id} has no columns to skeletonize"
+                )
+            continue
+        if rows.size == 0:
+            # Root-like node: nothing outside it, no off-diagonal block.
+            _assign_empty(node, columns.size)
+            continue
+
+        key = (_pow2(rows.size), _pow2(columns.size))
+        buckets.setdefault(key, []).append((node, rows, columns))
+
+    for (pad_rows, pad_cols), group in sorted(buckets.items()):
+        # One stacked evaluation for the whole bucket's entries (tasks
+        # Kba of the SKEL stage): same values and evaluation counts as
+        # per-node matrix.entries calls, far fewer kernel invocations.
+        blocks = matrix.entries_batched(
+            [rows for _, rows, _ in group], [columns for _, _, columns in group]
+        )
+        if stacked_sweep_applies(len(group), pad_rows, pad_cols):
+            stack = np.zeros((len(group), pad_rows, pad_cols))
+            row_counts = np.empty(len(group), dtype=np.intp)
+            col_counts = np.empty(len(group), dtype=np.intp)
+            for g, (node, rows, columns) in enumerate(group):
+                stack[g, : rows.size, : columns.size] = blocks[g]
+                row_counts[g] = rows.size
+                col_counts[g] = columns.size
+            decompositions = batched_interpolative_decomposition(
+                stack,
+                max_rank=config.max_rank,
+                tolerance=config.tolerance,
+                adaptive=config.adaptive_rank,
+                row_counts=row_counts,
+                col_counts=col_counts,
             )
-        node.skeleton = np.empty(0, dtype=np.intp)
-        node.coeffs = np.zeros((0, columns.size))
-        node.skeleton_rank = 0
-        return 0
+        else:
+            # Large blocks stay cache-resident inside one LAPACK call,
+            # so the bucket is decomposed block by block (no padding).
+            decompositions = [
+                interpolative_decomposition(
+                    block,
+                    max_rank=config.max_rank,
+                    tolerance=config.tolerance,
+                    adaptive=config.adaptive_rank,
+                )
+                for block in blocks
+            ]
+        for g, ((node, rows, columns), decomposition) in enumerate(zip(group, decompositions)):
+            if decomposition.rank == 0:
+                if config.secure_accuracy:
+                    block = blocks[g]
+                    block_norm = float(np.abs(block).max()) if block.size else 0.0
+                    raise RankDeficiencyError(
+                        f"node {node.node_id}: adaptive ID selected rank 0 "
+                        f"(block norm {block_norm:g})"
+                    )
+                _assign_empty(node, columns.size)
+                continue
+            node.skeleton = columns[decomposition.skeleton]
+            node.coeffs = decomposition.coeffs.astype(config.dtype)
+            node.skeleton_rank = decomposition.rank
 
-    node.skeleton = columns[decomposition.skeleton]
-    node.coeffs = decomposition.coeffs.astype(config.dtype)
-    node.skeleton_rank = decomposition.rank
-    return decomposition.rank
+
+# ---------------------------------------------------------------------------
+# subtree fan-out
+# ---------------------------------------------------------------------------
+
+def _subtree_level_slices(root_id: int, shard_level: int, depth: int) -> Iterator[tuple[int, int]]:
+    """``(lo, hi)`` node-id ranges of one subtree's levels, bottom-up.
+
+    Node ids are breadth-first positions in a complete binary tree, so the
+    descendants of ``root_id`` at depth offset ``d`` occupy the contiguous
+    id range ``[(root_id+1)·2^d − 1, (root_id+2)·2^d − 2]``.  Workers and
+    the parent iterate this identical order when packing / unpacking slab
+    slots.
+    """
+    for d in range(depth - shard_level, -1, -1):
+        yield (root_id + 1) * (1 << d) - 1, (root_id + 2) * (1 << d) - 2
+
+
+#: Read-only state the forked workers inherit (set in the parent right
+#: before the pool forks, cleared right after it joins).
+_SHARD: Optional[dict] = None
+
+
+def _shard_task(slot: int) -> Optional[CompressionError]:
+    """Skeletonize one subtree bottom-up and pack the results into slab ``slot``.
+
+    A :class:`CompressionError` from the sweep (``secure_accuracy`` rank
+    deficiency) is a deterministic property of the input, not a fault:
+    it is *returned* so the parent re-raises it instead of retrying.
+    """
+    state = _SHARD
+    tree, matrix, config = state["tree"], state["matrix"], state["config"]
+    shard_level = state["shard_level"]
+    meta, skel, coeff = (state[name].array[slot] for name in ("meta", "skel", "coeff"))
+
+    root_id = (1 << shard_level) - 1 + slot
+    before = matrix.entry_evaluations
+    pos = 0
+    try:
+        for lo, hi in _subtree_level_slices(root_id, shard_level, tree.depth):
+            members = tree.nodes[lo : hi + 1]
+            skeletonize_level(members, tree.n, matrix, config, state["neighbors"], state["base"])
+            for node in members:
+                rank = int(node.skeleton_rank or 0)
+                ncols = int(node.coeffs.shape[1])
+                meta[pos, 0] = rank
+                meta[pos, 1] = ncols
+                if rank:
+                    skel[pos, :rank] = node.skeleton
+                    coeff[pos, :rank, :ncols] = node.coeffs
+                pos += 1
+    except CompressionError as exc:
+        return exc
+    state["evals"].array[slot] = matrix.entry_evaluations - before
+    return None
+
+
+def _shard_layout(tree: BallTree, config: GOFMMConfig) -> Optional[tuple[int, int, int]]:
+    """``(shard_level, cap_rank, cap_cols)`` of the fan-out, or ``None`` to stay in process.
+
+    Fanning out helps only with more than one worker, a ``fork`` start
+    method (the workers inherit the problem copy-on-write) and a tree deep
+    enough to split; it is skipped when the result slab would be oversized.
+    """
+    workers = config.compression_workers
+    if workers <= 1 or not fork_available() or tree.depth < 1:
+        return None
+    shard_level = min(tree.depth, max(1, (workers - 1).bit_length()))
+
+    # Capacity bounds, tightened level by level: a node's column count is
+    # its leaf size at the bottom and twice the children's rank cap above,
+    # and its rank is capped by max_rank and its column count.
+    ncols_cap = max(node.indices.size for node in tree.levels()[tree.depth])
+    cap_rank = cap_cols = 0
+    for _ in range(tree.depth, shard_level - 1, -1):
+        rank_cap = min(config.max_rank, ncols_cap)
+        cap_cols = max(cap_cols, ncols_cap)
+        cap_rank = max(cap_rank, rank_cap)
+        ncols_cap = 2 * rank_cap
+    num_nodes = (1 << (tree.depth + 1)) - (1 << shard_level)
+    if num_nodes * cap_rank * cap_cols * 8 > _MAX_COEFF_SLAB_BYTES:
+        return None
+    return shard_level, max(1, cap_rank), max(1, cap_cols)
+
+
+def _skeletonize_shards(
+    tree: BallTree,
+    matrix: SPDMatrix,
+    config: GOFMMConfig,
+    neighbors: Optional[NeighborTable],
+    base: int,
+    layout: tuple[int, int, int],
+) -> None:
+    """Skeletonize levels ``depth … shard_level`` subtree by subtree on a fork pool.
+
+    Read-only state is inherited by ``fork``; per node a ``(rank, ncols)``
+    meta record, the skeleton ids and the interpolation coefficients come
+    back through capacity-padded shared-memory slots in a deterministic
+    (bottom-up, id-ordered) node order, plus each worker's matrix
+    ``entry_evaluations`` delta so the parent's accounting matches the
+    in-process sweep exactly.  Raises :class:`WorkerCrashError` when the
+    pool exhausts its retry budget (nothing has been assigned on the
+    parent's tree by then) and re-raises a task's own
+    :class:`CompressionError` after the first attempt.
+    """
+    shard_level, cap_rank, cap_cols = layout
+    num_subtrees = 1 << shard_level
+    per_subtree = (1 << (tree.depth - shard_level + 1)) - 1
+    workers = min(config.compression_workers, num_subtrees)
+
+    # Slabs enter an ExitStack *as they are allocated*: a failed later
+    # allocation, a crashed pool, or an injected fault cannot leak an
+    # earlier slab's /dev/shm segment (SharedSlab.__exit__ unlinks).
+    global _SHARD
+    with ExitStack() as stack:
+        span = stack.enter_context(
+            get_tracer().span(
+                "skeletonize.shards",
+                levels=tree.depth - shard_level + 1,
+                nodes=num_subtrees * per_subtree,
+                workers=workers,
+                entries=0,
+            )
+        )
+        meta = stack.enter_context(SharedSlab((num_subtrees, per_subtree, 2), np.int64))
+        skel = stack.enter_context(SharedSlab((num_subtrees, per_subtree, cap_rank), np.int64))
+        coeff = stack.enter_context(
+            SharedSlab((num_subtrees, per_subtree, cap_rank, cap_cols), np.float64)
+        )
+        evals = stack.enter_context(SharedSlab((num_subtrees,), np.int64))
+        pool = stack.enter_context(
+            SupervisedPool(
+                workers,
+                retries=config.shard_retries,
+                task_timeout=config.shard_task_timeout_s,
+                label="compression.sharded",
+            )
+        )
+        _SHARD = {
+            "tree": tree,
+            "matrix": matrix,
+            "config": config,
+            "neighbors": neighbors,
+            "base": base,
+            "shard_level": shard_level,
+            "meta": meta,
+            "skel": skel,
+            "coeff": coeff,
+            "evals": evals,
+        }
+        try:
+            errors = pool.map(_shard_task, range(num_subtrees))
+        finally:
+            _SHARD = None
+        for error in errors:
+            if error is not None:
+                raise error
+
+        # Unpack in the workers' packing order.
+        for slot in range(num_subtrees):
+            slot_meta, slot_skel, slot_coeff = meta.array[slot], skel.array[slot], coeff.array[slot]
+            pos = 0
+            for lo, hi in _subtree_level_slices(num_subtrees - 1 + slot, shard_level, tree.depth):
+                for node in tree.nodes[lo : hi + 1]:
+                    rank, ncols = map(int, slot_meta[pos])
+                    if rank:
+                        node.skeleton = slot_skel[pos, :rank].astype(np.intp)
+                        node.coeffs = slot_coeff[pos, :rank, :ncols].astype(config.dtype)
+                        node.skeleton_rank = rank
+                    else:
+                        _assign_empty(node, ncols)
+                    pos += 1
+        entries = int(evals.array.sum())
+        matrix.entry_evaluations += entries
+        span.set(entries=entries)
 
 
 def skeletonize_tree(
     tree: BallTree,
     matrix: SPDMatrix,
     config: GOFMMConfig,
-    neighbors: NeighborTable | None,
-    rng: np.random.Generator | None = None,
+    neighbors: Optional[NeighborTable],
+    rng: Optional[np.random.Generator] = None,
 ) -> SkeletonizationStats:
-    """Algorithm 2.6 over the whole tree (postorder), skipping the root.
+    """Algorithm 2.6 over the whole tree as one bottom-up level sweep.
 
-    The root has an empty complement (no off-diagonal block), so it is never
-    skeletonized; its "skeleton" is irrelevant because ``Far(root)`` is
-    always empty.
-
-    This is the ``"reference"`` compression backend
-    (:mod:`repro.core.backends`).  Row sampling draws from per-node
-    streams derived from ``rng`` via :func:`node_stream_base`, the same
-    derivation the ``"batched"`` backend uses — so the two backends select
-    identical skeletons at equal sampling.
+    The root has an empty complement (no off-diagonal block), so it is
+    never skeletonized; its "skeleton" is irrelevant because ``Far(root)``
+    is always empty.  With ``config.compression_workers > 1`` (and a
+    platform and tree where it can help, :func:`_shard_layout`) the bottom
+    levels run subtree-parallel on a supervised fork pool and the sweep
+    finishes the levels above in process; if the pool exhausts its retry
+    budget the sweep runs every level in process from the *already drawn*
+    stream base.  All three routes produce bit-identical trees, stats and
+    entry-evaluation counts.
     """
     rng = rng or np.random.default_rng(config.seed)
     base = node_stream_base(rng)
-    start_entries = matrix.entry_evaluations
+    levels = tree.levels()
     tracer = get_tracer()
-    if tracer.enabled:
-        # Level sweep instead of postorder, purely so each level gets one
-        # span.  Every node is skeletonized from its own derived stream and
-        # depends only on its children, so any children-first order —
-        # postorder or bottom-up levels — produces bit-identical skeletons
-        # (the tracing bit-identity test pins this).
-        levels = tree.levels()
-        for level in range(tree.depth, 0, -1):
-            members = levels[level]
-            before = matrix.entry_evaluations
-            with tracer.span("skeletonize.level", level=level, nodes=len(members)) as span:
-                for node in members:
-                    skeletonize_node(node, matrix, config, neighbors, node_stream(base, node.node_id))
-                span.set(entries=int(matrix.entry_evaluations - before))
-    else:
-        for node in tree.postorder():
-            if node.is_root:
-                continue
-            skeletonize_node(node, matrix, config, neighbors, node_stream(base, node.node_id))
+    start_entries = matrix.entry_evaluations
+
+    first = tree.depth
+    layout = _shard_layout(tree, config)
+    if layout is not None:
+        try:
+            _skeletonize_shards(tree, matrix, config, neighbors, base, layout)
+            first = layout[0] - 1
+        except WorkerCrashError as exc:
+            _LOG.warning(
+                "sharded compression exhausted its retry budget (%s); "
+                "degrading to the in-process level sweep",
+                exc,
+            )
+            _obs_counters.add("faults_degraded")
+
+    for level in range(first, 0, -1):
+        members = levels[level]
+        before = matrix.entry_evaluations
+        with tracer.span("skeletonize.level", level=level, nodes=len(members)) as span:
+            skeletonize_level(members, tree.n, matrix, config, neighbors, base)
+            span.set(entries=int(matrix.entry_evaluations - before))
     _obs_counters.add("kernel_entries_evaluated", int(matrix.entry_evaluations - start_entries))
     return collect_stats(tree)

@@ -19,15 +19,12 @@ Typical one-shot usage::
 evaluation plan, and ``"reference"``, the per-node traversal of
 Algorithm 2.7 kept as the correctness oracle).
 
-The compression side is symmetric: ``config.compression_backend`` selects
-a skeletonization backend registered in :mod:`repro.core.backends`
-(built-ins: ``"batched"``, the default level-batched skeletonizer with
-shape-bucketed stacked pivoted QRs, and ``"reference"``, the per-node
-postorder loop of Algorithm 2.6).  Both backends share per-node sampling
-streams and therefore select identical skeletons (up to floating-point
-pivot ties on exactly rank-deficient blocks)::
+Compression has one skeletonizer (:mod:`repro.core.skeletonization`): a
+bottom-up level sweep of shape-bucketed stacked pivoted QRs.
+``config.compression_workers`` fans whole subtrees out over processes;
+per-node sampling streams make every worker count bitwise identical::
 
-    config = gofmm.GOFMMConfig(compression_backend="reference")  # oracle
+    config = gofmm.GOFMMConfig(compression_workers=4)
     Ktilde = gofmm.compress(K, config)
 
 The functions here are thin, backwards-compatible wrappers over the staged

@@ -68,7 +68,6 @@ class TestInvalidationMatrix:
             ("seed", set(STAGE_ORDER)),
             ("cache_near_blocks", {"blocks", "plan"}),
             ("cache_far_blocks", {"blocks", "plan"}),
-            ("compression_backend", {"skeletons", "blocks", "plan"}),
             ("evaluation_engine", {"plan"}),
             ("prebuild_plan", {"plan"}),
             ("plan_rank_bucketing", {"plan"}),

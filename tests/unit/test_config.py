@@ -49,6 +49,14 @@ class TestValidation:
         config = GOFMMConfig(dtype=np.float32)
         assert config.dtype == np.dtype(np.float32)
 
+    def test_plan_rank_bucketing_validated(self):
+        with pytest.raises(ConfigurationError, match="plan_rank_bucketing"):
+            GOFMMConfig(plan_rank_bucketing="fibonacci")
+
+    def test_removed_compression_backend_field_is_a_type_error(self):
+        with pytest.raises(TypeError, match="compression_backend"):
+            GOFMMConfig(compression_backend="batched")
+
 
 class TestHelpers:
     def test_replace_returns_new_validated_config(self):

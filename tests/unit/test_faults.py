@@ -24,15 +24,15 @@ import pytest
 
 from repro import ConfigurationError, GOFMMConfig
 from repro.config import DistanceMetric
+from repro.core import sharding
 from repro.core.distances import make_distance
 from repro.core.interactions import build_node_neighbor_lists
 from repro.core.neighbor_backends import _run_blocked, _run_sharded
 from repro.core.neighbors import all_nearest_neighbors
 from repro.core.sharding import SharedSlab, SupervisedPool, fork_available
-from repro.core.skeletonization_batched import skeletonize_tree_batched
-from repro.core.skeletonization_sharded import skeletonize_tree_sharded
+from repro.core.skeletonization import skeletonize_tree
 from repro.core.tree import build_tree
-from repro.errors import WorkerCrashError
+from repro.errors import RankDeficiencyError, WorkerCrashError
 from repro.faults import (
     FaultPlan,
     always,
@@ -47,6 +47,7 @@ from repro.faults import (
     register_point,
     unregister_point,
 )
+from repro.matrices import DenseSPD
 from repro.obs import counters
 
 from ..conftest import make_gaussian_kernel_matrix
@@ -315,24 +316,21 @@ class TestSharedSlabLifetime:
             assert _shm_entries() <= before
 
     @needs_fork
-    def test_failed_sharded_compression_leaks_no_segment_and_matches_batched(self):
+    def test_failed_sharded_compression_leaks_no_segment_and_matches_in_process(self):
         m1, c1, t1, n1 = _prepared()
         m2, c2, t2, n2 = _prepared()
-        c2 = c2.replace(
-            compression_backend="sharded", compression_workers=2,
-            shard_retries=0, shard_task_timeout_s=1.0,
-        )
+        c2 = c2.replace(compression_workers=2, shard_retries=0, shard_task_timeout_s=1.0)
         plan = FaultPlan()
         plan.inject("shard.worker", kill=True, trigger=always(), times=None)
 
         before = _shm_entries()
-        s1 = skeletonize_tree_batched(t1, m1, c1, n1, rng=np.random.default_rng(9))
+        s1 = skeletonize_tree(t1, m1, c1, n1, rng=np.random.default_rng(9))
         with plan.armed():
-            s2 = skeletonize_tree_sharded(t2, m2, c2, n2, rng=np.random.default_rng(9))
+            s2 = skeletonize_tree(t2, m2, c2, n2, rng=np.random.default_rng(9))
         if before is not None:
             assert _shm_entries() <= before  # every slab closed and unlinked
 
-        # Degraded run: bit-identical to the batched backend, fully counted.
+        # Degraded run: bit-identical to the in-process sweep, fully counted.
         for a, b in zip(t1.nodes, t2.nodes):
             assert a.skeleton_rank == b.skeleton_rank
             if a.skeleton is not None:
@@ -371,8 +369,37 @@ class TestSharedSlabLifetime:
     @needs_fork
     def test_healthy_sharded_run_leaks_no_segment(self):
         m, c, t, n = _prepared()
-        c = c.replace(compression_backend="sharded", compression_workers=2)
+        c = c.replace(compression_workers=2)
         before = _shm_entries()
-        skeletonize_tree_sharded(t, m, c, n, rng=np.random.default_rng(9))
+        skeletonize_tree(t, m, c, n, rng=np.random.default_rng(9))
+        if before is not None:
+            assert _shm_entries() <= before
+
+    @needs_fork
+    def test_shard_side_compression_error_surfaces_after_one_attempt(self, monkeypatch):
+        """A typed error raised by the task body is the input's, not a fault.
+
+        Zero off-diagonal blocks under ``secure_accuracy`` are rank deficient
+        in every process, so the fan-out must re-raise after the first
+        attempt: no pool re-fork, no degrade, no fault counter touched.
+        """
+        identity = DenseSPD(np.eye(256))
+        config = GOFMMConfig(
+            leaf_size=16, max_rank=8, tolerance=1e-3, budget=0.0,
+            distance=DistanceMetric.LEXICOGRAPHIC, secure_accuracy=True,
+            compression_workers=2, shard_retries=2,
+        )
+        tree = build_tree(256, config, distance=None)
+        forks = []
+        fork_pool = sharding.fork_pool
+        monkeypatch.setattr(
+            sharding, "fork_pool", lambda workers: forks.append(workers) or fork_pool(workers)
+        )
+        before = _shm_entries()
+        with pytest.raises(RankDeficiencyError):
+            skeletonize_tree(tree, identity, config, None)
+        assert forks == [2]
+        for name in ("faults_injected", "faults_recovered", "faults_degraded"):
+            assert counters.get(name) == 0
         if before is not None:
             assert _shm_entries() <= before

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.linalg import interpolative_decomposition
-from repro.linalg.id import id_reconstruction
+from repro.linalg.id import batched_interpolative_decomposition, id_reconstruction
 
 
 def low_rank_matrix(p, n, rank, seed=0, noise=0.0):
@@ -109,3 +109,57 @@ class TestEdgeCases:
         dec = interpolative_decomposition(a, max_rank=8, tolerance=1e-12)
         recon = dec.reconstruct(a[:, dec.skeleton])
         assert np.allclose(recon, a, atol=1e-8)
+
+
+class TestBatchedID:
+    """batched_interpolative_decomposition vs the per-block reference."""
+
+    @pytest.mark.parametrize("adaptive,tolerance,max_rank", [(True, 1e-6, 10), (False, 0.0, 10)])
+    def test_padded_stack_matches_per_block(self, adaptive, tolerance, max_rank):
+        rng = np.random.default_rng(7)
+        g, P, K = 12, 40, 24
+        stack = np.zeros((g, P, K))
+        blocks, rc, cc = [], [], []
+        for i in range(g):
+            p, k = int(rng.integers(8, P + 1)), int(rng.integers(3, K + 1))
+            r = int(rng.integers(1, min(p, k) + 1))
+            b = rng.standard_normal((p, r)) @ rng.standard_normal((r, k))
+            b += 1e-10 * rng.standard_normal((p, k))
+            blocks.append(b)
+            rc.append(p)
+            cc.append(k)
+            stack[i, :p, :k] = b
+        results = batched_interpolative_decomposition(
+            stack, max_rank, tolerance, adaptive=adaptive,
+            row_counts=np.array(rc), col_counts=np.array(cc),
+        )
+        for i in range(g):
+            ref = interpolative_decomposition(blocks[i], max_rank, tolerance, adaptive=adaptive)
+            assert results[i].rank == ref.rank
+            assert np.array_equal(results[i].skeleton, ref.skeleton)
+            if ref.rank:
+                approx_ref = blocks[i][:, ref.skeleton] @ ref.coeffs
+                approx_bat = blocks[i][:, results[i].skeleton] @ results[i].coeffs
+                scale = np.linalg.norm(blocks[i])
+                assert np.linalg.norm(approx_bat - blocks[i]) <= np.linalg.norm(
+                    approx_ref - blocks[i]
+                ) + 1e-9 * scale
+
+    def test_padding_never_enters_skeleton(self):
+        rng = np.random.default_rng(1)
+        stack = np.zeros((9, 16, 16))
+        cc = np.full(9, 5)
+        stack[:, :10, :5] = rng.standard_normal((9, 10, 5))
+        results = batched_interpolative_decomposition(
+            stack, 16, 0.0, adaptive=False, row_counts=np.full(9, 10), col_counts=cc
+        )
+        for res in results:
+            assert res.rank <= 5
+            assert np.all(res.skeleton < 5)
+            assert res.coeffs.shape[1] == 5
+
+    def test_empty_and_zero_blocks(self):
+        stack = np.zeros((8, 6, 4))
+        results = batched_interpolative_decomposition(stack, 4, 1e-8, adaptive=True)
+        assert all(r.rank == 0 for r in results)
+        assert batched_interpolative_decomposition(np.zeros((0, 4, 4)), 4) == []

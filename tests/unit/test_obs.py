@@ -32,6 +32,7 @@ import pytest
 
 from repro import GOFMMConfig
 from repro.api import Session
+from repro.core.sharding import fork_available
 from repro.obs import (
     NULL_TRACER,
     NullTracer,
@@ -357,14 +358,31 @@ class TestOverheadAndBitIdentity:
             traced = compressed.matvec(w, engine=engine)
         assert np.array_equal(plain, traced)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_skeletonization_accounting_is_worker_count_independent(self, workers):
+        """Counter delta == total span ``entries``, fanned out or not."""
+        if workers > 1 and not fork_available():
+            pytest.skip("requires the fork start method")
+        matrix = make_gaussian_kernel_matrix(n=256, d=3, bandwidth=1.5, seed=5)
+        tracer = Tracer()
+        before = obs_counters.get("kernel_entries_evaluated")
+        Session(matrix, small_config(compression_workers=workers), tracer=tracer).compress()
+        delta = obs_counters.get("kernel_entries_evaluated") - before
+        spans = [s for s in tracer.spans() if s.name in ("skeletonize.level", "skeletonize.shards")]
+        assert spans and delta > 0
+        assert sum(s.attrs["entries"] for s in spans) == delta
+        shards = [s for s in spans if s.name == "skeletonize.shards"]
+        assert len(shards) == (workers > 1)
+        for span in shards:
+            assert span.attrs["workers"] == workers
+            assert span.attrs["levels"] >= 1 and span.attrs["nodes"] >= 2
+
     def test_traced_compression_matches_untraced(self):
         matrix_a = make_gaussian_kernel_matrix(n=160, d=3, bandwidth=1.5, seed=11)
         matrix_b = make_gaussian_kernel_matrix(n=160, d=3, bandwidth=1.5, seed=11)
         w = np.random.default_rng(3).standard_normal((160, 2))
         plain = Session(matrix_a, small_config()).compress()
         traced = Session(matrix_b, small_config(), tracer=Tracer()).compress()
-        # the traced reference backend switches postorder → level sweep;
-        # per-node rng streams make the skeletons (and results) bit-identical
         assert np.array_equal(plain.apply(w), traced.apply(w))
 
 

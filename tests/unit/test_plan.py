@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from repro import ConfigurationError, EvaluationError, GOFMMConfig, compress
+from repro.api import Session
 from repro.config import DistanceMetric
 from repro.core.evaluate import EvaluationCounters, evaluate
-from repro.core.plan import EvaluationPlan, build_plan, evaluate_planned
+from repro.core.plan import EvaluationPlan, build_plan, evaluate_planned, pad_ranks
+from repro.errors import CompressionError
 
 from ..conftest import make_gaussian_kernel_matrix, make_random_spd
 
@@ -302,3 +304,32 @@ class TestReentrancy:
         plan.release_context(ctx)
         assert ctx.wtil is None and ctx.util is None
         plan.release_context(ctx)  # double release is a no-op
+
+
+class TestRankBucketing:
+    def test_pad_ranks_modes(self):
+        ranks = np.array([0, 3, 5, 8])
+        assert list(pad_ranks(ranks, "none")) == [0, 3, 5, 8]
+        assert list(pad_ranks(ranks, "pow2")) == [0, 4, 8, 8]
+        assert list(pad_ranks(ranks, "max")) == [0, 8, 8, 8]
+
+    def test_pad_ranks_rejects_unknown_mode(self):
+        with pytest.raises(CompressionError):
+            pad_ranks(np.array([1, 2]), "weird")
+
+    def test_switching_bucketing_invalidates_only_plan(self):
+        matrix = make_gaussian_kernel_matrix(n=128, d=2, bandwidth=1.2, seed=6)
+        config = GOFMMConfig(
+            leaf_size=16, max_rank=8, neighbors=4, num_neighbor_trees=2, seed=0,
+        )
+        session = Session(matrix, config)
+        session.compress()
+        assert session.stale_stages(plan_rank_bucketing="none") == frozenset({"plan"})
+        op = session.recompress(plan_rank_bucketing="none")
+        assert session.last_built == ("plan",)
+        w = np.random.default_rng(1).standard_normal(matrix.n)
+        assert np.allclose(
+            op.compressed.matvec(w, engine="planned"),
+            op.compressed.matvec(w, engine="reference"),
+            atol=1e-10,
+        )

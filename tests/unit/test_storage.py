@@ -158,6 +158,25 @@ class TestOperatorStore:
         )
         assert reopened.config.streaming_chunk_bytes == 1 << 20
 
+    @pytest.mark.parametrize("resident", ["mmap", "ram"])
+    def test_store_with_removed_compression_backend_key_opens(
+        self, operator, weights, reference, tmp_path, resident
+    ):
+        """Stores written before ``compression_backend`` was removed open unchanged.
+
+        ``config_from_jsonable`` ignoring unknown keys is the whole
+        compatibility story — there is no migration shim.
+        """
+        path = tmp_path / "old.store"
+        operator.save(path)
+        manifest_path = path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["compression_backend"] = "batched"
+        manifest["fingerprints"]["skeletons"]["compression_backend"] = "batched"
+        manifest_path.write_text(json.dumps(manifest))
+        reopened = CompressedOperator.open(path, resident=resident)
+        assert np.array_equal(reopened.apply(weights, engine="reference"), reference)
+
 
 class TestStoredBlockProvider:
     def _provider(self):
