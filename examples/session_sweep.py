@@ -2,13 +2,14 @@
 """Staged sessions: a warm parameter sweep plus SciPy solver interop.
 
 The staged session API (``repro.api``) keeps the compression pipeline's
-stage artifacts — partition, ANN table, interaction lists, skeletons,
-blocks, plan — individually cached, so a parameter sweep rebuilds only what
-each change invalidates:
+stage artifacts — partition, ANN table, interaction lists, skeletons, near
+blocks, far blocks, plan — individually cached, so a parameter sweep
+rebuilds only what each change invalidates:
 
 1. create a :class:`repro.api.Session` and compress once (cold),
 2. sweep ``tolerance`` / ``budget`` via :meth:`Session.recompress` — every
-   warm point reuses the tree + ANN artifacts,
+   warm point reuses the tree + ANN artifacts, and a point that changes
+   ``tolerance`` alone also shares the previous point's near blocks,
 3. use the resulting :class:`repro.api.CompressedOperator` directly with
    ``scipy.sparse.linalg`` (it *is* a ``LinearOperator``) and with the
    built-in block-Jacobi preconditioned ``solve``,
@@ -35,6 +36,7 @@ from repro.reporting import format_table
 SWEEP = [
     dict(tolerance=1e-2, budget=0.01),
     dict(tolerance=1e-3, budget=0.03),
+    dict(tolerance=1e-4, budget=0.03),      # tolerance only: near blocks are reused too
     dict(tolerance=1e-5, budget=0.05),
     dict(tolerance=1e-7, budget=0.10),
 ]
@@ -61,7 +63,7 @@ def main(n: int = 2048) -> None:
             operator.relative_error(num_rhs=8),
             f"{operator.rank_summary()['mean']:.1f}",
             f"{report.total_seconds:.3f}",
-            ",".join(report.reused_phases) or "(cold)",
+            ",".join(session.last_reused) or "(cold)",
         ])
     print(format_table(
         ["tau", "budget", "eps2", "avg rank", "rebuild [s]", "reused stages"],

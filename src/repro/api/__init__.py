@@ -4,9 +4,10 @@ This package redesigns the top-level GOFMM entry points around explicit,
 reusable pipeline artifacts:
 
 * :class:`Session` — owns the pipeline stages (partition → ANN → interaction
-  lists → skeletons → blocks → plan) as individually cached artifacts and
-  rebuilds only what a config change invalidates (``recompress``), or shares
-  the matrix-light artifacts across a family of operators (``attach``),
+  lists → skeletons → near blocks → far blocks → plan) as individually
+  cached artifacts and rebuilds only what a config change invalidates
+  (``recompress``), or shares the matrix-light artifacts across a family of
+  operators (``attach``),
 * :class:`CompressedOperator` — the result: a
   ``scipy.sparse.linalg.LinearOperator`` that works directly with
   ``scipy.sparse.linalg.cg`` / ``gmres`` / ``lobpcg`` and carries
@@ -25,8 +26,9 @@ from .stages import (
     STAGE_FIELDS,
     STAGE_ORDER,
     STAGE_UPSTREAM,
-    Blocks,
+    FarBlocks,
     Interactions,
+    NearBlocks,
     Neighbors,
     Partition,
     Plan,
@@ -42,7 +44,8 @@ __all__ = [
     "Neighbors",
     "Interactions",
     "Skeletons",
-    "Blocks",
+    "NearBlocks",
+    "FarBlocks",
     "Plan",
     "STAGE_ORDER",
     "STAGE_FIELDS",

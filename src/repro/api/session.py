@@ -1,6 +1,6 @@
 """Staged compression sessions with reusable pipeline artifacts.
 
-A :class:`Session` owns the compression pipeline as six first-class,
+A :class:`Session` owns the compression pipeline as seven first-class,
 individually cached stage artifacts (see :mod:`repro.api.stages`).  Each
 artifact records the exact :class:`~repro.config.GOFMMConfig` fields it was
 built under; :meth:`Session.recompress` replaces config fields, rebuilds
@@ -8,7 +8,8 @@ only the stages those fields (or their upstream) touch, and reuses the
 rest.  Changing only ``tolerance`` / ``budget`` / ``max_rank`` — the knobs
 every ablation sweeps — reuses the ball tree and the ANN table, which
 dominate compression cost at large n, so a warm sweep point costs
-O(skeletonize) instead of O(full pipeline).
+O(skeletonize) instead of O(full pipeline); a ``tolerance`` sweep also
+shares the near blocks (most of the cached bytes) between its operators.
 
 Typical usage::
 
@@ -62,8 +63,9 @@ from .operator import CompressedOperator
 from .stages import (
     STAGE_ORDER,
     STAGE_UPSTREAM,
-    Blocks,
+    FarBlocks,
     Interactions,
+    NearBlocks,
     Neighbors,
     Partition,
     Plan,
@@ -84,7 +86,8 @@ _PHASE_NAME = {
     "neighbors": "neighbors",
     "interactions": "lists",
     "skeletons": "skeletonization",
-    "blocks": "caching",
+    "near_blocks": "caching",
+    "far_blocks": "caching",
     "plan": "plan",
 }
 
@@ -378,30 +381,41 @@ class Session:
         skeletons: Skeletons = self._ensure("skeletons", rebuilt, build_skeletons, timer)
         self._scratch_tree = None
 
-        blocks: Blocks = self._ensure(
-            "blocks",
+        # Near blocks are bound to the pristine partition, not to this pass's
+        # skeletonized tree: the provider is reused by later operators and
+        # must not keep one operator's skeletons / coefficients alive.
+        near: NearBlocks = self._ensure(
+            "near_blocks",
             rebuilt,
-            lambda: Blocks(*_pipeline.run_blocks_stage(skeletons.tree, self.matrix, config)),
+            lambda: NearBlocks(
+                _pipeline.run_near_blocks_stage(
+                    partition.tree, self.matrix, config, interactions.lists
+                )
+            ),
+            timer,
+        )
+        far: FarBlocks = self._ensure(
+            "far_blocks",
+            rebuilt,
+            lambda: FarBlocks(_pipeline.run_far_blocks_stage(skeletons.tree, self.matrix, config)),
             timer,
         )
 
         previous_plan_entry = self._cache.get("plan")
-        blocks_entry = self._cache.get("blocks")
 
         def build_plan() -> Plan:
             compressed = CompressedMatrix(
                 tree=skeletons.tree,
                 lists=skeletons.lists,
                 config=config,
-                near_blocks=blocks.near_blocks,
-                far_blocks=blocks.far_blocks,
+                near_blocks=near.blocks,
+                far_blocks=far.blocks,
                 matrix=self.matrix,
                 neighbors=neighbors.table,
             )
-            if (
-                previous_plan_entry is not None
-                and blocks_entry is not None
-                and (previous_plan_entry.upstream_versions or {}).get("blocks") == blocks_entry.version
+            if previous_plan_entry is not None and all(
+                previous_plan_entry.upstream_versions.get(up) == self._cache[up].version
+                for up in STAGE_UPSTREAM["plan"]
             ):
                 # The previous plans were built against these exact blocks
                 # (same tree / lists / providers): still exact — only the
@@ -431,9 +445,12 @@ class Session:
         report.average_rank = skeletons.average_rank
         report.max_rank = skeletons.max_rank
         report.entry_evaluations = self.matrix.entry_evaluations - start_evals
-        report.reused_phases = [
-            _PHASE_NAME[stage] for stage in STAGE_ORDER if stage not in rebuilt
-        ]
+        # A phase counts as reused only when every stage behind it was
+        # ("caching" sums the near and the far blocks stage).
+        ran = {_PHASE_NAME[stage] for stage in rebuilt}
+        report.reused_phases = list(
+            dict.fromkeys(_PHASE_NAME[s] for s in STAGE_ORDER if _PHASE_NAME[s] not in ran)
+        )
         self.last_built = tuple(stage for stage in STAGE_ORDER if stage in rebuilt)
         self.last_reused = tuple(stage for stage in STAGE_ORDER if stage not in rebuilt)
 
@@ -444,7 +461,14 @@ class Session:
 
         ``session.recompress(tolerance=1e-3, budget=0.05)`` rebuilds the
         interaction lists and everything downstream but performs zero ANN
-        iterations and zero tree builds.
+        iterations and zero tree builds.  A change that leaves the
+        partition, the lists and ``cache_near_blocks`` alone — ``tolerance``,
+        ``adaptive_rank``, ``secure_accuracy`` — also reuses the near blocks:
+        the new operator shares the previous one's (read-only) provider and
+        evaluates only far blocks.  A ``max_rank`` / ``sample_size`` /
+        ``oversampling`` sweep still rebuilds them, because ``interactions``
+        fingerprints those fields (they cap the node neighbor lists); that
+        is left to the math / execution config split.
         """
         if config_changes:
             self._config = self._config.replace(**config_changes)

@@ -1,16 +1,18 @@
 """First-class pipeline stage artifacts and their config dependencies.
 
 The compression pipeline (ANN search → metric-tree partition → Near/Far
-lists → skeletonization → block caching → evaluation plan) factors into
-six artifacts.  Each artifact is tagged with the exact subset of
-:class:`repro.config.GOFMMConfig` fields it depends on (``depends_on``)
+lists → skeletonization → near / far block caching → evaluation plan)
+factors into seven artifacts.  Each artifact is tagged with the exact
+subset of :class:`repro.config.GOFMMConfig` fields it depends on (``depends_on``)
 and with its upstream artifacts (``STAGE_UPSTREAM``); a config change
 invalidates an artifact iff it touches one of the artifact's own fields
 or invalidates something upstream (:func:`invalidated_stages`).
 
 The payoff: ``Session.recompress(tolerance=..., budget=..., max_rank=...)``
 reuses the ball tree and the ANN table — the dominant cost at large n —
-and pays only for skeletonization onward.
+and pays only for skeletonization onward; a ``tolerance`` change also keeps
+the near blocks, which are a function of the partition, the Near lists and
+the matrix alone (most of the cached bytes).
 
 Artifacts are plain data, deliberately decoupled from any particular
 :class:`~repro.core.tree.BallTree` instance: the partition is cached
@@ -46,13 +48,16 @@ __all__ = [
     "Neighbors",
     "Interactions",
     "Skeletons",
-    "Blocks",
+    "NearBlocks",
+    "FarBlocks",
     "Plan",
 ]
 
 
 #: Pipeline stages in build order.
-STAGE_ORDER: tuple[str, ...] = ("partition", "neighbors", "interactions", "skeletons", "blocks", "plan")
+STAGE_ORDER: tuple[str, ...] = (
+    "partition", "neighbors", "interactions", "skeletons", "near_blocks", "far_blocks", "plan"
+)
 
 #: The exact GOFMMConfig fields each stage reads.  A stage artifact stays
 #: valid across a config change iff none of its fields changed and nothing
@@ -89,7 +94,8 @@ STAGE_FIELDS: Dict[str, frozenset] = {
             "seed",
         }
     ),
-    "blocks": frozenset({"cache_near_blocks", "cache_far_blocks"}),
+    "near_blocks": frozenset({"cache_near_blocks"}),
+    "far_blocks": frozenset({"cache_far_blocks"}),
     "plan": frozenset(
         {"evaluation_engine", "prebuild_plan", "plan_rank_bucketing", "streaming_chunk_bytes"}
     ),
@@ -102,8 +108,11 @@ STAGE_UPSTREAM: Dict[str, tuple[str, ...]] = {
     "neighbors": (),
     "interactions": ("partition", "neighbors"),
     "skeletons": ("interactions",),
-    "blocks": ("skeletons",),
-    "plan": ("blocks",),
+    # Near blocks K[β, α] never see a skeleton: they survive any change
+    # that leaves the partition and the Near lists alone.
+    "near_blocks": ("interactions",),
+    "far_blocks": ("skeletons",),
+    "plan": ("near_blocks", "far_blocks"),
 }
 
 
@@ -281,23 +290,33 @@ class Skeletons:
 
 
 @dataclass
-class Blocks:
-    """Stage 5: cached (or lazily evaluated) near / far submatrices."""
+class NearBlocks:
+    """Stage 5: cached (or lazily evaluated) direct blocks ``K[β, α]``, ``α ∈ Near(β)``.
 
-    stage: ClassVar[str] = "blocks"
-    depends_on: ClassVar[frozenset] = STAGE_FIELDS["blocks"]
+    Bound to the pristine partition (it reads ``node.indices`` only), never
+    to a skeletonized working tree, so reusing it keeps no old skeletons or
+    coefficients alive.
+    """
 
-    near_blocks: BlockProvider
-    far_blocks: BlockProvider
+    stage: ClassVar[str] = "near_blocks"
+    depends_on: ClassVar[frozenset] = STAGE_FIELDS["near_blocks"]
 
-    @property
-    def cached_entries(self) -> int:
-        return self.near_blocks.cached_entries + self.far_blocks.cached_entries
+    blocks: BlockProvider
+
+
+@dataclass
+class FarBlocks:
+    """Stage 6: cached (or lazily evaluated) skeleton blocks ``K[β̃, α̃]``, ``α ∈ Far(β)``."""
+
+    stage: ClassVar[str] = "far_blocks"
+    depends_on: ClassVar[frozenset] = STAGE_FIELDS["far_blocks"]
+
+    blocks: BlockProvider
 
 
 @dataclass
 class Plan:
-    """Stage 6: the assembled operator (CompressedMatrix + its cached plan)."""
+    """Stage 7: the assembled operator (CompressedMatrix + its cached plan)."""
 
     stage: ClassVar[str] = "plan"
     depends_on: ClassVar[frozenset] = STAGE_FIELDS["plan"]

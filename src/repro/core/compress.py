@@ -7,7 +7,8 @@ The driver runs the paper's pipeline:
 3. Near-list construction with budget voting (LeafNear) and Far-list
    construction (FindFar + MergeFar, or the symmetric dual-tree variant),
 4. nested skeletonization (tasks SKEL + COEF),
-5. optional caching of near and far submatrices (tasks Kba + SKba),
+5. optional caching of near and far submatrices (tasks Kba + SKba), each
+   entry evaluated once, in bulk, into read-only slabs,
 6. optionally (``config.prebuild_plan``) the packed evaluation plan of
    :mod:`repro.core.plan`.
 
@@ -54,6 +55,8 @@ __all__ = [
     "run_partition_stage",
     "run_interactions_stage",
     "run_skeletons_stage",
+    "run_near_blocks_stage",
+    "run_far_blocks_stage",
     "run_blocks_stage",
 ]
 
@@ -203,28 +206,98 @@ def run_skeletons_stage(
     return skeletonize_tree(tree, matrix, config, neighbors, rng=stage_rng(config, "skeletons"))
 
 
+#: Bytes of one block slab.  Large enough that a slab of small blocks
+#: amortizes the Python-level ``entries_batched`` call over dozens of
+#: blocks (the stage's time is flat from 256 KiB to 16 MiB); small enough
+#: that slabs come from the heap, not from one fresh mapping each (glibc's
+#: mmap threshold tops out at 32 MiB), and stay under the 4 MiB at which
+#: numpy marks an allocation ``MADV_HUGEPAGE`` — mixing page sizes into the
+#: heap slowed the *next* compression's untouched stages by 6-10 % on the
+#: ledger's ``hss_coarse``.
+_SLAB_BYTES = 2 * 2**20
+
+
+def _cache_blocks(
+    provider: BlockProvider,
+    matrix: SPDMatrix,
+    keys: list[tuple[int, int]],
+    index_sets: list[np.ndarray],
+) -> None:
+    """Evaluate ``K[index_sets[β]][:, index_sets[α]]`` for every ``(β, α)`` key, in bulk.
+
+    Same-shape blocks are evaluated one slab at a time through
+    ``entries_batched(rows, cols, out=slab)`` — bitwise identical to
+    per-block ``entries`` by that method's contract — and stored as
+    read-only views of the slab, in ``keys`` order.
+    """
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, (beta_id, alpha_id) in enumerate(keys):
+        shape = (index_sets[beta_id].size, index_sets[alpha_id].size)
+        groups.setdefault(shape, []).append(i)
+    blocks: list[Optional[np.ndarray]] = [None] * len(keys)
+    for (p, k), members in groups.items():
+        per_slab = max(1, _SLAB_BYTES // max(1, 8 * p * k))
+        for start in range(0, len(members), per_slab):
+            chunk = members[start : start + per_slab]
+            slab = np.empty((len(chunk), p, k))
+            matrix.entries_batched(
+                np.stack([index_sets[keys[i][0]] for i in chunk]),
+                np.stack([index_sets[keys[i][1]] for i in chunk]),
+                out=slab,
+            )
+            slab.flags.writeable = False  # before slicing: views inherit the flag
+            for i, block in zip(chunk, slab):
+                blocks[i] = block
+    for key, block in zip(keys, blocks):
+        provider.store(key, block)
+
+
+def run_near_blocks_stage(
+    tree: BallTree,
+    matrix: SPDMatrix,
+    config: GOFMMConfig,
+    lists: Optional[InteractionLists] = None,
+) -> BlockProvider:
+    """Task Kba(β): evaluate and store the direct blocks ``K[β, α]``, ``α ∈ Near(β)``.
+
+    Near(β) is read from ``lists`` when given, else from ``leaf.near``; with
+    ``lists`` the tree needs ``node.indices`` only, so the session passes
+    its pristine partition and the provider outlives any skeletonization.
+    """
+    near_blocks = BlockProvider(tree, matrix, use_skeletons=False)
+    if config.cache_near_blocks:
+        keys = [
+            (leaf.node_id, alpha_id)
+            for leaf in tree.leaves
+            for alpha_id in (leaf.near if lists is None else lists.near_of(leaf))
+        ]
+        _cache_blocks(near_blocks, matrix, keys, [node.indices for node in tree.nodes])
+    return near_blocks
+
+
+def run_far_blocks_stage(tree: BallTree, matrix: SPDMatrix, config: GOFMMConfig) -> BlockProvider:
+    """Task SKba(β): evaluate and store the skeleton blocks ``K[β̃, α̃]``, ``α ∈ Far(β)``."""
+    far_blocks = BlockProvider(tree, matrix, use_skeletons=True)
+    if config.cache_far_blocks:
+        empty = np.empty(0, dtype=np.intp)
+        keys = [
+            (node.node_id, alpha_id)
+            for node in tree.nodes
+            if node.skeleton is not None
+            for alpha_id in node.far
+        ]
+        skeletons = [node.skeleton if node.skeleton is not None else empty for node in tree.nodes]
+        _cache_blocks(far_blocks, matrix, keys, skeletons)
+    return far_blocks
+
+
 def run_blocks_stage(
     tree: BallTree,
     matrix: SPDMatrix,
     config: GOFMMConfig,
 ) -> tuple[BlockProvider, BlockProvider]:
     """Tasks Kba(β) and SKba(β): evaluate and store the direct and skeleton blocks."""
-    near_blocks = BlockProvider(tree, matrix, use_skeletons=False)
-    far_blocks = BlockProvider(tree, matrix, use_skeletons=True)
-    if config.cache_near_blocks:
-        for leaf in tree.leaves:
-            for alpha_id in leaf.near:
-                alpha = tree.node(alpha_id)
-                near_blocks.store((leaf.node_id, alpha_id), matrix.entries(leaf.indices, alpha.indices))
-    if config.cache_far_blocks:
-        for node in tree.nodes:
-            if not node.far or node.skeleton is None:
-                continue
-            for alpha_id in node.far:
-                alpha = tree.node(alpha_id)
-                cols = alpha.skeleton if alpha.skeleton is not None else np.empty(0, dtype=np.intp)
-                far_blocks.store((node.node_id, alpha_id), matrix.entries(node.skeleton, cols))
-    return near_blocks, far_blocks
+    return run_near_blocks_stage(tree, matrix, config), run_far_blocks_stage(tree, matrix, config)
 
 
 # ---------------------------------------------------------------------------

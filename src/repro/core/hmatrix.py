@@ -42,10 +42,15 @@ class BlockProvider:
     """Dict-like provider of near/far submatrices.
 
     When caching is enabled at compression time the blocks are stored in an
-    internal dict (tasks ``Kba`` / ``SKba`` of Table 2).  When caching is
+    internal dict (tasks ``Kba`` / ``SKba`` of Table 2) — as read-only views
+    of the slabs the blocks stage evaluated them into.  When caching is
     disabled, each request evaluates the block from the original matrix on
     the fly — trading time for the O(N) cache memory, exactly the trade-off
     the paper describes.
+
+    A provider may be shared between operators (a near provider reads
+    ``node.indices`` only, so it outlives any one skeletonization): cached
+    blocks must never be written through.
     """
 
     def __init__(self, tree: BallTree, matrix: Optional[SPDMatrix], use_skeletons: bool) -> None:
@@ -53,9 +58,18 @@ class BlockProvider:
         self._matrix = matrix
         self._use_skeletons = use_skeletons
         self._cache: Dict[tuple[int, int], np.ndarray] = {}
+        # Running totals, kept by ``store``: reports read them on every call.
+        self._entries = 0
+        self._nbytes = 0
 
     def store(self, key: tuple[int, int], block: np.ndarray) -> None:
+        previous = self._cache.get(key)
+        if previous is not None:
+            self._entries -= previous.size
+            self._nbytes -= previous.nbytes
         self._cache[key] = block
+        self._entries += block.size
+        self._nbytes += block.nbytes
 
     def __contains__(self, key: tuple[int, int]) -> bool:
         return key in self._cache
@@ -79,7 +93,7 @@ class BlockProvider:
 
     @property
     def cached_entries(self) -> int:
-        return sum(block.size for block in self._cache.values())
+        return self._entries
 
     def cached_items(self):
         """Iterate ``(key, block)`` over the cached blocks (insertion order)."""
@@ -88,7 +102,7 @@ class BlockProvider:
     @property
     def bytes_resident(self) -> int:
         """Heap bytes held by the cached blocks."""
-        return sum(block.nbytes for block in self._cache.values())
+        return self._nbytes
 
     @property
     def bytes_on_disk(self) -> int:

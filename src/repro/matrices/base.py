@@ -409,7 +409,9 @@ class KernelMatrix(SPDMatrix):
         if self._reg != 0.0:
             same = rows[:, :, None] == cols[:, None, :]
             if np.any(same):
-                np.add(blocks, self._reg * same, out=blocks)
+                # ``block + reg * same`` of the per-block path, touching only
+                # the matching entries: ``v + reg * 1.0 == v + reg`` exactly.
+                blocks[same] += self._reg
         return blocks, direct
 
     def _diagonal(self, indices: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Thread-aware span tracing with a module-level no-op fast path.
 
 The tracer is the substrate of the repo's observability layer: every
-instrumented site — the six :class:`~repro.api.session.Session` stages,
+instrumented site — the seven :class:`~repro.api.session.Session` stages,
 the per-level skeletonization loops, the four evaluation passes, the
 streaming chunk pipeline, :class:`~repro.runtime.executor.WorkerPool`
 tasks and the serving batch phases — opens a span through the same API::

@@ -45,29 +45,29 @@ class TestInvalidationMatrix:
     @pytest.mark.parametrize(
         "field,expected",
         [
-            ("tolerance", {"skeletons", "blocks", "plan"}),
-            ("adaptive_rank", {"skeletons", "blocks", "plan"}),
-            ("secure_accuracy", {"skeletons", "blocks", "plan"}),
-            ("dtype", {"skeletons", "blocks", "plan"}),
-            ("budget", {"interactions", "skeletons", "blocks", "plan"}),
-            ("symmetrize_lists", {"interactions", "skeletons", "blocks", "plan"}),
-            ("max_rank", {"interactions", "skeletons", "blocks", "plan"}),
-            ("sample_size", {"interactions", "skeletons", "blocks", "plan"}),
-            ("oversampling", {"interactions", "skeletons", "blocks", "plan"}),
-            ("neighbors", {"neighbors", "interactions", "skeletons", "blocks", "plan"}),
-            ("num_neighbor_trees", {"neighbors", "interactions", "skeletons", "blocks", "plan"}),
-            ("neighbor_accuracy_target", {"neighbors", "interactions", "skeletons", "blocks", "plan"}),
-            ("neighbor_backend", {"neighbors", "interactions", "skeletons", "blocks", "plan"}),
+            ("tolerance", {"skeletons", "far_blocks", "plan"}),
+            ("adaptive_rank", {"skeletons", "far_blocks", "plan"}),
+            ("secure_accuracy", {"skeletons", "far_blocks", "plan"}),
+            ("dtype", {"skeletons", "far_blocks", "plan"}),
+            ("budget", {"interactions", "skeletons", "near_blocks", "far_blocks", "plan"}),
+            ("symmetrize_lists", {"interactions", "skeletons", "near_blocks", "far_blocks", "plan"}),
+            ("max_rank", {"interactions", "skeletons", "near_blocks", "far_blocks", "plan"}),
+            ("sample_size", {"interactions", "skeletons", "near_blocks", "far_blocks", "plan"}),
+            ("oversampling", {"interactions", "skeletons", "near_blocks", "far_blocks", "plan"}),
+            ("neighbors", {"neighbors", "interactions", "skeletons", "near_blocks", "far_blocks", "plan"}),
+            ("num_neighbor_trees", {"neighbors", "interactions", "skeletons", "near_blocks", "far_blocks", "plan"}),
+            ("neighbor_accuracy_target", {"neighbors", "interactions", "skeletons", "near_blocks", "far_blocks", "plan"}),
+            ("neighbor_backend", {"neighbors", "interactions", "skeletons", "near_blocks", "far_blocks", "plan"}),
             # Worker counts are execution knobs: all backends are
             # worker-count deterministic, so nothing is invalidated.
             ("neighbor_workers", set()),
             ("compression_workers", set()),
-            ("centroid_samples", {"partition", "interactions", "skeletons", "blocks", "plan"}),
+            ("centroid_samples", {"partition", "interactions", "skeletons", "near_blocks", "far_blocks", "plan"}),
             ("leaf_size", set(STAGE_ORDER)),
             ("distance", set(STAGE_ORDER)),
             ("seed", set(STAGE_ORDER)),
-            ("cache_near_blocks", {"blocks", "plan"}),
-            ("cache_far_blocks", {"blocks", "plan"}),
+            ("cache_near_blocks", {"near_blocks", "plan"}),
+            ("cache_far_blocks", {"far_blocks", "plan"}),
             ("evaluation_engine", {"plan"}),
             ("prebuild_plan", {"plan"}),
             ("plan_rank_bucketing", {"plan"}),
@@ -123,8 +123,8 @@ class TestSessionReuse:
         session = make_session(matrix)
         session.compress()
         session.recompress(tolerance=1e-4)
-        assert session.last_built == ("skeletons", "blocks", "plan")
-        assert session.last_reused == ("partition", "neighbors", "interactions")
+        assert session.last_built == ("skeletons", "far_blocks", "plan")
+        assert session.last_reused == ("partition", "neighbors", "interactions", "near_blocks")
 
     def test_budget_change_rebuilds_interactions(self, matrix):
         session = make_session(matrix)
@@ -162,19 +162,24 @@ class TestSessionReuse:
         assert session.stale_stages() == frozenset(STAGE_ORDER)  # nothing built yet
         session.compress()
         assert session.stale_stages() == frozenset()
-        assert session.stale_stages(tolerance=1e-3) == frozenset({"skeletons", "blocks", "plan"})
+        assert session.stale_stages(tolerance=1e-3) == frozenset({"skeletons", "far_blocks", "plan"})
         assert "partition" in session.stale_stages(leaf_size=16)
 
     def test_invalidate_drops_stage_and_downstream(self, matrix):
         session = make_session(matrix)
         session.compress()
+        near = session.artifact("near_blocks")
         dropped = session.invalidate("skeletons")
-        assert dropped == frozenset({"skeletons", "blocks", "plan"})
+        assert dropped == frozenset({"skeletons", "far_blocks", "plan"})
         assert session.artifact("skeletons") is None
         assert session.artifact("partition") is not None
+        assert session.artifact("near_blocks") is near
         session.compress()
-        assert session.last_built == ("skeletons", "blocks", "plan")
-        assert session.last_reused == ("partition", "neighbors", "interactions")
+        assert session.last_built == ("skeletons", "far_blocks", "plan")
+        assert session.last_reused == ("partition", "neighbors", "interactions", "near_blocks")
+        assert session.invalidate("near_blocks") == frozenset({"near_blocks", "plan"})
+        session.compress()
+        assert session.last_built == ("near_blocks", "plan")
         with pytest.raises(CompressionError, match="unknown stage"):
             session.invalidate("nonsense")
         assert session.invalidate() == frozenset(STAGE_ORDER)
@@ -222,9 +227,7 @@ class TestAbortedPassConsistency:
         # Retry at the same config: downstream stages were built against the
         # *old* interactions and must not be reused.
         op = session.recompress()
-        assert "skeletons" in session.last_built
-        assert "blocks" in session.last_built
-        assert "plan" in session.last_built
+        assert set(session.last_built) >= {"skeletons", "near_blocks", "far_blocks", "plan"}
 
         cold = monolithic_compress(matrix, session.config)
         w = np.random.default_rng(6).standard_normal((matrix.n, 4))
@@ -241,6 +244,131 @@ class TestAbortedPassConsistency:
         # None and the session's own matrix are both fine.
         assert run(None, session.config, num_rhs=4, session=session).epsilon2 >= 0
         assert run(session.matrix, session.config, num_rhs=4, session=session).epsilon2 >= 0
+
+
+class TestNearBlocksReuse:
+    """Near blocks outlive a recompress that cannot have changed them."""
+
+    def test_tolerance_recompress_shares_the_near_provider(self, matrix):
+        session = make_session(matrix)
+        op = session.compress()
+        looser = session.recompress(tolerance=1e-3)
+        assert looser.compressed.near_blocks is op.compressed.near_blocks
+        assert looser.compressed.far_blocks is not op.compressed.far_blocks
+        assert session.stage_builds["near_blocks"] == 1
+        assert session.stage_builds["far_blocks"] == 2
+        assert "caching" in looser.report.phase_seconds          # the far half ran
+        assert "caching" not in looser.report.reused_phases
+        assert looser.report.reused_phases.count("tree") == 1
+
+    def test_near_provider_is_bound_to_the_pristine_partition(self, matrix):
+        """Never to a skeletonized working tree: a reused provider keeps no old skeletons alive."""
+        session = make_session(matrix)
+        op = session.compress()
+        provider = op.compressed.near_blocks
+        assert provider._tree is session.artifact("partition").tree
+        assert provider._tree is not op.compressed.tree
+        assert all(node.skeleton is None and node.coeffs is None for node in provider._tree.nodes)
+
+    def test_operator_unchanged_by_a_recompress_sharing_its_blocks(self, matrix):
+        """Slabs are read-only: nothing ``looser`` does can reach ``op`` through them."""
+        session = make_session(matrix)
+        op = session.compress()
+        weights = np.random.default_rng(7).standard_normal((matrix.n, 3))
+        before = op.apply(weights)
+        before_reference = op.apply(weights, engine="reference")
+        looser = session.recompress(tolerance=1e-2)
+        looser.apply(weights)
+        assert looser.solve(weights[:, 0], shift=1.0).converged    # block-Jacobi shifts copies
+        assert np.array_equal(op.apply(weights), before)
+        del looser
+        assert np.array_equal(op.apply(weights), before)
+        assert np.array_equal(op.apply(weights, engine="reference"), before_reference)
+        cold = monolithic_compress(matrix, op.config)
+        assert np.array_equal(cold.matvec(weights), before)
+
+    def test_cached_blocks_reject_writes(self, matrix):
+        op = make_session(matrix).compress()
+        for provider in (op.compressed.near_blocks, op.compressed.far_blocks):
+            _, block = next(iter(provider.cached_items()))
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0] = 0.0
+
+    def test_attach_never_inherits_near_blocks(self):
+        """Another matrix has other entries: only the matrix-light stages are shared."""
+        first, second = TestAttach()._family()
+        session = make_session(first)
+        session.compress()
+        other = session.attach(second)
+        assert other.artifact("near_blocks") is None
+        op = other.compress()
+        assert other.stage_builds["near_blocks"] == 1
+        assert other.artifact("near_blocks") is not session.artifact("near_blocks")
+        key = _first_near_key(op)
+        rows, cols = (op.compressed.tree.node(i).indices for i in key)
+        assert np.array_equal(op.compressed.near_blocks.get(key), second.entries(rows, cols))
+
+    def test_abort_in_the_far_stage_leaves_a_valid_near_entry(self, matrix, monkeypatch):
+        session = make_session(matrix, budget=0.05)
+        session.compress()
+        original = pipeline.run_far_blocks_stage
+        calls = {"n": 0}
+
+        def failing_once(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise RuntimeError("injected far-block failure")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_far_blocks_stage", failing_once)
+        with pytest.raises(RuntimeError, match="injected"):
+            session.recompress(budget=0.5)      # new lists, skeletons and near blocks, then aborts
+        assert session.stale_stages() == frozenset({"far_blocks", "plan"})
+        op = session.recompress()
+        assert session.last_built == ("far_blocks", "plan")
+        cold = monolithic_compress(matrix, session.config)
+        weights = np.random.default_rng(8).standard_normal((matrix.n, 4))
+        assert np.array_equal(op.apply(weights), cold.matvec(weights))
+
+    def test_entry_evaluations_of_a_tolerance_recompress_have_no_near_term(self):
+        """The saving as a noise-free count; a cold compress still evaluates every entry once."""
+        config = GOFMMConfig(**COMMON, budget=0.2)
+        looser_config = config.replace(tolerance=1e-3)
+
+        def counts(tree):
+            near = sum(leaf.size * tree.node(a).size for leaf in tree.leaves for a in leaf.near)
+            far = sum(
+                node.skeleton_rank * tree.node(a).skeleton_rank for node in tree.nodes for a in node.far
+            )
+            return near, far
+
+        def sampling(cfg):
+            """Entries the skeletons stage alone evaluates, counted on a fresh matrix."""
+            fresh = make_gaussian_kernel_matrix(n=240, d=3, bandwidth=1.5, seed=0)
+            distance = pipeline.run_distance_stage(fresh, cfg, None)
+            neighbors = pipeline.run_neighbors_stage(distance, cfg)
+            tree = pipeline.run_partition_stage(fresh.n, cfg, distance)
+            pipeline.run_interactions_stage(tree, neighbors, cfg)
+            before = fresh.entry_evaluations
+            pipeline.run_skeletons_stage(tree, fresh, cfg, neighbors)
+            return fresh.entry_evaluations - before, before
+
+        session = Session(make_gaussian_kernel_matrix(n=240, d=3, bandwidth=1.5, seed=0), config)
+        cold = session.compress()
+        near, far = counts(cold.compressed.tree)
+        skeleton_samples, upstream = sampling(config)
+        assert near > 0 and far > 0
+        assert cold.report.entry_evaluations == upstream + skeleton_samples + near + far
+
+        warm = session.recompress(tolerance=looser_config.tolerance)
+        warm_near, warm_far = counts(warm.compressed.tree)
+        assert warm_near == near
+        assert warm.report.entry_evaluations == sampling(looser_config)[0] + warm_far
+
+
+def _first_near_key(op):
+    leaf = op.compressed.tree.leaves[0]
+    return (leaf.node_id, leaf.near[0])
 
 
 class TestEquivalence:
@@ -427,7 +555,8 @@ class TestArtifactPersistence:
         assert session.stage_builds["neighbors"] == 1
         assert session.stage_builds["interactions"] == 1
         assert session.stage_builds["skeletons"] == 0
-        assert session.stage_builds["blocks"] == 0
+        assert session.stage_builds["near_blocks"] == 0
+        assert session.stage_builds["far_blocks"] == 0
 
     def test_truncated_neighbor_table_rejected_at_load(self, matrix, tmp_path):
         session = make_session(matrix)
@@ -559,7 +688,7 @@ class TestInteractionsPersistence:
         fresh.load_artifacts(path)
         op2 = fresh.compress()
         assert fresh.stage_builds["interactions"] == 0
-        assert fresh.last_built == ("skeletons", "blocks", "plan")
+        assert fresh.last_built == ("skeletons", "near_blocks", "far_blocks", "plan")
         w = np.random.default_rng(3).standard_normal(matrix.n)
         assert np.array_equal(op1.compressed.matvec(w), op2.compressed.matvec(w))
 

@@ -117,8 +117,20 @@ class TestBlockProvider:
 
     def test_cached_entries_counts(self, compressed_pair):
         _, cm = compressed_pair
-        assert cm.near_blocks.cached_entries > 0
-        assert cm.far_blocks.cached_entries > 0
+        for provider in (cm.near_blocks, cm.far_blocks):
+            blocks = [block for _, block in provider.cached_items()]
+            assert provider.cached_entries == sum(block.size for block in blocks) > 0
+            assert provider.bytes_resident == sum(block.nbytes for block in blocks)
+
+    def test_accounting_follows_store(self, compressed_pair):
+        """Totals are kept by ``store`` (reports read them per call): a replaced block leaves them."""
+        _, cm = compressed_pair
+        provider = BlockProvider(cm.tree, None, use_skeletons=False)
+        provider.store((0, 1), np.zeros((2, 3)))
+        provider.store((0, 2), np.zeros((4, 4), dtype=np.float32))
+        assert (provider.cached_entries, provider.bytes_resident) == (22, 48 + 64)
+        provider.store((0, 1), np.zeros((1, 1)))
+        assert (provider.cached_entries, provider.bytes_resident, len(provider)) == (17, 8 + 64, 2)
 
 
 class TestUncachedCompression:

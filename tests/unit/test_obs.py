@@ -221,7 +221,7 @@ class TestThreadSafety:
 class TestFullRunTrace:
     REQUIRED_SPANS = {
         "session.partition", "session.neighbors", "session.interactions",
-        "session.skeletons", "session.blocks", "session.plan",
+        "session.skeletons", "session.near_blocks", "session.far_blocks", "session.plan",
         "skeletonize.level",
         "eval.n2s", "eval.s2s", "eval.s2n", "eval.l2l",
         "stream.chunk.fill",
@@ -291,7 +291,7 @@ class TestFullRunTrace:
     def test_stage_timings_cover_compression_wall(self, traced_run):
         timings = traced_run["session"].stage_timings
         assert set(timings) >= {
-            "partition", "neighbors", "interactions", "skeletons", "blocks",
+            "partition", "neighbors", "interactions", "skeletons", "near_blocks", "far_blocks",
         }
         total = sum(timings.values())
         wall = traced_run["compress_wall"]

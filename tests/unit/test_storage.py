@@ -134,7 +134,8 @@ class TestOperatorStore:
         assert store.n == operator.n
         assert store.bytes_on_disk > 0
         assert set(store.fingerprints) == {
-            "partition", "neighbors", "interactions", "skeletons", "blocks", "plan"
+            "partition", "neighbors", "interactions", "skeletons", "near_blocks", "far_blocks",
+            "plan",
         }
         assert store.config().leaf_size == CONFIG["leaf_size"]
 
@@ -173,6 +174,27 @@ class TestOperatorStore:
         manifest = json.loads(manifest_path.read_text())
         manifest["config"]["compression_backend"] = "batched"
         manifest["fingerprints"]["skeletons"]["compression_backend"] = "batched"
+        manifest_path.write_text(json.dumps(manifest))
+        reopened = CompressedOperator.open(path, resident=resident)
+        assert np.array_equal(reopened.apply(weights, engine="reference"), reference)
+
+    @pytest.mark.parametrize("resident", ["mmap", "ram"])
+    def test_store_with_the_single_blocks_fingerprint_opens(
+        self, operator, weights, reference, tmp_path, resident
+    ):
+        """Stores written while ``blocks`` was one stage open unchanged.
+
+        The manifest's per-stage fingerprints are provenance, not a gate:
+        splitting ``blocks`` into ``near_blocks`` / ``far_blocks`` added a
+        key and changed nothing ``open`` reads.
+        """
+        path = tmp_path / "old.store"
+        operator.save(path)
+        manifest_path = path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        fingerprints = manifest["fingerprints"]
+        fingerprints["blocks"] = {**fingerprints.pop("near_blocks"), **fingerprints.pop("far_blocks")}
+        assert fingerprints["blocks"] == {"cache_near_blocks": True, "cache_far_blocks": True}
         manifest_path.write_text(json.dumps(manifest))
         reopened = CompressedOperator.open(path, resident=resident)
         assert np.array_equal(reopened.apply(weights, engine="reference"), reference)
