@@ -46,6 +46,11 @@ class EvaluationCounters:
     def total(self) -> float:
         return self.n2s + self.s2s + self.s2n + self.l2l
 
+    def add_flops(self, flops_per_rhs: Dict[str, float], num_rhs: int) -> None:
+        """Add a plan's per-RHS family flops (keys ``n2s`` … ``l2l``) for ``num_rhs`` columns."""
+        for family, flops in flops_per_rhs.items():
+            setattr(self, family, getattr(self, family) + flops * num_rhs)
+
 
 @dataclass
 class EvaluationState:

@@ -383,8 +383,8 @@ class CompressedMatrix:
             "segments": float(plan.num_segments),
             "workspace_rows": float(plan.workspace_rows),
             "packed_entries": float(plan.packed_entries()),
-            "near_pairs": float(plan.near_cols.size),
-            "far_pairs": float(plan.far_cols.size),
+            "near_pairs": float(self.lists.total_near_pairs()),
+            "far_pairs": float(self.lists.total_far_pairs()),
         }
 
     def streaming_report(self) -> dict[str, float]:

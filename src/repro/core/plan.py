@@ -14,14 +14,25 @@ This module flattens the tree, once per compression, into an
   potentials ``ũ`` live at a precomputed row offset of two ``(R, r)``
   arrays (``R`` = total active skeleton rank), replacing the per-node
   dicts,
-* **packed coefficients** — nodes of each level are grouped by coefficient
-  shape and their ``P`` matrices stacked into one contiguous ``(g, s, k)``
+* **one segment** — each task family is the same three steps on different
+  buffers: gather the inputs of a batch of nodes, multiply them by the
+  batch's packed ``(g, a, b)`` operand in one ``np.matmul``, then write or
+  scatter-add the products.  A :class:`PlanSegment` is that record: the
+  operand plus a source and a destination access ``(buffer, block,
+  index)`` into the per-matvec :class:`PlanContext`,
+* **block size is the fast path** — an access views its buffer as
+  ``(rows / block, block, r)`` and ``index`` names whole blocks.  With
+  ``block = 1`` it lists rows.  When every leaf has size ``m`` the leaf
+  gathers use ``block = m`` over the leaf-permuted weights, and when every
+  active rank is ``s`` the workspace accesses use ``block = s``, so one
+  index moves a whole leaf or node — kilobytes instead of one row.  Both
+  forms give the same bits; the planner picks the block from the
+  uniformity it observes, with no knob,
+* **packed coefficients and blocks** — nodes of each level are grouped by
+  coefficient shape and their ``P`` matrices stacked into one contiguous
   array, so each level of the upward (N2S) and downward (S2N) passes is a
-  handful of batched GEMMs instead of thousands of tiny ones,
-* **packed interaction blocks** — near and far blocks are grouped by shape
-  the same way; the lists themselves are stored as CSR-style index arrays
-  (``near_indptr`` / ``near_cols`` over leaves, ``far_indptr`` /
-  ``far_cols`` over nodes),
+  handful of batched GEMMs instead of thousands of tiny ones; near and far
+  blocks are grouped by shape the same way,
 * **dead-branch pruning** — a node participates in the up/down passes only
   if it (or an ancestor) appears in some Far list; with ``budget`` large
   enough that everything is handled directly, the passes vanish entirely,
@@ -73,9 +84,11 @@ __all__ = [
     "EvaluationPlan",
     "PassLayout",
     "PlanContext",
+    "PlanSegment",
     "build_pass_layout",
     "build_plan",
     "evaluate_planned",
+    "gather_gemm_scatter",
     "pad_ranks",
 ]
 
@@ -85,30 +98,23 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 class PlanContext:
-    """Mutable per-matvec state: the input/output and the packed workspace.
+    """Mutable per-matvec state: the named buffers segments read and write.
 
-    ``wtil`` stacks the skeleton weights of every active node (node ``α``
-    owns rows ``offset[α] : offset[α] + rank[α]``); ``util`` stacks the
-    skeleton potentials with the same layout.
-
-    When the structure is uniform the context also exposes blocked 3-D
-    views used by the slot-gather fast paths: ``leaf_view[i]`` is the
-    weight block of the ``i``-th leaf (in left-to-right leaf order) and
-    ``wtil3[j]`` / ``util3[j]`` the workspace block of the ``j``-th active
-    node.  Gathering whole blocks through these views moves kilobytes per
-    index instead of one row, which is what makes the packed engine
-    memory-efficient rather than just batched.
+    ``weights`` / ``output`` are the ``(N, r)`` input and result.  ``wtil``
+    stacks the skeleton weights of every active node (node ``α`` owns rows
+    ``offset[α] : offset[α] + rank[α]``); ``util`` stacks the skeleton
+    potentials with the same layout.  ``leaves`` holds the weights in
+    left-to-right leaf order when every leaf has the same size (else
+    ``None``), so that one block of it is one leaf.
     """
 
-    __slots__ = ("weights", "output", "wtil", "util", "num_rhs", "leaf_view", "wtil3", "util3")
+    __slots__ = ("weights", "leaves", "wtil", "util", "output", "num_rhs")
 
     def __init__(
         self,
         weights: np.ndarray,
         workspace_rows: int,
         leaf_perm: Optional[np.ndarray] = None,
-        leaf_size: int = 0,
-        rank: int = 0,
         buffers: Optional[tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
         self.weights = weights
@@ -125,351 +131,78 @@ class PlanContext:
         else:
             self.wtil = np.zeros((workspace_rows, self.num_rhs), dtype=weights.dtype)
             self.util = np.zeros((workspace_rows, self.num_rhs), dtype=weights.dtype)
-        if leaf_perm is not None and leaf_size > 0:
-            self.leaf_view = weights[leaf_perm].reshape(-1, leaf_size, self.num_rhs)
-        else:
-            self.leaf_view = None
-        if rank > 0 and workspace_rows % rank == 0:
-            self.wtil3 = self.wtil.reshape(-1, rank, self.num_rhs)
-            self.util3 = self.util.reshape(-1, rank, self.num_rhs)
-        else:
-            self.wtil3 = None
-            self.util3 = None
+        self.leaves = weights[leaf_perm] if leaf_perm is not None else None
 
 
 # ---------------------------------------------------------------------------
-# plan segments (one batched GEMM each)
+# the plan segment: gather → batched GEMM → write / scatter-add
 # ---------------------------------------------------------------------------
+
+def _blocks(buffer: np.ndarray, block: int) -> np.ndarray:
+    """``buffer`` viewed as ``(rows / block, block, r)``."""
+    return buffer.reshape(buffer.shape[0] // block, block, buffer.shape[1])
+
+
+def gather_gemm_scatter(ctx: PlanContext, operand: np.ndarray, src: tuple, dst: tuple, out_lock=None) -> None:
+    """One batched GEMM of Algorithm 2.7 on the buffers of ``ctx``.
+
+    ``operand`` is a ``(g, a, b)`` stack; ``src`` and ``dst`` are
+    ``(buffer, block, index)`` accesses.  The gather takes ``index`` (a
+    ``(g, …)`` table of blocks) from the named buffer viewed as blocks and
+    reshapes it to ``(g, b, r)``; the ``(g, a, r)`` products are then
+    scatter-added at the destination index, or — for a ``slice`` index,
+    N2S's contiguous block of fresh workspace rows — written there.
+    ``out_lock`` (threaded executor only) guards the scatter-add.
+    """
+    num_rhs = ctx.num_rhs
+    name, block, index = src
+    gathered = _blocks(getattr(ctx, name), block)[index]
+    res = np.matmul(operand, gathered.reshape(operand.shape[0], operand.shape[2], num_rhs))
+    name, block, index = dst
+    target = _blocks(getattr(ctx, name), block)
+    if isinstance(index, slice):
+        target[index] = res.reshape(res.shape[0] * res.shape[1] // block, block, num_rhs)
+        return
+    res = res.reshape(index.shape + (block, num_rhs))
+    if out_lock is None:
+        target[index] += res
+    else:
+        with out_lock:
+            target[index] += res
+
 
 class PlanSegment:
-    """One batched-GEMM unit of work; subclasses implement :meth:`run`.
+    """One batched-GEMM unit of work: ``dst ⟵ operand @ src`` for a batch.
 
-    ``run`` takes the per-matvec context plus one optional lock used only
-    by the threaded executor: ``out_lock`` serializes adds into the output
-    (S2N-at-leaves and L2L overlap there).  Workspace scatters need no
-    lock — build-time concatenation keeps every stage's scatter targets
-    disjoint.
+    ``operand`` is the packed ``(g, a, b)`` stack of coefficients (N2S:
+    ``P``; S2N: ``Pᵀ``) or concatenated interaction block-rows (S2S, L2L);
+    ``src`` / ``dst`` are the ``(buffer, block, index)`` accesses of
+    :func:`gather_gemm_scatter`.  ``run`` takes the per-matvec context plus
+    one optional lock that the threaded executor passes only to segments
+    whose destination is the output (S2N-at-leaves and L2L overlap there).
+    Workspace scatters need no lock — build-time concatenation keeps every
+    stage's scatter targets disjoint.
     """
 
-    __slots__ = ("level", "flops_per_rhs")
-    kind = "?"
+    __slots__ = ("kind", "level", "operand", "src", "dst", "flops_per_rhs")
 
-    def __init__(self, level: int, flops_per_rhs: float) -> None:
+    def __init__(self, kind: str, level: int, operand: np.ndarray, src: tuple, dst: tuple) -> None:
+        self.kind = kind
         self.level = level
-        self.flops_per_rhs = flops_per_rhs
+        self.operand = operand
+        self.src = src
+        self.dst = dst
+        self.flops_per_rhs = 2.0 * operand.size
 
     @property
     def batch(self) -> int:
-        raise NotImplementedError
+        return self.operand.shape[0]
 
     def run(self, ctx: PlanContext, out_lock=None) -> None:
-        raise NotImplementedError
+        gather_gemm_scatter(ctx, self.operand, self.src, self.dst, out_lock)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(level={self.level}, batch={self.batch})"
-
-
-class N2SLeafSegment(PlanSegment):
-    """``w̃ = P_{β̃β} w_β`` for a batch of same-shape leaves (upward pass, bottom)."""
-
-    __slots__ = ("coeffs", "src", "dst_start", "dst_stop")
-    kind = "N2S"
-
-    def __init__(self, level: int, coeffs: np.ndarray, src: np.ndarray, dst_start: int) -> None:
-        super().__init__(level, 2.0 * coeffs.shape[0] * coeffs.shape[1] * coeffs.shape[2])
-        self.coeffs = coeffs              # (g, s, m)
-        self.src = src                    # (g, m) global weight rows
-        self.dst_start = dst_start        # nodes packed contiguously: one slice assign
-        self.dst_stop = dst_start + coeffs.shape[0] * coeffs.shape[1]
-
-    @property
-    def batch(self) -> int:
-        return self.coeffs.shape[0]
-
-    def run(self, ctx: PlanContext, out_lock=None) -> None:
-        res = np.matmul(self.coeffs, ctx.weights[self.src])
-        ctx.wtil[self.dst_start : self.dst_stop] = res.reshape(-1, ctx.num_rhs)
-
-
-class N2SLeafSlotSegment(PlanSegment):
-    """N2S leaf fast path for uniform leaf size: sources are whole leaf blocks."""
-
-    __slots__ = ("coeffs", "src_slots", "dst_start", "dst_stop")
-    kind = "N2S"
-
-    def __init__(self, level: int, coeffs: np.ndarray, src_slots: np.ndarray, dst_start: int) -> None:
-        super().__init__(level, 2.0 * coeffs.shape[0] * coeffs.shape[1] * coeffs.shape[2])
-        self.coeffs = coeffs              # (g, s, m)
-        self.src_slots = src_slots        # (g,) leaf slots into leaf_view
-        self.dst_start = dst_start
-        self.dst_stop = dst_start + coeffs.shape[0] * coeffs.shape[1]
-
-    @property
-    def batch(self) -> int:
-        return self.coeffs.shape[0]
-
-    def run(self, ctx: PlanContext, out_lock=None) -> None:
-        res = np.matmul(self.coeffs, ctx.leaf_view[self.src_slots])
-        ctx.wtil[self.dst_start : self.dst_stop] = res.reshape(-1, ctx.num_rhs)
-
-
-class N2SInternalSegment(PlanSegment):
-    """``w̃_α = P_{α̃[l̃r̃]} [w̃_l; w̃_r]`` for a batch of same-shape internal nodes."""
-
-    __slots__ = ("coeffs", "src_rows", "dst_start", "dst_stop")
-    kind = "N2S"
-
-    def __init__(self, level: int, coeffs: np.ndarray, src_rows: np.ndarray, dst_start: int) -> None:
-        super().__init__(level, 2.0 * coeffs.shape[0] * coeffs.shape[1] * coeffs.shape[2])
-        self.coeffs = coeffs              # (g, s, k)
-        self.src_rows = src_rows          # (g, k) rows into wtil (children slices)
-        self.dst_start = dst_start
-        self.dst_stop = dst_start + coeffs.shape[0] * coeffs.shape[1]
-
-    @property
-    def batch(self) -> int:
-        return self.coeffs.shape[0]
-
-    def run(self, ctx: PlanContext, out_lock=None) -> None:
-        res = np.matmul(self.coeffs, ctx.wtil[self.src_rows])
-        ctx.wtil[self.dst_start : self.dst_stop] = res.reshape(-1, ctx.num_rhs)
-
-
-class N2SInternalSlotSegment(PlanSegment):
-    """N2S internal fast path for uniform rank: children gathered as rank blocks."""
-
-    __slots__ = ("coeffs", "src_slots", "dst_start", "dst_stop")
-    kind = "N2S"
-
-    def __init__(self, level: int, coeffs: np.ndarray, src_slots: np.ndarray, dst_start: int) -> None:
-        super().__init__(level, 2.0 * coeffs.shape[0] * coeffs.shape[1] * coeffs.shape[2])
-        self.coeffs = coeffs              # (g, s, k)
-        self.src_slots = src_slots        # (g, k/s) node slots into wtil3
-        self.dst_start = dst_start
-        self.dst_stop = dst_start + coeffs.shape[0] * coeffs.shape[1]
-
-    @property
-    def batch(self) -> int:
-        return self.coeffs.shape[0]
-
-    def run(self, ctx: PlanContext, out_lock=None) -> None:
-        gathered = ctx.wtil3[self.src_slots].reshape(self.batch, -1, ctx.num_rhs)
-        res = np.matmul(self.coeffs, gathered)
-        ctx.wtil[self.dst_start : self.dst_stop] = res.reshape(-1, ctx.num_rhs)
-
-
-class S2SSegment(PlanSegment):
-    """``ũ_β = [K_{β̃α̃₁} | K_{β̃α̃₂} | …] [w̃_α₁; w̃_α₂; …]`` for a batch of targets.
-
-    Each target node's far blocks are concatenated horizontally at build
-    time, so the whole far field of a node is **one** GEMM with a large
-    inner dimension, and every ``β`` appears exactly once across the entire
-    S2S stage — scatter targets are disjoint and no lock is needed even
-    under threaded execution.
-    """
-
-    __slots__ = ("blocks", "src_rows", "dst_rows")
-    kind = "S2S"
-
-    def __init__(self, blocks: np.ndarray, src_rows: np.ndarray, dst_rows: np.ndarray) -> None:
-        super().__init__(0, 2.0 * blocks.shape[0] * blocks.shape[1] * blocks.shape[2])
-        self.blocks = blocks              # (g, s, K) with K = Σ rank(α) over Far(β)
-        self.src_rows = src_rows          # (g, K) rows of the stacked w̃_α
-        self.dst_rows = dst_rows          # (g, s) rows of ũ_β, unique across the stage
-
-    @property
-    def batch(self) -> int:
-        return self.blocks.shape[0]
-
-    def run(self, ctx: PlanContext, out_lock=None) -> None:
-        res = np.matmul(self.blocks, ctx.wtil[self.src_rows])
-        ctx.util[self.dst_rows] += res
-
-
-class S2SSlotSegment(PlanSegment):
-    """S2S fast path for uniform skeleton rank: gather/scatter whole blocks.
-
-    With every active node at rank ``s`` the workspace factors into an
-    ``(active, s, r)`` tensor; sources are gathered and targets scattered
-    as node-sized blocks through it, so the index arrays are per-node, not
-    per-row.
-    """
-
-    __slots__ = ("blocks", "src_slots", "dst_slots")
-    kind = "S2S"
-
-    def __init__(self, blocks: np.ndarray, src_slots: np.ndarray, dst_slots: np.ndarray) -> None:
-        super().__init__(0, 2.0 * blocks.shape[0] * blocks.shape[1] * blocks.shape[2])
-        self.blocks = blocks              # (g, s, q·s)
-        self.src_slots = src_slots        # (g, q) node slots into wtil3
-        self.dst_slots = dst_slots        # (g,) node slot of each target, unique
-
-    @property
-    def batch(self) -> int:
-        return self.blocks.shape[0]
-
-    def run(self, ctx: PlanContext, out_lock=None) -> None:
-        gathered = ctx.wtil3[self.src_slots].reshape(self.batch, -1, ctx.num_rhs)
-        ctx.util3[self.dst_slots] += np.matmul(self.blocks, gathered)
-
-
-class S2NInternalSegment(PlanSegment):
-    """``[ũ_l; ũ_r] += Pᵀ ũ_α`` for a batch of internal nodes (downward pass).
-
-    Every child has exactly one parent, so ``dst_rows`` is duplicate-free
-    across the whole level — no lock needed.
-    """
-
-    __slots__ = ("coeffs_t", "src_rows", "dst_rows")
-    kind = "S2N"
-
-    def __init__(self, level: int, coeffs_t: np.ndarray, src_rows: np.ndarray, dst_rows: np.ndarray) -> None:
-        super().__init__(level, 2.0 * coeffs_t.shape[0] * coeffs_t.shape[1] * coeffs_t.shape[2])
-        self.coeffs_t = coeffs_t          # (g, k, s)
-        self.src_rows = src_rows          # (g, s) rows of ũ_α
-        self.dst_rows = dst_rows          # (g, k) rows of the children's ũ
-
-    @property
-    def batch(self) -> int:
-        return self.coeffs_t.shape[0]
-
-    def run(self, ctx: PlanContext, out_lock=None) -> None:
-        res = np.matmul(self.coeffs_t, ctx.util[self.src_rows])
-        ctx.util[self.dst_rows] += res
-
-
-class S2NInternalSlotSegment(PlanSegment):
-    """S2N internal fast path for uniform rank: potentials move as rank blocks."""
-
-    __slots__ = ("coeffs_t", "src_slots", "dst_slots", "rank")
-    kind = "S2N"
-
-    def __init__(self, level: int, coeffs_t: np.ndarray, src_slots: np.ndarray, dst_slots: np.ndarray, rank: int) -> None:
-        super().__init__(level, 2.0 * coeffs_t.shape[0] * coeffs_t.shape[1] * coeffs_t.shape[2])
-        self.coeffs_t = coeffs_t          # (g, k, s)
-        self.src_slots = src_slots        # (g,) slot of the node in util3
-        self.dst_slots = dst_slots        # (g, k/s) slots of the children, unique per level
-        self.rank = rank
-
-    @property
-    def batch(self) -> int:
-        return self.coeffs_t.shape[0]
-
-    def run(self, ctx: PlanContext, out_lock=None) -> None:
-        res = np.matmul(self.coeffs_t, ctx.util3[self.src_slots])
-        ctx.util3[self.dst_slots] += res.reshape(self.batch, -1, self.rank, ctx.num_rhs)
-
-
-class S2NLeafSegment(PlanSegment):
-    """``u_β += Pᵀ ũ_β`` at the leaves: potentials land in the output."""
-
-    __slots__ = ("coeffs_t", "src_rows", "dst")
-    kind = "S2N"
-
-    def __init__(self, level: int, coeffs_t: np.ndarray, src_rows: np.ndarray, dst: np.ndarray) -> None:
-        super().__init__(level, 2.0 * coeffs_t.shape[0] * coeffs_t.shape[1] * coeffs_t.shape[2])
-        self.coeffs_t = coeffs_t          # (g, m, s)
-        self.src_rows = src_rows          # (g, s)
-        self.dst = dst                    # (g, m) global output rows (disjoint leaves)
-
-    @property
-    def batch(self) -> int:
-        return self.coeffs_t.shape[0]
-
-    def run(self, ctx: PlanContext, out_lock=None) -> None:
-        res = np.matmul(self.coeffs_t, ctx.util[self.src_rows])
-        if out_lock is not None:
-            with out_lock:
-                ctx.output[self.dst] += res
-        else:
-            ctx.output[self.dst] += res
-
-
-class S2NLeafSlotSegment(PlanSegment):
-    """S2N leaf fast path for uniform rank: the node's ũ is one rank block."""
-
-    __slots__ = ("coeffs_t", "src_slots", "dst")
-    kind = "S2N"
-
-    def __init__(self, level: int, coeffs_t: np.ndarray, src_slots: np.ndarray, dst: np.ndarray) -> None:
-        super().__init__(level, 2.0 * coeffs_t.shape[0] * coeffs_t.shape[1] * coeffs_t.shape[2])
-        self.coeffs_t = coeffs_t          # (g, m, s)
-        self.src_slots = src_slots        # (g,) slot of the leaf's ũ block
-        self.dst = dst                    # (g, m) global output rows
-
-    @property
-    def batch(self) -> int:
-        return self.coeffs_t.shape[0]
-
-    def run(self, ctx: PlanContext, out_lock=None) -> None:
-        res = np.matmul(self.coeffs_t, ctx.util3[self.src_slots])
-        if out_lock is not None:
-            with out_lock:
-                ctx.output[self.dst] += res
-        else:
-            ctx.output[self.dst] += res
-
-
-class L2LSegment(PlanSegment):
-    """``u_β += [K_{βα₁} | K_{βα₂} | …] [w_α₁; w_α₂; …]`` for a batch of leaves.
-
-    The direct part: each leaf's near blocks are concatenated horizontally,
-    so the whole Near list of a leaf is one GEMM and each leaf's output rows
-    appear exactly once across the L2L stage.  ``out_lock`` is still needed
-    under threaded execution because S2N-at-leaves writes the same output.
-    """
-
-    __slots__ = ("blocks", "src", "dst")
-    kind = "L2L"
-
-    def __init__(self, blocks: np.ndarray, src: np.ndarray, dst: np.ndarray) -> None:
-        super().__init__(0, 2.0 * blocks.shape[0] * blocks.shape[1] * blocks.shape[2])
-        self.blocks = blocks              # (g, mb, K) with K = Σ |α| over Near(β)
-        self.src = src                    # (g, K) global weight rows
-        self.dst = dst                    # (g, mb) global output rows, unique across the stage
-
-    @property
-    def batch(self) -> int:
-        return self.blocks.shape[0]
-
-    def run(self, ctx: PlanContext, out_lock=None) -> None:
-        res = np.matmul(self.blocks, ctx.weights[self.src])
-        if out_lock is not None:
-            with out_lock:
-                ctx.output[self.dst] += res
-        else:
-            ctx.output[self.dst] += res
-
-
-class L2LSlotSegment(PlanSegment):
-    """L2L fast path for uniform leaf size: gather sources as leaf blocks.
-
-    Sources are whole leaves, gathered through the ``(leaves, m, r)`` view
-    of the permuted weights; the scatter still uses global output rows
-    (each leaf's rows appear once across the stage).
-    """
-
-    __slots__ = ("blocks", "src_slots", "dst")
-    kind = "L2L"
-
-    def __init__(self, blocks: np.ndarray, src_slots: np.ndarray, dst: np.ndarray) -> None:
-        super().__init__(0, 2.0 * blocks.shape[0] * blocks.shape[1] * blocks.shape[2])
-        self.blocks = blocks              # (g, m, p·m)
-        self.src_slots = src_slots        # (g, p) leaf slots into leaf_view
-        self.dst = dst                    # (g, m) global output rows, unique across the stage
-
-    @property
-    def batch(self) -> int:
-        return self.blocks.shape[0]
-
-    def run(self, ctx: PlanContext, out_lock=None) -> None:
-        gathered = ctx.leaf_view[self.src_slots].reshape(self.batch, -1, ctx.num_rhs)
-        res = np.matmul(self.blocks, gathered)
-        if out_lock is not None:
-            with out_lock:
-                ctx.output[self.dst] += res
-        else:
-            ctx.output[self.dst] += res
+        return f"PlanSegment({self.kind}, level={self.level}, batch={self.batch})"
 
 
 # ---------------------------------------------------------------------------
@@ -480,63 +213,38 @@ class EvaluationPlan:
     """Precomputed execution plan for the matvec of a compressed matrix.
 
     Built once by :func:`build_plan` (usually via
-    ``CompressedMatrix.plan()``) and reused across matvecs; only the
-    ``(R, r)`` workspace depends on the number of right-hand sides and is
-    allocated per call.
+    ``CompressedMatrix.plan()``) and reused across matvecs: the
+    :class:`PassLayout` (workspace layout, N2S / S2N levels) plus the packed
+    S2S and L2L segments.  Only the ``(R, r)`` workspace depends on the
+    number of right-hand sides and is allocated (or pooled) per call.
     """
 
     def __init__(
-        self,
-        n: int,
-        workspace_rows: int,
-        skel_offset: np.ndarray,
-        n2s_levels: List[List[PlanSegment]],
-        s2s_segments: List[PlanSegment],
-        s2n_levels: List[List[PlanSegment]],
-        l2l_segments: List[PlanSegment],
-        near_indptr: np.ndarray,
-        near_cols: np.ndarray,
-        far_indptr: np.ndarray,
-        far_cols: np.ndarray,
-        leaf_perm: Optional[np.ndarray] = None,
-        uniform_leaf_size: int = 0,
-        uniform_rank: int = 0,
+        self, layout: PassLayout, s2s_segments: List[PlanSegment], l2l_segments: List[PlanSegment]
     ) -> None:
-        self.n = n
-        self.workspace_rows = workspace_rows
-        self.skel_offset = skel_offset
-        self.leaf_perm = leaf_perm
-        self.uniform_leaf_size = uniform_leaf_size
-        self.uniform_rank = uniform_rank
-        self.n2s_levels = n2s_levels          # bottom-up (leaf level first)
+        self.layout = layout
         self.s2s_segments = s2s_segments
-        self.s2n_levels = s2n_levels          # top-down (level 1 first)
         self.l2l_segments = l2l_segments
-        self.near_indptr = near_indptr
-        self.near_cols = near_cols
-        self.far_indptr = far_indptr
-        self.far_cols = far_cols
         # Pooled per-call workspace buffers (see the module docstring): a
         # bounded LIFO of (wtil, util) pairs protected by a lock, so
         # concurrent callers are reentrant while repeated matvecs (CG,
         # serving) skip the two workspace allocations per call.
         self._pool_lock = threading.Lock()
         self._workspace_pool: List[tuple[np.ndarray, np.ndarray]] = []
-        self.flops_per_rhs: Dict[str, float] = {
-            "n2s": sum(s.flops_per_rhs for level in n2s_levels for s in level),
-            "s2s": sum(s.flops_per_rhs for s in s2s_segments),
-            "s2n": sum(s.flops_per_rhs for level in s2n_levels for s in level),
-            "l2l": sum(s.flops_per_rhs for s in l2l_segments),
-        }
+        self.flops_per_rhs: Dict[str, float] = layout.flops_per_rhs(s2s_segments, l2l_segments)
+
+    @property
+    def workspace_rows(self) -> int:
+        return self.layout.workspace_rows
+
+    @property
+    def skel_offset(self) -> np.ndarray:
+        return self.layout.skel_offset
 
     # -- inspection ---------------------------------------------------------
     def segments(self) -> Iterator[PlanSegment]:
-        for level in self.n2s_levels:
-            yield from level
-        yield from self.s2s_segments
-        for level in self.s2n_levels:
-            yield from level
-        yield from self.l2l_segments
+        for _, stage in self.stages():
+            yield from stage
 
     @property
     def num_segments(self) -> int:
@@ -544,13 +252,7 @@ class EvaluationPlan:
 
     def packed_entries(self) -> int:
         """Total float64 entries held in packed coefficient/block arrays."""
-        total = 0
-        for seg in self.segments():
-            for name in ("coeffs", "coeffs_t", "blocks"):
-                arr = getattr(seg, name, None)
-                if arr is not None:
-                    total += arr.size
-        return total
+        return sum(seg.operand.size for seg in self.segments())
 
     def stages(self) -> List[Tuple[str, List[PlanSegment]]]:
         """Barrier-separated stages, in a valid sequential order.
@@ -560,12 +262,12 @@ class EvaluationPlan:
         DAG from exactly this structure.
         """
         out: List[Tuple[str, List[PlanSegment]]] = []
-        for i, level in enumerate(self.n2s_levels):
+        for level in self.layout.n2s_levels:
             if level:
                 out.append((f"N2S@{level[0].level}", level))
         if self.s2s_segments:
             out.append(("S2S", self.s2s_segments))
-        for level in self.s2n_levels:
+        for level in self.layout.s2n_levels:
             if level:
                 out.append((f"S2N@{level[0].level}", level))
         if self.l2l_segments:
@@ -601,20 +303,13 @@ class EvaluationPlan:
                 if wtil.shape[1] == weights.shape[1] and wtil.dtype == weights.dtype:
                     buffers = self._workspace_pool.pop(i)
                     break
-        return PlanContext(
-            weights,
-            self.workspace_rows,
-            leaf_perm=self.leaf_perm,
-            leaf_size=self.uniform_leaf_size,
-            rank=self.uniform_rank,
-            buffers=buffers,
-        )
+        return self.layout.new_context(weights, buffers)
 
     def release_context(self, ctx: PlanContext) -> None:
         """Return a context's workspace buffers to the pool (not the output)."""
         wtil, util = ctx.wtil, ctx.util
         # Defensive: a released context must never be run again.
-        ctx.wtil = ctx.util = ctx.wtil3 = ctx.util3 = None
+        ctx.wtil = ctx.util = ctx.leaves = None
         if wtil is None:
             return
         with self._pool_lock:
@@ -648,7 +343,7 @@ class EvaluationPlan:
         finally:
             self.release_context(ctx)
         if counters is not None:
-            self.add_flops(counters, weights.shape[1])
+            counters.add_flops(self.flops_per_rhs, weights.shape[1])
         return output
 
     def _execute_traced(self, ctx: PlanContext, tracer) -> None:
@@ -660,12 +355,6 @@ class EvaluationPlan:
                     segment.run(ctx)
             _obs_counters.add(f"gemm_bytes_{kind}", _stage_bytes(stage, ctx.num_rhs))
 
-    def add_flops(self, counters: EvaluationCounters, num_rhs: int) -> None:
-        counters.n2s += self.flops_per_rhs["n2s"] * num_rhs
-        counters.s2s += self.flops_per_rhs["s2s"] * num_rhs
-        counters.s2n += self.flops_per_rhs["s2n"] * num_rhs
-        counters.l2l += self.flops_per_rhs["l2l"] * num_rhs
-
 
 def _stage_bytes(stage: List[PlanSegment], num_rhs: int) -> int:
     """Approximate bytes one stage moves: packed operands + workspace rows.
@@ -676,11 +365,8 @@ def _stage_bytes(stage: List[PlanSegment], num_rhs: int) -> int:
     """
     total = 0
     for seg in stage:
-        for name in ("coeffs", "coeffs_t", "blocks"):
-            arr = getattr(seg, name, None)
-            if arr is not None:
-                g, a, b = arr.shape
-                total += arr.nbytes + g * (a + b) * num_rhs * arr.itemsize
+        g, a, b = seg.operand.shape
+        total += seg.operand.nbytes + g * (a + b) * num_rhs * seg.operand.itemsize
     return total
 
 
@@ -688,26 +374,7 @@ def _stage_bytes(stage: List[PlanSegment], num_rhs: int) -> int:
 # plan construction
 # ---------------------------------------------------------------------------
 
-def _csr_lists(tree) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    near_indptr = np.zeros(len(tree.leaves) + 1, dtype=np.intp)
-    near_cols: list[int] = []
-    for i, leaf in enumerate(tree.leaves):
-        near_cols.extend(leaf.near)
-        near_indptr[i + 1] = len(near_cols)
-    far_indptr = np.zeros(len(tree.nodes) + 1, dtype=np.intp)
-    far_cols: list[int] = []
-    for i, node in enumerate(tree.nodes):
-        far_cols.extend(node.far)
-        far_indptr[i + 1] = len(far_cols)
-    return (
-        near_indptr,
-        np.asarray(near_cols, dtype=np.intp),
-        far_indptr,
-        np.asarray(far_cols, dtype=np.intp),
-    )
-
-
-def _active_nodes(tree, far_cols: np.ndarray) -> np.ndarray:
+def _active_nodes(tree) -> np.ndarray:
     """Nodes participating in the up/down passes.
 
     A node's ``w̃`` / ``ũ`` matters only if the node or one of its ancestors
@@ -715,10 +382,10 @@ def _active_nodes(tree, far_cols: np.ndarray) -> np.ndarray:
     dead weight the reference engine computes anyway.
     """
     active = np.zeros(len(tree.nodes), dtype=bool)
-    active[far_cols] = True
     for node in tree.nodes:
         if node.far:
             active[node.node_id] = True
+            active[node.far] = True
     # propagate down: a child inherits activity from its parent
     for node in tree.nodes:  # breadth-first order: parents precede children
         if node.parent is not None and active[node.parent.node_id]:
@@ -840,38 +507,83 @@ def _padded_coeffs(node, skel_offset: np.ndarray, prank: np.ndarray) -> np.ndarr
     return out
 
 
+def _children_rows(node, skel_offset: np.ndarray, prank: np.ndarray) -> np.ndarray:
+    """Workspace rows of a node's children ``[w̃_l; w̃_r]`` (padded), in stacking order."""
+    rows = []
+    for child in node.children():
+        if child.skeleton_rank > 0 and skel_offset[child.node_id] >= 0:
+            start = skel_offset[child.node_id]
+            rows.append(np.arange(start, start + prank[child.node_id]))
+    if not rows:
+        return np.empty(0, dtype=np.intp)
+    return np.concatenate(rows)
+
+
+def _children_table(nodes, k: int, skel_offset: np.ndarray, prank: np.ndarray, family: str) -> np.ndarray:
+    """``(g, k)`` workspace rows of each node's children, checked against the coefficient width."""
+    table = np.empty((len(nodes), k), dtype=np.intp)
+    for g, node in enumerate(nodes):
+        rows = _children_rows(node, skel_offset, prank)
+        if rows.size != k:
+            raise EvaluationError(
+                f"{family}({node.node_id}): coefficient width {k} does not match "
+                f"children skeleton sizes {rows.size}"
+            )
+        table[g] = rows
+    return table
+
+
+def _own_rows(nodes, s: int, skel_offset: np.ndarray) -> np.ndarray:
+    """``(g, s)`` workspace rows of each node's own ``w̃`` / ``ũ``."""
+    return np.stack([np.arange(skel_offset[n.node_id], skel_offset[n.node_id] + s) for n in nodes])
+
+
+def _workspace_access(buffer: str, rows: np.ndarray, uniform_rank: int) -> tuple:
+    """Access to a ``(g, k)`` table of workspace rows.
+
+    With a uniform rank every node owns one aligned ``uniform_rank``-row
+    block of the workspace, so the table is listed as blocks; otherwise as
+    rows.
+    """
+    if uniform_rank and rows.shape[1] % uniform_rank == 0:
+        return (buffer, uniform_rank, rows[:, ::uniform_rank] // uniform_rank)
+    return (buffer, 1, rows)
+
+
 class PassLayout:
     """Chunk-agnostic packing machinery of the up/down passes.
 
     Everything the evaluation needs *besides* the interaction blocks: the
     workspace row layout (``skel_offset`` / ``workspace_rows``), the packed
-    N2S / S2N level segments, the CSR Near/Far index tables, and the
-    uniformity metadata enabling the slot-gather fast paths.  The planned
-    engine (:func:`build_plan`) combines a layout with eagerly packed
-    S2S / L2L block segments; the streamed engine
-    (:mod:`repro.core.streaming`) combines the same layout with chunked
-    on-the-fly block materialization — one planner, two block strategies.
+    N2S / S2N level segments, and the uniformity metadata that picks the
+    segments' block sizes.  The planned engine (:func:`build_plan`)
+    combines a layout with eagerly packed S2S / L2L block segments; the
+    streamed engine (:mod:`repro.core.streaming`) combines the same layout
+    with chunked on-the-fly block materialization — one planner, two block
+    strategies.
     """
 
     __slots__ = (
-        "n", "workspace_rows", "skel_offset", "prank", "active", "needs_s2n",
-        "n2s_levels", "s2n_levels", "near_indptr", "near_cols", "far_indptr",
-        "far_cols", "leaf_perm", "uniform_leaf_size", "uniform_rank", "leaf_slot",
+        "n", "workspace_rows", "skel_offset", "prank", "n2s_levels", "s2n_levels",
+        "leaf_perm", "uniform_leaf_size", "uniform_rank", "leaf_slot",
     )
 
     def __init__(self, **fields) -> None:
         for name in self.__slots__:
             setattr(self, name, fields[name])
 
-    def new_context(self, weights: np.ndarray) -> PlanContext:
-        """A per-matvec context laid out for this layout (no pooling)."""
-        return PlanContext(
-            weights,
-            self.workspace_rows,
-            leaf_perm=self.leaf_perm,
-            leaf_size=self.uniform_leaf_size,
-            rank=self.uniform_rank,
-        )
+    def new_context(self, weights: np.ndarray, buffers=None) -> PlanContext:
+        """A per-matvec context laid out for this layout (``buffers``: a pooled workspace pair)."""
+        return PlanContext(weights, self.workspace_rows, self.leaf_perm, buffers)
+
+    def flops_per_rhs(self, s2s, l2l) -> Dict[str, float]:
+        """Per-RHS flops of each family: this layout's passes plus the given S2S / L2L work."""
+        return {
+            "n2s": sum(s.flops_per_rhs for level in self.n2s_levels for s in level),
+            "s2s": sum(s.flops_per_rhs for s in s2s),
+            "s2n": sum(s.flops_per_rhs for level in self.s2n_levels for s in level),
+            "l2l": sum(s.flops_per_rhs for s in l2l),
+        }
 
 
 def build_pass_layout(compressed, bucketing: str = "none") -> PassLayout:
@@ -884,13 +596,12 @@ def build_pass_layout(compressed, bucketing: str = "none") -> PassLayout:
     """
     tree = compressed.tree
     levels = tree.levels()
-    near_indptr, near_cols, far_indptr, far_cols = _csr_lists(tree)
-    active = _active_nodes(tree, far_cols)
+    active = _active_nodes(tree)
     prank = _padded_rank_table(tree, levels, active, bucketing)
 
-    # Uniformity enables the slot-gather fast paths: whole-block gathers
-    # through 3-D views instead of row-wise fancy indexing.  Ranks are the
-    # *padded* ranks — bucketing can turn an adaptive-rank tree uniform.
+    # Uniformity picks the block sizes: whole-leaf / whole-node gathers
+    # instead of row-wise fancy indexing.  Ranks are the *padded* ranks —
+    # bucketing can turn an adaptive-rank tree uniform.
     leaf_sizes = {leaf.size for leaf in tree.leaves}
     uniform_leaf_size = leaf_sizes.pop() if len(leaf_sizes) == 1 else 0
     active_ranks = {
@@ -921,33 +632,21 @@ def build_pass_layout(compressed, bucketing: str = "none") -> PassLayout:
             groups.setdefault(_group_key(node, skel_offset, prank), []).append(node)
         level_segments: List[PlanSegment] = []
         for (s, k), nodes in sorted(groups.items()):
-            dst_start = offset
+            # the batch's nodes own consecutive workspace rows: one slice write
+            dst = ("wtil", 1, slice(offset, offset + len(nodes) * s))
             for node in nodes:
                 skel_offset[node.node_id] = offset
                 offset += int(prank[node.node_id])
             coeffs = np.stack([_padded_coeffs(n, skel_offset, prank) for n in nodes])
-            if nodes[0].is_leaf:
-                if uniform_leaf_size:
-                    slots = np.asarray([leaf_slot[n.node_id] for n in nodes], dtype=np.intp)
-                    level_segments.append(N2SLeafSlotSegment(level, coeffs, slots, dst_start))
-                else:
-                    src = np.stack([n.indices for n in nodes])
-                    level_segments.append(N2SLeafSegment(level, coeffs, src, dst_start))
+            if not nodes[0].is_leaf:
+                rows = _children_table(nodes, k, skel_offset, prank, "N2S")
+                src = _workspace_access("wtil", rows, uniform_rank)
+            elif uniform_leaf_size:
+                slots = np.asarray([leaf_slot[n.node_id] for n in nodes], dtype=np.intp)
+                src = ("leaves", uniform_leaf_size, slots)
             else:
-                src_rows = np.empty((len(nodes), k), dtype=np.intp)
-                for g, node in enumerate(nodes):
-                    rows = _children_rows(node, skel_offset, prank)
-                    if rows.size != k:
-                        raise EvaluationError(
-                            f"N2S({node.node_id}): coefficient width {k} does not match "
-                            f"children skeleton sizes {rows.size}"
-                        )
-                    src_rows[g] = rows
-                if uniform_rank and s == uniform_rank and k % uniform_rank == 0:
-                    slots = src_rows[:, :: uniform_rank] // uniform_rank
-                    level_segments.append(N2SInternalSlotSegment(level, coeffs, slots, dst_start))
-                else:
-                    level_segments.append(N2SInternalSegment(level, coeffs, src_rows, dst_start))
+                src = ("weights", 1, np.stack([n.indices for n in nodes]))
+            level_segments.append(PlanSegment("N2S", level, coeffs, src, dst))
         n2s_levels.append(level_segments)
     workspace_rows = offset
 
@@ -968,38 +667,13 @@ def build_pass_layout(compressed, bucketing: str = "none") -> PassLayout:
         level_segments = []
         for (s, k), nodes in sorted(groups.items()):
             coeffs_t = np.stack([_padded_coeffs(n, skel_offset, prank).T for n in nodes])
-            uniform = uniform_rank and s == uniform_rank
+            src = _workspace_access("util", _own_rows(nodes, s, skel_offset), uniform_rank)
             if nodes[0].is_leaf:
-                dst = np.stack([n.indices for n in nodes])
-                if uniform:
-                    slots = np.asarray([skel_offset[n.node_id] // uniform_rank for n in nodes])
-                    level_segments.append(S2NLeafSlotSegment(level, coeffs_t, slots, dst))
-                else:
-                    src_rows = np.stack(
-                        [np.arange(skel_offset[n.node_id], skel_offset[n.node_id] + s) for n in nodes]
-                    )
-                    level_segments.append(S2NLeafSegment(level, coeffs_t, src_rows, dst))
+                dst = ("output", 1, np.stack([n.indices for n in nodes]))
             else:
-                dst_rows = np.empty((len(nodes), k), dtype=np.intp)
-                for g, node in enumerate(nodes):
-                    rows = _children_rows(node, skel_offset, prank)
-                    if rows.size != k:
-                        raise EvaluationError(
-                            f"S2N({node.node_id}): coefficient width {k} does not match "
-                            f"children skeleton sizes {rows.size}"
-                        )
-                    dst_rows[g] = rows
-                if uniform and k % uniform_rank == 0:
-                    src_slots = np.asarray([skel_offset[n.node_id] // uniform_rank for n in nodes])
-                    dst_slots = dst_rows[:, :: uniform_rank] // uniform_rank
-                    level_segments.append(
-                        S2NInternalSlotSegment(level, coeffs_t, src_slots, dst_slots, uniform_rank)
-                    )
-                else:
-                    src_rows = np.stack(
-                        [np.arange(skel_offset[n.node_id], skel_offset[n.node_id] + s) for n in nodes]
-                    )
-                    level_segments.append(S2NInternalSegment(level, coeffs_t, src_rows, dst_rows))
+                rows = _children_table(nodes, k, skel_offset, prank, "S2N")
+                dst = _workspace_access("util", rows, uniform_rank)
+            level_segments.append(PlanSegment("S2N", level, coeffs_t, src, dst))
         s2n_levels.append(level_segments)
 
     return PassLayout(
@@ -1007,14 +681,8 @@ def build_pass_layout(compressed, bucketing: str = "none") -> PassLayout:
         workspace_rows=workspace_rows,
         skel_offset=skel_offset,
         prank=prank,
-        active=active,
-        needs_s2n=needs_s2n,
         n2s_levels=n2s_levels,
         s2n_levels=s2n_levels,
-        near_indptr=near_indptr,
-        near_cols=near_cols,
-        far_indptr=far_indptr,
-        far_cols=far_cols,
         leaf_perm=tree.permutation if uniform_leaf_size else None,
         uniform_leaf_size=uniform_leaf_size,
         uniform_rank=uniform_rank,
@@ -1027,7 +695,6 @@ def _pack_s2s_segments(compressed, layout: PassLayout) -> List[PlanSegment]:
     one wide block-row, then batch the block-rows by shape."""
     tree = compressed.tree
     skel_offset, prank = layout.skel_offset, layout.prank
-    uniform_rank = layout.uniform_rank
     s2s_segments: List[PlanSegment] = []
     s2s_groups: Dict[tuple[int, int], list] = {}
     for node in tree.nodes:
@@ -1059,17 +726,10 @@ def _pack_s2s_segments(compressed, layout: PassLayout) -> List[PlanSegment]:
         s2s_groups.setdefault(row_block.shape, []).append((node, row_block, np.concatenate(rows)))
     for (s, k), entries in sorted(s2s_groups.items()):
         blocks = np.stack([e[1] for e in entries])
-        if uniform_rank and s == uniform_rank and k % uniform_rank == 0:
-            # every source/target is one whole rank-s block of the workspace
-            src_slots = np.stack([e[2][::uniform_rank] // uniform_rank for e in entries])
-            dst_slots = np.asarray([skel_offset[e[0].node_id] // uniform_rank for e in entries])
-            s2s_segments.append(S2SSlotSegment(blocks, src_slots, dst_slots))
-        else:
-            src_rows = np.stack([e[2] for e in entries])
-            dst_rows = np.stack(
-                [np.arange(skel_offset[e[0].node_id], skel_offset[e[0].node_id] + s) for e in entries]
-            )
-            s2s_segments.append(S2SSegment(blocks, src_rows, dst_rows))
+        src = _workspace_access("wtil", np.stack([e[2] for e in entries]), layout.uniform_rank)
+        dst_rows = _own_rows([e[0] for e in entries], s, skel_offset)
+        dst = _workspace_access("util", dst_rows, layout.uniform_rank)
+        s2s_segments.append(PlanSegment("S2S", 0, blocks, src, dst))
     return s2s_segments
 
 
@@ -1077,7 +737,6 @@ def _pack_l2l_segments(compressed, layout: PassLayout) -> List[PlanSegment]:
     """Eagerly pack the direct part: concatenate each leaf's near blocks into
     one wide block-row, then batch the block-rows by shape."""
     tree = compressed.tree
-    uniform_leaf_size, leaf_slot = layout.uniform_leaf_size, layout.leaf_slot
     l2l_segments: List[PlanSegment] = []
     l2l_groups = {}
     for leaf in tree.leaves:
@@ -1097,17 +756,15 @@ def _pack_l2l_segments(compressed, layout: PassLayout) -> List[PlanSegment]:
             cols.append(alpha.indices)
         row_block = np.hstack(blocks)
         l2l_groups.setdefault(row_block.shape, []).append((leaf, row_block, np.concatenate(cols)))
-    for (mb, k), entries in sorted(l2l_groups.items()):
+    for _, entries in sorted(l2l_groups.items()):
         blocks = np.stack([e[1] for e in entries])
-        dst = np.stack([e[0].indices for e in entries])
-        if uniform_leaf_size and mb == uniform_leaf_size and k % uniform_leaf_size == 0:
-            src_slots = np.stack(
-                [np.asarray([leaf_slot[a] for a in e[0].near], dtype=np.intp) for e in entries]
-            )
-            l2l_segments.append(L2LSlotSegment(blocks, src_slots, dst))
+        dst = ("output", 1, np.stack([e[0].indices for e in entries]))
+        if layout.uniform_leaf_size:
+            slots = [[layout.leaf_slot[a] for a in e[0].near] for e in entries]
+            src = ("leaves", layout.uniform_leaf_size, np.asarray(slots, dtype=np.intp))
         else:
-            src = np.stack([e[2] for e in entries])
-            l2l_segments.append(L2LSegment(blocks, src, dst))
+            src = ("weights", 1, np.stack([e[2] for e in entries]))
+        l2l_segments.append(PlanSegment("L2L", 0, blocks, src, dst))
     return l2l_segments
 
 
@@ -1116,33 +773,8 @@ def build_plan(compressed) -> EvaluationPlan:
     bucketing = getattr(compressed.config, "plan_rank_bucketing", "none")
     layout = build_pass_layout(compressed, bucketing)
     return EvaluationPlan(
-        n=layout.n,
-        workspace_rows=layout.workspace_rows,
-        skel_offset=layout.skel_offset,
-        n2s_levels=layout.n2s_levels,
-        s2s_segments=_pack_s2s_segments(compressed, layout),
-        s2n_levels=layout.s2n_levels,
-        l2l_segments=_pack_l2l_segments(compressed, layout),
-        near_indptr=layout.near_indptr,
-        near_cols=layout.near_cols,
-        far_indptr=layout.far_indptr,
-        far_cols=layout.far_cols,
-        leaf_perm=layout.leaf_perm,
-        uniform_leaf_size=layout.uniform_leaf_size,
-        uniform_rank=layout.uniform_rank,
+        layout, _pack_s2s_segments(compressed, layout), _pack_l2l_segments(compressed, layout)
     )
-
-
-def _children_rows(node, skel_offset: np.ndarray, prank: np.ndarray) -> np.ndarray:
-    """Workspace rows of a node's children ``[w̃_l; w̃_r]`` (padded), in stacking order."""
-    rows = []
-    for child in node.children():
-        if child.skeleton_rank > 0 and skel_offset[child.node_id] >= 0:
-            start = skel_offset[child.node_id]
-            rows.append(np.arange(start, start + prank[child.node_id]))
-    if not rows:
-        return np.empty(0, dtype=np.intp)
-    return np.concatenate(rows)
 
 
 # ---------------------------------------------------------------------------

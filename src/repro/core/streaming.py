@@ -62,7 +62,7 @@ from ..obs import counters as _obs_counters
 from ..obs import get_logger
 from ..obs.trace import get_tracer
 from .evaluate import EvaluationCounters, _as_matrix
-from .plan import PassLayout, PlanContext, build_pass_layout
+from .plan import PassLayout, PlanContext, build_pass_layout, gather_gemm_scatter
 
 _LOG = get_logger("core.streaming")
 
@@ -106,10 +106,11 @@ class StreamSegment:
 
     ``rows[g]`` / ``cols[g]`` are the global entry indices of the ``g``-th
     block (skeleton sets for S2S, leaf index sets for L2L) and ``keys[g]``
-    its provider key; ``src`` / ``dst`` are the gather / scatter index
-    tables of the batched GEMM.  Scatter targets are disjoint within the
-    segment (each target appears at most once per round), so the
-    fancy-index add is a plain vectorized scatter.
+    its provider key; ``src`` / ``dst`` are the ``(buffer, block, index)``
+    gather / scatter accesses of the batched GEMM, run by the planned
+    engine's :func:`~repro.core.plan.gather_gemm_scatter`.  Scatter targets
+    are disjoint within the segment (each target appears at most once per
+    round), so the fancy-index add is a plain vectorized scatter.
     """
 
     __slots__ = (
@@ -139,8 +140,9 @@ class StreamSegment:
         # (util for S2S, output for L2L).  For L2L these are the block's
         # global entry indices themselves, so they alias the stacked
         # rows/cols instead of duplicating O(pairs) index memory.
-        self.src = self.cols if src is None else src
-        self.dst = self.rows if dst is None else dst
+        s2s = kind == "S2S"
+        self.src = ("wtil" if s2s else "weights", 1, self.cols if src is None else src)
+        self.dst = ("util" if s2s else "output", 1, self.rows if dst is None else dst)
         self.cached: List[int] = []       # filled by bind_cache
         self.missing: List[int] = list(range(len(keys)))
         self.flops_per_rhs = 2.0 * len(keys) * shape[0] * shape[1]
@@ -204,10 +206,7 @@ class StreamSegment:
 
     def run(self, ctx: PlanContext, blocks: np.ndarray) -> None:
         """Execute the batched GEMM + scatter from materialized ``blocks``."""
-        if self.kind == "S2S":
-            ctx.util[self.dst] += np.matmul(blocks, ctx.wtil[self.src])
-        else:
-            ctx.output[self.dst] += np.matmul(blocks, ctx.weights[self.src])
+        gather_gemm_scatter(ctx, blocks, self.src, self.dst)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"StreamSegment({self.kind}, batch={self.batch}, shape={self.shape})"
@@ -325,12 +324,7 @@ class StreamingPlan:
         self.spills = self.workspace_bytes > self.chunk_bytes
         self._arena = None
         self._arena_lock = threading.Lock()
-        self.flops_per_rhs: Dict[str, float] = {
-            "n2s": sum(s.flops_per_rhs for level in layout.n2s_levels for s in level),
-            "s2s": sum(c.flops_per_rhs for c in s2s_chunks),
-            "s2n": sum(s.flops_per_rhs for level in layout.s2n_levels for s in level),
-            "l2l": sum(c.flops_per_rhs for c in l2l_chunks),
-        }
+        self.flops_per_rhs: Dict[str, float] = layout.flops_per_rhs(s2s_chunks, l2l_chunks)
 
     # -- inspection ---------------------------------------------------------
     @property
@@ -356,7 +350,7 @@ class StreamingPlan:
         total = 0
         for chunk in self.s2s_chunks + self.l2l_chunks:
             for segment in chunk.segments:
-                for array in (segment.rows, segment.cols, segment.src, segment.dst):
+                for array in (segment.rows, segment.cols, segment.src[2], segment.dst[2]):
                     if id(array) not in seen:
                         seen.add(id(array))
                         total += array.nbytes
@@ -478,7 +472,7 @@ class StreamingPlan:
         if isinstance(weights, np.ndarray) and out is None and panel_cols is None:
             output = self._execute_array(weights, pool, stall_timeout, buffers=None)
             if counters is not None:
-                self.add_flops(counters, weights.shape[1])
+                counters.add_flops(self.flops_per_rhs, weights.shape[1])
             return output
 
         from ..storage.panels import as_panel_sink, as_panel_source
@@ -512,7 +506,7 @@ class StreamingPlan:
                 else:
                     result[:, start:stop] = out_panel
                 if counters is not None:
-                    self.add_flops(counters, stop - start)
+                    counters.add_flops(self.flops_per_rhs, stop - start)
         finally:
             self._release_buffers(buffers)
         if sink is not None and hasattr(sink, "flush"):
@@ -710,12 +704,6 @@ class StreamingPlan:
             graph.add_dependency("S2N", f"exec:{num_s2s}")
         graph.validate()
         return graph, payloads
-
-    def add_flops(self, counters: EvaluationCounters, num_rhs: int) -> None:
-        counters.n2s += self.flops_per_rhs["n2s"] * num_rhs
-        counters.s2s += self.flops_per_rhs["s2s"] * num_rhs
-        counters.s2n += self.flops_per_rhs["s2n"] * num_rhs
-        counters.l2l += self.flops_per_rhs["l2l"] * num_rhs
 
 
 # ---------------------------------------------------------------------------

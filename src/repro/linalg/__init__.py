@@ -7,15 +7,12 @@ The public pieces are:
   skeletonization kernel,
 * :func:`repro.linalg.aca.adaptive_cross_approximation` — partially pivoted
   ACA, used by the HODLR baseline,
-* :mod:`repro.linalg.rand` — randomized range finder / randomized ID /
-  Nyström global low-rank approximations,
 * :mod:`repro.linalg.norms` — sampled norm estimators used by the accuracy
   metric ε2.
 """
 
 from .id import InterpolativeDecomposition, interpolative_decomposition
 from .aca import ACAResult, adaptive_cross_approximation
-from .rand import nystrom_approximation, randomized_id, randomized_range_finder
 from .norms import relative_frobenius_error, sampled_spectral_norm
 
 __all__ = [
@@ -23,9 +20,6 @@ __all__ = [
     "interpolative_decomposition",
     "ACAResult",
     "adaptive_cross_approximation",
-    "randomized_range_finder",
-    "randomized_id",
-    "nystrom_approximation",
     "sampled_spectral_norm",
     "relative_frobenius_error",
 ]

@@ -483,12 +483,13 @@ def _output_stripe_locks(compressed: CompressedMatrix, segments: dict, num_worke
 
     locks: dict = {}
     for tid, seg in segments.items():
-        dst = getattr(seg, "dst", None)
-        if dst is None or seg.kind not in ("S2N", "L2L"):
+        buffer, _, rows = seg.dst
+        if buffer != "output":
             locks[tid] = None  # workspace scatters are disjoint by construction
             continue
-        # Each dst row-block is one whole leaf, so its first row names the leaf.
-        stripes = np.unique(stripe_of_row[np.asarray(dst)[:, 0]])
+        # Output is written row by row and each row-block is one whole leaf,
+        # so its first row names the leaf.
+        stripes = np.unique(stripe_of_row[rows[:, 0]])
         locks[tid] = _StripeLockSet([stripe_locks[int(s)] for s in stripes])
     return locks
 

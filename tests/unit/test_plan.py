@@ -12,8 +12,9 @@ from repro import ConfigurationError, EvaluationError, GOFMMConfig, compress
 from repro.api import Session
 from repro.config import DistanceMetric
 from repro.core.evaluate import EvaluationCounters, evaluate
-from repro.core.plan import EvaluationPlan, build_plan, evaluate_planned, pad_ranks
+from repro.core.plan import EvaluationPlan, PlanSegment, build_plan, evaluate_planned, pad_ranks
 from repro.errors import CompressionError
+from repro.runtime import parallel_evaluate
 
 from ..conftest import make_gaussian_kernel_matrix, make_random_spd
 
@@ -144,18 +145,6 @@ class TestPlanStructure:
         assert cm.plan(rebuild=True) is not plan
         assert isinstance(plan, EvaluationPlan)
 
-    def test_csr_lists_match_tree(self, fmm_pair):
-        _, cm = fmm_pair
-        plan = cm.plan()
-        assert plan.near_indptr[-1] == plan.near_cols.size == cm.lists.total_near_pairs()
-        assert plan.far_indptr[-1] == plan.far_cols.size == cm.lists.total_far_pairs()
-        for i, leaf in enumerate(cm.tree.leaves):
-            cols = plan.near_cols[plan.near_indptr[i] : plan.near_indptr[i + 1]]
-            assert list(cols) == list(leaf.near)
-        for node in cm.tree.nodes:
-            cols = plan.far_cols[plan.far_indptr[node.node_id] : plan.far_indptr[node.node_id + 1]]
-            assert list(cols) == list(node.far)
-
     def test_workspace_offsets_disjoint(self, fmm_pair):
         _, cm = fmm_pair
         plan = cm.plan()
@@ -173,19 +162,17 @@ class TestPlanStructure:
         """Rounds must leave no duplicate output row inside any one segment."""
         _, cm = fmm_pair
         plan = cm.plan()
-        for seg in plan.s2s_segments:
-            # slot segments scatter whole workspace blocks, row segments rows
-            flat = getattr(seg, "dst_rows", getattr(seg, "dst_slots", None)).ravel()
-            assert flat.size == np.unique(flat).size
-        for seg in plan.l2l_segments:
-            flat = seg.dst.ravel()
+        for seg in plan.s2s_segments + plan.l2l_segments:
+            # the index lists whole blocks of the destination (rows when block is 1)
+            flat = seg.dst[2].ravel()
             assert flat.size == np.unique(flat).size
 
     def test_hss_plan_has_no_offdiagonal_l2l(self, hss_pair):
         _, cm = hss_pair
         plan = cm.plan()
         # budget 0: the direct part is exactly the diagonal leaf blocks
-        assert plan.near_cols.size == len(cm.tree.leaves)
+        assert sum(seg.batch for seg in plan.l2l_segments) == len(cm.tree.leaves)
+        assert all(seg.operand.shape[1] == seg.operand.shape[2] for seg in plan.l2l_segments)
 
     def test_stages_cover_all_segments(self, fmm_pair):
         _, cm = fmm_pair
@@ -199,6 +186,74 @@ class TestPlanStructure:
         assert report["segments"] > 0
         assert report["packed_entries"] > 0
         assert report["workspace_rows"] == cm.plan().workspace_rows
+        assert report["near_pairs"] == cm.lists.total_near_pairs()
+        assert report["far_pairs"] == cm.lists.total_far_pairs()
+
+
+def _row_twin(access, leaf_perm):
+    """The block-1 form of a ``(buffer, block, index)`` access: each block index expanded to its rows."""
+    buffer, block, index = access
+    if block == 1 or isinstance(index, slice):
+        return access
+    rows = (index[..., None] * block + np.arange(block)).reshape(len(index), -1)
+    if buffer == "leaves":  # row i of the leaf-ordered weights is weights row leaf_perm[i]
+        return ("weights", 1, leaf_perm[rows])
+    return (buffer, 1, rows)
+
+
+def _twin_in_place(plan) -> int:
+    """Replace every segment with block > 1 by its block-1 twin; returns how many changed."""
+    changed = 0
+    for _, stage in plan.stages():
+        for i, seg in enumerate(stage):
+            src, dst = _row_twin(seg.src, plan.layout.leaf_perm), _row_twin(seg.dst, plan.layout.leaf_perm)
+            if (src, dst) != (seg.src, seg.dst):
+                stage[i] = PlanSegment(seg.kind, seg.level, seg.operand, src, dst)
+                changed += 1
+    return changed
+
+
+_BLOCK_CASES = {
+    "adaptive-pow2": dict(tolerance=1e-4, max_rank=12),
+    "adaptive-none": dict(tolerance=1e-4, max_rank=12, plan_rank_bucketing="none"),
+    "fixed-rank": dict(max_rank=8, adaptive_rank=False),
+}
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(n, case) for n in (256, 250) for case in _BLOCK_CASES],
+    ids=lambda p: f"{'uniform' if p[0] == 256 else 'ragged'}-leaves-{p[1]}",
+)
+def block_case(request):
+    n, case = request.param
+    matrix = make_gaussian_kernel_matrix(n=n, d=3, bandwidth=1.5, seed=3)
+    return n, case, compress(matrix, _config(budget=0.3, leaf_size=32, **_BLOCK_CASES[case]))
+
+
+class TestBlockSize:
+    """Block > 1 is a fast path only: its block-1 twin gives the same bytes."""
+
+    @pytest.mark.parametrize("r", [1, 4, 16])
+    def test_block_segments_equal_their_row_twins(self, block_case, r):
+        n, case, cm = block_case
+        plan = cm.plan(rebuild=True)
+        if n == 256:
+            assert plan.layout.uniform_leaf_size == 32
+            assert any(seg.src[0] == "leaves" for seg in plan.segments())
+        if case == "fixed-rank":
+            assert plan.layout.uniform_rank == 8
+            assert any(seg.src[1] == 8 for seg in plan.segments())
+        w = np.random.default_rng(r).standard_normal((cm.n, r))
+        expected = plan.execute(w)
+        expected_parallel = parallel_evaluate(cm, w, num_workers=2, engine="planned")
+        assert expected_parallel.tobytes() == expected.tobytes()
+        changed = _twin_in_place(plan)
+        assert cm.plan() is plan and all(seg.src[1] == seg.dst[1] == 1 for seg in plan.segments())
+        assert changed > 0 or (n == 250 and plan.layout.uniform_rank == 0)
+        assert plan.execute(w).tobytes() == expected.tobytes()
+        parallel = parallel_evaluate(cm, w, num_workers=2, engine="planned")
+        assert parallel.tobytes() == expected_parallel.tobytes()
 
 
 class TestCounters:
