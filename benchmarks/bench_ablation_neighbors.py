@@ -5,10 +5,10 @@ skeletonization rows, and the voting that builds the Near lists.  More
 neighbors give better sampling (better low-rank quality) and a denser near
 field, at higher search cost.
 
-The sweep runs under the neighbor backend named by ``GOFMM_BENCH_NEIGHBOR_BACKEND``
-(default ``"blocked"``); every registered backend produces bit-identical
-tables, which the smallest-κ point cross-checks against the ``"reference"``
-oracle before any numbers are reported.
+The sweep runs the ANN search on ``GOFMM_BENCH_WORKERS`` processes (default
+1); the table is worker-count deterministic, which the smallest-κ point
+cross-checks against a single-process search before any numbers are
+reported.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import pytest
 
 from repro import GOFMMConfig
 from repro.core.distances import make_distance
-from repro.core.neighbor_backends import available_neighbor_backends
 from repro.core.neighbors import all_nearest_neighbors
 from repro.matrices import build_matrix
 from repro.reporting import format_table
@@ -30,34 +29,22 @@ from .harness import once, problem_size, run_gofmm
 KAPPAS = [2, 8, 32]
 
 
-def _bench_backend() -> str:
-    backend = os.environ.get("GOFMM_BENCH_NEIGHBOR_BACKEND", "blocked")
-    if backend not in available_neighbor_backends():
-        raise ValueError(
-            f"GOFMM_BENCH_NEIGHBOR_BACKEND={backend!r} is not registered; "
-            f"known: {', '.join(available_neighbor_backends())}"
-        )
-    return backend
-
-
 def _experiment(matrix_name: str):
     n = problem_size(1024)
-    backend = _bench_backend()
     runs = []
     for kappa in KAPPAS:
         matrix = build_matrix(matrix_name, n, seed=0)
         config = GOFMMConfig(
             leaf_size=64, max_rank=48, tolerance=1e-8, neighbors=kappa,
             budget=0.1, distance="angle", seed=0,
-            neighbor_backend=backend,
             neighbor_workers=int(os.environ.get("GOFMM_BENCH_WORKERS", "1")),
         )
         if kappa == KAPPAS[0]:
-            # Parity gate: the configured backend must reproduce the
-            # reference oracle's table bit for bit on this problem.
+            # Parity gate: the configured worker count must reproduce the
+            # single-process table bit for bit on this problem.
             distance = make_distance(matrix, config.distance)
-            ref = all_nearest_neighbors(distance, config, backend="reference")
-            got = all_nearest_neighbors(distance, config, backend=backend)
+            ref = all_nearest_neighbors(distance, config.replace(neighbor_workers=1))
+            got = all_nearest_neighbors(distance, config)
             assert np.array_equal(ref.indices, got.indices)
             assert np.array_equal(ref.distances, got.distances)
         runs.append(run_gofmm(matrix, config, num_rhs=32, name=f"kappa={kappa}"))

@@ -43,15 +43,14 @@ def _build_dags(workload: str):
     matrix_name, budget, rank = WORKLOADS[workload]
     n = problem_size(2048)
     matrix = build_matrix(matrix_name, n, seed=0)
-    # The real compression feeding the DAGs honors the backend/worker
-    # environment knobs, so the simulated scaling study can itself be run
-    # under any registered neighbor backend or a process-sharded build
-    # (results are worker-count deterministic, so the DAGs don't change).
+    # The real compression feeding the DAGs honors the worker environment
+    # knob, so the simulated scaling study can itself be run on a
+    # process-sharded build (results are worker-count deterministic, so
+    # the DAGs don't change).
     workers = int(os.environ.get("GOFMM_BENCH_WORKERS", "1"))
     config = GOFMMConfig(
         leaf_size=128, max_rank=rank, tolerance=1e-5, neighbors=16,
         budget=max(budget, 4.0 * 128 / n), distance="angle", seed=0,
-        neighbor_backend=os.environ.get("GOFMM_BENCH_NEIGHBOR_BACKEND", "blocked"),
         neighbor_workers=workers,
         compression_workers=workers,
     )

@@ -104,6 +104,18 @@ def _jsonable_fingerprint(fingerprint: dict) -> dict:
     }
 
 
+def _fingerprint_matches(stored: dict, config, stage: str) -> bool:
+    """Whether a saved stage fingerprint agrees with ``config`` on every tracked field.
+
+    Only the keys of the current ``STAGE_FIELDS[stage]`` are compared, so a
+    key that names a retired config field is ignored and artifacts saved
+    before it was retired still load; a missing or differing tracked key
+    is a mismatch.
+    """
+    current = _jsonable_fingerprint(stage_fingerprint(config, stage))
+    return all(key in stored and stored[key] == value for key, value in current.items())
+
+
 #: Monotonic artifact version numbers.  Global (not per-session) because
 #: :meth:`Session.attach` shares cache entries across sessions — versions
 #: must stay unique so upstream-identity checks cannot collide.
@@ -642,8 +654,7 @@ class Session:
             )
         stale = []
         for stage in ("partition", "neighbors"):
-            current = _jsonable_fingerprint(stage_fingerprint(self._config, stage))
-            if meta["fingerprints"][stage] != current:
+            if not _fingerprint_matches(meta["fingerprints"][stage], self._config, stage):
                 stale.append(stage)
         if stale:
             raise ArtifactMismatchError(
@@ -653,8 +664,8 @@ class Session:
         # The interactions artifact is optional cargo: a fingerprint mismatch
         # (e.g. the loading session sweeps ``budget``) just means the lists
         # must be rebuilt — it never blocks loading the partition + ANN table.
-        load_interactions = fmt >= 2 and meta["fingerprints"]["interactions"] == (
-            _jsonable_fingerprint(stage_fingerprint(self._config, "interactions"))
+        load_interactions = fmt >= 2 and _fingerprint_matches(
+            meta["fingerprints"]["interactions"], self._config, "interactions"
         )
 
         try:

@@ -71,12 +71,11 @@ STAGE_FIELDS: Dict[str, frozenset] = {
             "leaf_size",
             "num_neighbor_trees",
             "neighbor_accuracy_target",
-            "neighbor_backend",
             "seed",
         }
     ),
     # neighbor_workers / compression_workers are deliberately untracked:
-    # they are pure execution knobs (sharded neighbor search and the
+    # they are pure execution knobs (the forked neighbor search and the
     # skeletonization fan-out are worker-count deterministic), so changing
     # them never invalidates an artifact.
     "interactions": frozenset(

@@ -130,22 +130,14 @@ class GOFMMConfig:
         chunk buffers *together* stay within this budget, so the
         evaluation-phase block memory is bounded regardless of how many
         interaction pairs the compression has.
-    neighbor_backend:
-        ANN-search backend, validated against the registry of
-        :mod:`repro.core.neighbor_backends`.  Built-ins: ``"blocked"``
-        (the default) merges whole batches of leaves into the neighbor
-        table with vectorized dedup/top-κ passes; ``"reference"`` is the
-        per-row merge loop kept as the correctness oracle; ``"sharded"``
-        fans the blocked passes out over a process pool of
-        ``neighbor_workers``.  All built-ins consume the same rng stream
-        and share the merge tie-breaking rules, so they produce
-        bit-identical neighbor tables.
     neighbor_workers:
-        process count of the ``"sharded"`` neighbor backend.  Purely an
-        execution knob: the per-iteration seed schedule is drawn up front
-        and iterations are merged in order, so any worker count yields
-        the same table — which is why this field enters no stage
-        fingerprint and never invalidates session artifacts.
+        process count of the ANN search (:mod:`repro.core.neighbors`):
+        above 1, projection-tree iterations are fanned out in waves over a
+        fork pool.  Purely an execution knob: the per-iteration seed
+        schedule is drawn up front and iterations are merged in order, so
+        any worker count yields the same table — which is why this field
+        enters no stage fingerprint and never invalidates session
+        artifacts.
     compression_workers:
         process count of the skeletonization level sweep
         (:mod:`repro.core.skeletonization`): above 1, whole subtrees are
@@ -235,7 +227,6 @@ class GOFMMConfig:
     secure_accuracy: bool = False
     evaluation_engine: str = "planned"
     streaming_chunk_bytes: int = 32 * 2**20
-    neighbor_backend: str = "blocked"
     neighbor_workers: int = 1
     compression_workers: int = 1
     plan_rank_bucketing: str = "pow2"
@@ -307,14 +298,6 @@ class GOFMMConfig:
             known = ", ".join(available_engines())
             raise ConfigurationError(
                 f"evaluation_engine must be one of: {known}; got {self.evaluation_engine!r}"
-            )
-        from .core.neighbor_backends import available_neighbor_backends
-        from .core.neighbor_backends import is_registered as neighbor_backend_registered
-
-        if not neighbor_backend_registered(self.neighbor_backend):
-            known = ", ".join(available_neighbor_backends())
-            raise ConfigurationError(
-                f"neighbor_backend must be one of: {known}; got {self.neighbor_backend!r}"
             )
         if self.neighbor_workers < 1:
             raise ConfigurationError(

@@ -60,12 +60,12 @@ class Distance(ABC):
         """Stacked distance blocks ``d[b] = pairwise(rows[b], cols[b])``.
 
         ``rows`` is ``(B, p)`` and ``cols`` is ``(B, k)``; the result is
-        ``(B, p, k)``.  The blocked neighbor backend evaluates one batch of
+        ``(B, p, k)``.  The ANN search's leaf pass evaluates one batch of
         same-size leaves through this entry point.  The default loops over
         :meth:`pairwise`; the concrete distances override it with a single
         stacked evaluation whose per-slice values are bitwise identical to
-        the loop (same expression, same GEMM per slice) — the backend
-        parity tests depend on that.
+        the loop (same expression, same GEMM per slice) — the driver-vs-oracle
+        tests depend on that.
         """
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)

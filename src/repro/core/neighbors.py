@@ -15,30 +15,37 @@ so the paper uses the greedy iterative scheme of [43]:
 Each iteration costs ``O(N m)`` distance evaluations (``m`` = leaf size), so
 the whole search is ``O(N m · iters)``.
 
-The tree loop itself is executed by an interchangeable *neighbor backend*
-(:mod:`repro.core.neighbor_backends`, selected via
-``GOFMMConfig.neighbor_backend``): ``"reference"`` merges candidates one
-row at a time (:func:`_merge_candidates`, the correctness oracle),
-``"blocked"`` (the default) merges whole batches of leaves through the
-vectorized :func:`merge_candidate_block`, and ``"sharded"`` runs
-independent tree iterations on a process pool.  All three consume the
-same rng stream (table fillers, then one tree seed per iteration drawn
-up front by :func:`tree_seed_schedule`) and share the merge tie-breaking
-rules, so they produce bit-identical tables.
-
-This module hosts the table/merge primitives the backends share;
-:func:`all_nearest_neighbors` only initializes and dispatches.
+Every iteration runs the same blocked leaf pass: each batch of leaf
+distance blocks is stacked, ``argpartition``'d, and merged into the table
+by :func:`screened_merge` with no per-row Python.  With
+``config.neighbor_workers > 1`` the iterations' leaf passes are fanned out
+in waves over a ``fork`` pool that writes candidates into shared-memory
+slabs; the parent still merges iterations strictly in seed order and
+applies the convergence check after each one, so the table is identical
+for every worker count.  The rng stream is fixed up front (table fillers,
+then one tree seed per iteration from :func:`tree_seed_schedule`), which
+is what lets workers take iterations without touching it.  The per-row
+merge oracle the tests compare against lives in
+``tests/oracles/neighbors_reference.py``.
 """
 
 from __future__ import annotations
 
+from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ..config import GOFMMConfig
+from ..errors import WorkerCrashError
+from ..obs import counters as _obs_counters
+from ..obs import get_logger
 from .distances import Distance
+from .sharding import SharedSlab, SupervisedPool, fork_available
+from .tree import build_tree
+
+_LOG = get_logger("core.neighbors")
 
 __all__ = [
     "NeighborTable",
@@ -53,8 +60,8 @@ __all__ = [
     "tree_seed_schedule",
 ]
 
-#: Workspace cap (bytes) on one stacked leaf-distance block in the blocked
-#: backend — bounds peak memory at large n without changing any result
+#: Workspace cap (bytes) on one stacked leaf-distance block of the leaf
+#: pass — bounds peak memory at large n without changing any result
 #: (leaf batches touch disjoint table rows, so batch boundaries are free).
 LEAF_BATCH_BYTES = 64 * 2**20
 
@@ -141,7 +148,7 @@ def unchanged_fraction(previous: np.ndarray, current: np.ndarray) -> float:
     kappa = current.shape[1]
     if kappa == 0:
         return 1.0
-    # Integer sum first, one float division last: the backends' incremental
+    # Integer sum first, one float division last: the driver's incremental
     # convergence bookkeeping (overlap of merged rows + κ per skipped row)
     # must land on the bitwise-same fraction, which exact integer
     # accumulation guarantees and a float mean of per-row fractions would not.
@@ -153,8 +160,8 @@ def init_table(n: int, kappa: int, rng: np.random.Generator) -> tuple[np.ndarray
     """The initial neighbor table: self at distance 0 plus random fillers.
 
     Filler distances are unknown and marked ``+inf`` so anything real
-    wins.  Every backend initializes through this helper (one ``(n, κ-1)``
-    draw), keeping the rng stream identical across backends.
+    wins.  The driver and the test oracle both initialize through this
+    helper (one ``(n, κ-1)`` draw), keeping their rng streams identical.
     """
     idx_table = np.empty((n, kappa), dtype=np.intp)
     dist_table = np.full((n, kappa), np.inf, dtype=np.float64)
@@ -168,48 +175,12 @@ def init_table(n: int, kappa: int, rng: np.random.Generator) -> tuple[np.ndarray
 def tree_seed_schedule(rng: np.random.Generator, count: int) -> list[int]:
     """Per-iteration projection-tree seeds, drawn up front.
 
-    One scalar draw per tree, in iteration order — exactly the draws the
-    pre-registry implementation made lazily inside the loop, so reference
-    results are unchanged.  Materializing the schedule before any tree is
-    built is what lets the ``"sharded"`` backend hand iterations to
-    workers without the worker count ever touching the rng stream.
+    One scalar draw per tree, in iteration order.  Materializing the
+    schedule before any tree is built is what lets the driver hand
+    iterations to fork workers without the worker count ever touching the
+    rng stream.
     """
     return [int(rng.integers(np.iinfo(np.int64).max)) for _ in range(count)]
-
-
-def _merge_candidates(
-    current_idx: np.ndarray,
-    current_dist: np.ndarray,
-    cand_idx: np.ndarray,
-    cand_dist: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge candidate neighbors into a row, keeping the κ smallest distinct ones.
-
-    The per-row oracle of the ``"reference"`` backend;
-    :func:`merge_candidate_block` reproduces its tie-breaking exactly
-    (dedup keeps the smallest ``(distance, position)`` occurrence per
-    index; selection orders by ``(distance, position)``; short rows pad by
-    repeating the last entry).
-    """
-    kappa = current_idx.size
-    all_idx = np.concatenate([current_idx, cand_idx])
-    all_dist = np.concatenate([current_dist, cand_dist])
-    # Deduplicate, keeping the smallest distance per index.
-    order = np.argsort(all_dist, kind="stable")
-    all_idx = all_idx[order]
-    all_dist = all_dist[order]
-    _, first = np.unique(all_idx, return_index=True)
-    first.sort()
-    all_idx = all_idx[first]
-    all_dist = all_dist[first]
-    order = np.argsort(all_dist, kind="stable")[:kappa]
-    out_idx = all_idx[order]
-    out_dist = all_dist[order]
-    if out_idx.size < kappa:  # pad (can only happen when N < κ)
-        pad = kappa - out_idx.size
-        out_idx = np.concatenate([out_idx, np.repeat(out_idx[-1:], pad)])
-        out_dist = np.concatenate([out_dist, np.repeat(out_dist[-1:], pad)])
-    return out_idx, out_dist
 
 
 def merge_candidate_block(
@@ -224,9 +195,12 @@ def merge_candidate_block(
 
     ``rows`` are the (distinct) global indices being updated; ``cand_idx``
     / ``cand_dist`` hold each row's candidates.  Bit-for-bit equivalent to
-    calling :func:`_merge_candidates` row by row: all three tie-breaking
-    rules of the oracle (see there) are reproduced with four stable
-    per-row ``argsort`` passes over the ``(rows, κ + k)`` concatenation —
+    merging row by row with the per-row oracle (``_merge_candidates`` in
+    ``tests/oracles/neighbors_reference.py``).  Its tie-breaking is: dedup
+    keeps the smallest ``(distance, position)`` occurrence per index,
+    selection orders by ``(distance, position)``, and short rows pad by
+    repeating the last entry.  All three rules are reproduced with four
+    stable per-row ``argsort`` passes over the ``(rows, κ + k)`` concatenation —
     order by ``(distance, position)``, then by index to make duplicates
     adjacent, keep each index's first occurrence, then order the
     survivors back by ``(distance, position)``; dropped duplicates are
@@ -292,7 +266,7 @@ def merge_candidate_block(
 #: only the slots a chunk actually stamped are reset — so the scan costs
 #: O(rows·(κ+k)) scattered accesses with no per-call allocation of the
 #: O(chunk·n) array.  Not thread-safe; the neighbor search is
-#: single-threaded per process (the sharded backend forks, and forked
+#: single-threaded per process (the fork workers, and forked
 #: children copy-on-write their own scratch).
 #: Stamp-array span per chunk.  Sized to stay cache-resident: each chunk's
 #: span is walked four times (scatter, verify, gather, clear), so keeping it
@@ -354,7 +328,7 @@ def screened_merge(
     cand_dist: np.ndarray,
     screen: bool = True,
 ) -> tuple[np.ndarray, int]:
-    """Screen-then-merge: the blocked backends' fast path into the table.
+    """Screen-then-merge: the leaf pass's fast path into the table.
 
     One membership pass over the candidates answers two questions at once:
 
@@ -365,7 +339,7 @@ def screened_merge(
        ``c`` is absent and ``d ≥`` the row's largest stored distance (the
        stable ``(distance, position)`` selection seats all κ stored
        entries ahead of it).  Rows with only inert candidates are skipped
-       — bitwise-unchanged under :func:`_merge_candidates` — which is what
+       — bitwise-unchanged under the per-row oracle merge — which is what
        makes late, nearly-converged iterations cheap.
 
     2. *Who wins each stored/candidate duplicate pair?*  For the rows that
@@ -382,10 +356,10 @@ def screened_merge(
        have been seen) take the general :func:`merge_candidate_block`
        path, which re-deduplicates the row itself.
 
-    Preconditions (both backends satisfy them by construction): table rows
+    Preconditions (both merge sources satisfy them by construction): table rows
     are sorted ascending by distance, and a row's candidates have distinct
-    indices except for repeats that lose to a stored entry (the sharded
-    slab pads short leaves with the row's own index at ``+inf``).
+    indices except for repeats that lose to a stored entry (the fork
+    workers' slab pads short leaves with the row's own index at ``+inf``).
 
     Returns ``(touched, overlap)``: the global indices of the rows actually
     merged (a superset of the rows that changed) and the integer
@@ -484,7 +458,7 @@ def leaf_candidate_batches(
     groups per tree), stacked under the workspace budget, and each stack
     gets one ``argpartition`` over its ``(batch, L, L)`` distance block.
     Per-slice ``argpartition`` results equal the per-leaf 2-D calls of the
-    reference backend, so downstream merges see identical candidates in
+    per-row oracle, so downstream merges see identical candidates in
     identical order.
     """
     by_size: dict[int, list[np.ndarray]] = {}
@@ -510,28 +484,6 @@ def leaf_candidate_batches(
             )
 
 
-def _leaf_exhaustive_update(
-    leaf_indices: np.ndarray,
-    distance: Distance,
-    table_idx: np.ndarray,
-    table_dist: np.ndarray,
-    kappa: int,
-) -> None:
-    """Task ANN(α): exhaustive κ-NN inside one leaf, merged into the global table.
-
-    The per-row loop of the ``"reference"`` backend.
-    """
-    d = distance.pairwise(leaf_indices, leaf_indices)
-    k_local = min(kappa, leaf_indices.size)
-    # argpartition gives the k smallest per row without a full sort.
-    part = np.argpartition(d, kth=k_local - 1, axis=1)[:, :k_local]
-    for row_pos, i in enumerate(leaf_indices):
-        cand_pos = part[row_pos]
-        cand_idx = leaf_indices[cand_pos]
-        cand_dist = d[row_pos, cand_pos]
-        table_idx[i], table_dist[i] = _merge_candidates(table_idx[i], table_dist[i], cand_idx, cand_dist)
-
-
 def exhaustive_neighbors(distance: Distance, kappa: int, chunk: int = 1024) -> NeighborTable:
     """Exact κ-NN by brute force (O(N²) distances) — the reference for tests."""
     n = distance.n
@@ -554,18 +506,18 @@ def all_nearest_neighbors(
     distance: Distance,
     config: GOFMMConfig,
     rng: np.random.Generator | None = None,
-    backend: str | None = None,
 ) -> NeighborTable:
     """Iterative randomized-projection-tree ANN search (steps 1–3 of Algorithm 2.2).
 
-    Dispatches to the neighbor backend named by ``backend`` (default:
-    ``config.neighbor_backend``) from the registry of
-    :mod:`repro.core.neighbor_backends`.  All built-in backends return
-    bit-identical tables; they differ only in how the per-leaf merges are
-    executed (per row, vectorized, or across a process pool).
+    Initializes the table, draws the seed schedule, then per iteration
+    merges that tree's leaf candidates with :func:`screened_merge` and
+    applies the set-overlap convergence check.  A merge reports
+    ``(touched, overlap)``: how many rows it merged and their integer
+    :func:`row_set_overlap` sum against their previous contents.  Skipped
+    rows are bitwise-untouched distinct rows contributing exactly κ each,
+    so the reconstructed fraction equals the full-table
+    :func:`unchanged_fraction` bit for bit.
     """
-    from .neighbor_backends import get_neighbor_backend
-
     n = distance.n
     kappa = min(config.neighbors, n)
     rng = rng or np.random.default_rng(config.seed)
@@ -575,5 +527,149 @@ def all_nearest_neighbors(
         table = exhaustive_neighbors(distance, kappa)
         return NeighborTable(table.indices, table.distances, iterations=1, converged=True)
 
-    spec = get_neighbor_backend(backend or config.neighbor_backend)
-    return spec(distance, config, rng)
+    idx_table, dist_table = init_table(n, kappa, rng)
+    seeds = tree_seed_schedule(rng, config.num_neighbor_trees)
+    iterations = 0
+    converged = False
+    with closing(_iteration_candidates(distance, config, seeds, kappa)) as passes:
+        for batches in passes:
+            iterations += 1
+            touched = overlap = 0
+            for rows, cand_idx, cand_dist in batches:
+                merged, part = screened_merge(
+                    idx_table, dist_table, rows, cand_idx, cand_dist, screen=iterations > 1
+                )
+                touched += merged.size
+                overlap += part
+            unchanged = (overlap + (n - touched) * kappa) / (n * kappa)
+            if unchanged >= config.neighbor_accuracy_target and iterations > 1:
+                converged = True
+                break
+    return NeighborTable(
+        indices=idx_table, distances=dist_table, iterations=iterations, converged=converged
+    )
+
+
+def _projection_leaves(distance: Distance, config: GOFMMConfig, seed: int) -> list[np.ndarray]:
+    """The leaf index sets of one iteration's randomized projection tree."""
+    tree = build_tree(
+        distance.n, config, distance, rng=np.random.default_rng(seed), randomized_pivots=True
+    )
+    return [leaf.indices for leaf in tree.leaves]
+
+
+def _iteration_candidates(distance: Distance, config: GOFMMConfig, seeds: list[int], kappa: int):
+    """Per iteration, in seed order, the ``(rows, cand_idx, cand_dist)`` batches to merge.
+
+    Iterations go out in fork waves when ``neighbor_workers > 1``, fork is
+    available and there is more than one tree; whatever the waves did not
+    deliver (all of it, or everything from a wave that exhausted its retry
+    budget) runs in process from the same seeds.
+    """
+    start = 0
+    if config.neighbor_workers > 1 and fork_available() and len(seeds) > 1:
+        start = yield from _forked_waves(distance, config, seeds, kappa)
+    for seed in seeds[start:]:
+        yield leaf_candidate_batches(_projection_leaves(distance, config, seed), distance, kappa)
+
+
+#: Read-only state the forked workers inherit (set in the parent right
+#: before the pool forks, cleared once the waves finish).
+_SHARD: Optional[dict] = None
+
+
+def _neighbor_shard_task(task: tuple[int, int, int, int]) -> int:
+    """One worker unit: (slot, seed, chunk, num_chunks).
+
+    Builds (or reuses, per process) the iteration's projection tree and
+    writes its share of the leaves' κ-NN candidates into slab slot
+    ``slot``.  Unused candidate columns of short leaves are padded with
+    the row's own index at distance ``+inf``, which the merge discards for
+    free (the row's self entry at distance 0 always wins the dedup).  Leaf
+    chunks partition the leaf list, so any chunk count yields the same
+    slab contents.
+    """
+    slot, seed, chunk, num_chunks = task
+    state = _SHARD
+    distance = state["distance"]
+    kappa = state["kappa"]
+    cached = state.get("leaves")
+    if cached is None or cached[0] != seed:
+        # Visible only inside this worker process.
+        state["leaves"] = (seed, _projection_leaves(distance, state["config"], seed))
+    mine = state["leaves"][1][chunk::num_chunks]
+    idx_out = state["idx"].array[slot]
+    dist_out = state["dist"].array[slot]
+    for rows, cand_idx, cand_dist in leaf_candidate_batches(mine, distance, kappa):
+        k_local = cand_idx.shape[1]
+        idx_out[rows, :k_local] = cand_idx
+        dist_out[rows, :k_local] = cand_dist
+        if k_local < kappa:
+            idx_out[rows, k_local:] = rows[:, None]
+            dist_out[rows, k_local:] = np.inf
+    return slot
+
+
+def _forked_waves(distance: Distance, config: GOFMMConfig, seeds: list[int], kappa: int):
+    """Run iterations in waves of ``neighbor_workers`` on a supervised fork pool.
+
+    Yields each iteration's slab slot as one whole-table batch, in seed
+    order; a slot is only rewritten by the next wave, after the caller has
+    merged it.  Killed or stalled workers are retried by the
+    :class:`~repro.core.sharding.SupervisedPool` (safe: every task rewrites
+    its full slab slot).  Returns the index of the first seed not
+    delivered: ``len(seeds)``, or the start of a wave that exhausted the
+    retry budget.
+    """
+    global _SHARD
+    n = distance.n
+    workers = config.neighbor_workers
+    wave = min(workers, len(seeds))
+    all_rows = np.arange(n, dtype=np.intp)
+    try:
+        with ExitStack() as stack:
+            # Slabs join the stack as they are created so no later failure
+            # (allocation, crashed pool, injected fault) leaks a segment.
+            idx_slab = stack.enter_context(SharedSlab((wave, n, kappa), np.int64))
+            dist_slab = stack.enter_context(SharedSlab((wave, n, kappa), np.float64))
+            _SHARD = {
+                "distance": distance,
+                "config": config,
+                "kappa": kappa,
+                "idx": idx_slab,
+                "dist": dist_slab,
+            }
+            pool = stack.enter_context(
+                SupervisedPool(
+                    workers,
+                    retries=config.shard_retries,
+                    task_timeout=config.shard_task_timeout_s,
+                    label="neighbors",
+                )
+            )
+            for start in range(0, len(seeds), wave):
+                batch = seeds[start : start + wave]
+                # Split leaf work within iterations so a partial wave (or a
+                # final lone iteration) still occupies every worker.
+                chunks = max(1, workers // len(batch))
+                tasks = [
+                    (slot, seed, chunk, chunks)
+                    for slot, seed in enumerate(batch)
+                    for chunk in range(chunks)
+                ]
+                try:
+                    pool.map(_neighbor_shard_task, tasks)
+                except WorkerCrashError as exc:
+                    _LOG.warning(
+                        "forked neighbor search exhausted its retry budget (%s); "
+                        "finishing the remaining %d iteration(s) in process",
+                        exc,
+                        len(seeds) - start,
+                    )
+                    _obs_counters.add("faults_degraded")
+                    return start
+                for slot in range(len(batch)):
+                    yield [(all_rows, idx_slab.array[slot], dist_slab.array[slot])]
+    finally:
+        _SHARD = None
+    return len(seeds)

@@ -1,7 +1,7 @@
 """Shared-memory process-pool scaffolding for sharded pipeline stages.
 
-The ``"sharded"`` neighbor backend (:mod:`repro.core.neighbor_backends`)
-and the subtree fan-out of the skeletonization sweep
+The forked ANN iterations (:mod:`repro.core.neighbors`) and the subtree
+fan-out of the skeletonization sweep
 (:mod:`repro.core.skeletonization`) both follow the same recipe:
 
 1. the parent stores the read-only problem state (distance oracle, matrix,

@@ -144,7 +144,7 @@ class WorkerCrashError(GOFMMError, RuntimeError):
     Raised by :class:`repro.core.sharding.SupervisedPool` after a shard
     task has died (killed worker), stalled past ``shard_task_timeout_s``,
     or errored on every one of its ``shard_retries + 1`` attempts.  The
-    sharded backends catch it and degrade to their single-process
+    sharded stages catch it and degrade to their single-process
     equivalents.  ``failed_tasks`` are the task keys still outstanding;
     ``attempts`` is the attempt count the budget was measured against.
     """

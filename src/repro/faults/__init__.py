@@ -12,7 +12,7 @@ Two halves:
 
 The point of injecting faults is proving the supervision around them:
 the :class:`~repro.core.sharding.SupervisedPool` retries killed shard
-tasks and degrades sharded backends to their single-process equivalents
+tasks and degrades sharded stages to their single-process equivalents
 bit-identically, store reads retry transient I/O errors, the spill arena
 degrades to heap on ENOSPC, and the serving cluster restarts / breaker-
 trips crashed shards — all of it counted in ``faults_injected`` /

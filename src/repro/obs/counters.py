@@ -33,7 +33,7 @@ re-exports these) sees where blocks, bytes and batches actually went:
                                went through on retry, a shard restarted in
                                place
 ``faults_degraded``            faults survived by *degrading*: a sharded
-                               backend falling back to its single-process
+                               stage falling back to its single-process
                                equivalent, spill buffers falling back to
                                heap, a shard routed around / breaker-opened
 =============================  =============================================

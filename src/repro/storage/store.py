@@ -267,8 +267,8 @@ def config_to_jsonable(config: GOFMMConfig) -> dict:
 def config_from_jsonable(data: dict) -> GOFMMConfig:
     """Rebuild a config from :func:`config_to_jsonable` output.
 
-    Unknown keys are ignored so stores written by a newer library version
-    still open; ``__post_init__`` coerces the string-encoded distance
+    Unknown keys are ignored so stores written by a newer library version,
+    or naming a retired field, still open; ``__post_init__`` coerces the string-encoded distance
     metric and dtype back to their rich types and re-validates everything.
     """
     known = {f.name for f in dataclasses.fields(GOFMMConfig)}

@@ -42,7 +42,7 @@ N = 192
 CONFIG = dict(
     leaf_size=16, max_rank=8, adaptive_rank=False, budget=0.2,
     neighbors=8, num_neighbor_trees=3, seed=0,
-    neighbor_backend="sharded", neighbor_workers=2,
+    neighbor_workers=2,
     compression_workers=2,
     shard_retries=2, shard_task_timeout_s=2.0,
 )

@@ -57,9 +57,9 @@ class TestInvalidationMatrix:
             ("neighbors", {"neighbors", "interactions", "skeletons", "near_blocks", "far_blocks", "plan"}),
             ("num_neighbor_trees", {"neighbors", "interactions", "skeletons", "near_blocks", "far_blocks", "plan"}),
             ("neighbor_accuracy_target", {"neighbors", "interactions", "skeletons", "near_blocks", "far_blocks", "plan"}),
-            ("neighbor_backend", {"neighbors", "interactions", "skeletons", "near_blocks", "far_blocks", "plan"}),
-            # Worker counts are execution knobs: all backends are
-            # worker-count deterministic, so nothing is invalidated.
+            # Worker counts are execution knobs: the neighbor search and the
+            # skeletonization sweep are worker-count deterministic, so
+            # nothing is invalidated.
             ("neighbor_workers", set()),
             ("compression_workers", set()),
             ("centroid_samples", {"partition", "interactions", "skeletons", "near_blocks", "far_blocks", "plan"}),

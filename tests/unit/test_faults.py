@@ -11,7 +11,7 @@ The contracts under test:
   killed workers, and stalls by re-forking and retrying, raises a typed
   :class:`~repro.errors.WorkerCrashError` past the budget, and keeps the
   ``faults_injected == faults_recovered + faults_degraded`` ledger,
-* the sharded backends degrade to their single-process equivalents
+* the sharded stages degrade to their single-process equivalents
   **bit-identically**, and no ``/dev/shm`` segment survives a failed
   (or healthy) sharded run.
 """
@@ -27,7 +27,6 @@ from repro.config import DistanceMetric
 from repro.core import sharding
 from repro.core.distances import make_distance
 from repro.core.interactions import build_node_neighbor_lists
-from repro.core.neighbor_backends import _run_blocked, _run_sharded
 from repro.core.neighbors import all_nearest_neighbors
 from repro.core.sharding import SharedSlab, SupervisedPool, fork_available
 from repro.core.skeletonization import skeletonize_tree
@@ -341,7 +340,7 @@ class TestSharedSlabLifetime:
         assert plan.detected >= 1
 
     @needs_fork
-    def test_failed_sharded_neighbors_degrade_bitwise_to_blocked(self):
+    def test_failed_forked_neighbors_degrade_bitwise_to_serial(self):
         matrix = make_gaussian_kernel_matrix(n=192, d=3, bandwidth=1.5, seed=1)
         config = GOFMMConfig(
             leaf_size=32, max_rank=16, neighbors=8, budget=0.2, num_neighbor_trees=3,
@@ -355,8 +354,10 @@ class TestSharedSlabLifetime:
 
         before = _shm_entries()
         with plan.armed():
-            faulty = _run_sharded(distance, config, np.random.default_rng(5))
-        healthy = _run_blocked(distance, config, np.random.default_rng(5))
+            faulty = all_nearest_neighbors(distance, config, np.random.default_rng(5))
+        healthy = all_nearest_neighbors(
+            distance, config.replace(neighbor_workers=1), np.random.default_rng(5)
+        )
         if before is not None:
             assert _shm_entries() <= before
 
