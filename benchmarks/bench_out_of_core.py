@@ -13,7 +13,8 @@ Per problem size this harness:
 2. saves it as a format-v2 store directory and cold-starts it back with
    ``CompressedOperator.open(path, resident="mmap")``,
 3. asserts the mmap'd operator's full-width matvec is **bit-identical** to
-   the in-memory reference traversal,
+   the in-memory operator's ``engine="streamed"`` matvec (which equals the
+   per-node traversal of Algorithm 2.7 bitwise),
 4. streams an mmap'd weight file through the plan's column panels into an
    mmap'd output file, measuring the tracemalloc high-water of the call
    (mmap pages are invisible to tracemalloc — which is exactly the point:
@@ -56,7 +57,7 @@ SMOKE_SIZES = (1024, 2048)
 
 #: Fine tree (small leaves, fixed rank): thousands of small cached blocks —
 #: the regime where the store directory actually carries weight and the
-#: streamed engine's bounded workspace matters (mirrors bench_streaming_matvec).
+#: streamed engine's bounded workspace matters.
 FINE = dict(leaf_size=32, max_rank=16, adaptive_rank=False, budget=0.05)
 
 #: Pinned heap high-water bound for one panel-streamed matvec, as a multiple
@@ -100,10 +101,10 @@ def run_size(n: int, num_rhs: int, budget_bytes: int, workdir: Path) -> dict:
     open_seconds = time.perf_counter() - t0
     report = mmap_operator.report()
 
-    # -- bit-identity: mmap'd streamed traversal vs in-memory reference -----
+    # -- bit-identity: mmap'd streamed matvec vs in-memory streamed matvec --
     rng = np.random.default_rng(7)
     w_small = rng.standard_normal((n, min(num_rhs, 8)))
-    reference = operator.apply(w_small, engine="reference")
+    reference = operator.apply(w_small, engine="streamed")
     bit_identical = bool(np.array_equal(mmap_operator.apply(w_small), reference))
 
     # -- out-of-core matvec: mmap weights -> column panels -> mmap outputs --
@@ -127,7 +128,7 @@ def run_size(n: int, num_rhs: int, budget_bytes: int, workdir: Path) -> dict:
     expected = np.empty_like(weights)
     for start in range(0, num_rhs, panel_cols):
         stop = min(start + panel_cols, num_rhs)
-        expected[:, start:stop] = operator.apply(weights[:, start:stop], engine="reference")
+        expected[:, start:stop] = operator.apply(weights[:, start:stop], engine="streamed")
     panel_bit_identical = bool(np.array_equal(np.load(out_path), expected))
 
     store_bytes = int(report["bytes_on_disk"])

@@ -98,9 +98,8 @@ def trace_section(tracer, args) -> dict | None:
 def traced_peak_bytes(fn) -> int:
     """tracemalloc high-water mark of one untimed call.
 
-    One shared implementation so the memory columns of every matvec
-    artifact (``matvec_throughput.json``, ``streaming_matvec.json``) stay
-    directly comparable.
+    One shared implementation (behind :func:`memory_probe`) so the memory
+    sections of every bench artifact stay directly comparable.
     """
     tracemalloc.start()
     try:
@@ -200,7 +199,8 @@ def _measure(compressed, matrix, config, comp_seconds, start_entries, num_rhs, n
 def run_gofmm(matrix, config: GOFMMConfig, num_rhs: int = 64, name: str = "", rng=None, engine: str | None = None) -> GOFMMRun:
     """Compress, evaluate, and measure — the unit of work behind most harnesses.
 
-    ``engine`` selects the matvec engine (``"planned"`` / ``"reference"``);
+    ``engine`` selects the matvec engine (``"planned"`` / ``"streamed"``;
+    default: the compression's residency-picked ``default_engine()``);
     for the planned engine the one-time plan construction happens before the
     timed repetitions, matching how repeated matvecs amortize it in practice.
     """

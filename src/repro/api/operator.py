@@ -2,10 +2,11 @@
 
 :class:`CompressedOperator` wraps the :class:`~repro.core.hmatrix.CompressedMatrix`
 a session produced and presents it as a first-class SciPy linear operator:
-``_matvec`` / ``_rmatvec`` / ``_matmat`` dispatch to the configured
-evaluation engine, so the operator drops directly into
-``scipy.sparse.linalg.cg`` / ``gmres`` / ``lobpcg`` / ``aslinearoperator``
-and any other consumer of the ``LinearOperator`` protocol.  On top of the
+``_matvec`` / ``_rmatvec`` / ``_matmat`` dispatch to the default
+evaluation engine (chosen by block residency), so the operator drops
+directly into ``scipy.sparse.linalg.cg`` / ``gmres`` / ``lobpcg`` /
+``aslinearoperator`` and any other consumer of the ``LinearOperator``
+protocol.  On top of the
 protocol it carries the library-native conveniences: ``solve`` (block-Jacobi
 preconditioned CG on the compressed matvec), ``relative_error`` (the
 paper's ε2), and the rank / storage / plan / interaction reports.
@@ -139,8 +140,8 @@ class CompressedOperator(LinearOperator):
         as read-only mmap views — the OS pages them in on demand, so the
         operator cold-starts with near-zero resident footprint and serves
         through the ``"streamed"`` engine's bounded workspace.
-        ``resident="ram"`` loads everything eagerly (the classic behavior,
-        keeping the engine the operator was saved with).  ``matrix``
+        ``resident="ram"`` loads everything eagerly (the classic behavior:
+        a fully cached store runs the ``"planned"`` engine).  ``matrix``
         re-attaches the source SPD matrix — required only for stores saved
         from memoryless compressions (no cached blocks).  Extra keyword
         arguments override config fields of the opened operator (e.g.
@@ -291,5 +292,5 @@ class CompressedOperator(LinearOperator):
         cfg = self.compressed.config
         return (
             f"<CompressedOperator {self.shape[0]}x{self.shape[1]} dtype={self.dtype} "
-            f"engine={cfg.evaluation_engine} budget={cfg.budget:g} tol={cfg.tolerance:g}>"
+            f"engine={self.default_engine()} budget={cfg.budget:g} tol={cfg.tolerance:g}>"
         )

@@ -95,9 +95,7 @@ STAGE_FIELDS: Dict[str, frozenset] = {
     ),
     "near_blocks": frozenset({"cache_near_blocks"}),
     "far_blocks": frozenset({"cache_far_blocks"}),
-    "plan": frozenset(
-        {"evaluation_engine", "prebuild_plan", "plan_rank_bucketing", "streaming_chunk_bytes"}
-    ),
+    "plan": frozenset({"prebuild_plan", "plan_rank_bucketing", "streaming_chunk_bytes"}),
 }
 
 #: Direct upstream dependencies (the partition and the ANN table are

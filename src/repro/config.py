@@ -111,18 +111,11 @@ class GOFMMConfig:
     secure_accuracy:
         if ``True``, raise when a node's skeletonization falls back to an
         empty skeleton instead of silently producing a rank-0 block.
-    evaluation_engine:
-        default matvec engine, validated against the registry of
-        :mod:`repro.core.engines`.  Built-ins: ``"planned"`` executes the
-        packed, level-batched plan of :mod:`repro.core.plan`;
-        ``"streamed"`` runs the same level-batched passes but materializes
-        near/far blocks chunk by chunk inside a bounded workspace
-        (:mod:`repro.core.streaming` — the engine for memoryless
-        configurations); ``"reference"`` runs the per-node traversal of
-        :mod:`repro.core.evaluate`.  Any of them can be overridden per
-        call via ``matvec(w, engine=...)``.
     streaming_chunk_bytes:
-        workspace budget of the ``"streamed"`` engine, in bytes.  The
+        workspace budget of the ``"streamed"`` engine, in bytes — the
+        engine matvecs run whenever the blocks are not all resident
+        (memoryless caching, or a store opened with ``resident="mmap"``;
+        see :meth:`repro.core.hmatrix.CompressedMatrix.default_engine`).  The
         engine partitions the evaluation's near/far blocks into chunks and
         pipelines their materialization against GEMM execution through a
         small set of cycling buffers (currently four, each sized an eighth
@@ -225,7 +218,6 @@ class GOFMMConfig:
     cache_far_blocks: bool = True
     symmetrize_lists: bool = True
     secure_accuracy: bool = False
-    evaluation_engine: str = "planned"
     streaming_chunk_bytes: int = 32 * 2**20
     neighbor_workers: int = 1
     compression_workers: int = 1
@@ -289,15 +281,6 @@ class GOFMMConfig:
         if not isinstance(self.telemetry, bool):
             raise ConfigurationError(
                 f"telemetry must be a bool, got {self.telemetry!r}"
-            )
-        # Validate against the engine registry (lazy import: repro.core modules
-        # import this module, so the registry cannot be a top-level import).
-        from .core.engines import available_engines, is_registered
-
-        if not is_registered(self.evaluation_engine):
-            known = ", ".join(available_engines())
-            raise ConfigurationError(
-                f"evaluation_engine must be one of: {known}; got {self.evaluation_engine!r}"
             )
         if self.neighbor_workers < 1:
             raise ConfigurationError(

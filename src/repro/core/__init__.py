@@ -18,11 +18,14 @@ algorithmic pieces in the order the paper presents them:
   shape-bucketed stacked pivoted QRs, fanned out over subtrees when
   ``compression_workers > 1``,
 * :mod:`repro.core.compress` — Algorithm 2.2 (compression driver),
-* :mod:`repro.core.evaluate` — Algorithm 2.7 (N2S / S2S / S2N / L2L), the
-  per-node reference engine,
-* :mod:`repro.core.plan` — the packed evaluation plan executing the same
-  algorithm as level-batched GEMMs (the "planned" engine),
-* :mod:`repro.core.hmatrix` — the compressed-matrix object,
+* :mod:`repro.core.plan` — Algorithm 2.7 (N2S / S2S / S2N / L2L) as a
+  packed plan of level-batched GEMMs (the "planned" engine, for resident
+  blocks),
+* :mod:`repro.core.streaming` — the same passes with chunked block
+  materialization in a bounded workspace (the "streamed" engine, for
+  memoryless or mmap-opened operators),
+* :mod:`repro.core.hmatrix` — the compressed-matrix object, whose
+  ``default_engine`` picks between the two by block residency,
 * :mod:`repro.core.accuracy` — the ε2 error metric.
 """
 

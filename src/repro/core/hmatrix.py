@@ -6,13 +6,13 @@ Near/Far interaction lists, and (optionally cached) near/far submatrices —
 and exposes the operations a user of the library needs:
 
 * ``matvec(w)`` / ``@`` — the fast approximate product (Algorithm 2.7),
-  with interchangeable engines: the per-node ``"reference"`` traversal
-  (the correctness oracle), the ``"planned"`` engine that executes a
-  cached :class:`repro.core.plan.EvaluationPlan` as level-batched GEMMs,
-  and the ``"streamed"`` engine that runs the same level-batched passes
+  run by one of two engines chosen by where the blocks live: the
+  ``"planned"`` engine executes a cached
+  :class:`repro.core.plan.EvaluationPlan` as level-batched GEMMs over
+  resident blocks, and the ``"streamed"`` engine runs the same passes
   while materializing near/far blocks chunk by chunk inside a bounded
   workspace (:class:`repro.core.streaming.StreamingPlan` — for memoryless
-  compressions),
+  compressions and mmap-opened stores),
 * ``to_dense()`` — explicit ``K̃`` for small problems (tests, exact error),
 * storage / rank / FLOP reports used by the benchmark harness,
 * ``relative_error`` — the sampled ε2 metric of the paper.
@@ -28,9 +28,7 @@ import numpy as np
 from ..config import GOFMMConfig
 from ..errors import EvaluationError
 from ..matrices.base import SPDMatrix
-from .engines import get_engine, is_registered
-from .evaluate import EvaluationCounters
-from .plan import EvaluationPlan, build_plan
+from .plan import EvaluationCounters, EvaluationPlan, build_plan, evaluate_planned
 from .interactions import InteractionLists
 from .neighbors import NeighborTable
 from .tree import BallTree, TreeNode
@@ -104,6 +102,9 @@ class BlockProvider:
         """Heap bytes held by the cached blocks."""
         return self._nbytes
 
+    #: Whether the blocks are views of a file (never, for the in-memory provider).
+    disk_backed = False
+
     @property
     def bytes_on_disk(self) -> int:
         """Disk bytes backing the blocks (always 0 for the in-memory provider)."""
@@ -159,39 +160,37 @@ class CompressedMatrix:
     def default_engine(self) -> str:
         """Engine used when ``matvec`` is called without an explicit ``engine``.
 
-        Normally ``config.evaluation_engine``; when block caching was
-        disabled at compression time (the memory-bounded configuration) and
-        the configured engine requires cached blocks (the packed plan does),
-        the default falls back to the ``"streamed"`` engine — level-batched
-        GEMMs with chunked block materialization in a bounded workspace —
-        rather than silently packing every block into a plan.  Without a
-        source matrix to stream from the fallback is ``"reference"``.  Pass
+        Residency decides: ``"planned"`` when every block is on the heap —
+        no provider is disk-backed (an mmap-opened store's are, even when
+        it holds no blocks), and either both caches are on or the packed
+        plan is already built — since the plan packs every block.
+        Otherwise ``"streamed"``: memoryless compressions and mmap-opened
+        stores materialize blocks chunk by chunk in a bounded workspace
+        rather than copying them all into a plan.  Pass
         ``engine="planned"`` (or call :meth:`plan`) to opt into the packed
         engine anyway.
         """
-        engine = getattr(self.config, "evaluation_engine", "planned")
-        if (
-            is_registered(engine)
-            and get_engine(engine).requires_cached_blocks
-            and self._plan is None
-            and not (self.config.cache_near_blocks and self.config.cache_far_blocks)
-        ):
-            return "streamed" if self.matrix is not None else "reference"
-        return engine
+        on_disk = self.near_blocks.disk_backed or self.far_blocks.disk_backed
+        cached = self.config.cache_near_blocks and self.config.cache_far_blocks
+        return "planned" if not on_disk and (cached or self._plan is not None) else "streamed"
 
     def matvec(self, w: np.ndarray, engine: Optional[str] = None) -> np.ndarray:
         """Approximate product ``K̃ w`` (Algorithm 2.7); accepts (N,) or (N, r).
 
-        ``engine`` names a registered evaluation engine (see
-        :mod:`repro.core.engines`): ``"planned"`` executes level-batched
-        GEMMs over the cached plan, ``"streamed"`` runs the same passes
-        with chunked on-the-fly block materialization in a bounded
-        workspace (:mod:`repro.core.streaming`; bit-identical to the
-        reference traversal), ``"reference"`` runs the per-node traversal
-        of :mod:`repro.core.evaluate`.  Defaults to :meth:`default_engine`.
+        ``engine="planned"`` executes level-batched GEMMs over the cached
+        plan; ``"streamed"`` runs the same passes with chunked on-the-fly
+        block materialization in a bounded workspace
+        (:mod:`repro.core.streaming`; bit-identical to the per-node
+        traversal of Algorithm 2.7).  Defaults to :meth:`default_engine`.
         """
         engine = engine or self.default_engine()
-        return get_engine(engine)(self, w, counters=self.counters)
+        if engine == "planned":
+            return evaluate_planned(self, w, counters=self.counters)
+        if engine == "streamed":
+            from .streaming import evaluate_streamed
+
+            return evaluate_streamed(self, w, counters=self.counters)
+        raise EvaluationError(f"unknown evaluation engine {engine!r}; use 'planned' or 'streamed'")
 
     def __matmul__(self, w: np.ndarray) -> np.ndarray:
         return self.matvec(w)

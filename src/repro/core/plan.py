@@ -1,11 +1,9 @@
 """Packed evaluation plan: Algorithm 2.7 as level-batched GEMMs.
 
-The reference engine in :mod:`repro.core.evaluate` executes the four task
-families (N2S / S2S / S2N / L2L) one tree node at a time, storing every
-intermediate ``w̃`` / ``ũ`` in a dict keyed by node id.  That is faithful to
-the paper's task formulation and is kept as the correctness oracle, but the
-hot path is dominated by interpreter and allocation overhead rather than
-BLAS.
+The paper states the evaluation as four task families (N2S / S2S / S2N /
+L2L) run one tree node at a time.  Run that way in Python, the hot path is
+dominated by interpreter and allocation overhead rather than BLAS (the
+per-node traversal survives only as the test suite's oracle).
 
 This module flattens the tree, once per compression, into an
 :class:`EvaluationPlan`:
@@ -51,9 +49,9 @@ a node becomes a single GEMM with a large inner dimension, and every
 scatter target appears exactly once per stage, keeping every scatter a
 plain vectorized fancy-index add — no ``np.add.at`` in the hot loop.
 
-:func:`evaluate_planned` is numerically equivalent to
-:func:`repro.core.evaluate.evaluate` up to floating-point summation order
-(the equivalence tests assert agreement to 1e-10).
+:func:`evaluate_planned` is numerically equivalent to the per-node
+traversal up to floating-point summation order (the equivalence tests
+assert agreement to 1e-10).
 
 **Thread safety / reentrancy.**  The plan itself (packed coefficients,
 blocks, index tables) is immutable after :func:`build_plan`; all mutable
@@ -70,6 +68,7 @@ always freshly allocated — it is handed to the caller.
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -77,10 +76,10 @@ import numpy as np
 from ..errors import CompressionError, EvaluationError
 from ..obs import counters as _obs_counters
 from ..obs.trace import get_tracer
-from .evaluate import EvaluationCounters, _as_matrix
 
 __all__ = [
     "BUCKETING_MODES",
+    "EvaluationCounters",
     "EvaluationPlan",
     "PassLayout",
     "PlanContext",
@@ -91,6 +90,38 @@ __all__ = [
     "gather_gemm_scatter",
     "pad_ranks",
 ]
+
+
+@dataclass
+class EvaluationCounters:
+    """FLOP counters per task family (used for the GFLOPS reporting of Table 5)."""
+
+    n2s: float = 0.0
+    s2s: float = 0.0
+    s2n: float = 0.0
+    l2l: float = 0.0
+
+    @property
+    def total(self) -> float:
+        return self.n2s + self.s2s + self.s2n + self.l2l
+
+    def add_flops(self, flops_per_rhs: Dict[str, float], num_rhs: int) -> None:
+        """Add a plan's per-RHS family flops (keys ``n2s`` … ``l2l``) for ``num_rhs`` columns."""
+        for family, flops in flops_per_rhs.items():
+            setattr(self, family, getattr(self, family) + flops * num_rhs)
+
+
+def _as_matrix(w: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim == 1:
+        if w.shape[0] != n:
+            raise EvaluationError(f"weight vector has length {w.shape[0]}, expected {n}")
+        return w.reshape(n, 1), True
+    if w.ndim == 2:
+        if w.shape[0] != n:
+            raise EvaluationError(f"weight matrix has {w.shape[0]} rows, expected {n}")
+        return w, False
+    raise EvaluationError("weights must be a vector or a 2-D array")
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +410,7 @@ def _active_nodes(tree) -> np.ndarray:
 
     A node's ``w̃`` / ``ũ`` matters only if the node or one of its ancestors
     appears in a Far interaction (as source or target); everything else is
-    dead weight the reference engine computes anyway.
+    dead weight a per-node traversal computes anyway.
     """
     active = np.zeros(len(tree.nodes), dtype=bool)
     for node in tree.nodes:
@@ -592,7 +623,7 @@ def build_pass_layout(compressed, bucketing: str = "none") -> PassLayout:
     ``bucketing`` pads workspace ranks exactly like
     ``GOFMMConfig.plan_rank_bucketing``; the streamed engine always passes
     ``"none"`` (exact packing keeps its GEMM shapes — and therefore its
-    results — identical to the per-node reference traversal).
+    results — identical to the per-node traversal of Algorithm 2.7).
     """
     tree = compressed.tree
     levels = tree.levels()
@@ -782,7 +813,7 @@ def build_plan(compressed) -> EvaluationPlan:
 # ---------------------------------------------------------------------------
 
 def evaluate_planned(compressed, w: np.ndarray, counters: Optional[EvaluationCounters] = None) -> np.ndarray:
-    """Planned-engine matvec ``u ≈ K̃ w``; drop-in for :func:`repro.core.evaluate.evaluate`.
+    """Planned-engine matvec ``u ≈ K̃ w``; drop-in for the streamed engine.
 
     Builds (or reuses) the cached :class:`EvaluationPlan` of ``compressed``
     and executes it sequentially.  Accepts ``(N,)`` or ``(N, r)`` weights.

@@ -3,12 +3,12 @@
 The ``"planned"`` engine (:mod:`repro.core.plan`) is fast because every
 near/far block is packed up front — which is exactly what a memoryless
 compression (``cache_near_blocks=False`` / ``cache_far_blocks=False``, the
-only way to run large ``n`` at bounded memory) cannot afford.  Until now
-those configurations fell back to the per-node ``"reference"`` traversal and
-lost the level-batched-GEMM speedup.
+only way to run large ``n`` at bounded memory) cannot afford, and which an
+mmap-opened store should not copy onto the heap.
 
-This module is the third registered engine, ``"streamed"``
-(``requires_cached_blocks=False``): it shares the planned engine's
+This module is the second engine, ``"streamed"``, which
+:meth:`~repro.core.hmatrix.CompressedMatrix.default_engine` picks whenever
+the blocks are not all resident: it shares the planned engine's
 :class:`~repro.core.plan.PassLayout` (workspace offsets, packed N2S / S2N
 level segments) and replaces eager block storage with **chunked on-the-fly
 materialization**:
@@ -18,8 +18,8 @@ materialization**:
   most once, so same-shape pairs batch into one 3-D GEMM with a plain
   vectorized scatter-add, while each target's accumulator still receives
   its contributions *in far-list order* — the same per-pair products in
-  the same order as the reference traversal, which is what makes the
-  streamed matvec **bit-identical** to ``"reference"`` (concatenating a
+  the same order as the per-node traversal of Algorithm 2.7, which is what
+  makes the streamed matvec **bit-identical** to it (concatenating a
   target's blocks into one wide GEMM, as the planned engine does, changes
   the accumulation order).  L2L is organized the same way over Near lists.
 * **chunks** — the round segments are packed, in execution order, into
@@ -27,10 +27,10 @@ materialization**:
   blocks are materialized into a reusable buffer (cached blocks are copied,
   missing ones evaluated in stacked batches through
   :meth:`repro.matrices.base.SPDMatrix.entries_batched` — bitwise equal to
-  the per-pair evaluation the reference engine performs) and the chunk's
-  GEMMs run from that buffer.  All cycling buffers together stay within
-  the configured budget, so evaluation-phase block memory is bounded no
-  matter how many interaction pairs the compression has.
+  a per-pair evaluation) and the chunk's GEMMs run from that buffer.  All
+  cycling buffers together stay within the configured budget, so
+  evaluation-phase block memory is bounded no matter how many interaction
+  pairs the compression has.
 * **buffered pipelining** — upcoming chunks materialize on the shared
   persistent :class:`~repro.runtime.executor.WorkerPool` while the current
   chunk's GEMMs execute (materialization dominates a memoryless matvec and
@@ -38,7 +38,7 @@ materialization**:
   ahead of the executor), block evaluation fully overlapping compute.  The
   execution chain itself is strictly sequential (chunk order, with the S2N
   pass between the last S2S chunk and the first L2L chunk), keeping the
-  result deterministic and reference-identical.
+  result deterministic and equal to the per-node traversal's.
 
 The engine works for *any* caching configuration — cached blocks are simply
 copied instead of re-evaluated — so ``near-only`` / ``far-only`` caching
@@ -61,8 +61,7 @@ from ..errors import EvaluationError, SpillCapacityError
 from ..obs import counters as _obs_counters
 from ..obs import get_logger
 from ..obs.trace import get_tracer
-from .evaluate import EvaluationCounters, _as_matrix
-from .plan import PassLayout, PlanContext, build_pass_layout, gather_gemm_scatter
+from .plan import EvaluationCounters, PassLayout, PlanContext, _as_matrix, build_pass_layout, gather_gemm_scatter
 
 _LOG = get_logger("core.streaming")
 
@@ -625,7 +624,7 @@ class StreamingPlan:
         materializations and executions, gated only by its buffer being
         free again (``exec:i-len(buffers)`` done — the buffers cycle).  The
         S2N pass sits between the last S2S chunk and the first L2L chunk,
-        matching the reference traversal's stage order on the shared output
+        matching the per-node traversal's stage order on the shared output
         rows.
         """
         from ..runtime.task import Task, TaskGraph
@@ -721,7 +720,7 @@ def _round_segments(
     Round ``j`` takes each target's ``j``-th pair, so every target appears
     at most once per round — scatter targets stay disjoint within every
     segment while each target's accumulation order remains its list order
-    (the reference engine's order).  Segments larger than the chunk budget
+    (the per-node traversal's order).  Segments larger than the chunk budget
     are split along the batch dimension, which preserves both properties.
     """
     segments: List[StreamSegment] = []
@@ -804,7 +803,7 @@ def build_streaming_plan(compressed) -> StreamingPlan:
 
     The pass layout is built with exact (unbucketed) rank packing — zero
     padding would change GEMM shapes and break the engine's bit-identity
-    with the reference traversal.
+    with the per-node traversal.
     """
     config = compressed.config
     tree = compressed.tree
@@ -861,7 +860,7 @@ def build_streaming_plan(compressed) -> StreamingPlan:
 # ---------------------------------------------------------------------------
 
 def evaluate_streamed(compressed, w: np.ndarray, counters: Optional[EvaluationCounters] = None) -> np.ndarray:
-    """Streamed-engine matvec ``u ≈ K̃ w``; drop-in for the other engines.
+    """Streamed-engine matvec ``u ≈ K̃ w``; drop-in for the planned engine.
 
     Builds (or reuses) the cached :class:`StreamingPlan` of ``compressed``
     and executes it with double-buffered chunk materialization.  Accepts

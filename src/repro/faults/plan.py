@@ -1,11 +1,11 @@
 """Deterministic fault plans: what to break, where, and on which call.
 
 A :class:`FaultPlan` is a seeded script of failures against named *fault
-points* — seams the pipeline code declares once (the registry below, same
-register/validate shape as :mod:`repro.core.engines`) and fires through
-:func:`repro.faults.injection.fire` on every pass.  With no plan armed a
-fire is a single module-global ``None`` check (the :mod:`repro.obs.trace`
-fast-path idiom); with a plan armed, each registered :class:`FaultSpec`
+points* — seams the pipeline code declares once (the registry below)
+and fires through :func:`repro.faults.injection.fire` on every pass.
+With no plan armed a fire is a single module-global ``None`` check (the
+:mod:`repro.obs.trace` fast-path idiom); with a plan armed, each
+registered :class:`FaultSpec`
 consults its trigger schedule and acts:
 
 ``error``  raise the configured exception at the fault point,

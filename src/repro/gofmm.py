@@ -14,10 +14,11 @@ Typical one-shot usage::
     u = Ktilde.matvec(w)                      # ≈ K @ w in O(N) / O(N log N)
     eps2 = Ktilde.relative_error()            # the paper's ε2 metric
 
-``matvec`` accepts any engine registered in :mod:`repro.core.engines`
-(built-ins: ``"planned"``, packed level-batched GEMMs over the cached
-evaluation plan, and ``"reference"``, the per-node traversal of
-Algorithm 2.7 kept as the correctness oracle).
+``matvec`` runs one of two engines, picked by where the blocks live
+(:meth:`CompressedMatrix.default_engine`): ``"planned"``, packed
+level-batched GEMMs over the cached evaluation plan, when every block is
+resident, and ``"streamed"``, the same passes with blocks materialized
+chunk by chunk in a bounded workspace, otherwise.
 
 Compression has one skeletonizer (:mod:`repro.core.skeletonization`): a
 bottom-up level sweep of shape-bucketed stacked pivoted QRs.
@@ -190,7 +191,7 @@ def run(
     This is the unit of work behind every table/figure harness in
     ``benchmarks/``: it mirrors the paper's experiment workflow (compress,
     evaluate, report runtime and accuracy).  ``engine`` overrides the
-    matvec engine (``"planned"`` / ``"reference"``); the planned engine's
+    matvec engine (``"planned"`` / ``"streamed"``); the planned engine's
     one-time plan construction is charged to evaluation time here.
 
     Passing ``session`` reuses that session's cached stage artifacts

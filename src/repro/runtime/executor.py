@@ -4,17 +4,16 @@ The scheduler simulations in :mod:`repro.runtime.schedulers` answer "how
 long would this DAG take on machine X under policy Y"; this module answers
 the complementary correctness question: the evaluation of Algorithm 2.7
 really can be executed out of order, constrained only by the RAW edges of
-the symbolic DAG, and produce the same result as the sequential driver.
+the symbolic DAG, and produce the same result as the sequential engines.
 
-Two engines share one worker pool:
+Both engines share one worker pool:
 
-* ``engine="planned"`` (default) runs over the *segments* of the packed
+* ``engine="planned"`` runs over the *segments* of the packed
   :class:`repro.core.plan.EvaluationPlan` — a few dozen batched GEMMs with
   level/stage dependencies (:func:`repro.runtime.dag.build_plan_dag`) —
-  instead of re-binding one closure per tree node,
-* ``engine="reference"`` executes the per-node task functions of
-  :mod:`repro.core.evaluate` over the per-node DAG, as the original
-  correctness oracle for out-of-order traversal.
+  instead of one task per tree node,
+* ``engine="streamed"`` runs the streaming plan's chunk pipeline, its
+  materializers drawing from the same pool.
 
 The pool itself is a :class:`WorkerPool`: a condition-variable work queue
 whose workers sleep until a task becomes ready, an error is recorded, or a
@@ -38,9 +37,9 @@ completions so a wedged payload cannot hang a server evaluation forever.
 
 Output writes (S2N-at-leaves and L2L, which overlap on ``ctx.output``) are
 serialized per *leaf range*, not through one shared lock: the leaves are
-split into contiguous stripes with one lock each, and a task (or plan
-segment) holds exactly the stripes its leaves fall in — tasks writing
-disjoint leaf ranges proceed concurrently.
+split into contiguous stripes with one lock each, and a plan segment
+holds exactly the stripes its leaves fall in — segments writing disjoint
+leaf ranges proceed concurrently.
 """
 
 from __future__ import annotations
@@ -48,33 +47,22 @@ from __future__ import annotations
 import heapq
 import threading
 import time
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from ..core.evaluate import EvaluationState, _as_matrix, task_l2l, task_n2s, task_s2n, task_s2s
 from ..core.hmatrix import CompressedMatrix
+from ..core.plan import _as_matrix
 from ..errors import ExecutorStallError, SchedulingError
 from ..obs import counters as _obs_counters
 from ..obs import get_logger
 from ..obs.trace import get_tracer
-from .costs import CostModel
-from .dag import build_evaluation_dag, build_plan_dag
+from .dag import build_plan_dag
 from .task import TaskGraph
 
-__all__ = ["ParallelEvaluation", "WorkerPool", "parallel_evaluate", "run_task_graph"]
+__all__ = ["WorkerPool", "parallel_evaluate", "run_task_graph"]
 
 _LOG = get_logger("runtime.executor")
-
-
-@dataclass
-class ParallelEvaluation:
-    """Result of a threaded evaluation: the product plus execution statistics."""
-
-    output: np.ndarray
-    tasks_executed: int
-    num_workers: int
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +79,7 @@ class _GraphRun:
 
     def __init__(self, graph: TaskGraph, payloads: Optional[Dict[str, Callable[[], None]]]) -> None:
         self.graph = graph
-        self.payloads = payloads
+        self.payloads = payloads or {}
         self.pending = {tid: len(graph.predecessors(tid)) for tid in graph.tasks}
         self.remaining = len(graph.tasks)
         self.in_flight = 0
@@ -100,11 +88,6 @@ class _GraphRun:
         self.executed = 0
         self.errors: list[BaseException] = []
         self.finished = False
-
-    def payload_for(self, tid: str):
-        if self.payloads is not None:
-            return self.payloads.get(tid)
-        return self.graph.tasks[tid].payload
 
 
 class WorkerPool:
@@ -182,8 +165,8 @@ class WorkerPool:
     ) -> int:
         """Execute every task of ``graph``, honoring RAW edges; returns the count.
 
-        ``payloads`` maps task ids to callables; tasks without a payload (or
-        with ``task.payload`` unset) are treated as no-ops.  The first
+        ``payloads`` maps task ids to callables; tasks without a payload
+        are treated as no-ops.  The first
         payload exception is re-raised here once no more of this graph's
         tasks are in flight.  A dependency deadlock (no ready task, none in
         flight, tasks remaining) raises :class:`SchedulingError` instead of
@@ -263,7 +246,7 @@ class WorkerPool:
                     continue  # failed/abandoned run: drop its queued tasks
                 run.in_flight += 1
                 run.in_flight_tids.add(tid)
-            payload = run.payload_for(tid)
+            payload = run.payloads.get(tid)
             exc: Optional[BaseException] = None
             try:
                 if payload is not None:
@@ -334,109 +317,6 @@ def run_task_graph(
     return result
 
 
-def _leaf_stripes(tree, num_workers: int) -> tuple[list, np.ndarray]:
-    """The output striping policy shared by both engines.
-
-    Returns one lock per stripe and the stripe index of every leaf slot
-    (left-to-right leaf order, balanced contiguous ranges).
-    """
-    num_leaves = len(tree.leaves)
-    num_stripes = max(1, min(4 * num_workers, num_leaves))
-    stripe_of_leaf = np.arange(num_leaves, dtype=np.intp) * num_stripes // num_leaves
-    return [threading.Lock() for _ in range(num_stripes)], stripe_of_leaf
-
-
-# ---------------------------------------------------------------------------
-# reference engine: per-node task DAG
-# ---------------------------------------------------------------------------
-
-def _attach_payloads(
-    graph: TaskGraph, compressed: CompressedMatrix, state: EvaluationState, num_workers: int = 4
-) -> None:
-    """Bind each DAG task to the numerical function it performs."""
-    tree = compressed.tree
-    locks: dict[int, threading.Lock] = {}
-
-    def lock_for(node_id: int) -> threading.Lock:
-        # One lock per tree node protects its ũ accumulator: S2S and S2N(parent)
-        # may both add into the same node's potentials concurrently.
-        if node_id not in locks:
-            locks[node_id] = threading.Lock()
-        return locks[node_id]
-
-    # The output is striped by leaf range: each S2N-at-leaf / L2L task writes
-    # exactly one leaf's output rows, so it takes only its leaf's stripe lock
-    # instead of one lock shared across the whole output.
-    stripe_locks, stripe_of_leaf = _leaf_stripes(tree, num_workers)
-    leaf_stripe = {
-        leaf.node_id: stripe_locks[stripe_of_leaf[slot]] for slot, leaf in enumerate(tree.leaves)
-    }
-
-    def output_lock_for(node_id: int) -> threading.Lock:
-        return leaf_stripe[node_id]
-
-    for task in graph.tasks.values():
-        node = tree.node(task.node_id)
-        if task.kind == "N2S":
-            task.payload = (lambda n=node: task_n2s(n, state))
-        elif task.kind == "S2S":
-            def s2s_payload(n=node):
-                with lock_for(n.node_id):
-                    task_s2s(n, state, compressed.far_blocks)
-            task.payload = s2s_payload
-        elif task.kind == "S2N":
-            def s2n_payload(n=node):
-                # Writes this node's children potentials (internal) or the output (leaf).
-                if n.is_leaf:
-                    with output_lock_for(n.node_id):
-                        task_s2n(n, state)
-                else:
-                    left, right = n.children()
-                    first, second = sorted((left.node_id, right.node_id))
-                    with lock_for(first), lock_for(second):
-                        task_s2n(n, state)
-            task.payload = s2n_payload
-        elif task.kind == "L2L":
-            def l2l_payload(n=node):
-                with output_lock_for(n.node_id):
-                    task_l2l(n, state, tree, compressed.near_blocks)
-            task.payload = l2l_payload
-        else:  # pragma: no cover - evaluation DAG only contains the four kinds above
-            raise SchedulingError(f"unexpected task kind {task.kind!r} in evaluation DAG")
-
-
-def _run_graph(
-    graph: TaskGraph,
-    num_workers: int,
-    payloads,
-    pool: Optional[WorkerPool],
-    stall_timeout: Optional[float],
-) -> int:
-    if pool is not None:
-        return pool.run(graph, payloads=payloads, stall_timeout=stall_timeout)
-    return run_task_graph(graph, num_workers, payloads=payloads, stall_timeout=stall_timeout)
-
-
-def _parallel_evaluate_reference(
-    compressed: CompressedMatrix,
-    weights: np.ndarray,
-    num_workers: int,
-    pool: Optional[WorkerPool] = None,
-    stall_timeout: Optional[float] = None,
-) -> np.ndarray:
-    tree = compressed.tree
-    state = EvaluationState(weights=weights, output=np.zeros_like(weights))
-    cost = CostModel(
-        leaf_size=compressed.config.leaf_size,
-        rank=max(1, int(round(compressed.rank_summary()["mean"]))),
-        num_rhs=weights.shape[1],
-    )
-    graph = build_evaluation_dag(tree, cost)
-    _attach_payloads(graph, compressed, state, num_workers=num_workers)
-    _run_graph(graph, num_workers, None, pool, stall_timeout)
-    return state.output
-
-
 # ---------------------------------------------------------------------------
 # planned engine: plan-segment DAG
 # ---------------------------------------------------------------------------
@@ -476,7 +356,11 @@ def _output_stripe_locks(compressed: CompressedMatrix, segments: dict, num_worke
     ranges now add into the output concurrently.
     """
     tree = compressed.tree
-    stripe_locks, stripe_of_leaf = _leaf_stripes(tree, num_workers)
+    num_leaves = len(tree.leaves)
+    num_stripes = max(1, min(4 * num_workers, num_leaves))
+    stripe_locks = [threading.Lock() for _ in range(num_stripes)]
+    # balanced contiguous ranges in left-to-right leaf order
+    stripe_of_leaf = np.arange(num_leaves, dtype=np.intp) * num_stripes // num_leaves
     stripe_of_row = np.empty(tree.n, dtype=np.intp)
     for slot, leaf in enumerate(tree.leaves):
         stripe_of_row[leaf.indices] = stripe_of_leaf[slot]
@@ -513,7 +397,10 @@ def _parallel_evaluate_planned(
         tid: (lambda s=seg, l=out_locks[tid]: s.run(ctx, out_lock=l))
         for tid, seg in segments.items()
     }
-    _run_graph(graph, num_workers, payloads, pool, stall_timeout)
+    if pool is not None:
+        pool.run(graph, payloads=payloads, stall_timeout=stall_timeout)
+    else:
+        run_task_graph(graph, num_workers, payloads=payloads, stall_timeout=stall_timeout)
     # Release only on success: after a failed or watchdog-abandoned run an
     # in-flight payload may still be writing through the context, so pooling
     # its buffers could corrupt a later evaluation — let the GC take them.
@@ -537,11 +424,10 @@ def parallel_evaluate(
 ) -> np.ndarray:
     """Evaluate ``K̃ w`` by executing the evaluation DAG with ``num_workers`` threads.
 
-    ``engine="planned"`` (default) schedules the batched segments of the
-    cached evaluation plan; ``engine="reference"`` schedules one task per
-    tree node, re-using the exact task functions of the sequential driver.
-    Both agree with the sequential engines to floating-point summation
-    order.  ``engine="streamed"`` runs the streaming plan's chunk pipeline
+    ``engine`` defaults to :meth:`CompressedMatrix.default_engine`.
+    ``engine="planned"`` schedules the batched segments of the cached
+    evaluation plan, agreeing with the sequential planned engine to
+    floating-point summation order.  ``engine="streamed"`` runs the streaming plan's chunk pipeline
     (bit-identical to the sequential streamed engine — its execution chain
     is sequential by design); its concurrency is bounded by the pipeline's
     buffer count, so ``num_workers`` does not apply to it.  Passing a
@@ -559,8 +445,6 @@ def parallel_evaluate(
     weights, was_vector = _as_matrix(w, compressed.tree.n)
     if engine == "planned":
         output = _parallel_evaluate_planned(compressed, weights, num_workers, pool, stall_timeout)
-    elif engine == "reference":
-        output = _parallel_evaluate_reference(compressed, weights, num_workers, pool, stall_timeout)
     elif engine == "streamed":
         # The streaming plan is already a task graph (chunk pipeline); run
         # it on the caller's pool so serving shares one set of workers.
@@ -572,6 +456,6 @@ def parallel_evaluate(
         )
     else:
         raise SchedulingError(
-            f"unknown evaluation engine {engine!r}; use 'planned', 'streamed' or 'reference'"
+            f"unknown evaluation engine {engine!r}; use 'planned' or 'streamed'"
         )
     return output[:, 0] if was_vector else output

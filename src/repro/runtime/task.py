@@ -11,7 +11,7 @@ validates acyclicity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from ..errors import SchedulingError
 
@@ -41,8 +41,9 @@ class Task:
     gpu_eligible:
         whether a GPU worker may execute the task (the paper offloads only
         the large GEMM-like evaluation tasks, chiefly ``L2L``).
-    payload:
-        optional callable executed by the real (threaded) executor.
+
+    The threaded executor takes the callables it runs separately, keyed by
+    ``task_id`` (:meth:`repro.runtime.executor.WorkerPool.run`).
     """
 
     task_id: str
@@ -53,7 +54,6 @@ class Task:
     bytes_moved: float = 0.0
     memory_bound: bool = False
     gpu_eligible: bool = False
-    payload: Optional[Callable[[], None]] = None
 
     def __hash__(self) -> int:
         return hash(self.task_id)

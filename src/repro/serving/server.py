@@ -71,13 +71,12 @@ def _prebuild_plan(operator: CompressedOperator) -> None:
     """Build the default engine's execution plan so the first request skips it.
 
     ``"planned"`` prebuilds the packed plan; ``"streamed"`` — the default of
-    memoryless (uncached-block) operators, which are servable like any
-    other — prebuilds the chunked streaming plan.
+    memoryless (uncached-block) and mmap-opened operators, which are
+    servable like any other — prebuilds the chunked streaming plan.
     """
-    engine = operator.default_engine()
-    if engine == "planned":
+    if operator.default_engine() == "planned":
         operator.compressed.plan()
-    elif engine == "streamed":
+    else:
         operator.compressed.streaming_plan()
 
 

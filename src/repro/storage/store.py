@@ -354,12 +354,16 @@ class StoredBlockProvider:
         return len(self._index)
 
     @property
+    def disk_backed(self) -> bool:
+        return is_disk_backed(self._data)
+
+    @property
     def bytes_resident(self) -> int:
-        return 0 if is_disk_backed(self._data) else int(self._data.nbytes)
+        return 0 if self.disk_backed else int(self._data.nbytes)
 
     @property
     def bytes_on_disk(self) -> int:
-        return int(self._data.nbytes) if is_disk_backed(self._data) else 0
+        return int(self._data.nbytes) if self.disk_backed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -557,10 +561,10 @@ class OperatorStore:
         """Rebuild the :class:`~repro.core.hmatrix.CompressedMatrix`.
 
         ``resident="mmap"`` keeps coefficients and blocks as read-only
-        mmap views (paged in on demand) and defaults the evaluation
-        engine to ``"streamed"`` so matvecs run level-batched passes in
-        the bounded chunk workspace; ``resident="ram"`` loads everything
-        eagerly and keeps the engine the operator was saved with.
+        mmap views (paged in on demand), so matvecs default to the
+        ``"streamed"`` engine's level-batched passes in the bounded chunk
+        workspace; ``resident="ram"`` loads everything eagerly, so a fully
+        cached store runs the ``"planned"`` engine like a fresh operator.
         ``matrix`` re-attaches the source SPD matrix (required to
         evaluate stores saved from memoryless compressions).
         """
@@ -571,8 +575,6 @@ class OperatorStore:
         self._validate_manifest(manifest)
 
         config = config_from_jsonable(manifest["config"])
-        if mmap:
-            config_overrides.setdefault("evaluation_engine", "streamed")
         if config_overrides:
             config = config.replace(**config_overrides)
 

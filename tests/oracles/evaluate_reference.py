@@ -1,6 +1,7 @@
-"""Evaluation phase (§2.2, Algorithm 2.7): the fast matvec ``u ≈ K̃ w``.
+"""Per-node form of the evaluation phase (Algorithm 2.7) — the matvec oracle.
 
-Four task families, matching Table 2:
+Relocated from ``src/repro/core/evaluate.py`` when block residency became
+the only engine switch.  Four task families, matching Table 2:
 
 * ``N2S`` (nodes → skeletons, postorder): skeleton weights
   ``w̃_β = P_{β̃β} w_β`` at leaves and ``w̃_α = P_{α̃[l̃r̃]} [w̃_l; w̃_r]`` at
@@ -13,11 +14,12 @@ Four task families, matching Table 2:
   ``u_β += Σ_{α ∈ Near(β)} K_{βα} w_α``, which includes the dense diagonal
   blocks because ``β ∈ Near(β)``.
 
-The functions are written so that each task is a standalone unit operating
-on a shared state object; the sequential driver below simply runs them in a
-valid order, while :mod:`repro.runtime` builds a dependency DAG over the
-very same task functions to execute them out of order (in parallel or in a
-scheduler simulation).
+One node and one block at a time, intermediates in dicts keyed by node id:
+slow, obvious, and independent of the plan's packing, rank padding and
+chunking.  The streamed engine accumulates every target in the same order
+and must equal it bitwise (``np.array_equal``); the planned engine
+concatenates each target's blocks into one GEMM and agrees to summation
+order.
 """
 
 from __future__ import annotations
@@ -27,39 +29,13 @@ from typing import Dict
 
 import numpy as np
 
-from ..errors import EvaluationError
-from .tree import BallTree, TreeNode
-
-__all__ = ["EvaluationState", "EvaluationCounters", "evaluate", "task_n2s", "task_s2s", "task_s2n", "task_l2l"]
-
-
-@dataclass
-class EvaluationCounters:
-    """FLOP counters per task family (used for the GFLOPS reporting of Table 5)."""
-
-    n2s: float = 0.0
-    s2s: float = 0.0
-    s2n: float = 0.0
-    l2l: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.n2s + self.s2s + self.s2n + self.l2l
-
-    def add_flops(self, flops_per_rhs: Dict[str, float], num_rhs: int) -> None:
-        """Add a plan's per-RHS family flops (keys ``n2s`` … ``l2l``) for ``num_rhs`` columns."""
-        for family, flops in flops_per_rhs.items():
-            setattr(self, family, getattr(self, family) + flops * num_rhs)
+from repro.core.plan import EvaluationCounters, _as_matrix
+from repro.errors import EvaluationError
 
 
 @dataclass
 class EvaluationState:
-    """Mutable per-matvec state shared by the evaluation tasks.
-
-    ``skeleton_weights[node_id]`` holds ``w̃`` (shape ``(rank, r)``) and
-    ``skeleton_potentials[node_id]`` holds ``ũ``.  ``output`` accumulates the
-    result ``u``.
-    """
+    """Per-matvec state: ``w̃`` and ``ũ`` per node id, and the output ``u``."""
 
     weights: np.ndarray
     output: np.ndarray
@@ -68,24 +44,7 @@ class EvaluationState:
     counters: EvaluationCounters = field(default_factory=EvaluationCounters)
 
 
-def _as_matrix(w: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim == 1:
-        if w.shape[0] != n:
-            raise EvaluationError(f"weight vector has length {w.shape[0]}, expected {n}")
-        return w.reshape(n, 1), True
-    if w.ndim == 2:
-        if w.shape[0] != n:
-            raise EvaluationError(f"weight matrix has {w.shape[0]} rows, expected {n}")
-        return w, False
-    raise EvaluationError("weights must be a vector or a 2-D array")
-
-
-# ---------------------------------------------------------------------------
-# individual tasks
-# ---------------------------------------------------------------------------
-
-def task_n2s(node: TreeNode, state: EvaluationState) -> None:
+def task_n2s(node, state: EvaluationState) -> None:
     """N2S(α): compute the node's skeleton weights ``w̃_α``."""
     if node.is_root or node.coeffs is None:
         return
@@ -95,25 +54,23 @@ def task_n2s(node: TreeNode, state: EvaluationState) -> None:
         return
     if node.is_leaf:
         local = state.weights[node.indices]
-        state.skeleton_weights[node.node_id] = node.coeffs @ local
-        state.counters.n2s += 2.0 * node.coeffs.shape[0] * node.coeffs.shape[1] * r
     else:
         left, right = node.children()
         wl = state.skeleton_weights.get(left.node_id)
         wr = state.skeleton_weights.get(right.node_id)
         if wl is None or wr is None:
             raise EvaluationError(f"N2S({node.node_id}) ran before its children (postorder violated)")
-        stacked = np.vstack([wl, wr]) if (wl.size or wr.size) else np.zeros((0, r))
-        if stacked.shape[0] != node.coeffs.shape[1]:
+        local = np.vstack([wl, wr]) if (wl.size or wr.size) else np.zeros((0, r))
+        if local.shape[0] != node.coeffs.shape[1]:
             raise EvaluationError(
                 f"N2S({node.node_id}): coefficient width {node.coeffs.shape[1]} does not match "
-                f"children skeleton sizes {stacked.shape[0]}"
+                f"children skeleton sizes {local.shape[0]}"
             )
-        state.skeleton_weights[node.node_id] = node.coeffs @ stacked
-        state.counters.n2s += 2.0 * node.coeffs.shape[0] * node.coeffs.shape[1] * r
+    state.skeleton_weights[node.node_id] = node.coeffs @ local
+    state.counters.n2s += 2.0 * node.coeffs.shape[0] * node.coeffs.shape[1] * r
 
 
-def task_s2s(node: TreeNode, state: EvaluationState, far_blocks: Dict[tuple[int, int], np.ndarray]) -> None:
+def task_s2s(node, state: EvaluationState, far_blocks) -> None:
     """S2S(β): accumulate skeleton potentials from every far node."""
     if node.is_root or node.skeleton_rank == 0:
         return
@@ -135,7 +92,7 @@ def task_s2s(node: TreeNode, state: EvaluationState, far_blocks: Dict[tuple[int,
         state.counters.s2s += 2.0 * block.shape[0] * block.shape[1] * r
 
 
-def task_s2n(node: TreeNode, state: EvaluationState) -> None:
+def task_s2n(node, state: EvaluationState) -> None:
     """S2N(β): push skeleton potentials down to children (or to the output at leaves)."""
     if node.is_root or node.coeffs is None:
         return
@@ -147,18 +104,16 @@ def task_s2n(node: TreeNode, state: EvaluationState) -> None:
     state.counters.s2n += 2.0 * node.coeffs.shape[0] * node.coeffs.shape[1] * r
     if node.is_leaf:
         state.output[node.indices] += contribution
-    else:
-        left, right = node.children()
-        split = left.skeleton_rank
-        if left.skeleton_rank:
-            acc_l = state.skeleton_potentials.setdefault(left.node_id, np.zeros((left.skeleton_rank, r)))
-            acc_l += contribution[:split]
-        if right.skeleton_rank:
-            acc_r = state.skeleton_potentials.setdefault(right.node_id, np.zeros((right.skeleton_rank, r)))
-            acc_r += contribution[split:]
+        return
+    left, right = node.children()
+    split = left.skeleton_rank
+    for child, part in ((left, contribution[:split]), (right, contribution[split:])):
+        if child.skeleton_rank:
+            acc = state.skeleton_potentials.setdefault(child.node_id, np.zeros((child.skeleton_rank, r)))
+            acc += part
 
 
-def task_l2l(node: TreeNode, state: EvaluationState, tree: BallTree, near_blocks: Dict[tuple[int, int], np.ndarray]) -> None:
+def task_l2l(node, state: EvaluationState, tree, near_blocks) -> None:
     """L2L(β): direct (dense) contribution from every near leaf."""
     if not node.is_leaf:
         return
@@ -172,33 +127,26 @@ def task_l2l(node: TreeNode, state: EvaluationState, tree: BallTree, near_blocks
         state.counters.l2l += 2.0 * block.shape[0] * block.shape[1] * r
 
 
-# ---------------------------------------------------------------------------
-# sequential driver
-# ---------------------------------------------------------------------------
-
-def evaluate(compressed, w: np.ndarray, counters: EvaluationCounters | None = None) -> np.ndarray:
+def reference_matvec(cm, w: np.ndarray, counters: EvaluationCounters | None = None) -> np.ndarray:
     """Sequential Algorithm 2.7 on a :class:`repro.core.hmatrix.CompressedMatrix`.
 
-    ``w`` may be a vector or an ``(N, r)`` matrix (GOFMM supports multiple
-    right-hand sides).  Returns an array of the same shape.
+    ``w`` may be a vector or an ``(N, r)`` matrix; returns the same shape.
+    Missing blocks are evaluated from ``cm.matrix`` one pair at a time.
     """
-    tree = compressed.tree
+    tree = cm.tree
     weights, was_vector = _as_matrix(w, tree.n)
     state = EvaluationState(weights=weights, output=np.zeros_like(weights))
 
     for node in tree.postorder():
         task_n2s(node, state)
     for node in tree.nodes:
-        task_s2s(node, state, compressed.far_blocks)
+        task_s2s(node, state, cm.far_blocks)
     for node in tree.preorder():
         task_s2n(node, state)
     for leaf in tree.leaves:
-        task_l2l(leaf, state, tree, compressed.near_blocks)
+        task_l2l(leaf, state, tree, cm.near_blocks)
 
     if counters is not None:
-        counters.n2s += state.counters.n2s
-        counters.s2s += state.counters.s2s
-        counters.s2n += state.counters.s2n
-        counters.l2l += state.counters.l2l
+        counters.add_flops(vars(state.counters), 1)
 
     return state.output[:, 0] if was_vector else state.output

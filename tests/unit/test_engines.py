@@ -1,101 +1,162 @@
-"""Unit tests for the evaluation-engine registry (repro.core.engines)."""
+"""Engine selection: block residency picks the engine, and nothing else does.
+
+``CompressedMatrix.default_engine`` returns ``"planned"`` exactly when no
+block provider is disk-backed and either both caches are on or the packed
+plan is already built; everything else streams.  The lattice below pins
+every combination of residency × caching × plan state to the answer the
+engine picked while a config field still named it (``evaluation_engine``,
+forced to ``"streamed"`` for mmap-opened stores).
+"""
+
+import json
 
 import numpy as np
 import pytest
 
 from repro import GOFMMConfig
+from repro.api import CompressedOperator, Session
 from repro.config import DistanceMetric
-from repro.core import engines
-from repro.errors import ConfigurationError, EvaluationError
-from repro.gofmm import compress
+from repro.errors import EvaluationError
 
 from ..conftest import make_gaussian_kernel_matrix
+from .test_ann_sweep import rewrite_npz_meta
+
+CACHING = {
+    "both-cached": (True, True),
+    "near-only": (True, False),
+    "far-only": (False, True),
+    "memoryless": (False, False),
+}
+
+
+def make_config(caching: str = "both-cached") -> GOFMMConfig:
+    cache_near, cache_far = CACHING[caching]
+    return GOFMMConfig(
+        leaf_size=32, max_rank=24, tolerance=1e-7, neighbors=8,
+        budget=0.2, num_neighbor_trees=3, distance=DistanceMetric.KERNEL, seed=0,
+        cache_near_blocks=cache_near, cache_far_blocks=cache_far,
+    )
 
 
 @pytest.fixture(scope="module")
-def compressed():
-    matrix = make_gaussian_kernel_matrix(n=180, d=3, bandwidth=1.5, seed=0)
-    config = GOFMMConfig(
-        leaf_size=32, max_rank=24, tolerance=1e-7, neighbors=8,
-        budget=0.2, num_neighbor_trees=3, distance=DistanceMetric.KERNEL, seed=0,
-    )
-    return compress(matrix, config)
+def matrix():
+    return make_gaussian_kernel_matrix(n=180, d=3, bandwidth=1.5, seed=0)
 
 
-class TestRegistry:
-    def test_builtins_registered(self):
-        assert engines.is_registered("planned")
-        assert engines.is_registered("reference")
-        assert set(engines.available_engines()) >= {"planned", "reference"}
-
-    def test_planned_requires_cached_blocks(self):
-        assert engines.get_engine("planned").requires_cached_blocks
-        assert not engines.get_engine("reference").requires_cached_blocks
-
-    def test_unknown_engine_raises_with_listing(self):
-        with pytest.raises(EvaluationError, match="registered engines"):
-            engines.get_engine("warp-drive")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(EvaluationError, match="already registered"):
-            engines.register("planned", lambda c, w, k: w)
-
-    def test_register_unregister_roundtrip(self):
-        spec = engines.register("doubling", lambda c, w, counters=None: 2.0 * np.asarray(w))
-        try:
-            assert engines.is_registered("doubling")
-            assert spec.name == "doubling"
-        finally:
-            engines.unregister("doubling")
-        assert not engines.is_registered("doubling")
-        with pytest.raises(EvaluationError):
-            engines.unregister("doubling")
+@pytest.fixture(scope="module")
+def stores(matrix, tmp_path_factory):
+    """One saved store per caching configuration, plus its fresh operator."""
+    root = tmp_path_factory.mktemp("engine-stores")
+    saved = {}
+    for caching in CACHING:
+        operator = Session(matrix, make_config(caching)).compress()
+        path = root / caching
+        operator.save(path)
+        saved[caching] = (operator, path)
+    return saved
 
 
-class TestDispatch:
-    def test_matvec_dispatches_to_custom_engine(self, compressed):
-        calls = []
+class TestDefaultEngineLattice:
+    @pytest.mark.parametrize("built", [False, True], ids=["plan-not-built", "plan-built"])
+    @pytest.mark.parametrize("caching", list(CACHING))
+    @pytest.mark.parametrize("residency", ["in-memory", "ram", "mmap"])
+    def test_cell(self, matrix, stores, residency, caching, built):
+        fresh, path = stores[caching]
+        if residency == "in-memory":
+            operator = Session(matrix, make_config(caching)).compress()
+        else:
+            operator = CompressedOperator.open(path, resident=residency, matrix=matrix)
+        if built:
+            # Only whether a plan exists matters; a stored partial cache
+            # cannot pack one itself (its provider never evaluates), so
+            # borrow the fresh twin's plan over the same tree.
+            operator.compressed._plan = fresh.compressed.plan()
+        if residency == "mmap":
+            expected = "streamed"
+        else:
+            expected = "planned" if caching == "both-cached" or built else "streamed"
+        assert operator.default_engine() == expected
 
-        def custom(cm, w, counters=None):
-            calls.append(cm)
-            return cm.matvec(w, engine="reference")
 
-        engines.register("custom-test", custom)
-        try:
-            w = np.random.default_rng(0).standard_normal(compressed.n)
-            out = compressed.matvec(w, engine="custom-test")
-            assert calls == [compressed]
-            assert np.allclose(out, compressed.matvec(w, engine="reference"))
-        finally:
-            engines.unregister("custom-test")
+class TestEngineArgument:
+    def test_unknown_engine_raises(self, stores, matrix):
+        operator, _ = stores["both-cached"]
+        for engine in ("reference", "nope"):
+            with pytest.raises(EvaluationError, match="unknown evaluation engine"):
+                operator.apply(np.zeros(matrix.n), engine=engine)
 
-    def test_matvec_unknown_engine_raises(self, compressed):
-        with pytest.raises(EvaluationError):
-            compressed.matvec(np.zeros(compressed.n), engine="nope")
+    def test_knob_is_gone(self):
+        assert "evaluation_engine" not in GOFMMConfig.__dataclass_fields__
+        with pytest.raises(TypeError):
+            GOFMMConfig(evaluation_engine="planned")
 
-    def test_config_validates_against_registry(self):
-        with pytest.raises(ConfigurationError):
-            GOFMMConfig(evaluation_engine="not-an-engine")
-        engines.register("config-test", lambda c, w, counters=None: w)
-        try:
-            config = GOFMMConfig(evaluation_engine="config-test")
-            assert config.evaluation_engine == "config-test"
-        finally:
-            engines.unregister("config-test")
 
-    def test_default_engine_falls_back_without_cached_blocks(self):
-        matrix = make_gaussian_kernel_matrix(n=150, d=3, bandwidth=1.2, seed=1)
-        config = GOFMMConfig(
-            leaf_size=25, max_rank=16, neighbors=8, budget=0.2, num_neighbor_trees=2,
-            cache_near_blocks=False, cache_far_blocks=False, seed=0,
-        )
-        cm = compress(matrix, config)
-        # "planned" requires cached blocks → the default degrades to the
-        # streamed engine until a plan is explicitly built.
-        assert cm.default_engine() == "streamed"
-        cm.plan()
-        assert cm.default_engine() == "planned"
-        # without a source matrix there is nothing to stream from
-        cm2 = compress(matrix, config)
-        cm2.matrix = None
-        assert cm2.default_engine() == "reference"
+class TestReportedEngine:
+    def test_repr_names_the_engine_that_runs(self, matrix):
+        operator = Session(matrix, make_config("memoryless")).compress()
+        assert operator.default_engine() == "streamed"
+        assert "engine=streamed" in repr(operator)
+        cached = Session(matrix, make_config()).compress()
+        assert "engine=planned" in repr(cached)
+
+    def test_mmap_memoryless_without_matrix_raises_streamed_error(self, stores, matrix):
+        _, path = stores["memoryless"]
+        operator = CompressedOperator.open(path, resident="mmap")
+        assert operator.default_engine() == "streamed"
+        with pytest.raises(EvaluationError, match="no source matrix"):
+            operator.apply(np.ones(matrix.n))
+
+
+# ---------------------------------------------------------------------------
+# files written while ``evaluation_engine`` was a config field still open
+# ---------------------------------------------------------------------------
+
+RETIRED_VALUES = ["planned", "streamed", "reference"]
+
+
+@pytest.mark.parametrize("value", RETIRED_VALUES)
+@pytest.mark.parametrize("residency", ["ram", "mmap"])
+def test_store_with_retired_engine_key_opens(tmp_path, stores, matrix, residency, value):
+    operator, _ = stores["both-cached"]
+    path = tmp_path / "op.store"
+    operator.save(path)
+    w = np.random.default_rng(1).standard_normal((matrix.n, 3))
+    expected = CompressedOperator.open(path, resident=residency).apply(w)
+
+    manifest_path = path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"]["evaluation_engine"] = value
+    manifest["fingerprints"]["plan"]["evaluation_engine"] = value
+    manifest_path.write_text(json.dumps(manifest))
+    reopened = CompressedOperator.open(path, resident=residency)
+    assert reopened.default_engine() == ("streamed" if residency == "mmap" else "planned")
+    assert reopened.apply(w).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("value", RETIRED_VALUES)
+@pytest.mark.parametrize("fmt", ["npz", "dir"])
+def test_artifact_with_retired_engine_key_loads(tmp_path, matrix, fmt, value):
+    config = make_config()
+    w = np.random.default_rng(2).standard_normal((matrix.n, 3))
+    expected = Session(matrix, config).compress().apply(w)
+    saver = Session(matrix, config)
+    path = tmp_path / ("artifacts.npz" if fmt == "npz" else "artifacts")
+    saver.save_artifacts(path, format=fmt)
+
+    def add_retired(meta):
+        meta["config"] = {"evaluation_engine": value}
+        meta["fingerprints"]["plan"] = {"evaluation_engine": value}
+
+    if fmt == "npz":
+        rewrite_npz_meta(path, add_retired)
+    else:
+        manifest_path = path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        add_retired(manifest)
+        manifest_path.write_text(json.dumps(manifest))
+
+    loader = Session(matrix, config)
+    assert loader.load_artifacts(path) == ("partition", "neighbors", "interactions")
+    operator = loader.compress()
+    assert operator.default_engine() == "planned"
+    assert operator.apply(w).tobytes() == expected.tobytes()

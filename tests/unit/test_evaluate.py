@@ -1,11 +1,11 @@
-"""Unit tests for the evaluation phase (Algorithm 2.7)."""
+"""Unit tests for the evaluation phase (Algorithm 2.7) through ``CompressedMatrix.matvec``."""
 
 import numpy as np
 import pytest
 
 from repro import EvaluationError, GOFMMConfig, compress
 from repro.config import DistanceMetric
-from repro.core.evaluate import EvaluationCounters, evaluate
+from repro.core.plan import EvaluationCounters
 
 from ..conftest import make_gaussian_kernel_matrix, make_random_spd
 
@@ -25,7 +25,7 @@ class TestMatvecCorrectness:
         matrix, cm = compressed_pair
         w = np.random.default_rng(0).standard_normal(matrix.n)
         exact = matrix.matvec(w)
-        approx = evaluate(cm, w)
+        approx = cm.matvec(w)
         assert approx.shape == (matrix.n,)
         assert np.linalg.norm(approx - exact) / np.linalg.norm(exact) < 5e-2
 
@@ -33,15 +33,15 @@ class TestMatvecCorrectness:
         matrix, cm = compressed_pair
         w = np.random.default_rng(1).standard_normal((matrix.n, 5))
         exact = matrix.matvec(w)
-        approx = evaluate(cm, w)
+        approx = cm.matvec(w)
         assert approx.shape == (matrix.n, 5)
         assert np.linalg.norm(approx - exact) / np.linalg.norm(exact) < 5e-2
 
     def test_multiple_rhs_consistent_with_single(self, compressed_pair):
         matrix, cm = compressed_pair
         w = np.random.default_rng(2).standard_normal((matrix.n, 3))
-        combined = evaluate(cm, w)
-        separate = np.column_stack([evaluate(cm, w[:, j]) for j in range(3)])
+        combined = cm.matvec(w)
+        separate = np.column_stack([cm.matvec(w[:, j]) for j in range(3)])
         assert np.allclose(combined, separate, atol=1e-10)
 
     def test_linearity(self, compressed_pair):
@@ -50,8 +50,8 @@ class TestMatvecCorrectness:
         w1 = gen.standard_normal(matrix.n)
         w2 = gen.standard_normal(matrix.n)
         assert np.allclose(
-            evaluate(cm, 2.0 * w1 - 0.5 * w2),
-            2.0 * evaluate(cm, w1) - 0.5 * evaluate(cm, w2),
+            cm.matvec(2.0 * w1 - 0.5 * w2),
+            2.0 * cm.matvec(w1) - 0.5 * cm.matvec(w2),
             atol=1e-8,
         )
 
@@ -59,35 +59,35 @@ class TestMatvecCorrectness:
         matrix, cm = compressed_pair
         w = np.random.default_rng(4).standard_normal((matrix.n, 2))
         dense_tilde = cm.to_dense()
-        assert np.allclose(evaluate(cm, w), dense_tilde @ w, atol=1e-8)
+        assert np.allclose(cm.matvec(w), dense_tilde @ w, atol=1e-8)
 
     def test_zero_input(self, compressed_pair):
         matrix, cm = compressed_pair
-        assert np.allclose(evaluate(cm, np.zeros(matrix.n)), 0.0)
+        assert np.allclose(cm.matvec(np.zeros(matrix.n)), 0.0)
 
 
 class TestInputValidation:
     def test_wrong_length_rejected(self, compressed_pair):
         _, cm = compressed_pair
         with pytest.raises(EvaluationError):
-            evaluate(cm, np.zeros(cm.n + 1))
+            cm.matvec(np.zeros(cm.n + 1))
 
     def test_wrong_rows_rejected(self, compressed_pair):
         _, cm = compressed_pair
         with pytest.raises(EvaluationError):
-            evaluate(cm, np.zeros((cm.n - 3, 2)))
+            cm.matvec(np.zeros((cm.n - 3, 2)))
 
     def test_3d_input_rejected(self, compressed_pair):
         _, cm = compressed_pair
         with pytest.raises(EvaluationError):
-            evaluate(cm, np.zeros((cm.n, 2, 2)))
+            cm.matvec(np.zeros((cm.n, 2, 2)))
 
 
 class TestCounters:
     def test_flop_counters_populated(self, compressed_pair):
         matrix, cm = compressed_pair
-        counters = EvaluationCounters()
-        evaluate(cm, np.random.default_rng(5).standard_normal((matrix.n, 4)), counters=counters)
+        cm.counters = counters = EvaluationCounters()
+        cm.matvec(np.random.default_rng(5).standard_normal((matrix.n, 4)))
         assert counters.n2s > 0
         assert counters.s2s > 0
         assert counters.s2n > 0
@@ -97,9 +97,10 @@ class TestCounters:
     def test_counters_scale_with_rhs(self, compressed_pair):
         matrix, cm = compressed_pair
         gen = np.random.default_rng(6)
-        c1, c4 = EvaluationCounters(), EvaluationCounters()
-        evaluate(cm, gen.standard_normal((matrix.n, 1)), counters=c1)
-        evaluate(cm, gen.standard_normal((matrix.n, 4)), counters=c4)
+        cm.counters = c1 = EvaluationCounters()
+        cm.matvec(gen.standard_normal((matrix.n, 1)))
+        cm.counters = c4 = EvaluationCounters()
+        cm.matvec(gen.standard_normal((matrix.n, 4)))
         assert c4.total == pytest.approx(4.0 * c1.total, rel=1e-6)
 
 

@@ -1,8 +1,9 @@
 """Unit tests for the packed evaluation plan (the "planned" matvec engine).
 
-The reference engine of :mod:`repro.core.evaluate` is the correctness
-oracle: every test here asserts that the planned engine reproduces it to
-1e-10 across kernels, budgets (HSS and FMM), and right-hand-side shapes.
+The per-node traversal in ``tests/oracles/evaluate_reference.py`` is the
+correctness oracle: every test here asserts that the planned engine
+reproduces it to 1e-10 across kernels, budgets (HSS and FMM), and
+right-hand-side shapes.
 """
 
 import numpy as np
@@ -11,12 +12,12 @@ import pytest
 from repro import ConfigurationError, EvaluationError, GOFMMConfig, compress
 from repro.api import Session
 from repro.config import DistanceMetric
-from repro.core.evaluate import EvaluationCounters, evaluate
-from repro.core.plan import EvaluationPlan, PlanSegment, build_plan, evaluate_planned, pad_ranks
+from repro.core.plan import EvaluationCounters, EvaluationPlan, PlanSegment, build_plan, evaluate_planned, pad_ranks
 from repro.errors import CompressionError
 from repro.runtime import parallel_evaluate
 
 from ..conftest import make_gaussian_kernel_matrix, make_random_spd
+from ..oracles.evaluate_reference import reference_matvec
 
 
 def _config(budget: float, **overrides) -> GOFMMConfig:
@@ -46,32 +47,32 @@ class TestEquivalence:
         matrix = make_gaussian_kernel_matrix(n=220, d=3, bandwidth=1.5, seed=0)
         cm = compress(matrix, _config(budget=budget))
         w = np.random.default_rng(0).standard_normal((matrix.n, 4))
-        assert np.allclose(evaluate_planned(cm, w), evaluate(cm, w), atol=1e-10)
+        assert np.allclose(evaluate_planned(cm, w), reference_matvec(cm, w), atol=1e-10)
 
     def test_single_vector(self, fmm_pair):
         matrix, cm = fmm_pair
         w = np.random.default_rng(1).standard_normal(matrix.n)
         planned = evaluate_planned(cm, w)
         assert planned.shape == (matrix.n,)
-        assert np.allclose(planned, evaluate(cm, w), atol=1e-10)
+        assert np.allclose(planned, reference_matvec(cm, w), atol=1e-10)
 
     def test_multi_rhs(self, fmm_pair):
         matrix, cm = fmm_pair
         w = np.random.default_rng(2).standard_normal((matrix.n, 7))
         planned = evaluate_planned(cm, w)
         assert planned.shape == (matrix.n, 7)
-        assert np.allclose(planned, evaluate(cm, w), atol=1e-10)
+        assert np.allclose(planned, reference_matvec(cm, w), atol=1e-10)
 
     def test_hss_case(self, hss_pair):
         matrix, cm = hss_pair
         w = np.random.default_rng(3).standard_normal((matrix.n, 3))
-        assert np.allclose(evaluate_planned(cm, w), evaluate(cm, w), atol=1e-10)
+        assert np.allclose(evaluate_planned(cm, w), reference_matvec(cm, w), atol=1e-10)
 
     def test_unstructured_matrix(self):
         matrix = make_random_spd(n=96, seed=2)
         cm = compress(matrix, _config(budget=0.25, leaf_size=24, max_rank=24, distance=DistanceMetric.ANGLE))
         w = np.random.default_rng(4).standard_normal((96, 2))
-        assert np.allclose(evaluate_planned(cm, w), evaluate(cm, w), atol=1e-10)
+        assert np.allclose(evaluate_planned(cm, w), reference_matvec(cm, w), atol=1e-10)
 
     @pytest.mark.parametrize("name", ["gaussian-narrow", "gaussian-wide"])
     def test_across_kernels(self, name):
@@ -79,7 +80,7 @@ class TestEquivalence:
         matrix = make_gaussian_kernel_matrix(n=200, d=3, bandwidth=bandwidth, seed=5)
         cm = compress(matrix, _config(budget=0.2))
         w = np.random.default_rng(5).standard_normal((200, 3))
-        assert np.allclose(evaluate_planned(cm, w), evaluate(cm, w), atol=1e-10)
+        assert np.allclose(evaluate_planned(cm, w), reference_matvec(cm, w), atol=1e-10)
 
     def test_matches_explicit_dense_form(self, fmm_pair):
         matrix, cm = fmm_pair
@@ -92,7 +93,7 @@ class TestEquivalence:
         cm = compress(matrix, _config(budget=0.2, leaf_size=25, max_rank=20,
                                       cache_near_blocks=False, cache_far_blocks=False))
         w = np.random.default_rng(7).standard_normal(150)
-        assert np.allclose(evaluate_planned(cm, w), evaluate(cm, w), atol=1e-10)
+        assert np.allclose(evaluate_planned(cm, w), reference_matvec(cm, w), atol=1e-10)
 
     def test_uncached_blocks_default_to_streamed(self):
         """Memory-bounded configs must not be silently packed by the default engine."""
@@ -112,23 +113,22 @@ class TestEngineSelection:
     def test_matvec_engine_argument(self, fmm_pair):
         matrix, cm = fmm_pair
         w = np.random.default_rng(8).standard_normal(matrix.n)
-        assert np.allclose(cm.matvec(w, engine="planned"), cm.matvec(w, engine="reference"), atol=1e-10)
+        assert np.allclose(cm.matvec(w, engine="planned"), reference_matvec(cm, w), atol=1e-10)
 
     def test_unknown_engine_rejected(self, fmm_pair):
         _, cm = fmm_pair
         with pytest.raises(EvaluationError):
             cm.matvec(np.zeros(cm.n), engine="warp-drive")
 
-    def test_config_engine_default(self):
+    def test_explicit_engine_overrides_default(self):
         matrix = make_gaussian_kernel_matrix(n=150, d=3, bandwidth=1.2, seed=9)
-        reference_cm = compress(matrix, _config(budget=0.2, leaf_size=25, evaluation_engine="reference"))
+        cm = compress(matrix, _config(budget=0.2, leaf_size=25))
         w = np.random.default_rng(9).standard_normal(150)
-        # default engine comes from the config; explicit argument overrides it
-        assert np.allclose(reference_cm.matvec(w), reference_cm.matvec(w, engine="planned"), atol=1e-10)
-
-    def test_invalid_engine_config_rejected(self):
-        with pytest.raises(ConfigurationError):
-            GOFMMConfig(evaluation_engine="vectorized")
+        # the default comes from residency (cached, in memory: planned);
+        # an explicit argument overrides it
+        assert cm.default_engine() == "planned"
+        assert np.array_equal(cm.matvec(w), cm.matvec(w, engine="planned"))
+        assert np.array_equal(cm.matvec(w, engine="streamed"), reference_matvec(cm, w))
 
     def test_prebuild_plan_phase_reported(self):
         matrix = make_gaussian_kernel_matrix(n=150, d=3, bandwidth=1.2, seed=10)
@@ -272,7 +272,7 @@ class TestCounters:
         cm = compress(matrix, _config(budget=0.3, plan_rank_bucketing="none"))
         ref, planned = EvaluationCounters(), EvaluationCounters()
         w = np.random.default_rng(12).standard_normal((matrix.n, 2))
-        evaluate(cm, w, counters=ref)
+        reference_matvec(cm, w, counters=ref)
         evaluate_planned(cm, w, counters=planned)
         assert planned.total <= ref.total + 1e-9
 
@@ -291,7 +291,7 @@ class TestCounters:
         matrix, cm = fmm_pair
         ref, planned = EvaluationCounters(), EvaluationCounters()
         w = np.random.default_rng(12).standard_normal((matrix.n, 2))
-        evaluate(cm, w, counters=ref)
+        reference_matvec(cm, w, counters=ref)
         evaluate_planned(cm, w, counters=planned)
         assert planned.total <= 4.0 * ref.total + 1e-9
 
@@ -306,7 +306,7 @@ class TestValidation:
         _, cm = fmm_pair
         plan = build_plan(cm)
         w = np.random.default_rng(13).standard_normal((cm.n, 2))
-        assert np.allclose(plan.execute(w), evaluate(cm, w), atol=1e-10)
+        assert np.allclose(plan.execute(w), reference_matvec(cm, w), atol=1e-10)
 
 
 class TestReentrancy:
@@ -385,6 +385,6 @@ class TestRankBucketing:
         w = np.random.default_rng(1).standard_normal(matrix.n)
         assert np.allclose(
             op.compressed.matvec(w, engine="planned"),
-            op.compressed.matvec(w, engine="reference"),
+            reference_matvec(op.compressed, w),
             atol=1e-10,
         )

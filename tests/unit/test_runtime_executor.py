@@ -9,6 +9,7 @@ from repro.runtime import CostModel, build_plan_dag, parallel_evaluate, run_task
 from repro.runtime.task import Task, TaskGraph
 
 from ..conftest import make_gaussian_kernel_matrix
+from ..oracles.evaluate_reference import reference_matvec
 
 
 @pytest.fixture(scope="module")
@@ -67,12 +68,12 @@ class TestPlannedEngine:
     """The executor scheduling plan segments instead of per-node closures."""
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("engine", ["planned", "reference"])
+    @pytest.mark.parametrize("engine", ["planned", "streamed"])
     def test_engines_match_sequential(self, compressed_pair, workers, engine):
         matrix, cm = compressed_pair
         w = np.random.default_rng(4).standard_normal((matrix.n, 4))
         out = parallel_evaluate(cm, w, num_workers=workers, engine=engine)
-        assert np.allclose(out, cm.matvec(w, engine="reference"), atol=1e-10)
+        assert np.allclose(out, reference_matvec(cm, w), atol=1e-10)
 
     def test_planned_hss(self):
         matrix = make_gaussian_kernel_matrix(n=150, d=3, bandwidth=1.5, seed=1)
@@ -83,7 +84,7 @@ class TestPlannedEngine:
         cm = compress(matrix, config)
         w = np.random.default_rng(5).standard_normal(matrix.n)
         out = parallel_evaluate(cm, w, num_workers=3, engine="planned")
-        assert np.allclose(out, cm.matvec(w, engine="reference"), atol=1e-10)
+        assert np.allclose(out, reference_matvec(cm, w), atol=1e-10)
 
     def test_unknown_engine_rejected(self, compressed_pair):
         _, cm = compressed_pair
@@ -159,9 +160,9 @@ class TestRunTaskGraph:
         # regression for the old polling/shutdown race: hammer the pool
         matrix, cm = compressed_pair
         w = np.random.default_rng(6).standard_normal((matrix.n, 2))
-        expected = cm.matvec(w, engine="reference")
+        expected = reference_matvec(cm, w)
         for _ in range(10):
-            for engine in ("planned", "reference"):
+            for engine in ("planned", "streamed"):
                 out = parallel_evaluate(cm, w, num_workers=4, engine=engine)
                 assert np.allclose(out, expected, atol=1e-10)
 
@@ -176,7 +177,7 @@ class TestWorkerPool:
 
         matrix, cm = compressed_pair
         w = np.random.default_rng(7).standard_normal((matrix.n, 2))
-        expected = cm.matvec(w, engine="reference")
+        expected = reference_matvec(cm, w)
         results = [None] * 6
         errors = []
         with WorkerPool(3) as pool:

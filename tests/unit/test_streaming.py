@@ -10,7 +10,7 @@ The load-bearing guarantees:
   whole evaluation (degenerate single chunk per stage) both reproduce the
   reference bitwise,
 * ``default_engine`` prefers the streamed engine exactly when block
-  caching was disabled and a source matrix is attached,
+  caching was disabled and no plan has been built,
 * the chunk workspace stays within ``streaming_chunk_bytes``,
 * memoryless operators are servable end to end.
 """
@@ -21,13 +21,13 @@ import pytest
 from repro import ConfigurationError, GOFMMConfig
 from repro.api import Session
 from repro.config import DistanceMetric, hss_config
-from repro.core import engines
 from repro.errors import EvaluationError
 from repro.gofmm import compress
 from repro.runtime import parallel_evaluate
 from repro.serving import BatchPolicy, MatvecServer
 
 from ..conftest import make_gaussian_kernel_matrix
+from ..oracles.evaluate_reference import reference_matvec
 
 
 def make_config(**overrides) -> GOFMMConfig:
@@ -49,14 +49,7 @@ def memoryless(matrix):
     return compress(matrix, make_config(cache_near_blocks=False, cache_far_blocks=False))
 
 
-class TestRegistration:
-    def test_streamed_registered_without_cached_block_requirement(self):
-        assert engines.is_registered("streamed")
-        assert not engines.get_engine("streamed").requires_cached_blocks
-
-    def test_config_accepts_streamed(self):
-        assert make_config(evaluation_engine="streamed").evaluation_engine == "streamed"
-
+class TestConfig:
     def test_streaming_chunk_bytes_validated(self):
         with pytest.raises(ConfigurationError, match="streaming_chunk_bytes"):
             make_config(streaming_chunk_bytes=0)
@@ -66,7 +59,7 @@ class TestRegistration:
 
 
 class TestBitIdentity:
-    """streamed ≡ reference, bitwise, on every caching configuration."""
+    """streamed ≡ the per-node oracle, bitwise, on every caching configuration."""
 
     @pytest.mark.parametrize(
         "cache_near,cache_far",
@@ -79,14 +72,14 @@ class TestBitIdentity:
         )
         w = np.random.default_rng(1).standard_normal((matrix.n, 5))
         assert np.array_equal(
-            cm.matvec(w, engine="streamed"), cm.matvec(w, engine="reference")
+            cm.matvec(w, engine="streamed"), reference_matvec(cm, w)
         )
 
     def test_vector_shape_preserved(self, memoryless, matrix):
         w = np.random.default_rng(2).standard_normal(matrix.n)
         out = memoryless.matvec(w, engine="streamed")
         assert out.shape == (matrix.n,)
-        assert np.array_equal(out, memoryless.matvec(w, engine="reference"))
+        assert np.array_equal(out, reference_matvec(memoryless, w))
 
     def test_hss_memoryless(self, matrix):
         cm = compress(
@@ -99,7 +92,7 @@ class TestBitIdentity:
         )
         w = np.random.default_rng(3).standard_normal((matrix.n, 3))
         assert np.array_equal(
-            cm.matvec(w, engine="streamed"), cm.matvec(w, engine="reference")
+            cm.matvec(w, engine="streamed"), reference_matvec(cm, w)
         )
 
     def test_repeated_calls_are_bit_stable(self, memoryless, matrix):
@@ -124,7 +117,7 @@ class TestChunkBoundaries:
         assert plan.num_chunks > 50
         w = np.random.default_rng(5).standard_normal((matrix.n, 3))
         assert np.array_equal(
-            cm.matvec(w, engine="streamed"), cm.matvec(w, engine="reference")
+            cm.matvec(w, engine="streamed"), reference_matvec(cm, w)
         )
 
     def test_single_chunk_degenerate(self, matrix):
@@ -140,7 +133,7 @@ class TestChunkBoundaries:
         assert len(plan.s2s_chunks) <= 1 and len(plan.l2l_chunks) <= 1
         w = np.random.default_rng(6).standard_normal((matrix.n, 3))
         assert np.array_equal(
-            cm.matvec(w, engine="streamed"), cm.matvec(w, engine="reference")
+            cm.matvec(w, engine="streamed"), reference_matvec(cm, w)
         )
 
     def test_workspace_within_budget(self, memoryless):
@@ -164,7 +157,7 @@ class TestDefaultEngineSelection:
     @pytest.mark.parametrize(
         "cache_near,cache_far,expected",
         [
-            (True, True, "planned"),     # fully cached: the configured engine
+            (True, True, "planned"),     # fully cached: every block is resident
             (False, False, "streamed"),  # memoryless: stream from the matrix
             (True, False, "streamed"),   # far blocks must be streamed
             (False, True, "streamed"),   # near blocks must be streamed
@@ -176,13 +169,9 @@ class TestDefaultEngineSelection:
         )
         assert cm.default_engine() == expected
 
-    def test_without_matrix_falls_back_to_reference(self, matrix):
+    def test_without_matrix_still_streams(self, matrix):
         cm = compress(matrix, make_config(cache_near_blocks=False, cache_far_blocks=False))
         cm.matrix = None
-        assert cm.default_engine() == "reference"
-
-    def test_explicit_streamed_config_is_kept_even_when_cached(self, matrix):
-        cm = compress(matrix, make_config(evaluation_engine="streamed"))
         assert cm.default_engine() == "streamed"
 
     def test_explicit_plan_opt_in_restores_planned(self, matrix):
@@ -203,7 +192,7 @@ class TestExecutionPaths:
     def test_parallel_evaluate_dispatches_streamed(self, memoryless, matrix):
         w = np.random.default_rng(7).standard_normal((matrix.n, 3))
         out = parallel_evaluate(memoryless, w, num_workers=2, engine="streamed")
-        assert np.array_equal(out, memoryless.matvec(w, engine="reference"))
+        assert np.array_equal(out, reference_matvec(memoryless, w))
 
     def test_counters_accumulate(self, matrix):
         cm = compress(matrix, make_config(cache_near_blocks=False, cache_far_blocks=False))
@@ -213,7 +202,7 @@ class TestExecutionPaths:
 
     def test_flops_match_planned_accounting(self, matrix):
         # Exact packing: the streamed flop model must equal the Table 2
-        # model the reference/planned engines report.
+        # model the planned engine and the per-node oracle report.
         cm = compress(matrix, make_config(cache_near_blocks=False, cache_far_blocks=False))
         plan = cm.streaming_plan()
         total = sum(plan.flops_per_rhs.values())
@@ -341,7 +330,7 @@ class TestWorkspaceAccounting:
         assert report["spills"] == 1.0 and "spill_bytes" in report
         w = np.random.default_rng(12).standard_normal((matrix.n, 3))
         assert np.array_equal(
-            cm.matvec(w, engine="streamed"), cm.matvec(w, engine="reference")
+            cm.matvec(w, engine="streamed"), reference_matvec(cm, w)
         )
         # the execution released its arena buffers: no disk left held
         assert plan.report()["spill_bytes"] == 0.0
@@ -362,5 +351,5 @@ class TestWorkspaceAccounting:
         expected = np.empty_like(w)
         for start in range(0, num_rhs, panel_cols):
             stop = min(start + panel_cols, num_rhs)
-            expected[:, start:stop] = cm.matvec(w[:, start:stop], engine="reference")
+            expected[:, start:stop] = reference_matvec(cm, w[:, start:stop])
         assert np.array_equal(np.load(out_path), expected)
