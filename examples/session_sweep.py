@@ -12,7 +12,7 @@ rebuilds only what each change invalidates:
    ``tolerance`` alone also shares the previous point's near blocks,
 3. use the resulting :class:`repro.api.CompressedOperator` directly with
    ``scipy.sparse.linalg`` (it *is* a ``LinearOperator``) and with the
-   built-in block-Jacobi preconditioned ``solve``,
+   built-in preconditioned ``solve`` (a direct solve for HSS operators),
 4. attach a second kernel matrix to the same session: an operator family
    on one shared partition.
 
@@ -83,7 +83,7 @@ def main(n: int = 2048) -> None:
     x_cg, info = sla.cg(shifted, b, rtol=1e-8, maxiter=500)
     assert info == 0, f"scipy cg did not converge (info={info})"
 
-    result = operator.solve(b, shift=1.0, tolerance=1e-8)  # built-in block-Jacobi PCG
+    result = operator.solve(b, shift=1.0, tolerance=1e-8)  # built-in PCG
     print()
     print(f"scipy.sparse.linalg.cg:   residual "
           f"{np.linalg.norm(shifted.matvec(x_cg) - b) / np.linalg.norm(b):.2e}")

@@ -7,9 +7,10 @@ evaluation engine (chosen by block residency), so the operator drops
 directly into ``scipy.sparse.linalg.cg`` / ``gmres`` / ``lobpcg`` /
 ``aslinearoperator`` and any other consumer of the ``LinearOperator``
 protocol.  On top of the
-protocol it carries the library-native conveniences: ``solve`` (block-Jacobi
-preconditioned CG on the compressed matvec), ``relative_error`` (the
-paper's ε2), and the rank / storage / plan / interaction reports.
+protocol it carries the library-native conveniences: ``solve`` (preconditioned
+CG on the compressed matvec — a direct solve for HSS operators, whose
+preconditioner is the exact factor), ``relative_error`` (the paper's ε2),
+and the rank / storage / plan / interaction reports.
 
 **Thread safety.**  ``matvec`` / ``matmat`` / ``apply`` / ``solve`` are safe
 to call from concurrent threads on one operator — the serving runtime
@@ -99,7 +100,7 @@ class CompressedOperator(LinearOperator):
     pass of the planned engine.
     """
 
-    #: Block-Jacobi factor sets kept per operator (one per distinct shift).
+    #: Preconditioners kept per operator (one per distinct shift).
     _PRECONDITIONER_CACHE_MAX = 8
 
     def __init__(self, compressed: CompressedMatrix, report: Optional[CompressionReport] = None) -> None:
@@ -108,9 +109,9 @@ class CompressedOperator(LinearOperator):
         # historical contract) and callable for the stable summary dict with
         # the bytes_resident / bytes_on_disk split.
         self.report = OperatorReport(self, report)
-        # Block-Jacobi factors per shift, built once and shared across solves
-        # (they are read-only after construction): a serving batch of solves
-        # must not re-factor every leaf diagonal block per request batch.
+        # Preconditioners per shift, built once and shared across solves (they
+        # are read-only after construction): a serving batch of solves must not
+        # re-factor the operator per request batch.
         self._preconditioners: dict[float, object] = {}
         self._preconditioner_lock = threading.Lock()
         super().__init__(dtype=np.dtype(compressed.config.dtype), shape=compressed.shape)
@@ -181,17 +182,21 @@ class CompressedOperator(LinearOperator):
 
     # -- solving / accuracy -------------------------------------------------------
     def preconditioner(self, shift: float = 0.0):
-        """The block-Jacobi preconditioner for ``K̃ + shift·I``, cached per shift.
+        """The preconditioner for ``K̃ + shift·I``, cached per shift.
 
-        Factoring the leaf diagonal blocks costs as much as several CG
-        iterations; a server answering a stream of solves must pay it once
-        per operator, not once per request batch.  The returned object is
-        immutable and safe to share across threads.  The cache is bounded
-        (oldest shift evicted) so request streams sweeping ``shift`` — a
-        client-controllable solve parameter — cannot grow memory without
-        limit.
+        :func:`repro.solvers.make_preconditioner` picks it: an HSS operator
+        (every Near list the leaf, every Far list the sibling) gets the
+        exact :class:`~repro.solvers.HSSFactor`, anything else — or an HSS
+        operator whose factorization breaks down — the block-Jacobi
+        factors of the leaf diagonal blocks.  Either costs as much as
+        several CG iterations to build, so a server answering a stream of
+        solves pays it once per operator and shift, not once per request
+        batch.  The returned object is immutable and safe to share across
+        threads.  The cache is bounded (oldest shift evicted) so request
+        streams sweeping ``shift`` — a client-controllable solve parameter
+        — cannot grow memory without limit.
         """
-        from ..solvers import BlockJacobiPreconditioner
+        from ..solvers import make_preconditioner
 
         key = float(shift)
         with self._preconditioner_lock:
@@ -205,7 +210,7 @@ class CompressedOperator(LinearOperator):
         # Build outside the lock: the factorization is expensive and must not
         # serialize concurrent solves with other shifts (racing builders of
         # the same shift duplicate work once; the first insert wins).
-        preconditioner = BlockJacobiPreconditioner(self.compressed, shift=key)
+        preconditioner = make_preconditioner(self.compressed, shift=key)
         with self._preconditioner_lock:
             existing = self._preconditioners.get(key)
             if existing is not None:
@@ -224,13 +229,16 @@ class CompressedOperator(LinearOperator):
         use_preconditioner: bool = True,
         engine: Optional[str] = None,
     ):
-        """Solve ``(K̃ + shift·I) x = b`` with block-Jacobi preconditioned CG.
+        """Solve ``(K̃ + shift·I) x = b`` with preconditioned CG.
 
-        ``rhs`` may be a vector or an ``(N, k)`` block of right-hand sides;
-        the blocked solver evaluates all Krylov products as one wide GEMM
-        per iteration.  The block-Jacobi factors are cached per ``shift``
-        (see :meth:`preconditioner`), so repeated solves — a serving
-        workload — skip the per-call factorization of
+        For an HSS operator the preconditioner is the exact inverse, so
+        this is a direct solve: CG converges in one iteration (one matvec
+        plus one factor application).  Other operators run block-Jacobi
+        preconditioned CG.  ``rhs`` may be a vector or an ``(N, k)`` block
+        of right-hand sides; the blocked solver evaluates all Krylov
+        products as one wide GEMM per iteration.  The preconditioner is
+        cached per ``shift`` (see :meth:`preconditioner`), so repeated
+        solves — a serving workload — skip the per-call factorization of
         :func:`repro.solvers.solve`.  Returns a :class:`repro.solvers.CGResult`.
         """
         from ..solvers import conjugate_gradient

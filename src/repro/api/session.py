@@ -20,7 +20,7 @@ Typical usage::
     op_tight = session.recompress(tolerance=1e-7)  # warm: skeletonize onward
     op_wide = session.recompress(budget=0.1)       # warm: lists onward
 
-    x = operator.solve(b).solution                 # block-Jacobi PCG
+    x = operator.solve(b).solution                 # PCG; direct for HSS (budget=0)
     eigs = scipy.sparse.linalg.lobpcg(operator, X) # SciPy operator protocol
 
     # A family of operators (e.g. kernel bandwidths) on one shared partition:

@@ -33,7 +33,27 @@ from .interactions import InteractionLists
 from .neighbors import NeighborTable
 from .tree import BallTree, TreeNode
 
-__all__ = ["BlockProvider", "CompressedMatrix"]
+__all__ = ["BlockProvider", "CompressedMatrix", "evaluate_block"]
+
+
+def evaluate_block(
+    tree: BallTree, matrix: Optional[SPDMatrix], use_skeletons: bool, key: tuple[int, int]
+) -> Optional[np.ndarray]:
+    """Evaluate block ``key = (β, α)`` from the source matrix (``None`` without one).
+
+    Far blocks (``use_skeletons``) are ``K_{β̃α̃}``, near blocks ``K_{βα}``.
+    """
+    if matrix is None:
+        return None
+    beta = tree.node(key[0])
+    alpha = tree.node(key[1])
+    if use_skeletons:
+        rows = beta.skeleton if beta.skeleton is not None else np.empty(0, dtype=np.intp)
+        cols = alpha.skeleton if alpha.skeleton is not None else np.empty(0, dtype=np.intp)
+    else:
+        rows = beta.indices
+        cols = alpha.indices
+    return matrix.entries(rows, cols)
 
 
 class BlockProvider:
@@ -76,18 +96,7 @@ class BlockProvider:
         block = self._cache.get(key)
         if block is not None:
             return block
-        if self._matrix is None:
-            return None
-        beta_id, alpha_id = key
-        beta = self._tree.node(beta_id)
-        alpha = self._tree.node(alpha_id)
-        if self._use_skeletons:
-            rows = beta.skeleton if beta.skeleton is not None else np.empty(0, dtype=np.intp)
-            cols = alpha.skeleton if alpha.skeleton is not None else np.empty(0, dtype=np.intp)
-        else:
-            rows = beta.indices
-            cols = alpha.indices
-        return self._matrix.entries(rows, cols)
+        return evaluate_block(self._tree, self._matrix, self._use_skeletons, key)
 
     @property
     def cached_entries(self) -> int:

@@ -235,6 +235,10 @@ class WorkerPool:
     def _worker(self) -> None:
         cv = self._cv
         while True:
+            # An idle worker must not pin its last run: the run's payloads close
+            # over the plan, its block providers and its buffers, which would
+            # stay resident until this worker's next task.
+            run = payload = exc = None
             with cv:
                 while not self._ready and not self._closed:
                     cv.wait()

@@ -41,6 +41,7 @@ from typing import Callable, Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from ..config import DistanceMetric, GOFMMConfig
+from ..core.hmatrix import evaluate_block
 from ..errors import (
     ArtifactMismatchError,
     ConfigurationError,
@@ -300,7 +301,9 @@ class StoredBlockProvider:
     (``in`` / ``get`` / ``cached_entries`` / ``len``) but backed by one
     flat data array — an mmap view when the store was opened with
     ``resident="mmap"``, so a block's bytes are only paged in when an
-    evaluation actually touches it.
+    evaluation actually touches it.  A block the store does not hold is
+    evaluated from ``matrix`` when one is attached (stores saved from
+    memoryless compressions), exactly as the in-memory provider does.
     """
 
     def __init__(
@@ -309,6 +312,9 @@ class StoredBlockProvider:
         indptr: np.ndarray,
         shapes: np.ndarray,
         data: np.ndarray,
+        tree=None,
+        matrix=None,
+        use_skeletons: bool = False,
     ) -> None:
         keys = np.asarray(keys, dtype=np.intp).reshape(-1, 2)
         indptr = np.asarray(indptr, dtype=np.intp)
@@ -328,6 +334,9 @@ class StoredBlockProvider:
         self._shapes = shapes
         self._data = data
         self._index = {(int(keys[i, 0]), int(keys[i, 1])): i for i in range(num)}
+        self._tree = tree
+        self._matrix = matrix
+        self._use_skeletons = use_skeletons
 
     def store(self, key: tuple, block: np.ndarray) -> None:
         raise StorageError("stored block providers are read-only")
@@ -338,7 +347,7 @@ class StoredBlockProvider:
     def get(self, key: tuple) -> Optional[np.ndarray]:
         i = self._index.get(key)
         if i is None:
-            return None
+            return evaluate_block(self._tree, self._matrix, self._use_skeletons, key)
         rows, cols = self._shapes[i]
         return self._data[self._indptr[i] : self._indptr[i + 1]].reshape(int(rows), int(cols))
 
@@ -676,10 +685,12 @@ class OperatorStore:
         near_provider = StoredBlockProvider(
             arrays["near_block_keys"], arrays["near_block_indptr"],
             arrays["near_block_shapes"], arrays["near_block_data"],
+            tree=tree, matrix=matrix,
         )
         far_provider = StoredBlockProvider(
             arrays["far_block_keys"], arrays["far_block_indptr"],
             arrays["far_block_shapes"], arrays["far_block_data"],
+            tree=tree, matrix=matrix, use_skeletons=True,
         )
         self.manifest = manifest
         return CompressedMatrix(

@@ -214,6 +214,32 @@ class TestWorkerPool:
             assert pool.run(graph, payloads=payloads) == 1
             assert done == [1]
 
+    def test_idle_workers_release_the_last_run(self):
+        """A finished run's payloads (and all they close over) are freed while workers idle."""
+        import gc
+        import time
+        import weakref
+
+        from repro.runtime import WorkerPool
+        from repro.runtime.task import Task, TaskGraph
+
+        class Payload:
+            def __call__(self) -> None:
+                pass
+
+        with WorkerPool(2) as pool:
+            graph = TaskGraph()
+            graph.add_task(Task(task_id="t", kind="L2L", node_id=0))
+            payload = Payload()
+            released = weakref.ref(payload)
+            assert pool.run(graph, payloads={"t": payload}) == 1
+            del payload
+            deadline = time.monotonic() + 10.0
+            while released() is not None and time.monotonic() < deadline:
+                gc.collect()
+                time.sleep(0.01)
+            assert released() is None
+
     def test_shutdown_rejects_new_runs(self):
         from repro.runtime import WorkerPool
         from repro.runtime.task import TaskGraph

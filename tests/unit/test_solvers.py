@@ -1,11 +1,25 @@
-"""Unit tests for the CG solver and block-Jacobi preconditioner."""
+"""Unit tests for the CG solver, the block-Jacobi preconditioner and the HSS factor."""
+
+import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import repro.solvers as solvers
 from repro import EvaluationError, GOFMMConfig, compress
+from repro.api import Session
 from repro.config import DistanceMetric
-from repro.solvers import BlockJacobiPreconditioner, conjugate_gradient, solve
+from repro.matrices import DenseSPD, build_matrix
+from repro.solvers import (
+    BlockJacobiPreconditioner,
+    HSSFactor,
+    conjugate_gradient,
+    has_hss_structure,
+    make_preconditioner,
+    solve,
+)
 
 from ..conftest import make_gaussian_kernel_matrix, make_random_spd
 
@@ -53,6 +67,28 @@ class TestConjugateGradient:
         result = conjugate_gradient(lambda v: v, np.zeros(10))
         assert result.converged
         assert result.iterations == 0
+
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_zero_initial_guess_skips_the_a0_product(self, columns):
+        matrix = make_random_spd(50, seed=8, decay=1.0)
+        a = matrix.array + 0.1 * np.eye(50)
+        shape = (50,) if columns is None else (50, columns)
+        b = np.random.default_rng(8).standard_normal(shape)
+        calls = []
+
+        def matvec(v):
+            calls.append(v.shape)
+            return a @ v
+
+        implicit = conjugate_gradient(matvec, b, tolerance=1e-10)
+        implicit_calls = len(calls)
+        calls.clear()
+        explicit = conjugate_gradient(matvec, b, tolerance=1e-10, x0=np.zeros(shape))
+        assert implicit.converged
+        assert implicit_calls == implicit.iterations
+        assert len(calls) == explicit.iterations + 1
+        assert np.array_equal(implicit.solution, explicit.solution)
+        assert implicit.residual_history == explicit.residual_history
 
 
 class TestBlockedConjugateGradient:
@@ -185,3 +221,167 @@ class TestSolve:
         precond = solve(cm, b, shift=0.1, tolerance=1e-8, use_preconditioner=True, max_iterations=2000)
         assert precond.converged
         assert precond.iterations <= plain.iterations * 1.5 + 5
+
+
+# -- the HSS factor ----------------------------------------------------------------
+
+#: Rank policies of the factor lattice: adaptive (ranks up to the leaf width, so
+#: some nodes keep every unknown) and fixed.
+_RANK_CASES = {
+    "adaptive": dict(tolerance=1e-7, max_rank=32),
+    "fixed": dict(max_rank=24, adaptive_rank=False),
+}
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(name, n, case) for name in ("K05", "G03") for n in (256, 250) for case in _RANK_CASES],
+    ids=lambda p: f"{p[0]}-{'uniform' if p[1] == 256 else 'ragged'}-{p[2]}",
+)
+def hss_case(request):
+    name, n, case = request.param
+    config = GOFMMConfig(leaf_size=32, budget=0.0, seed=0, **_RANK_CASES[case])
+    cm = compress(build_matrix(name, n=n), config)
+    return cm, cm.to_dense()
+
+
+def _relative(x: np.ndarray, reference: np.ndarray) -> float:
+    return float(np.linalg.norm(x - reference) / np.linalg.norm(reference))
+
+
+def _storage_bound(cm) -> int:
+    """8 bytes × (Σ leaf |β|² + Σ internal (s_l + s_r)² + Σ non-root s²)."""
+    entries = 0
+    for node in cm.tree.nodes:
+        if node.is_leaf:
+            entries += node.size**2
+        else:
+            entries += (node.left.skeleton_rank + node.right.skeleton_rank) ** 2
+        if not node.is_root:
+            entries += node.skeleton_rank**2
+    return 8 * entries
+
+
+class TestHSSFactor:
+    """The factor is the exact inverse: it matches a dense solve of ``K̃ + σI``."""
+
+    @pytest.mark.parametrize("shift", [1e-2, 10.0])
+    def test_matches_dense_solve(self, hss_case, shift):
+        cm, dense = hss_case
+        assert has_hss_structure(cm)
+        factor = HSSFactor(cm, shift=shift)
+        b = np.random.default_rng(0).standard_normal((cm.n, 3))
+        expected = np.linalg.solve(dense + shift * np.eye(cm.n), b)
+        assert _relative(factor(b), expected) <= 1e-12
+        assert _relative(factor(b[:, 0]), expected[:, 0]) <= 1e-12
+        assert factor(b[:, 0]).shape == (cm.n,)
+
+    def test_storage_guard(self, hss_case):
+        cm, _ = hss_case
+        assert HSSFactor(cm, shift=1.0).nbytes <= _storage_bound(cm)
+
+    def test_rank_zero_nodes(self):
+        """Uncoupled blocks give rank-0 skeletons; their subtrees decouple exactly."""
+        n, coupled = 128, 48
+        dense = np.eye(n)
+        spd = np.random.default_rng(0).standard_normal((coupled, coupled))
+        dense[:coupled, :coupled] = spd @ spd.T / n + np.eye(coupled)
+        config = GOFMMConfig(
+            leaf_size=16, max_rank=8, tolerance=1e-3, budget=0.0, secure_accuracy=False,
+            distance=DistanceMetric.LEXICOGRAPHIC,
+        )
+        cm = compress(DenseSPD(dense), config)
+        ranks = [node.skeleton_rank for node in cm.tree.nodes if not node.is_root]
+        assert 0 in ranks and max(ranks) > 0
+        assert has_hss_structure(cm)
+        b = np.random.default_rng(1).standard_normal((n, 2))
+        factor = HSSFactor(cm, shift=0.5)
+        expected = np.linalg.solve(cm.to_dense() + 0.5 * np.eye(n), b)
+        assert _relative(factor(b), expected) <= 1e-12
+        assert factor.nbytes <= _storage_bound(cm)
+
+    def test_single_leaf_tree(self):
+        matrix = make_random_spd(24, seed=9, decay=1.0)
+        cm = compress(matrix, GOFMMConfig(leaf_size=32, max_rank=8, budget=0.0))
+        assert cm.tree.root.is_leaf and has_hss_structure(cm)
+        b = np.random.default_rng(9).standard_normal(24)
+        expected = np.linalg.solve(matrix.array + 0.3 * np.eye(24), b)
+        assert _relative(HSSFactor(cm, shift=0.3)(b), expected) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def hss_operator():
+    matrix = build_matrix("K05", n=512)
+    return Session(matrix, GOFMMConfig(leaf_size=64, max_rank=32, budget=0.0, seed=0)).compress()
+
+
+class TestPreconditionerChoice:
+    def test_hss_operator_gets_the_factor_and_solves_in_one_iteration(self, hss_operator):
+        assert isinstance(hss_operator.preconditioner(1.0), HSSFactor)
+        assert hss_operator.preconditioner(1.0) is hss_operator.preconditioner(1.0)
+        b = np.random.default_rng(2).standard_normal((hss_operator.n, 4))
+        result = hss_operator.solve(b, shift=1.0, tolerance=1e-10)
+        assert result.converged and result.iterations == 1
+        expected = np.linalg.solve(hss_operator.compressed.to_dense() + np.eye(hss_operator.n), b)
+        assert _relative(result.solution, expected) <= 1e-12
+
+    def test_both_entry_points_agree(self, hss_operator):
+        b = np.random.default_rng(3).standard_normal(hss_operator.n)
+        direct = solve(hss_operator.compressed, b, shift=1.0, tolerance=1e-10)
+        assert direct.iterations == 1
+        assert np.array_equal(direct.solution, hss_operator.solve(b, shift=1.0, tolerance=1e-10).solution)
+
+    def test_non_hss_operator_gets_block_jacobi(self, compressed_pair):
+        _, cm = compressed_pair
+        assert not has_hss_structure(cm)
+        assert isinstance(make_preconditioner(cm, shift=1.0), BlockJacobiPreconditioner)
+
+    def test_far_lists_must_be_siblings(self, hss_operator):
+        cm = hss_operator.compressed
+        far = {**cm.lists.far, cm.tree.leaves[0].node_id: []}
+        lists = dataclasses.replace(cm.lists, far=far)
+        assert lists.is_hss()
+        assert not has_hss_structure(dataclasses.replace(cm, lists=lists))
+
+    def test_missing_coefficients_fall_back(self):
+        cm = compress(build_matrix("K05", n=256), GOFMMConfig(leaf_size=32, max_rank=16, budget=0.0))
+        node = next(n for n in cm.tree.nodes if not n.is_root and n.skeleton_rank > 0)
+        node.coeffs = None
+        with pytest.raises(EvaluationError, match="coefficients"):
+            HSSFactor(cm, shift=1.0)
+        assert isinstance(make_preconditioner(cm, shift=1.0), BlockJacobiPreconditioner)
+
+    def test_factorization_breakdown_falls_back(self, hss_operator, monkeypatch):
+        def broken(*args, **kwargs):
+            raise solvers.sla.LinAlgError("forced breakdown")
+
+        monkeypatch.setattr(solvers.sla, "lu_factor", broken)
+        with pytest.raises(EvaluationError, match="forced breakdown"):
+            HSSFactor(hss_operator.compressed, shift=1.0)
+        preconditioner = make_preconditioner(hss_operator.compressed, shift=1.0)
+        assert isinstance(preconditioner, BlockJacobiPreconditioner)
+
+    def test_concurrent_solves_are_identical(self, hss_operator):
+        """More threads than cores share one cached factor; every answer is the same array."""
+        b = np.random.default_rng(4).standard_normal((hss_operator.n, 2))
+        expected = hss_operator.solve(b, shift=2.0, tolerance=1e-10).solution
+        results = [[] for _ in range(8)]
+
+        def worker(i):
+            for _ in range(5):
+                results[i].append(hss_operator.solve(b, shift=2.0, tolerance=1e-10).solution)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        answers = [answer for per_thread in results for answer in per_thread]
+        assert len(answers) == 40
+        assert all(np.array_equal(answer, expected) for answer in answers)

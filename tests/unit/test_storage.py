@@ -201,6 +201,34 @@ class TestOperatorStore:
         assert np.array_equal(reference_matvec(reopened.compressed, weights), reference)
 
 
+class TestMemorylessStore:
+    """A store saved from a memoryless compression holds no blocks: ``matrix=`` supplies them."""
+
+    @pytest.mark.parametrize("budget", [0.0, 0.2], ids=["hss", "fmm"])
+    @pytest.mark.parametrize("resident", ["ram", "mmap"])
+    def test_solve_matches_the_in_memory_operator(self, matrix, tmp_path, budget, resident):
+        config = GOFMMConfig(
+            **{**CONFIG, "budget": budget, "cache_near_blocks": False, "cache_far_blocks": False}
+        )
+        operator = Session(matrix, config).compress()
+        path = tmp_path / "memoryless.store"
+        operator.save(path)
+        b = np.random.default_rng(5).standard_normal((matrix.n, 2))
+        expected = operator.solve(b, shift=1.0, tolerance=1e-10)
+        opened = CompressedOperator.open(path, resident=resident, matrix=matrix)
+        result = opened.solve(b, shift=1.0, tolerance=1e-10)
+        assert result.converged and result.iterations == expected.iterations
+        assert np.array_equal(result.solution, expected.solution)
+
+    def test_without_the_matrix_a_missing_block_is_none(self, matrix, tmp_path):
+        config = GOFMMConfig(**{**CONFIG, "cache_near_blocks": False, "cache_far_blocks": False})
+        path = tmp_path / "memoryless.store"
+        Session(matrix, config).compress().save(path)
+        compressed = CompressedOperator.open(path, resident="ram").compressed
+        leaf = compressed.tree.leaves[0].node_id
+        assert compressed.near_blocks.get((leaf, leaf)) is None
+
+
 class TestStoredBlockProvider:
     def _provider(self):
         blocks = {(0, 1): np.arange(6.0).reshape(2, 3), (2, 3): np.ones((1, 4))}
