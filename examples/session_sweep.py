@@ -12,7 +12,7 @@ rebuilds only what each change invalidates:
    ``tolerance`` alone also shares the previous point's near blocks,
 3. use the resulting :class:`repro.api.CompressedOperator` directly with
    ``scipy.sparse.linalg`` (it *is* a ``LinearOperator``) and with the
-   built-in preconditioned ``solve`` (a direct solve for HSS operators),
+   built-in ``solve`` (CG preconditioned by the HSS-part factor),
 4. attach a second kernel matrix to the same session: an operator family
    on one shared partition.
 

@@ -7,9 +7,10 @@ evaluation engine (chosen by block residency), so the operator drops
 directly into ``scipy.sparse.linalg.cg`` / ``gmres`` / ``lobpcg`` /
 ``aslinearoperator`` and any other consumer of the ``LinearOperator``
 protocol.  On top of the
-protocol it carries the library-native conveniences: ``solve`` (preconditioned
-CG on the compressed matvec — a direct solve for HSS operators, whose
-preconditioner is the exact factor), ``relative_error`` (the paper's ε2),
+protocol it carries the library-native conveniences: ``solve`` (CG on the
+compressed matvec, preconditioned by the factor of the operator's HSS part —
+a direct solve for HSS operators, where that factor is the exact inverse),
+``relative_error`` (the paper's ε2),
 and the rank / storage / plan / interaction reports.
 
 **Thread safety.**  ``matvec`` / ``matmat`` / ``apply`` / ``solve`` are safe
@@ -143,8 +144,10 @@ class CompressedOperator(LinearOperator):
         through the ``"streamed"`` engine's bounded workspace.
         ``resident="ram"`` loads everything eagerly (the classic behavior:
         a fully cached store runs the ``"planned"`` engine).  ``matrix``
-        re-attaches the source SPD matrix — required only for stores saved
-        from memoryless compressions (no cached blocks).  Extra keyword
+        re-attaches the source SPD matrix — required for stores saved from
+        memoryless compressions (no cached blocks), and for an FMM store's
+        solves to get the HSS-part factor (near siblings' couplings are
+        evaluated from it; without it they use block-Jacobi).  Extra keyword
         arguments override config fields of the opened operator (e.g.
         ``streaming_chunk_bytes=...`` to re-budget the workspace).
         """
@@ -184,14 +187,16 @@ class CompressedOperator(LinearOperator):
     def preconditioner(self, shift: float = 0.0):
         """The preconditioner for ``K̃ + shift·I``, cached per shift.
 
-        :func:`repro.solvers.make_preconditioner` picks it: an HSS operator
-        (every Near list the leaf, every Far list the sibling) gets the
-        exact :class:`~repro.solvers.HSSFactor`, anything else — or an HSS
-        operator whose factorization breaks down — the block-Jacobi
-        factors of the leaf diagonal blocks.  Either costs as much as
-        several CG iterations to build, so a server answering a stream of
-        solves pays it once per operator and shift, not once per request
-        batch.  The returned object is immutable and safe to share across
+        :func:`repro.solvers.make_preconditioner` picks it: every operator
+        gets the :class:`~repro.solvers.HSSFactor` of its HSS part — the
+        exact inverse of an HSS operator (every Near list the leaf, every
+        Far list the sibling), a preconditioner for an FMM one — unless it
+        cannot be built (no matrix to evaluate a sibling coupling from, or
+        an HSS part that is not positive definite at this shift); then the
+        block-Jacobi factors of the leaf diagonal blocks.  Either costs as
+        much as several CG iterations to build, so a server answering a
+        stream of solves pays it once per operator and shift, not once per
+        request batch.  The returned object is immutable and safe to share across
         threads.  The cache is bounded (oldest shift evicted) so request
         streams sweeping ``shift`` — a client-controllable solve parameter
         — cannot grow memory without limit.
@@ -233,8 +238,9 @@ class CompressedOperator(LinearOperator):
 
         For an HSS operator the preconditioner is the exact inverse, so
         this is a direct solve: CG converges in one iteration (one matvec
-        plus one factor application).  Other operators run block-Jacobi
-        preconditioned CG.  ``rhs`` may be a vector or an ``(N, k)`` block
+        plus one factor application).  An FMM operator runs CG
+        preconditioned by the inverse of its HSS part, in a handful of
+        iterations.  ``rhs`` may be a vector or an ``(N, k)`` block
         of right-hand sides; the blocked solver evaluates all Krylov
         products as one wide GEMM per iteration.  The preconditioner is
         cached per ``shift`` (see :meth:`preconditioner`), so repeated

@@ -1,23 +1,25 @@
 """Solvers for ``(K̃ + shift·I) x = b`` built on the compressed operator.
 
-The paper names a factorization of the H-matrix as its future work.  For
-HSS-structured operators (every Near list the leaf itself, every Far list
-the sibling — ``budget=0``) this module provides it: a telescoping
-factorization on the compression's nested interpolative bases that applies
-the exact inverse of ``K̃ + shift·I`` in O(n·r) per right-hand side.  Other
-operators (FMM, with off-diagonal near blocks) are solved iteratively with
-the block-Jacobi preconditioner that falls out of the compression for free
-(the dense leaf diagonal blocks are already cached by the ``Kba`` task).
+The paper names a factorization of the H-matrix as its future work.  This
+module provides it: a telescoping Cholesky factorization on the
+compression's nested interpolative bases that applies the inverse of the
+operator's HSS part (leaf diagonal blocks plus one skeleton coupling
+between every pair of siblings) plus ``shift·I`` in O(n·r) per right-hand
+side.  For an HSS-structured operator (every Near list the leaf itself,
+every Far list the sibling — ``budget=0``) the HSS part is the whole
+operator and the factor is its exact inverse; for an FMM operator it is
+the preconditioner of CG (INV-ASKIT's use of the hierarchical factor).
 
 * :func:`conjugate_gradient` — (blocked) CG for ``(A + shift·I) X = B``
   given any matvec callable (dense, compressed, or matrix-free); a block of
   right-hand sides runs per-column recurrences over shared wide matvecs,
-* :class:`HSSFactor` — the exact inverse of an HSS operator's ``K̃ + shift·I``,
+* :class:`HSSFactor` — the inverse of an operator's HSS part plus ``shift·I``,
 * :class:`BlockJacobiPreconditioner` — Cholesky factors of the leaf diagonal
-  blocks of a :class:`repro.core.hmatrix.CompressedMatrix`,
+  blocks of a :class:`repro.core.hmatrix.CompressedMatrix`, the fallback
+  when the HSS part cannot be factored,
 * :func:`make_preconditioner` — the one place that picks between the two
   (used by :func:`solve` and ``CompressedOperator.preconditioner``); with
-  the factor, PCG converges in one iteration,
+  the exact factor, PCG converges in one iteration,
 * :func:`solve` — convenience wrapper: compressed operator + preconditioner
   + (P)CG.
 """
@@ -219,18 +221,20 @@ class BlockJacobiPreconditioner:
 
 
 class HSSFactor:
-    """Exact inverse of ``K̃ + shift·I`` for an HSS-structured compression.
+    """Inverse of the HSS part of ``K̃`` plus ``shift·I``, by telescoping Cholesky.
 
-    When every leaf's Near list is itself and every node's Far list is its
-    sibling, ``K̃`` is a textbook HSS matrix and a telescoping factorization
-    on the compression's own nested bases (INV-ASKIT's structure) inverts
-    it exactly, bottom-up, in one pass over the tree.  Every node τ owns a
-    system ``A_τ``:
+    The HSS part keeps each leaf's diagonal block and couples every pair of
+    siblings through their skeletons, ``K_{l̃r̃}``: the far block when the
+    siblings are far (always, for an HSS-structured operator, which the
+    factor then inverts exactly), else evaluated from the attached matrix
+    (an FMM operator, which uses the factor as its preconditioner).  A
+    telescoping factorization on the compression's own nested bases
+    (INV-ASKIT's structure) inverts it bottom-up, in one pass over the
+    tree.  Every node τ owns a symmetric system ``A_τ``:
 
     * ``A_τ = K_ττ + shift·I`` at a leaf;
-    * ``A_τ = [[D̂_l, K_{l̃r̃}], [K_{r̃l̃}, D̂_r]]`` at an internal node and at
-      the root, built from both stored far blocks — the operator the matvec
-      applies, not its symmetrization;
+    * ``A_τ = [[D̂_l, K_{l̃r̃}], [K_{r̃l̃}, D̂_r]]``, symmetrized, at an
+      internal node and at the root;
     * ``D̂_τ = (U_τᵀ A_τ⁻¹ U_τ)⁻¹`` with ``U_τ = coeffs_τᵀ`` is τ's reduced
       system, the block its parent sees.
 
@@ -238,26 +242,27 @@ class HSSFactor:
     skeleton rows are the identity, so ``T = [Y N]`` with ``Y`` the
     skeleton columns and ``N = [−E; I]`` (``E`` the coefficients of the
     redundant columns) satisfies ``U_τᵀ T = [I 0]`` and ``D̂_τ = B_ss −
-    B_sr B_rr⁻¹ B_rs`` for ``B = Tᵀ A_τ T``.  Only ``B_rr`` is factored
-    (Cholesky at the leaves, LU above them, LU of the whole ``A_τ`` at the
-    root), so no ill-conditioned ``U_τᵀ A_τ⁻¹ U_τ`` is ever inverted and
-    the solve stays as backward stable as a dense LU of ``K̃ + shift·I``.
-    Per node the factor keeps the factor of ``B_rr`` and ``B_sr`` /
-    ``B_rs`` (one block at the symmetric leaves): at most ``m² − s²``
+    B_sr B_rr⁻¹ B_rs`` for ``B = Tᵀ A_τ T``.  Only ``B_rr`` — and the
+    root's whole ``A_τ`` — is factored, by Cholesky, so no ill-conditioned
+    ``U_τᵀ A_τ⁻¹ U_τ`` is ever inverted.  Each step is a congruence, so a
+    completed factorization proves the factor SPD, as PCG needs.  Per
+    node the factor keeps the Cholesky factor of ``B_rr`` and ``W = B_rr⁻¹
+    B_rs`` (``E`` stays in the compression's coefficients): ``(m − s)·m``
     numbers for a node of width ``m`` and rank ``s``.
 
     Applying the inverse is an upward pass that eliminates each node's
-    redundant unknowns (``c_τ = Nᵀ b_τ``, ``b̂_τ = Yᵀ b_τ − B_sr B_rr⁻¹
-    c_τ``; an internal node's ``b_τ`` stacks its children's ``b̂``) and a
-    downward pass that recovers them from τ's slice ``x̂_τ`` of its
-    parent's solution (``x_τ = Y x̂_τ + N B_rr⁻¹ (c_τ − B_rs x̂_τ)``) —
-    O(n·r) per right-hand side.
+    redundant unknowns (``c_τ = Nᵀ b_τ``, ``z_τ = B_rr⁻¹ c_τ``, ``b̂_τ =
+    Yᵀ b_τ − Wᵀ c_τ``; an internal node's ``b_τ`` stacks its children's
+    ``b̂``) and a downward pass that recovers them from τ's slice ``x̂_τ``
+    of its parent's solution (``x_τ = Y x̂_τ + N (z_τ − W x̂_τ)``) — one
+    triangular solve pair per node, O(n·r) per right-hand side.
 
-    Raises :class:`~repro.errors.EvaluationError` when a block is missing,
-    a node of positive rank has no interpolative coefficients, or a
-    factorization breaks down (a singular reduced system, a leaf block that
-    is not positive definite).  The object is immutable and safe to share
-    across threads.
+    Raises :class:`~repro.errors.EvaluationError` when a block is missing
+    (a sibling coupling with no far block and no matrix to evaluate it
+    from), a node of positive rank has no interpolative coefficients, or a
+    Cholesky factorization fails (the HSS part plus ``shift·I`` is not
+    positive definite).  The object is immutable and safe to share across
+    threads.
     """
 
     def __init__(self, compressed: CompressedMatrix, shift: float = 0.0) -> None:
@@ -266,19 +271,18 @@ class HSSFactor:
         reduced: dict[int, np.ndarray] = {}
         for node in compressed.tree.postorder():
             if node.is_leaf:
-                record = _NodeFactor(node.node_id, indices=node.indices)
+                record = _NodeFactor(node.node_id, order=node.indices)
                 a = _leaf_system(compressed, node, shift)
             else:
                 left, right = node.children()
                 d_left = reduced.pop(left.node_id)
-                record = _NodeFactor(node.node_id, children=(left.node_id, right.node_id),
-                                     split=d_left.shape[0])
                 a = _parent_system(compressed, left, right, d_left, reduced.pop(right.node_id))
+                record = _NodeFactor(node.node_id, order=np.arange(a.shape[0]),
+                                     children=(left.node_id, right.node_id), split=d_left.shape[0])
             if node.is_root:
-                record.factorize(a, cholesky=node.is_leaf)
+                record.factorize(a)
             else:
-                reduced[node.node_id] = record.eliminate(a, _coefficients(node, a.shape[0]),
-                                                         symmetric=node.is_leaf)
+                reduced[node.node_id] = record.eliminate(a, _coefficients(node, a.shape[0]))
             self._nodes.append(record)
 
     @property
@@ -289,128 +293,106 @@ class HSSFactor:
     def __call__(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=np.float64)
         b = rhs.reshape(self.n, -1)
-        # upward, children before parents: c_τ = Nᵀ b_τ, b̂_τ = Yᵀ b_τ − B_sr B_rr⁻¹ c_τ
-        redundant: dict[int, np.ndarray] = {}
+        # upward, children before parents: c_τ = Nᵀ b_τ, z_τ = B_rr⁻¹ c_τ, b̂_τ = Yᵀ b_τ − Wᵀ c_τ
+        solved: dict[int, tuple] = {}                     # z_τ and the E it was gathered with
         condensed: dict[int, np.ndarray] = {}
         for record in self._nodes:
             if record.children is None:
-                b_tau = b[record.indices]
+                b_tau = b[record.order]                    # skeleton rows first
             else:
-                b_tau = np.concatenate([condensed.pop(c) for c in record.children])
-            if record.coeffs is None:                      # the root
-                redundant[record.node_id] = b_tau
+                b_tau = np.concatenate([condensed.pop(c) for c in record.children])[record.order]
+            if record.coeffs is None:                      # the root: z = A_τ⁻¹ b_τ
+                solved[record.node_id] = record.solve(b_tau), None
                 continue
-            b_skel = b_tau[record.skel]
-            c_tau = b_tau[record.red] - (record.coeffs.T @ b_skel)[record.red]
-            redundant[record.node_id] = c_tau
-            condensed[record.node_id] = b_skel - record.b_sr @ record.solve(c_tau)
-        # downward, parents before children: x_τ = Y x̂_τ + N B_rr⁻¹ (c_τ − B_rs x̂_τ)
+            e = record.coeffs[:, record.red]               # gathered once, reused downward
+            b_skel = b_tau[: e.shape[0]]
+            c_tau = b_tau[e.shape[0] :] - e.T @ b_skel
+            solved[record.node_id] = record.solve(c_tau), e
+            condensed[record.node_id] = b_skel - record.w.T @ c_tau
+        # downward, parents before children: x_τ = Y x̂_τ + N (z_τ − W x̂_τ)
         out = np.empty_like(b)
         given: dict[int, np.ndarray] = {}
         for record in reversed(self._nodes):
-            c_tau = redundant.pop(record.node_id)
-            if record.coeffs is None:
-                x_tau = record.solve(c_tau)
-            else:
+            x_tau, e = solved.pop(record.node_id)
+            if e is not None:
                 x_hat = given.pop(record.node_id)
-                x_tau = np.zeros((record.coeffs.shape[1], b.shape[1]))
-                x_tau[record.red] = record.solve(c_tau - record.b_rs @ x_hat)
-                x_tau[record.skel] = x_hat - record.coeffs @ x_tau
+                x_red = x_tau - record.w @ x_hat
+                x_tau = np.concatenate([x_hat - e @ x_red, x_red])
             if record.children is None:
-                out[record.indices] = x_tau
+                out[record.order] = x_tau
             else:
-                given[record.children[0]] = x_tau[: record.split]
-                given[record.children[1]] = x_tau[record.split :]
+                stacked = np.empty_like(x_tau)
+                stacked[record.order] = x_tau
+                given[record.children[0]] = stacked[: record.split]
+                given[record.children[1]] = stacked[record.split :]
         return out.reshape(rhs.shape)
+
+
+#: LAPACK's Cholesky solve, resolved once: the apply calls it at every node.
+_POTRS = sla.get_lapack_funcs("potrs", dtype=np.float64)
 
 
 class _NodeFactor:
     """One node's share of an :class:`HSSFactor`.
 
-    ``skel`` / ``red`` are the positions of the skeleton and redundant
-    unknowns among the node's ``m`` (its leaf indices, or its children's
-    stacked skeletons); ``coeffs`` is ``U_τᵀ`` (``None`` at the root).
+    ``order`` says where the node's ``m`` unknowns come from, skeleton
+    ones first once eliminated: rows of the right-hand side at a leaf, rows
+    of the children's stacked ``b̂`` above — one gather up and one scatter
+    down per node.  ``coeffs`` is ``U_τᵀ`` (the compression's own array:
+    ``E = coeffs[:, red]`` is gathered per apply, not stored), ``w`` is
+    ``W = B_rr⁻¹ B_rs``; all three are ``None`` at the root, which keeps
+    only its factor.
     """
 
-    __slots__ = ("node_id", "indices", "children", "split", "factor", "cholesky",
-                 "coeffs", "skel", "red", "b_sr", "b_rs")
+    __slots__ = ("node_id", "order", "children", "split", "factor", "coeffs", "red", "w")
 
-    def __init__(self, node_id: int, indices=None, children=None, split: int = 0) -> None:
+    def __init__(self, node_id: int, order: np.ndarray, children=None, split: int = 0) -> None:
         self.node_id = node_id
-        self.indices = indices
+        self.order = order
         self.children = children
         self.split = split
-        self.factor = None
-        self.cholesky = False
-        self.coeffs = self.skel = self.red = self.b_sr = self.b_rs = None
+        self.factor = self.coeffs = self.red = self.w = None
 
-    def eliminate(self, a: np.ndarray, coeffs: np.ndarray, symmetric: bool) -> np.ndarray:
-        """Factor ``B_rr`` of ``B = Tᵀ a T``, keep ``B_sr`` / ``B_rs``; return ``D̂_τ``.
-
-        A ``symmetric`` system (a leaf's ``K_ββ + shift·I``) is factored by
-        Cholesky, which reads one triangle, and keeps ``B_rs = B_srᵀ`` as a
-        view rather than a second block.
-        """
+    def eliminate(self, a: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """Factor ``B_rr`` of ``B = Tᵀ a T`` and keep ``W``; return ``D̂_τ``."""
         skel, red = _interpolation_split(coeffs, self.node_id)
         e = np.asarray(coeffs, dtype=np.float64)[:, red]
         a_y = a[:, skel]                                   # A Y
         a_n = a[:, red]
         a_n -= a_y @ e                                     # A N
-        self.b_sr = a_n[skel]                              # Yᵀ A N
+        b_sr = a_n[skel]                                   # Yᵀ A N
         b_rr = a_n[red]
         del a_n
-        b_rr -= e.T @ self.b_sr                            # Nᵀ A N
-        self.factorize(b_rr, cholesky=symmetric)
-        # Nᵀ A Y
-        self.b_rs = self.b_sr.T if symmetric else a_y[red] - e.T @ a_y[skel]
-        self.coeffs, self.skel, self.red = coeffs, skel, red
-        d_hat = a_y[skel] - self.b_sr @ self.solve(self.b_rs)
+        b_rr -= e.T @ b_sr                                 # Nᵀ A N
+        self.factorize(b_rr)
+        self.coeffs, self.red = coeffs, red
+        self.order = self.order[np.concatenate([skel, red])]
+        self.w = self.solve(b_sr.T)                        # B_rs = B_srᵀ: a is symmetric
+        d_hat = a_y[skel] - b_sr @ self.w
         if not np.isfinite(d_hat).all():
             raise EvaluationError(f"node {self.node_id}: singular reduced system")
         return d_hat
 
-    def factorize(self, a: np.ndarray, cholesky: bool) -> None:
-        """Cholesky (``cholesky``) or LU factors of ``a``; a breakdown is an ``EvaluationError``."""
-        self.cholesky = cholesky
+    def factorize(self, a: np.ndarray) -> None:
+        """Cholesky factor of the symmetric ``a``; a failure is an ``EvaluationError``."""
         if a.shape[0] == 0:
-            self.factor = ()
             return
         try:
-            if cholesky:
-                # ``a`` is symmetric, so ``a.T`` is the Fortran-ordered array LAPACK
-                # factors in place (no copy)
-                self.factor = sla.cho_factor(a.T, overwrite_a=True, check_finite=False)
-                return
-            lu, piv = sla.lu_factor(a, overwrite_a=True, check_finite=False)
+            # ``a`` is symmetric, so ``a.T`` is the Fortran-ordered array LAPACK
+            # factors in place (no copy)
+            self.factor, _ = sla.cho_factor(a.T, overwrite_a=True, check_finite=False)
         except sla.LinAlgError as exc:
             raise EvaluationError(f"node {self.node_id}: factorization failed: {exc}") from exc
-        pivots = np.diagonal(lu)
-        if not (np.isfinite(pivots).all() and np.all(pivots != 0.0)):
-            raise EvaluationError(f"node {self.node_id}: singular reduced system")
-        # LAPACK's sequential row swaps as one permutation: P a = L U, (P b)[i] = b[order[i]]
-        order = np.arange(piv.size)
-        for i, j in enumerate(piv):
-            order[i], order[j] = order[j], order[i]
-        self.factor = (lu, order)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         if rhs.shape[0] == 0:
             return np.zeros(rhs.shape)
-        if self.cholesky:
-            return sla.cho_solve(self.factor, rhs, check_finite=False)
-        # Two triangular solves rather than ``lu_solve``: LAPACK getrs is not safe
-        # under concurrent calls in some OpenBLAS builds, and solves run on many threads.
-        lu, order = self.factor
-        y = sla.solve_triangular(lu, rhs[order], lower=True, unit_diagonal=True,
-                                 check_finite=False)
-        return sla.solve_triangular(lu, y, check_finite=False)
+        return _POTRS(self.factor, rhs)[0]
 
     @property
     def nbytes(self) -> int:
-        parts = [self.skel, self.red, self.b_sr, *(self.factor or ())]
-        if self.b_rs is not None and self.b_rs.base is not self.b_sr:
-            parts.append(self.b_rs)
-        return sum(part.nbytes for part in parts if isinstance(part, np.ndarray))
+        parts = (self.order, self.factor, self.red, self.w)
+        return sum(part.nbytes for part in parts if part is not None)
 
 
 def _leaf_system(compressed: CompressedMatrix, leaf, shift: float) -> np.ndarray:
@@ -427,7 +409,11 @@ def _leaf_system(compressed: CompressedMatrix, leaf, shift: float) -> np.ndarray
 
 
 def _parent_system(compressed: CompressedMatrix, left, right, d_left, d_right) -> np.ndarray:
-    """``[[D̂_l, K_{l̃r̃}], [K_{r̃l̃}, D̂_r]]`` for the parent of ``left`` and ``right``."""
+    """Symmetrized ``[[D̂_l, K_{l̃r̃}], [K_{r̃l̃}, D̂_r]]`` for the parent of ``left`` and ``right``.
+
+    ``far_blocks.get`` returns the cached sibling coupling, or evaluates it
+    from the attached matrix when the siblings are near.
+    """
     sl, sr = d_left.shape[0], d_right.shape[0]
     a = np.zeros((sl + sr, sl + sr))
     a[:sl, :sl] = d_left
@@ -439,7 +425,7 @@ def _parent_system(compressed: CompressedMatrix, left, right, d_left, d_right) -
             if block is None or block.shape != a[rows, cols].shape:
                 raise EvaluationError(f"missing or misshapen far block {key}")
             a[rows, cols] = block
-    return a
+    return (a + a.T) * 0.5
 
 
 def _coefficients(node, width: int) -> np.ndarray:
@@ -470,8 +456,9 @@ def _interpolation_split(coeffs: np.ndarray, node_id: int) -> tuple[np.ndarray, 
 def has_hss_structure(compressed: CompressedMatrix) -> bool:
     """True when ``K̃`` is HSS: every Near list is ``[leaf]``, every Far list ``[sibling]``.
 
-    Decided from the interaction lists alone — the structure the
-    factorization relies on — never from the ``budget`` that produced them.
+    Then ``K̃`` is its own HSS part and :class:`HSSFactor` is its exact
+    inverse.  Decided from the interaction lists alone, never from the
+    ``budget`` that produced them.
     """
     lists = compressed.lists
     if not lists.is_hss():
@@ -490,16 +477,17 @@ def has_hss_structure(compressed: CompressedMatrix) -> bool:
 def make_preconditioner(compressed: CompressedMatrix, shift: float = 0.0):
     """The preconditioner every solve entry point uses for ``K̃ + shift·I``.
 
-    An HSS-structured operator gets its exact inverse (:class:`HSSFactor`),
-    so PCG converges in one iteration; any other operator — or an HSS one
-    whose factorization breaks down — gets :class:`BlockJacobiPreconditioner`.
+    Every operator gets :class:`HSSFactor`, the inverse of its HSS part:
+    exact for an HSS-structured operator (PCG converges in one iteration),
+    a preconditioner for an FMM one.  When the factor cannot be built — no
+    matrix to evaluate a sibling coupling from, missing coefficients, or an
+    HSS part that is not positive definite at this shift — the operator
+    gets :class:`BlockJacobiPreconditioner`.
     """
-    if has_hss_structure(compressed):
-        try:
-            return HSSFactor(compressed, shift=shift)
-        except EvaluationError as exc:
-            _LOG.info("HSS factorization unavailable (shift=%g), using block-Jacobi: %s",
-                      shift, exc)
+    try:
+        return HSSFactor(compressed, shift=shift)
+    except EvaluationError as exc:
+        _LOG.info("HSS-part factor unavailable (shift=%g), using block-Jacobi: %s", shift, exc)
     return BlockJacobiPreconditioner(compressed, shift=shift)
 
 
@@ -514,12 +502,12 @@ def solve(
 ) -> CGResult:
     """Solve ``(K̃ + shift·I) x = b`` with preconditioned CG.
 
-    The preconditioner is :func:`make_preconditioner`'s: the exact
-    :class:`HSSFactor` for HSS operators (one iteration), block-Jacobi
-    otherwise.  ``rhs`` may be a vector ``(n,)`` or a block ``(n, k)``; the
-    blocked solver evaluates each Krylov product for all right-hand sides
-    as one wide matvec, which the planned engine executes as level-batched
-    GEMMs.  ``engine`` selects the matvec engine for the Krylov iterations
+    The preconditioner is :func:`make_preconditioner`'s: the
+    :class:`HSSFactor` of the operator's HSS part (exact for HSS
+    operators: one iteration), block-Jacobi when it cannot be built.
+    ``rhs`` may be a vector ``(n,)`` or a block ``(n, k)``; the blocked
+    solver evaluates each Krylov product for all right-hand sides as one
+    wide matvec, which the planned engine executes as level-batched GEMMs.  ``engine`` selects the matvec engine for the Krylov iterations
     (default: the operator's residency choice).
     """
     preconditioner = make_preconditioner(compressed, shift=shift) if use_preconditioner else None

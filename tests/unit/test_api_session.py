@@ -279,7 +279,7 @@ class TestNearBlocksReuse:
         before_reference = reference_matvec(op.compressed, weights)
         looser = session.recompress(tolerance=1e-2)
         looser.apply(weights)
-        assert looser.solve(weights[:, 0], shift=1.0).converged    # block-Jacobi shifts copies
+        assert looser.solve(weights[:, 0], shift=1.0).converged    # preconditioners shift copies
         assert np.array_equal(op.apply(weights), before)
         del looser
         assert np.array_equal(op.apply(weights), before)

@@ -9,7 +9,7 @@ import pytest
 
 import repro.solvers as solvers
 from repro import EvaluationError, GOFMMConfig, compress
-from repro.api import Session
+from repro.api import CompressedOperator, Session
 from repro.config import DistanceMetric
 from repro.matrices import DenseSPD, build_matrix
 from repro.solvers import (
@@ -280,6 +280,12 @@ class TestHSSFactor:
         cm, _ = hss_case
         assert HSSFactor(cm, shift=1.0).nbytes <= _storage_bound(cm)
 
+    def test_storage_guard_fmm(self, compressed_pair):
+        """The HSS part of an FMM operator adds evaluated couplings, never stored blocks."""
+        _, cm = compressed_pair
+        assert not has_hss_structure(cm)
+        assert HSSFactor(cm, shift=1.0).nbytes <= _storage_bound(cm)
+
     def test_rank_zero_nodes(self):
         """Uncoupled blocks give rank-0 skeletons; their subtrees decouple exactly."""
         n, coupled = 128, 48
@@ -315,6 +321,12 @@ def hss_operator():
     return Session(matrix, GOFMMConfig(leaf_size=64, max_rank=32, budget=0.0, seed=0)).compress()
 
 
+@pytest.fixture(scope="module")
+def fmm_operator():
+    matrix = build_matrix("K05", n=512)
+    return Session(matrix, GOFMMConfig(leaf_size=64, max_rank=32, budget=0.3, seed=0)).compress()
+
+
 class TestPreconditionerChoice:
     def test_hss_operator_gets_the_factor_and_solves_in_one_iteration(self, hss_operator):
         assert isinstance(hss_operator.preconditioner(1.0), HSSFactor)
@@ -331,10 +343,41 @@ class TestPreconditionerChoice:
         assert direct.iterations == 1
         assert np.array_equal(direct.solution, hss_operator.solve(b, shift=1.0, tolerance=1e-10).solution)
 
-    def test_non_hss_operator_gets_block_jacobi(self, compressed_pair):
+    def test_fmm_operator_is_preconditioned_by_its_hss_part(self, compressed_pair):
         _, cm = compressed_pair
         assert not has_hss_structure(cm)
-        assert isinstance(make_preconditioner(cm, shift=1.0), BlockJacobiPreconditioner)
+        preconditioner = make_preconditioner(cm, shift=1.0)
+        assert isinstance(preconditioner, HSSFactor)
+        b = np.random.default_rng(5).standard_normal(cm.n)
+        result = solve(cm, b, shift=1.0, tolerance=1e-12)
+        jacobi = conjugate_gradient(
+            cm.matvec, b, shift=1.0, tolerance=1e-12,
+            preconditioner=BlockJacobiPreconditioner(cm, shift=1.0),
+        )
+        assert result.converged and jacobi.converged
+        assert 2 * result.iterations < jacobi.iterations
+        expected = np.linalg.solve(cm.to_dense() + np.eye(cm.n), b)
+        assert _relative(result.solution, expected) <= 1e-10
+
+    def test_indefinite_hss_part_gets_block_jacobi(self, compressed_pair):
+        """At a small shift the HSS part is indefinite: Cholesky fails at build, never in PCG."""
+        _, cm = compressed_pair
+        with pytest.raises(EvaluationError, match="factorization failed"):
+            HSSFactor(cm, shift=1e-2)
+        assert isinstance(make_preconditioner(cm, shift=1e-2), BlockJacobiPreconditioner)
+
+    def test_fmm_store_needs_the_matrix_for_the_couplings(self, compressed_pair, tmp_path):
+        """Near siblings have no stored far block: their coupling is evaluated from ``matrix=``."""
+        matrix, cm = compressed_pair
+        path = tmp_path / "fmm.store"
+        CompressedOperator(cm).save(path)
+        memoryless = CompressedOperator.open(path, resident="mmap")
+        assert isinstance(memoryless.preconditioner(1.0), BlockJacobiPreconditioner)
+        attached = CompressedOperator.open(path, resident="mmap", matrix=matrix)
+        factor = attached.preconditioner(1.0)
+        assert isinstance(factor, HSSFactor)
+        b = np.random.default_rng(6).standard_normal((cm.n, 2))
+        assert _relative(factor(b), make_preconditioner(cm, shift=1.0)(b)) <= 1e-13
 
     def test_far_lists_must_be_siblings(self, hss_operator):
         cm = hss_operator.compressed
@@ -352,24 +395,36 @@ class TestPreconditionerChoice:
         assert isinstance(make_preconditioner(cm, shift=1.0), BlockJacobiPreconditioner)
 
     def test_factorization_breakdown_falls_back(self, hss_operator, monkeypatch):
-        def broken(*args, **kwargs):
-            raise solvers.sla.LinAlgError("forced breakdown")
+        """The factor's first Cholesky breaks down; block-Jacobi's, made after it, do not."""
+        cho_factor = solvers.sla.cho_factor
+        breakdowns = []
 
-        monkeypatch.setattr(solvers.sla, "lu_factor", broken)
+        def break_first(*args, **kwargs):
+            if not breakdowns:
+                breakdowns.append(True)
+                raise solvers.sla.LinAlgError("forced breakdown")
+            return cho_factor(*args, **kwargs)
+
+        monkeypatch.setattr(solvers.sla, "cho_factor", break_first)
         with pytest.raises(EvaluationError, match="forced breakdown"):
             HSSFactor(hss_operator.compressed, shift=1.0)
+        breakdowns.clear()
         preconditioner = make_preconditioner(hss_operator.compressed, shift=1.0)
-        assert isinstance(preconditioner, BlockJacobiPreconditioner)
+        assert breakdowns and isinstance(preconditioner, BlockJacobiPreconditioner)
 
-    def test_concurrent_solves_are_identical(self, hss_operator):
+    @pytest.mark.parametrize("structure", ["hss", "fmm"])
+    def test_concurrent_solves_are_identical(self, structure, hss_operator, fmm_operator):
         """More threads than cores share one cached factor; every answer is the same array."""
-        b = np.random.default_rng(4).standard_normal((hss_operator.n, 2))
-        expected = hss_operator.solve(b, shift=2.0, tolerance=1e-10).solution
+        operator = hss_operator if structure == "hss" else fmm_operator
+        assert has_hss_structure(operator.compressed) == (structure == "hss")
+        assert isinstance(operator.preconditioner(2.0), HSSFactor)
+        b = np.random.default_rng(4).standard_normal((operator.n, 2))
+        expected = operator.solve(b, shift=2.0, tolerance=1e-10).solution
         results = [[] for _ in range(8)]
 
         def worker(i):
             for _ in range(5):
-                results[i].append(hss_operator.solve(b, shift=2.0, tolerance=1e-10).solution)
+                results[i].append(operator.solve(b, shift=2.0, tolerance=1e-10).solution)
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(results))]
         interval = sys.getswitchinterval()
