@@ -173,9 +173,10 @@ class CompressedMatrix:
         no provider is disk-backed (an mmap-opened store's are, even when
         it holds no blocks), and either both caches are on or the packed
         plan is already built — since the plan packs every block.
-        Otherwise ``"streamed"``: memoryless compressions and mmap-opened
-        stores materialize blocks chunk by chunk in a bounded workspace
-        rather than copying them all into a plan.  Pass
+        Otherwise ``"streamed"``: memoryless compressions evaluate blocks
+        chunk by chunk in a bounded workspace, and mmap-opened stores
+        multiply their stored blocks in place, rather than copying them
+        all into a plan.  Pass
         ``engine="planned"`` (or call :meth:`plan`) to opt into the packed
         engine anyway.
         """

@@ -24,13 +24,19 @@ materialization**:
   the accumulation order).  L2L is organized the same way over Near lists.
 * **chunks** — the round segments are packed, in execution order, into
   chunks bounded by ``GOFMMConfig.streaming_chunk_bytes``: each chunk's
-  blocks are materialized into a reusable buffer (cached blocks are copied,
-  missing ones evaluated in stacked batches through
+  blocks are materialized into a reusable buffer (missing blocks are
+  evaluated in stacked batches through
   :meth:`repro.matrices.base.SPDMatrix.entries_batched` — bitwise equal to
-  a per-pair evaluation) and the chunk's GEMMs run from that buffer.  All
-  cycling buffers together stay within the configured budget, so
-  evaluation-phase block memory is bounded no matter how many interaction
-  pairs the compression has.
+  a per-pair evaluation — and cached ones copied) and the chunk's GEMMs run
+  from that buffer.  All cycling buffers together stay within the
+  configured budget, so evaluation-phase block memory is bounded no matter
+  how many interaction pairs the compression has.
+* **in place** — a fully cached segment whose blocks a store holds back to
+  back in this execution order (:func:`stream_rounds` is the one order
+  :meth:`repro.storage.store.OperatorStore.save` writes) is not copied at
+  all: its GEMMs run on a read-only ``(g, p, k)`` view of the stored bytes,
+  and it takes no buffer space.  A fully cached mmap-opened store thus needs
+  no workspace: its graph holds only the N2S, exec and S2N tasks.
 * **buffered pipelining** — upcoming chunks materialize on the shared
   persistent :class:`~repro.runtime.executor.WorkerPool` while the current
   chunk's GEMMs execute (materialization dominates a memoryless matvec and
@@ -40,12 +46,12 @@ materialization**:
   pass between the last S2S chunk and the first L2L chunk), keeping the
   result deterministic and equal to the per-node traversal's.
 
-The engine works for *any* caching configuration — cached blocks are simply
-copied instead of re-evaluated — so ``near-only`` / ``far-only`` caching
-streams exactly the missing side.  It needs the source matrix attached for
-whatever is not cached, and because chunks materialize on several worker
-threads concurrently, that matrix's entry evaluation must be thread-safe
-for concurrent reads (the built-in matrix classes are; see
+The engine works for *any* caching configuration — cached blocks are read
+in place or copied instead of re-evaluated — so ``near-only`` /
+``far-only`` caching streams exactly the missing side.  It needs the source
+matrix attached for whatever is not cached, and because chunks materialize
+on several worker threads concurrently, that matrix's entry evaluation must
+be thread-safe for concurrent reads (the built-in matrix classes are; see
 :meth:`repro.matrices.base.SPDMatrix.entries_batched`).
 """
 
@@ -71,6 +77,7 @@ __all__ = [
     "StreamingPlan",
     "build_streaming_plan",
     "evaluate_streamed",
+    "stream_rounds",
 ]
 
 #: Per-call cap (in packed block bytes) on one ``entries_batched``
@@ -110,11 +117,13 @@ class StreamSegment:
     engine's :func:`~repro.core.plan.gather_gemm_scatter`.  Scatter targets
     are disjoint within the segment (each target appears at most once per
     round), so the fancy-index add is a plain vectorized scatter.
+    ``view`` is the segment's operand read in place from its provider, or
+    ``None`` when the blocks go through a chunk buffer.
     """
 
     __slots__ = (
         "kind", "shape", "keys", "rows", "cols", "src", "dst",
-        "cached", "missing", "flops_per_rhs",
+        "cached", "missing", "view", "flops_per_rhs",
     )
 
     def __init__(
@@ -144,6 +153,7 @@ class StreamSegment:
         self.dst = ("util" if s2s else "output", 1, self.rows if dst is None else dst)
         self.cached: List[int] = []       # filled by bind_cache
         self.missing: List[int] = list(range(len(keys)))
+        self.view: Optional[np.ndarray] = None
         self.flops_per_rhs = 2.0 * len(keys) * shape[0] * shape[1]
 
     @property
@@ -154,12 +164,20 @@ class StreamSegment:
     def elems(self) -> int:
         return self.batch * self.shape[0] * self.shape[1]
 
+    @property
+    def buffer_elems(self) -> int:
+        """Chunk-buffer entries the segment needs: none when it runs in place."""
+        return 0 if self.view is not None else self.elems
+
     def bind_cache(self, provider) -> None:
         """Split the segment's keys into cached / to-evaluate once, at build.
 
         The block cache is immutable after compression, so the split never
         changes between matvecs — checking it per materialization would be
-        thousands of dict probes per call for nothing.
+        thousands of dict probes per call for nothing.  A fully cached
+        segment the provider holds as one contiguous run of float64 blocks
+        (a store written in :func:`stream_rounds` order) keeps that run as
+        its operand instead: same values, same GEMM shapes, no copy.
         """
         self.cached = [g for g, key in enumerate(self.keys) if key in provider]
         if self.cached:
@@ -167,6 +185,12 @@ class StreamSegment:
             self.missing = [g for g in range(len(self.keys)) if g not in in_cache]
         else:
             self.missing = list(range(len(self.keys)))
+        self.view = None
+        contiguous_run = getattr(provider, "contiguous_run", None)
+        if not self.missing and contiguous_run is not None:
+            view = contiguous_run(self.keys, self.shape)
+            if view is not None and view.dtype == np.float64:
+                self.view = view
 
     def materialize(self, provider, matrix, out: np.ndarray) -> None:
         """Fill ``out`` (a ``(g, p, k)`` buffer view) with this segment's blocks.
@@ -212,7 +236,12 @@ class StreamSegment:
 
 
 class StreamChunk:
-    """A contiguous run of segments materialized into one buffer together."""
+    """A contiguous run of segments executed together.
+
+    The segments without an in-place view materialize into one buffer;
+    ``total_elems`` / ``num_blocks`` count only those, so a chunk of
+    in-place segments needs no buffer and no fill.
+    """
 
     __slots__ = (
         "segments", "offsets", "total_elems", "flops_per_rhs",
@@ -225,27 +254,31 @@ class StreamChunk:
         offset = 0
         for segment in segments:
             self.offsets.append(offset)
-            offset += segment.elems
+            offset += segment.buffer_elems
         self.total_elems = offset
         self.flops_per_rhs = sum(s.flops_per_rhs for s in segments)
         # Telemetry aggregates, fixed once bind_cache has run on the
         # segments (the cache split never changes between matvecs).
-        self.num_blocks = sum(s.batch for s in segments)
+        self.num_blocks = sum(s.batch for s in segments if s.view is None)
         self.missing_elems = sum(
             len(s.missing) * s.shape[0] * s.shape[1] for s in segments
         )
 
-    def _views(self, buffer: np.ndarray):
+    def _views(self, buffer: Optional[np.ndarray]):
         for segment, offset in zip(self.segments, self.offsets):
+            if segment.view is not None:
+                yield segment, segment.view
+                continue
             g, (p, k) = segment.batch, segment.shape
             yield segment, buffer[offset : offset + segment.elems].reshape(g, p, k)
 
     def materialize(self, near_blocks, far_blocks, matrix, buffer: np.ndarray) -> None:
         for segment, view in self._views(buffer):
-            provider = far_blocks if segment.kind == "S2S" else near_blocks
-            segment.materialize(provider, matrix, view)
+            if segment.view is None:
+                provider = far_blocks if segment.kind == "S2S" else near_blocks
+                segment.materialize(provider, matrix, view)
 
-    def run(self, ctx: PlanContext, buffer: np.ndarray) -> None:
+    def run(self, ctx: PlanContext, buffer: Optional[np.ndarray]) -> None:
         for segment, view in self._views(buffer):
             segment.run(ctx, view)
 
@@ -286,7 +319,7 @@ class StreamingPlan:
     Holds the shared :class:`~repro.core.plan.PassLayout` (N2S / S2N level
     segments, workspace offsets) plus the chunked S2S / L2L materialization
     schedule.  The plan itself is immutable after construction; every
-    :meth:`execute` call owns its context and its two chunk buffers, so
+    :meth:`execute` call owns its context and its chunk buffers, so
     concurrent matvecs on one plan are safe and each is bit-identical to
     running alone (the execution chain is sequential per call).
     """
@@ -314,6 +347,9 @@ class StreamingPlan:
         self.spill_degrade_to_heap = bool(spill_degrade_to_heap)
         chunks = s2s_chunks + l2l_chunks
         self.buffer_elems = max((c.total_elems for c in chunks), default=0)
+        #: Chunks that fill a buffer (a ``mat:`` task each); the rest run
+        #: in place on their providers' bytes.
+        self.filled_chunks = sum(1 for c in chunks if c.total_elems)
         #: Decided at plan time: the cycling buffers only exceed the budget
         #: when a single interaction block is bigger than one buffer's share
         #: of it (the packer's one-block minimum).  Exactly-at-budget plans
@@ -331,9 +367,14 @@ class StreamingPlan:
         return len(self.s2s_chunks) + len(self.l2l_chunks)
 
     @property
+    def num_buffers(self) -> int:
+        """Chunk buffers cycling through one execution (none when nothing is filled)."""
+        return min(_PIPELINE_BUFFERS, self.filled_chunks)
+
+    @property
     def workspace_bytes(self) -> int:
         """Bytes held by all cycling chunk buffers together (the bounded workspace)."""
-        return min(_PIPELINE_BUFFERS, max(self.num_chunks, 1)) * self.buffer_elems * 8
+        return self.num_buffers * self.buffer_elems * 8
 
     def index_bytes(self) -> int:
         """Persistent gather/scatter index-table bytes of the whole plan.
@@ -494,7 +535,7 @@ class StreamingPlan:
             sink = as_panel_sink(out, (n, num_rhs))
         # The chunk buffers are independent of the RHS width, so one set
         # cycles through every panel.
-        buffers = self._allocate_buffers() if (self.s2s_chunks or self.l2l_chunks) else []
+        buffers = self._allocate_buffers()
         try:
             for start in range(0, num_rhs, cols):
                 stop = min(start + cols, num_rhs)
@@ -546,8 +587,7 @@ class StreamingPlan:
     def _allocate_buffers(self) -> List[np.ndarray]:
         """The cycling chunk buffers — heap-allocated within budget,
         arena-backed (disk spill) when the plan is over budget."""
-        num_chunks = self.num_chunks
-        num_buffers = min(_PIPELINE_BUFFERS, max(num_chunks, 1))
+        num_buffers = self.num_buffers
         if not self.spills:
             return [np.empty(self.buffer_elems) for _ in range(num_buffers)]
         arena = self._spill_arena()
@@ -620,9 +660,10 @@ class StreamingPlan:
         """The buffered chunk pipeline as a task graph.
 
         ``exec`` tasks form a strict chain (deterministic, reference-order
-        accumulation); ``mat:i`` runs concurrently with earlier
-        materializations and executions, gated only by its buffer being
-        free again (``exec:i-len(buffers)`` done — the buffers cycle).  The
+        accumulation); ``mat:i`` — only for chunks that fill a buffer — runs
+        concurrently with earlier materializations and executions, gated
+        only by its buffer being free again (the exec of the chunk that
+        filled it ``len(buffers)`` fills earlier — the buffers cycle).  The
         S2N pass sits between the last S2S chunk and the first L2L chunk,
         matching the per-node traversal's stage order on the shared output
         rows.
@@ -679,23 +720,27 @@ class StreamingPlan:
                     chunk.run(ctx, buffer)
             else:
                 chunk.run(ctx, buffer)
-            if arena is not None:
+            if arena is not None and buffer is not None:
                 arena.unpin(buffer)
 
+        filled: List[int] = []            # chunk indices with a mat: task, in order
         for i, chunk in enumerate(chunks):
-            buffer = buffers[i % num_buffers]
-            add(f"mat:{i}", "MAT", float(chunk.total_elems),
-                lambda c=chunk, b=buffer, i=i: run_mat(c, b, i))
+            buffer = None
+            if chunk.total_elems:
+                buffer = buffers[len(filled) % num_buffers]
+                add(f"mat:{i}", "MAT", float(chunk.total_elems),
+                    lambda c=chunk, b=buffer, i=i: run_mat(c, b, i))
+                filled.append(i)
             add(f"exec:{i}", chunk.segments[0].kind, chunk.flops_per_rhs * num_rhs,
                 lambda c=chunk, b=buffer, i=i: run_exec(c, b, i))
 
         graph.add_dependency("N2S", "S2N")
-        for i in range(len(chunks)):
+        for m, i in enumerate(filled):
             graph.add_dependency(f"mat:{i}", f"exec:{i}")
-            if i >= num_buffers:
-                graph.add_dependency(f"exec:{i - num_buffers}", f"mat:{i}")
-            if i >= 1:
-                graph.add_dependency(f"exec:{i - 1}", f"exec:{i}")
+            if m >= num_buffers:
+                graph.add_dependency(f"exec:{filled[m - num_buffers]}", f"mat:{i}")
+        for i in range(1, len(chunks)):
+            graph.add_dependency(f"exec:{i - 1}", f"exec:{i}")
         if num_s2s > 0:
             graph.add_dependency("N2S", "exec:0")
             graph.add_dependency(f"exec:{num_s2s - 1}", "S2N")
@@ -709,33 +754,70 @@ class StreamingPlan:
 # plan construction
 # ---------------------------------------------------------------------------
 
-def _round_segments(
-    kind: str,
-    targets_with_pairs: List[tuple[object, List[object]]],
-    make_segment,
-    budget_elems: int,
-) -> List[StreamSegment]:
-    """Round-major, shape-grouped segments over per-target interaction lists.
+def stream_rounds(tree, lists) -> Tuple[list, list]:
+    """The streamed engine's execution order of the S2S and L2L blocks.
 
-    Round ``j`` takes each target's ``j``-th pair, so every target appears
-    at most once per round — scatter targets stay disjoint within every
-    segment while each target's accumulation order remains its list order
-    (the per-node traversal's order).  Segments larger than the chunk budget
-    are split along the batch dimension, which preserves both properties.
+    Returns ``(far, near)``, each a list of ``(shape, members)`` groups in
+    execution order: ``members`` are the ``(target, source)`` node pairs of
+    one round that share one block shape.  Round ``j`` takes each target's
+    ``j``-th pair (Far lists of nodes with a skeleton, Near lists of
+    non-empty leaves), so every target appears at most once per round —
+    scatter targets stay disjoint within a group while each target's
+    accumulation order remains its list order (the per-node traversal's
+    order).  Within a round the groups are sorted by shape.
+
+    :func:`build_streaming_plan` splits these groups into segments, and
+    :meth:`~repro.storage.store.OperatorStore.save` writes cached blocks in
+    this order, so a stored segment is one contiguous run.
     """
-    segments: List[StreamSegment] = []
+    far_targets = []
+    for node in tree.nodes:
+        if node.skeleton_rank == 0:
+            continue
+        pairs = [tree.node(a) for a in lists.far.get(node.node_id, ())]
+        pairs = [alpha for alpha in pairs if alpha.skeleton_rank > 0]
+        if pairs:
+            far_targets.append((node, pairs))
+    near_targets = []
+    for leaf in tree.leaves:
+        if leaf.size == 0:
+            continue
+        pairs = [tree.node(a) for a in lists.near.get(leaf.node_id, ())]
+        pairs = [alpha for alpha in pairs if alpha.size > 0]
+        if pairs:
+            near_targets.append((leaf, pairs))
+    return (
+        _rounds(far_targets, lambda beta, alpha: (beta.skeleton_rank, alpha.skeleton_rank)),
+        _rounds(near_targets, lambda beta, alpha: (beta.size, alpha.size)),
+    )
+
+
+def _rounds(targets_with_pairs: List[tuple], shape_of) -> List[tuple]:
+    """Round-major, shape-sorted ``(shape, members)`` groups over per-target lists."""
+    groups: List[tuple] = []
     max_len = max((len(pairs) for _, pairs in targets_with_pairs), default=0)
     for j in range(max_len):
-        groups: Dict[tuple[int, int], list] = {}
+        by_shape: Dict[tuple[int, int], list] = {}
         for target, pairs in targets_with_pairs:
             if j < len(pairs):
-                beta_alpha = (target, pairs[j])
-                groups.setdefault(make_segment.shape_of(*beta_alpha), []).append(beta_alpha)
-        for shape, members in sorted(groups.items()):
-            per_block = shape[0] * shape[1]
-            step = max(1, budget_elems // max(per_block, 1))
-            for start in range(0, len(members), step):
-                segments.append(make_segment(kind, shape, members[start : start + step]))
+                by_shape.setdefault(shape_of(target, pairs[j]), []).append((target, pairs[j]))
+        groups.extend(sorted(by_shape.items()))
+    return groups
+
+
+def _split_segments(
+    kind: str, groups: List[tuple], make_segment, budget_elems: int
+) -> List[StreamSegment]:
+    """One segment per round group, split along the batch dimension to the chunk budget.
+
+    The split keeps scatter targets disjoint and accumulation order intact,
+    and leaves each piece of a stored contiguous run contiguous.
+    """
+    segments: List[StreamSegment] = []
+    for shape, members in groups:
+        step = max(1, budget_elems // max(shape[0] * shape[1], 1))
+        for start in range(0, len(members), step):
+            segments.append(make_segment(kind, shape, members[start : start + step]))
     return segments
 
 
@@ -744,10 +826,6 @@ class _S2SSegmentFactory:
 
     def __init__(self, skel_offset: np.ndarray) -> None:
         self.skel_offset = skel_offset
-
-    @staticmethod
-    def shape_of(beta, alpha) -> tuple[int, int]:
-        return (beta.skeleton_rank, alpha.skeleton_rank)
 
     def __call__(self, kind: str, shape: tuple[int, int], members: list) -> StreamSegment:
         s, k = shape
@@ -765,34 +843,31 @@ class _S2SSegmentFactory:
         )
 
 
-class _L2LSegmentFactory:
-    """Builds L2L stream segments (leaf blocks, global gather/scatter)."""
-
-    @staticmethod
-    def shape_of(leaf, alpha) -> tuple[int, int]:
-        return (leaf.size, alpha.size)
-
-    def __call__(self, kind: str, shape: tuple[int, int], members: list) -> StreamSegment:
-        return StreamSegment(
-            kind,
-            shape,
-            keys=[(b.node_id, a.node_id) for b, a in members],
-            rows=[b.indices for b, _ in members],
-            cols=[a.indices for _, a in members],
-        )
+def _l2l_segment(kind: str, shape: tuple[int, int], members: list) -> StreamSegment:
+    """Builds an L2L stream segment (leaf blocks, global gather/scatter)."""
+    return StreamSegment(
+        kind,
+        shape,
+        keys=[(b.node_id, a.node_id) for b, a in members],
+        rows=[b.indices for b, _ in members],
+        cols=[a.indices for _, a in members],
+    )
 
 
 def _pack_chunks(segments: List[StreamSegment], budget_elems: int) -> List[StreamChunk]:
-    """Greedy packing of consecutive segments into budget-bounded chunks."""
+    """Greedy packing of consecutive segments into chunks whose buffers fit the budget.
+
+    In-place segments need no buffer, so they join whichever chunk is open.
+    """
     chunks: List[StreamChunk] = []
     current: List[StreamSegment] = []
     current_elems = 0
     for segment in segments:
-        if current and current_elems + segment.elems > budget_elems:
+        if current and current_elems + segment.buffer_elems > budget_elems:
             chunks.append(StreamChunk(current))
             current, current_elems = [], 0
         current.append(segment)
-        current_elems += segment.elems
+        current_elems += segment.buffer_elems
     if current:
         chunks.append(StreamChunk(current))
     return chunks
@@ -806,7 +881,6 @@ def build_streaming_plan(compressed) -> StreamingPlan:
     with the per-node traversal.
     """
     config = compressed.config
-    tree = compressed.tree
     layout = build_pass_layout(compressed, "none")
     # The chunk budget is split across twice the pipeline's cycling buffers
     # so all in-flight chunks together stay within half of
@@ -818,25 +892,11 @@ def build_streaming_plan(compressed) -> StreamingPlan:
     chunk_bytes = int(getattr(config, "streaming_chunk_bytes", 32 * 2**20))
     budget_elems = max(1, chunk_bytes // (2 * _PIPELINE_BUFFERS) // 8)
 
-    far_targets = []
-    for node in tree.nodes:
-        if not node.far or node.skeleton_rank == 0:
-            continue
-        pairs = [tree.node(a) for a in node.far if tree.node(a).skeleton_rank > 0]
-        if pairs:
-            far_targets.append((node, pairs))
-    near_targets = []
-    for leaf in tree.leaves:
-        if not leaf.near or leaf.size == 0:
-            continue
-        pairs = [tree.node(a) for a in leaf.near if tree.node(a).size > 0]
-        if pairs:
-            near_targets.append((leaf, pairs))
-
-    s2s_segments = _round_segments(
-        "S2S", far_targets, _S2SSegmentFactory(layout.skel_offset), budget_elems
+    far_groups, near_groups = stream_rounds(compressed.tree, compressed.lists)
+    s2s_segments = _split_segments(
+        "S2S", far_groups, _S2SSegmentFactory(layout.skel_offset), budget_elems
     )
-    l2l_segments = _round_segments("L2L", near_targets, _L2LSegmentFactory(), budget_elems)
+    l2l_segments = _split_segments("L2L", near_groups, _l2l_segment, budget_elems)
     for segment in s2s_segments:
         segment.bind_cache(compressed.far_blocks)
     for segment in l2l_segments:

@@ -27,7 +27,6 @@ import numpy as np
 from ..errors import MatrixDefinitionError
 from .base import KernelMatrix, SPDMatrix
 from .datasets import DATASETS, clustered_points, covtype_like, higgs_like, mnist_like
-from .graphs import graph_matrix
 from .kernels import (
     CosineKernel,
     GaussianKernel,
@@ -68,6 +67,14 @@ def _kernel_matrix(n: int, seed: int, kernel, name: str, regularization: float =
     return KernelMatrix(pts, kernel, regularization=regularization, name=name)
 
 
+def _graph_matrix(name: str, n: int, seed: int) -> SPDMatrix:
+    # Imported here: the graph generators pull in networkx, which only
+    # G01–G05 need, so ``import repro`` does not pay for it.
+    from .graphs import graph_matrix
+
+    return graph_matrix(name, n, seed)
+
+
 _BUILDERS: dict[str, Callable[[int, int], SPDMatrix]] = {
     # -- inverse elliptic operators (Hessian-like) --------------------------
     "K02": lambda n, seed: regularized_inverse_squared_laplacian_2d(n, name="K02"),
@@ -92,11 +99,11 @@ _BUILDERS: dict[str, Callable[[int, int], SPDMatrix]] = {
     # -- 3D inverse squared Laplacian -----------------------------------------
     "K18": lambda n, seed: inverse_squared_laplacian_3d(n, contrast=10.0, seed=seed, name="K18"),
     # -- graph Laplacians ------------------------------------------------------
-    "G01": lambda n, seed: graph_matrix("G01", n, seed),
-    "G02": lambda n, seed: graph_matrix("G02", n, seed),
-    "G03": lambda n, seed: graph_matrix("G03", n, seed),
-    "G04": lambda n, seed: graph_matrix("G04", n, seed),
-    "G05": lambda n, seed: graph_matrix("G05", n, seed),
+    "G01": lambda n, seed: _graph_matrix("G01", n, seed),
+    "G02": lambda n, seed: _graph_matrix("G02", n, seed),
+    "G03": lambda n, seed: _graph_matrix("G03", n, seed),
+    "G04": lambda n, seed: _graph_matrix("G04", n, seed),
+    "G05": lambda n, seed: _graph_matrix("G05", n, seed),
     # -- machine-learning kernel matrices --------------------------------------
     "covtype": lambda n, seed: KernelMatrix(
         covtype_like(n, seed), GaussianKernel(bandwidth=DATASETS["covtype"].default_bandwidth), regularization=1e-6, name="covtype"

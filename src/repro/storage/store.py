@@ -42,6 +42,7 @@ import numpy as np
 
 from ..config import DistanceMetric, GOFMMConfig
 from ..core.hmatrix import evaluate_block
+from ..core.streaming import stream_rounds
 from ..errors import (
     ArtifactMismatchError,
     ConfigurationError,
@@ -304,6 +305,12 @@ class StoredBlockProvider:
     evaluation actually touches it.  A block the store does not hold is
     evaluated from ``matrix`` when one is attached (stores saved from
     memoryless compressions), exactly as the in-memory provider does.
+
+    :meth:`OperatorStore.save` writes the blocks in the streamed engine's
+    execution order, so :meth:`contiguous_run` hands each fully cached
+    stream segment its blocks as one in-place ``(g, p, k)`` view.  Stores
+    in any other order (key-sorted, as older writers left them) open and
+    evaluate bit-identically; their segments just copy block by block.
     """
 
     def __init__(
@@ -332,8 +339,12 @@ class StoredBlockProvider:
         self._keys = keys
         self._indptr = indptr
         self._shapes = shapes
-        self._data = data
+        # A plain-ndarray view (its .base is the memmap, so disk_backed
+        # still sees it) spares every get() the np.memmap subclass hooks.
+        self._data = np.asarray(data)
         self._index = {(int(keys[i, 0]), int(keys[i, 1])): i for i in range(num)}
+        if len(self._index) != num:
+            raise ArtifactMismatchError("store holds duplicate block keys")
         self._tree = tree
         self._matrix = matrix
         self._use_skeletons = use_skeletons
@@ -350,6 +361,22 @@ class StoredBlockProvider:
             return evaluate_block(self._tree, self._matrix, self._use_skeletons, key)
         rows, cols = self._shapes[i]
         return self._data[self._indptr[i] : self._indptr[i + 1]].reshape(int(rows), int(cols))
+
+    def contiguous_run(self, keys, shape: Tuple[int, int]) -> Optional[np.ndarray]:
+        """Read-only ``(g, p, k)`` view of the blocks ``keys`` when the store
+        holds them back to back, in this order, each of ``shape``; else ``None``."""
+        first = self._index.get(keys[0]) if keys else None
+        if first is None:
+            return None
+        for g, key in enumerate(keys):
+            if self._index.get(key) != first + g:
+                return None
+        stop = first + len(keys)
+        if np.any(self._shapes[first:stop] != shape):
+            return None
+        view = self._data[self._indptr[first] : self._indptr[stop]].reshape(len(keys), *shape)
+        view.flags.writeable = False
+        return view
 
     def cached_items(self) -> Iterator[tuple]:
         for key in self._index:
@@ -384,7 +411,9 @@ class OperatorStore:
 
     ``OperatorStore.save(operator, path)`` writes the complete operator —
     tree structure, skeletons, interpolation coefficients, Near/Far lists
-    and every cached near/far block — as flat arrays.
+    and every cached near/far block — as flat arrays, the blocks in the
+    streamed engine's execution order.  Stores whose blocks are in another
+    order (key-sorted, from older writers) open and evaluate bit-identically.
     ``OperatorStore(path)`` validates the manifest;
     :meth:`open` rebuilds a :class:`~repro.core.hmatrix.CompressedMatrix`
     whose large arrays stay on disk (``resident="mmap"``) or are loaded
@@ -443,11 +472,14 @@ class OperatorStore:
     def save(operator, path) -> "OperatorStore":
         """Write an operator (or a bare ``CompressedMatrix``) to ``path``.
 
-        Cached near/far blocks are packed key-sorted into one flat data
-        array per list; with memoryless compressions (no cached blocks)
-        the store still round-trips the skeleton representation, and an
-        opened operator then needs a source matrix attached for the
-        direct/near part.
+        Cached near/far blocks are packed into one flat data array per
+        list in the streamed engine's execution order
+        (:func:`~repro.core.streaming.stream_rounds`), so an opened store
+        evaluates on in-place views of its bytes; blocks that order never
+        visits follow, key-sorted.  With memoryless compressions (no
+        cached blocks) the store still round-trips the skeleton
+        representation, and an opened operator then needs a source matrix
+        attached for the direct/near part.
         """
         compressed = getattr(operator, "compressed", operator)
         tree = compressed.tree
@@ -483,19 +515,25 @@ class OperatorStore:
         near_indptr, near_cols = ragged([lists.near.get(n.node_id, []) for n in nodes])
         far_indptr, far_cols = ragged([lists.far.get(n.node_id, []) for n in nodes])
 
-        def pack_blocks(provider) -> Dict[str, np.ndarray]:
-            items = sorted(provider.cached_items(), key=lambda kv: kv[0])
-            keys = np.array([k for k, _ in items], dtype=np.intp).reshape(len(items), 2)
-            shapes = np.array([b.shape for _, b in items], dtype=np.intp).reshape(len(items), 2)
-            indptr = np.zeros(len(items) + 1, dtype=np.intp)
+        far_groups, near_groups = stream_rounds(tree, lists)
+
+        def pack_blocks(provider, groups) -> Dict[str, np.ndarray]:
+            cached = dict(provider.cached_items())
+            rounds = [(beta.node_id, alpha.node_id) for _, pairs in groups for beta, alpha in pairs]
+            order = [key for key in rounds if key in cached]
+            order += sorted(cached.keys() - set(order))
+            keys = np.array(order, dtype=np.intp).reshape(len(order), 2)
+            shapes = np.array([cached[k].shape for k in order], dtype=np.intp)
+            shapes = shapes.reshape(len(order), 2)
+            indptr = np.zeros(len(order) + 1, dtype=np.intp)
             np.cumsum(shapes[:, 0] * shapes[:, 1], out=indptr[1:])
             data = np.empty(int(indptr[-1]), dtype=dtype)
-            for i, (_, block) in enumerate(items):
-                data[indptr[i] : indptr[i + 1]] = np.asarray(block).ravel()
+            for i, key in enumerate(order):
+                data[indptr[i] : indptr[i + 1]] = np.asarray(cached[key]).ravel()
             return {"keys": keys, "indptr": indptr, "shapes": shapes, "data": data}
 
-        near_blocks = pack_blocks(compressed.near_blocks)
-        far_blocks = pack_blocks(compressed.far_blocks)
+        near_blocks = pack_blocks(compressed.near_blocks, near_groups)
+        far_blocks = pack_blocks(compressed.far_blocks, far_groups)
 
         from ..api.stages import STAGE_ORDER, stage_fingerprint
 
@@ -571,8 +609,9 @@ class OperatorStore:
 
         ``resident="mmap"`` keeps coefficients and blocks as read-only
         mmap views (paged in on demand), so matvecs default to the
-        ``"streamed"`` engine's level-batched passes in the bounded chunk
-        workspace; ``resident="ram"`` loads everything eagerly, so a fully
+        ``"streamed"`` engine, which multiplies the stored blocks in place
+        and fills its bounded chunk workspace only with blocks the store
+        lacks; ``resident="ram"`` loads everything eagerly, so a fully
         cached store runs the ``"planned"`` engine like a fresh operator.
         ``matrix`` re-attaches the source SPD matrix (required to
         evaluate stores saved from memoryless compressions).

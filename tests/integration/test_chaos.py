@@ -47,20 +47,25 @@ CONFIG = dict(
     shard_retries=2, shard_task_timeout_s=2.0,
 )
 
-#: Tiny workspace budget so the mmap-resident streamed engine must spill —
-#: the ``spill.write`` fault then hits a real allocation.
+#: Tiny workspace budget so a streamed engine that copies its blocks must
+#: spill — the ``spill.write`` fault then hits a real allocation.  (An
+#: mmap-opened store needs no workspace: its blocks are multiplied in place.)
 CHUNK_BYTES = 2048
 
 
 def _pipeline(matrix, w, store_dir):
-    """compress → save → mmap cold-start → streamed matvec → routed matvec."""
-    op = Session(matrix, GOFMMConfig(**CONFIG)).compress()
+    """compress → save → mmap cold-start → streamed matvecs → routed matvec."""
+    session = Session(matrix, GOFMMConfig(**CONFIG))
+    op = session.compress()
     op.save(store_dir)
     reopened = CompressedOperator.open(
         store_dir, resident="mmap", streaming_chunk_bytes=CHUNK_BYTES
     )
-    plan = reopened.compressed.streaming_plan()
     streamed = reopened.apply(w, engine="streamed")
+    # The in-memory blocks are copied chunk by chunk into spilled buffers.
+    tight = session.recompress(streaming_chunk_bytes=CHUNK_BYTES)
+    plan = tight.compressed.streaming_plan()
+    spilled = tight.apply(w, engine="streamed")
     router = ShardRouter(
         num_shards=2,
         policy=BatchPolicy(max_batch=8, max_wait_ms=2.0, max_queue=512),
@@ -68,7 +73,10 @@ def _pipeline(matrix, w, store_dir):
     router.register("kernel", store=store_dir)
     with router:
         routed = router.matvec("kernel", w[:, 0], timeout=30)
-    return {"direct": op.apply(w), "streamed": streamed, "routed": routed, "plan": plan}
+    return {
+        "direct": op.apply(w), "streamed": streamed, "spilled": spilled,
+        "routed": routed, "plan": plan,
+    }
 
 
 @needs_fork
@@ -98,6 +106,7 @@ class TestChaosPipeline:
         # bit-identity at every stage: recovery may never change a result
         assert np.array_equal(chaos["direct"], oracle["direct"])
         assert np.array_equal(chaos["streamed"], oracle["streamed"])
+        assert np.array_equal(chaos["spilled"], oracle["spilled"])
         assert np.array_equal(chaos["routed"], oracle["routed"])
 
         # every scripted point actually fired ...

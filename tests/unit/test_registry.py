@@ -1,5 +1,10 @@
 """Unit tests for the named matrix testbed registry."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -83,3 +88,16 @@ class TestSPDEigenvalues:
         m = build_matrix(name, 64, seed=0)
         eigenvalues = np.linalg.eigvalsh(m.to_dense())
         assert eigenvalues.min() > 0.0
+
+
+class TestImportCost:
+    def test_importing_the_package_leaves_networkx_unloaded(self):
+        # Only the graph matrices G01–G05 need networkx; they import it on build.
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        code = (
+            "import sys; import repro, repro.api, repro.matrices; "
+            "assert 'networkx' not in sys.modules, 'networkx imported'"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr

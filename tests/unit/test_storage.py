@@ -266,6 +266,41 @@ class TestStoredBlockProvider:
                 data=np.zeros(6),
             )
 
+    def test_duplicate_keys_raise(self):
+        # A later duplicate would shadow the earlier block, and len() would
+        # disagree with cached_entries.
+        with pytest.raises(ArtifactMismatchError, match="duplicate"):
+            StoredBlockProvider(
+                keys=np.array([[0, 1], [0, 1]], dtype=np.intp),
+                indptr=np.array([0, 4, 8], dtype=np.intp),
+                shapes=np.array([[2, 2], [2, 2]], dtype=np.intp),
+                data=np.zeros(8),
+            )
+
+    def test_mmap_blocks_are_plain_ndarray_views_yet_disk_backed(self, store_path):
+        provider = CompressedOperator.open(store_path, resident="mmap").compressed.near_blocks
+        key = next(iter(provider.cached_items()))[0]
+        block = provider.get(key)
+        assert type(block) is np.ndarray
+        assert provider.disk_backed and is_disk_backed(block)
+
+    def test_contiguous_run_views_consecutive_same_shape_blocks(self):
+        blocks = {(0, 1): np.arange(4.0).reshape(2, 2), (0, 2): np.arange(4.0, 8.0).reshape(2, 2),
+                  (3, 3): np.ones((1, 4))}
+        order = [(0, 1), (0, 2), (3, 3)]
+        provider = StoredBlockProvider(
+            keys=np.array(order, dtype=np.intp),
+            indptr=np.array([0, 4, 8, 12], dtype=np.intp),
+            shapes=np.array([blocks[k].shape for k in order], dtype=np.intp),
+            data=np.concatenate([blocks[k].ravel() for k in order]),
+        )
+        run = provider.contiguous_run([(0, 1), (0, 2)], (2, 2))
+        assert np.array_equal(run, np.stack([blocks[(0, 1)], blocks[(0, 2)]]))
+        assert not run.flags.writeable
+        assert provider.contiguous_run([(0, 2), (0, 1)], (2, 2)) is None   # out of order
+        assert provider.contiguous_run([(0, 2), (3, 3)], (2, 2)) is None   # shape changes
+        assert provider.contiguous_run([(0, 1), (9, 9)], (2, 2)) is None   # not stored
+
 
 class TestPanels:
     def test_array_source_reads_views(self):

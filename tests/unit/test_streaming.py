@@ -12,19 +12,24 @@ The load-bearing guarantees:
 * ``default_engine`` prefers the streamed engine exactly when block
   caching was disabled and no plan has been built,
 * the chunk workspace stays within ``streaming_chunk_bytes``,
-* memoryless operators are servable end to end.
+* memoryless operators are servable end to end,
+* stored operators stay bitwise whether their blocks are multiplied in
+  place (execution-ordered stores) or copied (key-ordered stores), and a
+  fully cached mmap store needs no workspace and no block reads.
 """
 
 import numpy as np
 import pytest
 
 from repro import ConfigurationError, GOFMMConfig
-from repro.api import Session
+from repro.api import CompressedOperator, Session
 from repro.config import DistanceMetric, hss_config
 from repro.errors import EvaluationError
 from repro.gofmm import compress
+from repro.obs import counters as obs_counters
 from repro.runtime import parallel_evaluate
 from repro.serving import BatchPolicy, MatvecServer
+from repro.storage import OperatorStore
 
 from ..conftest import make_gaussian_kernel_matrix
 from ..oracles.evaluate_reference import reference_matvec
@@ -353,3 +358,111 @@ class TestWorkspaceAccounting:
             stop = min(start + panel_cols, num_rhs)
             expected[:, start:stop] = reference_matvec(cm, w[:, start:stop])
         assert np.array_equal(np.load(out_path), expected)
+
+
+def _rewrite_blocks_in_key_order(path) -> None:
+    """Reorder a store's blocks key-sorted, the layout older writers produced."""
+    from repro.storage import read_array_dir, write_array_dir
+
+    manifest, arrays = read_array_dir(path, mmap=False)
+    for prefix in ("near_block", "far_block"):
+        keys, shapes = arrays[f"{prefix}_keys"], arrays[f"{prefix}_shapes"]
+        indptr, data = arrays[f"{prefix}_indptr"], arrays[f"{prefix}_data"]
+        order = np.lexsort((keys[:, 1], keys[:, 0]))
+        sizes = shapes[order, 0] * shapes[order, 1]
+        new_indptr = np.zeros_like(indptr)
+        np.cumsum(sizes, out=new_indptr[1:])
+        arrays[f"{prefix}_keys"] = keys[order]
+        arrays[f"{prefix}_shapes"] = shapes[order]
+        arrays[f"{prefix}_indptr"] = new_indptr
+        arrays[f"{prefix}_data"] = np.concatenate(
+            [data[indptr[i] : indptr[i + 1]] for i in order] or [data[:0]]
+        )
+    write_array_dir(path, manifest, arrays)
+
+
+_CACHING = {"both": (True, True), "near-only": (True, False), "far-only": (False, True)}
+
+
+class TestStoredEquivalenceLattice:
+    """Stored operators ≡ the per-node oracle, bitwise, whether the streamed
+    engine runs in place on the store's bytes or copies block by block."""
+
+    @pytest.fixture(scope="class")
+    def stores(self, matrix, tmp_path_factory):
+        stores = {}
+        for caching, (near, far) in _CACHING.items():
+            cm = compress(matrix, make_config(cache_near_blocks=near, cache_far_blocks=far))
+            for order in ("execution", "key"):
+                path = tmp_path_factory.mktemp("lattice") / f"{caching}-{order}.store"
+                OperatorStore.save(cm, path)
+                if order == "key":
+                    _rewrite_blocks_in_key_order(path)
+                stores[caching, order] = (cm, path)
+        return stores
+
+    @pytest.mark.parametrize("resident", ["mmap", "ram"])
+    @pytest.mark.parametrize("order", ["execution", "key"])
+    @pytest.mark.parametrize("caching", list(_CACHING))
+    def test_apply_and_panels_match_reference(self, stores, matrix, caching, order, resident, tmp_path):
+        cm, path = stores[caching, order]
+        opened = CompressedOperator.open(path, resident=resident, matrix=matrix)
+        w = np.random.default_rng(14).standard_normal((matrix.n, 16))
+        for width in (1, 16):
+            assert np.array_equal(
+                opened.apply(w[:, :width], engine="streamed"), reference_matvec(cm, w[:, :width])
+            )
+        plan = opened.compressed.streaming_plan()
+        np.save(tmp_path / "w.npy", w)
+        for width in (1, 16):
+            out = tmp_path / f"u{width}.npy"
+            plan.execute(str(tmp_path / "w.npy"), out=str(out), panel_cols=width)
+            expected = np.hstack(
+                [reference_matvec(cm, w[:, s : s + width]) for s in range(0, 16, width)]
+            )
+            assert np.array_equal(np.load(out), expected)
+
+    @pytest.mark.parametrize("order", ["execution", "key"])
+    def test_fully_cached_mmap_store_runs_in_place(self, stores, matrix, order):
+        cm, path = stores["both", order]
+        compressed = CompressedOperator.open(path, resident="mmap").compressed
+        plan = compressed.streaming_plan()
+        calls = []
+        for provider in (compressed.near_blocks, compressed.far_blocks):
+            get = provider.get
+            provider.get = lambda key, get=get: calls.append(key) or get(key)
+        before = obs_counters.get("blocks_materialized")
+        w = np.random.default_rng(15).standard_normal((matrix.n, 4))
+        assert np.array_equal(plan.execute(w), reference_matvec(cm, w))
+        materialized = obs_counters.get("blocks_materialized") - before
+        if order == "execution":
+            assert plan.workspace_bytes == 0 and plan.report()["workspace_bytes"] == 0
+            assert calls == [] and materialized == 0
+        else:
+            # A key-ordered store takes the copy path.
+            assert plan.workspace_bytes > 0 and calls and materialized == len(calls)
+
+    def test_in_place_plan_keeps_the_stall_watchdog(self, stores, matrix, monkeypatch):
+        # A plan with nothing to fill still runs on the worker pool, so a
+        # wedged GEMM on the mapped bytes raises instead of blocking forever.
+        import threading
+
+        from repro.core.streaming import StreamChunk
+        from repro.errors import ExecutorStallError
+        from repro.runtime.executor import WorkerPool
+
+        _, path = stores["both", "execution"]
+        plan = CompressedOperator.open(path, resident="mmap").compressed.streaming_plan()
+        assert plan.workspace_bytes == 0
+        release = threading.Event()
+        monkeypatch.setattr(StreamChunk, "run", lambda self, ctx, buffer: release.wait(30))
+        before = obs_counters.get("chunk_stalls")
+        pool = WorkerPool(2)
+        try:
+            with pytest.raises(ExecutorStallError) as info:
+                plan.execute(np.ones((matrix.n, 2)), pool=pool, stall_timeout=0.05)
+            assert info.value.stalled_tasks == ("exec:0",)
+            assert obs_counters.get("chunk_stalls") == before + 1
+        finally:
+            release.set()
+            pool.shutdown(join_timeout=1.0)
