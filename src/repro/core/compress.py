@@ -8,7 +8,8 @@ The driver runs the paper's pipeline:
    construction (FindFar + MergeFar, or the symmetric dual-tree variant),
 4. nested skeletonization (tasks SKEL + COEF),
 5. optional caching of near and far submatrices (tasks Kba + SKba), each
-   entry evaluated once, in bulk, into read-only slabs,
+   entry evaluated once, in bulk, into read-only slabs — near blocks into
+   per-leaf block-rows, which the planned engine multiplies in place,
 6. optionally (``config.prebuild_plan``) the packed evaluation plan of
    :mod:`repro.core.plan`.
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from ..config import DistanceMetric, GOFMMConfig
 from ..errors import CompressionError
 from ..matrices.base import SPDMatrix, as_spd_matrix
 from .distances import Distance, make_distance
-from .hmatrix import BlockProvider, CompressedMatrix
+from .hmatrix import BlockProvider, CompressedMatrix, RowSlab
 from .interactions import InteractionLists, build_interaction_lists, build_node_neighbor_lists
 from .neighbors import NeighborTable, all_nearest_neighbors
 from .skeletonization import SkeletonizationStats, skeletonize_tree
@@ -55,6 +56,7 @@ __all__ = [
     "run_partition_stage",
     "run_interactions_stage",
     "run_skeletons_stage",
+    "fill_row_slabs",
     "run_near_blocks_stage",
     "run_far_blocks_stage",
     "run_blocks_stage",
@@ -217,24 +219,23 @@ def run_skeletons_stage(
 _SLAB_BYTES = 2 * 2**20
 
 
-def _cache_blocks(
-    provider: BlockProvider,
+def _evaluate_blocks(
     matrix: SPDMatrix,
     keys: list[tuple[int, int]],
     index_sets: list[np.ndarray],
+    put: Callable[[int, np.ndarray], None],
 ) -> None:
     """Evaluate ``K[index_sets[β]][:, index_sets[α]]`` for every ``(β, α)`` key, in bulk.
 
     Same-shape blocks are evaluated one slab at a time through
     ``entries_batched(rows, cols, out=slab)`` — bitwise identical to
-    per-block ``entries`` by that method's contract — and stored as
-    read-only views of the slab, in ``keys`` order.
+    per-block ``entries`` by that method's contract; ``put(i, block)``
+    receives block ``keys[i]`` as a read-only view of its slab.
     """
     groups: dict[tuple[int, int], list[int]] = {}
     for i, (beta_id, alpha_id) in enumerate(keys):
         shape = (index_sets[beta_id].size, index_sets[alpha_id].size)
         groups.setdefault(shape, []).append(i)
-    blocks: list[Optional[np.ndarray]] = [None] * len(keys)
     for (p, k), members in groups.items():
         per_slab = max(1, _SLAB_BYTES // max(1, 8 * p * k))
         for start in range(0, len(members), per_slab):
@@ -247,9 +248,48 @@ def _cache_blocks(
             )
             slab.flags.writeable = False  # before slicing: views inherit the flag
             for i, block in zip(chunk, slab):
-                blocks[i] = block
-    for key, block in zip(keys, blocks):
-        provider.store(key, block)
+                put(i, block)
+
+
+def fill_row_slabs(
+    rows: list[tuple[int, tuple[int, ...]]],
+    index_sets: list[np.ndarray],
+    fill: Callable[[list[tuple[int, int]], list[np.ndarray]], None],
+) -> tuple[list[RowSlab], dict[tuple[int, int], np.ndarray]]:
+    """Lay the block-rows ``K[β, near(β)]`` of ``rows = [(β, near(β))]`` out in row slabs.
+
+    The one L2L operand format: the near-blocks stage caches these slabs,
+    and the planned engine runs its L2L segments on them in place, one per
+    slab (or on fresh ones this routine fills from a provider lacking
+    them).  Rows of the same ``(m, Σk)`` shape share ``(g, m, Σk)`` float64
+    slabs of at most ``_SLAB_BYTES`` (one row at least), in ``rows`` order.
+    ``fill(keys, views)`` writes each block ``K[β, α]`` into its column view
+    of β's row; the slabs are read-only afterwards.  Returns the slabs and
+    the views by key, in ``rows`` order.
+    """
+    groups: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
+    for beta_id, near in rows:
+        shape = (index_sets[beta_id].size, sum(index_sets[a].size for a in near))
+        groups.setdefault(shape, []).append((beta_id, near))
+    slabs: list[RowSlab] = []
+    views: dict[tuple[int, int], np.ndarray] = {}
+    for (m, width), members in groups.items():
+        per_slab = max(1, _SLAB_BYTES // max(1, 8 * m * width))
+        for start in range(0, len(members), per_slab):
+            chunk = tuple(members[start : start + per_slab])
+            slab = RowSlab(np.empty((len(chunk), m, width)), chunk)
+            for row, (beta_id, near) in zip(slab.array, chunk):
+                offset = 0
+                for alpha_id in near:
+                    k = index_sets[alpha_id].size
+                    views[(beta_id, alpha_id)] = row[:, offset : offset + k]
+                    offset += k
+            slabs.append(slab)
+    keys = [(beta_id, alpha_id) for beta_id, near in rows for alpha_id in near]
+    fill(keys, [views[key] for key in keys])
+    for array in [slab.array for slab in slabs] + list(views.values()):
+        array.flags.writeable = False  # views made before the fill keep their own flag
+    return slabs, {key: views[key] for key in keys}
 
 
 def run_near_blocks_stage(
@@ -260,18 +300,25 @@ def run_near_blocks_stage(
 ) -> BlockProvider:
     """Task Kba(β): evaluate and store the direct blocks ``K[β, α]``, ``α ∈ Near(β)``.
 
+    Each leaf's blocks are evaluated straight into its block-row
+    ``K[β, Near(β)]`` of a :class:`~repro.core.hmatrix.RowSlab`, the planned
+    engine's L2L operand; the blocks keep the bits of per-block ``entries``.
     Near(β) is read from ``lists`` when given, else from ``leaf.near``; with
     ``lists`` the tree needs ``node.indices`` only, so the session passes
     its pristine partition and the provider outlives any skeletonization.
     """
     near_blocks = BlockProvider(tree, matrix, use_skeletons=False)
     if config.cache_near_blocks:
-        keys = [
-            (leaf.node_id, alpha_id)
+        rows = [
+            (leaf.node_id, tuple(leaf.near if lists is None else lists.near_of(leaf)))
             for leaf in tree.leaves
-            for alpha_id in (leaf.near if lists is None else lists.near_of(leaf))
         ]
-        _cache_blocks(near_blocks, matrix, keys, [node.indices for node in tree.nodes])
+        index_sets = [node.indices for node in tree.nodes]
+
+        def fill(keys, views):
+            _evaluate_blocks(matrix, keys, index_sets, lambda i, block: np.copyto(views[i], block))
+
+        near_blocks.store_rows(*fill_row_slabs([row for row in rows if row[1]], index_sets, fill))
     return near_blocks
 
 
@@ -287,7 +334,10 @@ def run_far_blocks_stage(tree: BallTree, matrix: SPDMatrix, config: GOFMMConfig)
             for alpha_id in node.far
         ]
         skeletons = [node.skeleton if node.skeleton is not None else empty for node in tree.nodes]
-        _cache_blocks(far_blocks, matrix, keys, skeletons)
+        blocks: list[Optional[np.ndarray]] = [None] * len(keys)
+        _evaluate_blocks(matrix, keys, skeletons, blocks.__setitem__)
+        for key, block in zip(keys, blocks):
+            far_blocks.store(key, block)
     return far_blocks
 
 

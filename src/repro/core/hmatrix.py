@@ -21,7 +21,7 @@ and exposes the operations a user of the library needs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .interactions import InteractionLists
 from .neighbors import NeighborTable
 from .tree import BallTree, TreeNode
 
-__all__ = ["BlockProvider", "CompressedMatrix", "evaluate_block"]
+__all__ = ["BlockProvider", "CompressedMatrix", "RowSlab", "evaluate_block"]
 
 
 def evaluate_block(
@@ -56,15 +56,28 @@ def evaluate_block(
     return matrix.entries(rows, cols)
 
 
+class RowSlab(NamedTuple):
+    """Block-rows ``K[β, near(β)]`` of ``g`` leaves of one shape, stacked ``(g, m, Σk)``.
+
+    ``rows`` names row ``i`` of ``array`` as ``(β, near(β))``; the block
+    ``(β, α)`` is the ``(m, |α|)`` column view of that row at ``α``'s
+    position in ``near(β)``.  The planned engine's L2L operand.
+    """
+
+    array: np.ndarray
+    rows: tuple[tuple[int, tuple[int, ...]], ...]
+
+
 class BlockProvider:
     """Dict-like provider of near/far submatrices.
 
     When caching is enabled at compression time the blocks are stored in an
     internal dict (tasks ``Kba`` / ``SKba`` of Table 2) — as read-only views
-    of the slabs the blocks stage evaluated them into.  When caching is
-    disabled, each request evaluates the block from the original matrix on
-    the fly — trading time for the O(N) cache memory, exactly the trade-off
-    the paper describes.
+    of the slabs the blocks stage evaluated them into: near blocks as
+    column views of their leaf's :class:`RowSlab` row, far blocks as views
+    of same-shape slabs.  When caching is disabled, each request evaluates
+    the block from the original matrix on the fly — trading time for the
+    O(N) cache memory, exactly the trade-off the paper describes.
 
     A provider may be shared between operators (a near provider reads
     ``node.indices`` only, so it outlives any one skeletonization): cached
@@ -79,6 +92,8 @@ class BlockProvider:
         # Running totals, kept by ``store``: reports read them on every call.
         self._entries = 0
         self._nbytes = 0
+        # Leaf β → the row slab whose row i is K[β, near(β)] (store_rows).
+        self._rows: Dict[int, RowSlab] = {}
 
     def store(self, key: tuple[int, int], block: np.ndarray) -> None:
         previous = self._cache.get(key)
@@ -88,6 +103,28 @@ class BlockProvider:
         self._cache[key] = block
         self._entries += block.size
         self._nbytes += block.nbytes
+        # A replaced block no longer matches its row: retire the row.
+        self._rows.pop(key[0], None)
+
+    def store_rows(self, slabs: list[RowSlab], blocks: Dict[tuple[int, int], np.ndarray]) -> None:
+        """Cache ``blocks`` — column views of the rows of ``slabs`` — in ``blocks`` order.
+
+        :meth:`row_slabs` then hands the slabs out whole until a block of
+        one of their rows is replaced through :meth:`store`.
+        """
+        for key, block in blocks.items():
+            self.store(key, block)
+        for slab in slabs:
+            for beta, _ in slab.rows:
+                self._rows[beta] = slab
+
+    def row_slabs(self) -> list[RowSlab]:
+        """The cached row slabs none of whose blocks has been replaced, in storing order."""
+        slabs = {id(slab): slab for slab in self._rows.values()}
+        return [
+            slab for slab in slabs.values()
+            if all(self._rows.get(beta) is slab for beta, _ in slab.rows)
+        ]
 
     def __contains__(self, key: tuple[int, int]) -> bool:
         return key in self._cache
@@ -172,7 +209,7 @@ class CompressedMatrix:
         Residency decides: ``"planned"`` when every block is on the heap —
         no provider is disk-backed (an mmap-opened store's are, even when
         it holds no blocks), and either both caches are on or the packed
-        plan is already built — since the plan packs every block.
+        plan is already built.
         Otherwise ``"streamed"``: memoryless compressions evaluate blocks
         chunk by chunk in a bounded workspace, and mmap-opened stores
         multiply their stored blocks in place, rather than copying them
@@ -350,7 +387,8 @@ class CompressedMatrix:
 
         ``bytes_resident`` counts heap-held arrays: skeleton coefficients
         (unless they are mmap views into an operator store), cached blocks
-        of in-memory providers, the packed plan and the streaming plan's
+        of in-memory providers, the plan operands the plan owns (not the
+        near cache's row slabs it runs L2L on) and the streaming plan's
         index tables *if already built* (this report never builds them).
         ``bytes_on_disk`` counts mmap-backed coefficients/blocks plus any
         live streaming spill arena.  Keys are always present, so serving
@@ -373,7 +411,7 @@ class CompressedMatrix:
             resident += int(getattr(provider, "bytes_resident", 0))
             on_disk += int(getattr(provider, "bytes_on_disk", 0))
         if self._plan is not None:
-            resident += int(self._plan.packed_entries()) * 8
+            resident += int(self._plan.owned_bytes())
         if self._streaming_plan is not None:
             resident += int(self._streaming_plan.index_bytes())
             if not self._streaming_plan.spills:

@@ -43,11 +43,18 @@ This module flattens the tree, once per compression, into an
 
 The plan is built lazily by :meth:`repro.core.hmatrix.CompressedMatrix.plan`
 and cached there, so repeated matvecs (e.g. inside CG) reuse it.  For the
-S2S and L2L families, each target's interaction blocks are concatenated
-into one wide block-row at build time — the whole Far (resp. Near) list of
-a node becomes a single GEMM with a large inner dimension, and every
-scatter target appears exactly once per stage, keeping every scatter a
-plain vectorized fancy-index add — no ``np.add.at`` in the hot loop.
+S2S and L2L families, each target's interaction blocks form one wide
+block-row — the whole Far (resp. Near) list of a node becomes a single
+GEMM with a large inner dimension, and every scatter target appears
+exactly once per stage, keeping every scatter a plain vectorized
+fancy-index add — no ``np.add.at`` in the hot loop.  S2S block-rows are
+concatenated (and rank-padded) at build time.  The L2L operand is the
+near cache's own row slab (:class:`repro.core.hmatrix.RowSlab`): the
+near-blocks stage evaluates each leaf's block-row ``K[β, Near(β)]`` into
+it once, and the plan runs one segment per slab on it unchanged — no
+second copy of the near blocks.  Leaves the cache holds no intact row for
+(a store opened into RAM, the near cache off, a replaced block) get fresh
+row slabs filled from the provider by the same routine.
 
 :func:`evaluate_planned` is numerically equivalent to the per-node
 traversal up to floating-point summation order (the equivalence tests
@@ -69,7 +76,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -206,7 +213,8 @@ class PlanSegment:
     """One batched-GEMM unit of work: ``dst ⟵ operand @ src`` for a batch.
 
     ``operand`` is the packed ``(g, a, b)`` stack of coefficients (N2S:
-    ``P``; S2N: ``Pᵀ``) or concatenated interaction block-rows (S2S, L2L);
+    ``P``; S2N: ``Pᵀ``), of concatenated far block-rows (S2S), or the near
+    cache's row slab of ``g`` leaf block-rows, used in place (L2L);
     ``src`` / ``dst`` are the ``(buffer, block, index)`` accesses of
     :func:`gather_gemm_scatter`.  ``run`` takes the per-matvec context plus
     one optional lock that the threaded executor passes only to segments
@@ -251,11 +259,17 @@ class EvaluationPlan:
     """
 
     def __init__(
-        self, layout: PassLayout, s2s_segments: List[PlanSegment], l2l_segments: List[PlanSegment]
+        self,
+        layout: PassLayout,
+        s2s_segments: List[PlanSegment],
+        l2l_segments: List[PlanSegment],
+        borrowed: Sequence[np.ndarray] = (),
     ) -> None:
         self.layout = layout
         self.s2s_segments = s2s_segments
         self.l2l_segments = l2l_segments
+        # Operands that are the near cache's row slabs: the cache owns them.
+        self._borrowed = frozenset(id(operand) for operand in borrowed)
         # Pooled per-call workspace buffers (see the module docstring): a
         # bounded LIFO of (wtil, util) pairs protected by a lock, so
         # concurrent callers are reentrant while repeated matvecs (CG,
@@ -282,8 +296,14 @@ class EvaluationPlan:
         return sum(1 for _ in self.segments())
 
     def packed_entries(self) -> int:
-        """Total float64 entries held in packed coefficient/block arrays."""
+        """Total entries of every segment operand, the near cache's row slabs included."""
         return sum(seg.operand.size for seg in self.segments())
+
+    def owned_bytes(self) -> int:
+        """Bytes of the operands the plan owns: every operand but the near cache's row slabs."""
+        return sum(
+            seg.operand.nbytes for seg in self.segments() if id(seg.operand) not in self._borrowed
+        )
 
     def stages(self) -> List[Tuple[str, List[PlanSegment]]]:
         """Barrier-separated stages, in a valid sequential order.
@@ -764,47 +784,69 @@ def _pack_s2s_segments(compressed, layout: PassLayout) -> List[PlanSegment]:
     return s2s_segments
 
 
-def _pack_l2l_segments(compressed, layout: PassLayout) -> List[PlanSegment]:
-    """Eagerly pack the direct part: concatenate each leaf's near blocks into
-    one wide block-row, then batch the block-rows by shape."""
+def _copy_blocks(provider, keys: list[tuple[int, int]], views: list[np.ndarray]) -> None:
+    """Fill row-slab ``views`` with the provider's blocks ``keys`` (the L2L fill path)."""
+    for key, view in zip(keys, views):
+        block = provider.get(key)
+        if block is None:
+            raise EvaluationError(f"missing near block {key} while building evaluation plan")
+        if block.shape != view.shape:
+            raise EvaluationError(
+                f"near block {key} has shape {block.shape}, expected {view.shape}"
+            )
+        np.copyto(view, block)
+
+
+def _l2l_segments(compressed, layout: PassLayout) -> tuple[List[PlanSegment], list]:
+    """The direct part: one segment per row slab, the slab itself as operand.
+
+    Returns the segments and the operands borrowed from the near cache: its
+    row slabs are used as they are when every row in them is intact and is
+    its leaf's current Near list.  Leaves not covered that way get fresh
+    slabs, filled from ``provider.get`` by the near-blocks stage's own
+    routine.
+    """
+    from .compress import fill_row_slabs  # compress → hmatrix → plan: import at use
+
     tree = compressed.tree
+    provider = compressed.near_blocks
+    near = {leaf.node_id: tuple(leaf.near) for leaf in tree.leaves if leaf.near}
+    cached = getattr(provider, "row_slabs", None)
+    slabs = [
+        slab for slab in (cached() if cached is not None else [])
+        if all(near.get(beta_id) == cols for beta_id, cols in slab.rows)
+    ]
+    borrowed = [slab.array for slab in slabs]
+    covered = {beta_id for slab in slabs for beta_id, _ in slab.rows}
+    rest = [(beta_id, cols) for beta_id, cols in near.items() if beta_id not in covered]
+    if rest:
+        index_sets = [node.indices for node in tree.nodes]
+        fresh, _ = fill_row_slabs(
+            rest, index_sets, lambda keys, views: _copy_blocks(provider, keys, views)
+        )
+        slabs += fresh
+
     l2l_segments: List[PlanSegment] = []
-    l2l_groups = {}
-    for leaf in tree.leaves:
-        if not leaf.near:
-            continue
-        blocks = []
-        cols: list[np.ndarray] = []
-        for alpha_id in leaf.near:
-            alpha = tree.node(alpha_id)
-            block = _require_block(compressed.near_blocks, (leaf.node_id, alpha_id), "near")
-            if block.shape != (leaf.size, alpha.size):
-                raise EvaluationError(
-                    f"near block ({leaf.node_id},{alpha_id}) has shape {block.shape}, "
-                    f"expected {(leaf.size, alpha.size)}"
-                )
-            blocks.append(block)
-            cols.append(alpha.indices)
-        row_block = np.hstack(blocks)
-        l2l_groups.setdefault(row_block.shape, []).append((leaf, row_block, np.concatenate(cols)))
-    for _, entries in sorted(l2l_groups.items()):
-        blocks = np.stack([e[1] for e in entries])
-        dst = ("output", 1, np.stack([e[0].indices for e in entries]))
+    for slab in slabs:
+        leaves = [tree.node(beta_id) for beta_id, _ in slab.rows]
+        dst = ("output", 1, np.stack([leaf.indices for leaf in leaves]))
         if layout.uniform_leaf_size:
-            slots = [[layout.leaf_slot[a] for a in e[0].near] for e in entries]
+            slots = [[layout.leaf_slot[a] for a in cols] for _, cols in slab.rows]
             src = ("leaves", layout.uniform_leaf_size, np.asarray(slots, dtype=np.intp))
         else:
-            src = ("weights", 1, np.stack([e[2] for e in entries]))
-        l2l_segments.append(PlanSegment("L2L", 0, blocks, src, dst))
-    return l2l_segments
+            cols = [np.concatenate([tree.node(a).indices for a in row]) for _, row in slab.rows]
+            src = ("weights", 1, np.stack(cols))
+        l2l_segments.append(PlanSegment("L2L", 0, slab.array, src, dst))
+    return l2l_segments, borrowed
 
 
 def build_plan(compressed) -> EvaluationPlan:
     """Flatten a :class:`~repro.core.hmatrix.CompressedMatrix` into an :class:`EvaluationPlan`."""
     bucketing = getattr(compressed.config, "plan_rank_bucketing", "none")
     layout = build_pass_layout(compressed, bucketing)
+    l2l_segments, borrowed = _l2l_segments(compressed, layout)
     return EvaluationPlan(
-        layout, _pack_s2s_segments(compressed, layout), _pack_l2l_segments(compressed, layout)
+        layout, _pack_s2s_segments(compressed, layout), l2l_segments, borrowed=borrowed
     )
 
 
