@@ -278,12 +278,7 @@ def fill_row_slabs(
         for start in range(0, len(members), per_slab):
             chunk = tuple(members[start : start + per_slab])
             slab = RowSlab(np.empty((len(chunk), m, width)), chunk)
-            for row, (beta_id, near) in zip(slab.array, chunk):
-                offset = 0
-                for alpha_id in near:
-                    k = index_sets[alpha_id].size
-                    views[(beta_id, alpha_id)] = row[:, offset : offset + k]
-                    offset += k
+            views.update(slab.blocks(index_sets))
             slabs.append(slab)
     keys = [(beta_id, alpha_id) for beta_id, near in rows for alpha_id in near]
     fill(keys, [views[key] for key in keys])

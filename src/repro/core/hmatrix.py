@@ -67,6 +67,17 @@ class RowSlab(NamedTuple):
     array: np.ndarray
     rows: tuple[tuple[int, tuple[int, ...]], ...]
 
+    def blocks(self, index_sets) -> list[tuple[tuple[int, int], np.ndarray]]:
+        """``((β, α), view)`` for every block, in row order (``index_sets[α]``: α's indices)."""
+        out = []
+        for row, (beta_id, near) in zip(self.array, self.rows):
+            offset = 0
+            for alpha_id in near:
+                k = index_sets[alpha_id].size
+                out.append(((beta_id, alpha_id), row[:, offset : offset + k]))
+                offset += k
+        return out
+
 
 class BlockProvider:
     """Dict-like provider of near/far submatrices.
@@ -96,6 +107,11 @@ class BlockProvider:
         self._rows: Dict[int, RowSlab] = {}
 
     def store(self, key: tuple[int, int], block: np.ndarray) -> None:
+        self._put(key, block)
+        # A replaced block no longer matches its row: retire the row.
+        self._rows.pop(key[0], None)
+
+    def _put(self, key: tuple[int, int], block: np.ndarray) -> None:
         previous = self._cache.get(key)
         if previous is not None:
             self._entries -= previous.size
@@ -103,8 +119,6 @@ class BlockProvider:
         self._cache[key] = block
         self._entries += block.size
         self._nbytes += block.nbytes
-        # A replaced block no longer matches its row: retire the row.
-        self._rows.pop(key[0], None)
 
     def store_rows(self, slabs: list[RowSlab], blocks: Dict[tuple[int, int], np.ndarray]) -> None:
         """Cache ``blocks`` — column views of the rows of ``slabs`` — in ``blocks`` order.
@@ -113,7 +127,8 @@ class BlockProvider:
         one of their rows is replaced through :meth:`store`.
         """
         for key, block in blocks.items():
-            self.store(key, block)
+            self._put(key, block)
+            self._rows.pop(key[0], None)
         for slab in slabs:
             for beta, _ in slab.rows:
                 self._rows[beta] = slab
@@ -211,11 +226,12 @@ class CompressedMatrix:
         it holds no blocks), and either both caches are on or the packed
         plan is already built.
         Otherwise ``"streamed"``: memoryless compressions evaluate blocks
-        chunk by chunk in a bounded workspace, and mmap-opened stores
-        multiply their stored blocks in place, rather than copying them
-        all into a plan.  Pass
-        ``engine="planned"`` (or call :meth:`plan`) to opt into the packed
-        engine anyway.
+        chunk by chunk in a bounded workspace, and mmap-opened stores run
+        L2L on their stored row slabs in place, packing only the far
+        block-rows onto the heap.  Both engines share the L2L segments on
+        intact row slabs; they differ in rank padding and in how they
+        handle what is not cached.  Pass ``engine="planned"`` (or call
+        :meth:`plan`) to opt into the packed engine anyway.
         """
         on_disk = self.near_blocks.disk_backed or self.far_blocks.disk_backed
         cached = self.config.cache_near_blocks and self.config.cache_far_blocks
@@ -387,9 +403,10 @@ class CompressedMatrix:
 
         ``bytes_resident`` counts heap-held arrays: skeleton coefficients
         (unless they are mmap views into an operator store), cached blocks
-        of in-memory providers, the plan operands the plan owns (not the
-        near cache's row slabs it runs L2L on) and the streaming plan's
-        index tables *if already built* (this report never builds them).
+        of in-memory providers, the operands each plan owns (not the near
+        cache's row slabs both run L2L on) and the streaming plan's index
+        tables and workspace, of the plans *already built* (this report
+        never builds them).
         ``bytes_on_disk`` counts mmap-backed coefficients/blocks plus any
         live streaming spill arena.  Keys are always present, so serving
         metrics and ``CompressedOperator.report()`` can rely on the schema.
@@ -413,6 +430,7 @@ class CompressedMatrix:
         if self._plan is not None:
             resident += int(self._plan.owned_bytes())
         if self._streaming_plan is not None:
+            resident += int(self._streaming_plan.owned_bytes())
             resident += int(self._streaming_plan.index_bytes())
             if not self._streaming_plan.spills:
                 # Spilled workspaces live in the arena (counted below while

@@ -52,9 +52,11 @@ concatenated (and rank-padded) at build time.  The L2L operand is the
 near cache's own row slab (:class:`repro.core.hmatrix.RowSlab`): the
 near-blocks stage evaluates each leaf's block-row ``K[β, Near(β)]`` into
 it once, and the plan runs one segment per slab on it unchanged — no
-second copy of the near blocks.  Leaves the cache holds no intact row for
-(a store opened into RAM, the near cache off, a replaced block) get fresh
-row slabs filled from the provider by the same routine.
+second copy of the near blocks; a store holds and reopens the same slabs.
+Leaves the cache holds no intact row for (the near cache off, a replaced
+block, a store in the older flat layout) get fresh row slabs filled from
+the provider by the same routine.  The streamed engine runs the same
+slab segments on intact rows.
 
 :func:`evaluate_planned` is numerically equivalent to the per-node
 traversal up to floating-point summation order (the equivalence tests
@@ -448,9 +450,7 @@ def _require_block(provider, key: tuple[int, int], what: str) -> np.ndarray:
     block = provider.get(key)
     if block is None:
         raise EvaluationError(f"missing {what} block {key} while building evaluation plan")
-    # Keep the compression's dtype: packing must not change precision or
-    # double the memory of a float32 representation.
-    return np.ascontiguousarray(block)
+    return block
 
 
 #: Valid values of ``GOFMMConfig.plan_rank_bucketing``.
@@ -741,44 +741,47 @@ def build_pass_layout(compressed, bucketing: str = "none") -> PassLayout:
     )
 
 
-def _pack_s2s_segments(compressed, layout: PassLayout) -> List[PlanSegment]:
-    """Eagerly pack the far field: concatenate each target's far blocks into
-    one wide block-row, then batch the block-rows by shape."""
+def _pack_s2s_segments(compressed, layout: PassLayout, targets=None) -> List[PlanSegment]:
+    """Eagerly pack the far field: each target's far blocks concatenated into
+    one wide (rank-padded) block-row, the block-rows batched by shape.
+
+    ``targets`` (default: every node) are the nodes whose block-rows are
+    packed.  Each block is copied once, straight into its batch.
+    """
     tree = compressed.tree
     skel_offset, prank = layout.skel_offset, layout.prank
-    s2s_segments: List[PlanSegment] = []
     s2s_groups: Dict[tuple[int, int], list] = {}
-    for node in tree.nodes:
+    for node in tree.nodes if targets is None else targets:
         if not node.far or node.skeleton_rank == 0:
             continue
-        blocks: list[np.ndarray] = []
-        rows: list[np.ndarray] = []
-        for alpha_id in node.far:
-            alpha = tree.node(alpha_id)
-            if alpha.skeleton_rank == 0:
-                continue
-            block = _require_block(compressed.far_blocks, (node.node_id, alpha_id), "far")
-            if block.shape != (node.skeleton_rank, alpha.skeleton_rank):
-                raise EvaluationError(
-                    f"far block ({node.node_id},{alpha_id}) has shape {block.shape}, "
-                    f"expected {(node.skeleton_rank, alpha.skeleton_rank)}"
-                )
-            pad_shape = (int(prank[node.node_id]), int(prank[alpha.node_id]))
-            if block.shape != pad_shape:
-                padded = np.zeros(pad_shape, dtype=block.dtype)
-                padded[: block.shape[0], : block.shape[1]] = block
-                block = padded
-            blocks.append(block)
-            start = skel_offset[alpha.node_id]
-            rows.append(np.arange(start, start + pad_shape[1]))
-        if not blocks:
-            continue
-        row_block = np.hstack(blocks)
-        s2s_groups.setdefault(row_block.shape, []).append((node, row_block, np.concatenate(rows)))
+        alphas = [alpha for alpha in map(tree.node, node.far) if alpha.skeleton_rank > 0]
+        if alphas:
+            shape = (int(prank[node.node_id]), int(sum(prank[a.node_id] for a in alphas)))
+            s2s_groups.setdefault(shape, []).append((node, alphas))
+    s2s_segments: List[PlanSegment] = []
     for (s, k), entries in sorted(s2s_groups.items()):
-        blocks = np.stack([e[1] for e in entries])
-        src = _workspace_access("wtil", np.stack([e[2] for e in entries]), layout.uniform_rank)
-        dst_rows = _own_rows([e[0] for e in entries], s, skel_offset)
+        blocks = None
+        cols = np.empty((len(entries), k), dtype=np.intp)
+        for g, (node, alphas) in enumerate(entries):
+            offset = 0
+            for alpha in alphas:
+                key = (node.node_id, alpha.node_id)
+                block = _require_block(compressed.far_blocks, key, "far")
+                if block.shape != (node.skeleton_rank, alpha.skeleton_rank):
+                    raise EvaluationError(
+                        f"far block {key} has shape {block.shape}, "
+                        f"expected {(node.skeleton_rank, alpha.skeleton_rank)}"
+                    )
+                if blocks is None:
+                    # Keep the compression's dtype: packing must not change
+                    # precision or double the memory of a float32 representation.
+                    blocks = np.zeros((len(entries), s, k), dtype=block.dtype)
+                blocks[g, : block.shape[0], offset : offset + block.shape[1]] = block
+                width, start = int(prank[alpha.node_id]), skel_offset[alpha.node_id]
+                cols[g, offset : offset + width] = np.arange(start, start + width)
+                offset += width
+        src = _workspace_access("wtil", cols, layout.uniform_rank)
+        dst_rows = _own_rows([node for node, _ in entries], s, skel_offset)
         dst = _workspace_access("util", dst_rows, layout.uniform_rank)
         s2s_segments.append(PlanSegment("S2S", 0, blocks, src, dst))
     return s2s_segments
@@ -797,35 +800,50 @@ def _copy_blocks(provider, keys: list[tuple[int, int]], views: list[np.ndarray])
         np.copyto(view, block)
 
 
-def _l2l_segments(compressed, layout: PassLayout) -> tuple[List[PlanSegment], list]:
-    """The direct part: one segment per row slab, the slab itself as operand.
+def intact_row_slabs(compressed) -> list:
+    """The near cache's row slabs every row of which is its leaf's current Near list.
 
-    Returns the segments and the operands borrowed from the near cache: its
-    row slabs are used as they are when every row in them is intact and is
-    its leaf's current Near list.  Leaves not covered that way get fresh
-    slabs, filled from ``provider.get`` by the near-blocks stage's own
-    routine.
+    Both engines run their L2L segments on these slabs in place.
     """
-    from .compress import fill_row_slabs  # compress → hmatrix → plan: import at use
-
-    tree = compressed.tree
-    provider = compressed.near_blocks
-    near = {leaf.node_id: tuple(leaf.near) for leaf in tree.leaves if leaf.near}
-    cached = getattr(provider, "row_slabs", None)
-    slabs = [
+    near = {leaf.node_id: tuple(leaf.near) for leaf in compressed.tree.leaves if leaf.near}
+    cached = getattr(compressed.near_blocks, "row_slabs", None)
+    return [
         slab for slab in (cached() if cached is not None else [])
         if all(near.get(beta_id) == cols for beta_id, cols in slab.rows)
     ]
-    borrowed = [slab.array for slab in slabs]
+
+
+def near_row_slabs(compressed, cached_only: bool = False) -> tuple[list, int]:
+    """Every leaf's block-row ``K[β, Near(β)]`` in row slabs; returns the slabs and how
+    many of them, leading, are the near cache's own (:func:`intact_row_slabs`).
+
+    The other leaves get fresh slabs filled from ``provider.get`` by the
+    near-blocks stage's own routine — with ``cached_only``, only the leaves
+    whose every near block the provider caches.
+    """
+    from .compress import fill_row_slabs  # compress → hmatrix → plan: import at use
+
+    tree, provider = compressed.tree, compressed.near_blocks
+    slabs = intact_row_slabs(compressed)
     covered = {beta_id for slab in slabs for beta_id, _ in slab.rows}
-    rest = [(beta_id, cols) for beta_id, cols in near.items() if beta_id not in covered]
+    rest = [
+        (leaf.node_id, tuple(leaf.near)) for leaf in tree.leaves
+        if leaf.near and leaf.node_id not in covered
+        and (not cached_only or all((leaf.node_id, a) in provider for a in leaf.near))
+    ]
+    borrowed = len(slabs)
     if rest:
         index_sets = [node.indices for node in tree.nodes]
         fresh, _ = fill_row_slabs(
             rest, index_sets, lambda keys, views: _copy_blocks(provider, keys, views)
         )
         slabs += fresh
+    return slabs, borrowed
 
+
+def slab_segments(compressed, layout: PassLayout, slabs) -> List[PlanSegment]:
+    """The direct part on row slabs: one L2L segment per slab, the slab itself as operand."""
+    tree = compressed.tree
     l2l_segments: List[PlanSegment] = []
     for slab in slabs:
         leaves = [tree.node(beta_id) for beta_id, _ in slab.rows]
@@ -837,16 +855,19 @@ def _l2l_segments(compressed, layout: PassLayout) -> tuple[List[PlanSegment], li
             cols = [np.concatenate([tree.node(a).indices for a in row]) for _, row in slab.rows]
             src = ("weights", 1, np.stack(cols))
         l2l_segments.append(PlanSegment("L2L", 0, slab.array, src, dst))
-    return l2l_segments, borrowed
+    return l2l_segments
 
 
 def build_plan(compressed) -> EvaluationPlan:
     """Flatten a :class:`~repro.core.hmatrix.CompressedMatrix` into an :class:`EvaluationPlan`."""
     bucketing = getattr(compressed.config, "plan_rank_bucketing", "none")
     layout = build_pass_layout(compressed, bucketing)
-    l2l_segments, borrowed = _l2l_segments(compressed, layout)
+    slabs, borrowed = near_row_slabs(compressed)
     return EvaluationPlan(
-        layout, _pack_s2s_segments(compressed, layout), l2l_segments, borrowed=borrowed
+        layout,
+        _pack_s2s_segments(compressed, layout),
+        slab_segments(compressed, layout, slabs),
+        borrowed=[slab.array for slab in slabs[:borrowed]],
     )
 
 

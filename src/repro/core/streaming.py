@@ -13,15 +13,13 @@ the blocks are not all resident: it shares the planned engine's
 level segments) and replaces eager block storage with **chunked on-the-fly
 materialization**:
 
-* **rounds** — the S2S stage is split into rounds: round ``j`` holds every
-  target's ``j``-th far interaction.  Within a round each target appears at
-  most once, so same-shape pairs batch into one 3-D GEMM with a plain
-  vectorized scatter-add, while each target's accumulator still receives
-  its contributions *in far-list order* — the same per-pair products in
-  the same order as the per-node traversal of Algorithm 2.7, which is what
-  makes the streamed matvec **bit-identical** to it (concatenating a
-  target's blocks into one wide GEMM, as the planned engine does, changes
-  the accumulation order).  L2L is organized the same way over Near lists.
+* **rounds** — the S2S pairs to fill are split into rounds: round ``j``
+  holds every such target's ``j``-th far interaction.  Within a round each
+  target appears at most once, so same-shape pairs batch into one 3-D GEMM
+  with a plain vectorized scatter-add, while each target's accumulator
+  still receives its contributions *in far-list order* — the per-pair
+  products of the per-node traversal of Algorithm 2.7, in its order.  L2L
+  is organized the same way over Near lists.
 * **chunks** — the round segments are packed, in execution order, into
   chunks bounded by ``GOFMMConfig.streaming_chunk_bytes``: each chunk's
   blocks are materialized into a reusable buffer (missing blocks are
@@ -31,12 +29,17 @@ materialization**:
   from that buffer.  All cycling buffers together stay within the
   configured budget, so evaluation-phase block memory is bounded no matter
   how many interaction pairs the compression has.
-* **in place** — a fully cached segment whose blocks a store holds back to
-  back in this execution order (:func:`stream_rounds` is the one order
-  :meth:`repro.storage.store.OperatorStore.save` writes) is not copied at
-  all: its GEMMs run on a read-only ``(g, p, k)`` view of the stored bytes,
-  and it takes no buffer space.  A fully cached mmap-opened store thus needs
-  no workspace: its graph holds only the N2S, exec and S2N tasks.
+* **in place** — cached work runs the planned engine's segments, not
+  chunks: a leaf whose block-row the near cache holds intact multiplies its
+  :class:`~repro.core.hmatrix.RowSlab` row (one GEMM per slab, on the
+  cache's own bytes — the mapped store's, for an mmap-opened operator), and
+  an S2S target whose far blocks are all cached multiplies its block-row,
+  concatenated once at build.  Only the pairs left over — uncached blocks,
+  partly cached targets, the rows of a store in the older flat layout — go
+  through the round-major fill chunks, so a fully cached operator needs no
+  workspace: its graph holds only the N2S, exec and S2N tasks.  Each target
+  gets either one block-row product or its per-block sum in list order, the
+  rules the per-node oracle follows too.
 * **buffered pipelining** — upcoming chunks materialize on the shared
   persistent :class:`~repro.runtime.executor.WorkerPool` while the current
   chunk's GEMMs execute (materialization dominates a memoryless matvec and
@@ -44,7 +47,7 @@ materialization**:
   ahead of the executor), block evaluation fully overlapping compute.  The
   execution chain itself is strictly sequential (chunk order, with the S2N
   pass between the last S2S chunk and the first L2L chunk), keeping the
-  result deterministic and equal to the per-node traversal's.
+  result deterministic and **bit-identical** to the per-node oracle.
 
 The engine works for *any* caching configuration — cached blocks are read
 in place or copied instead of re-evaluated — so ``near-only`` /
@@ -67,17 +70,27 @@ from ..errors import EvaluationError, SpillCapacityError
 from ..obs import counters as _obs_counters
 from ..obs import get_logger
 from ..obs.trace import get_tracer
-from .plan import EvaluationCounters, PassLayout, PlanContext, _as_matrix, build_pass_layout, gather_gemm_scatter
+from .plan import (
+    EvaluationCounters,
+    PassLayout,
+    PlanContext,
+    _as_matrix,
+    _pack_s2s_segments,
+    build_pass_layout,
+    gather_gemm_scatter,
+    intact_row_slabs,
+    slab_segments,
+)
 
 _LOG = get_logger("core.streaming")
 
 __all__ = [
+    "PlannedChunk",
     "StreamSegment",
     "StreamChunk",
     "StreamingPlan",
     "build_streaming_plan",
     "evaluate_streamed",
-    "stream_rounds",
 ]
 
 #: Per-call cap (in packed block bytes) on one ``entries_batched``
@@ -117,13 +130,11 @@ class StreamSegment:
     engine's :func:`~repro.core.plan.gather_gemm_scatter`.  Scatter targets
     are disjoint within the segment (each target appears at most once per
     round), so the fancy-index add is a plain vectorized scatter.
-    ``view`` is the segment's operand read in place from its provider, or
-    ``None`` when the blocks go through a chunk buffer.
     """
 
     __slots__ = (
         "kind", "shape", "keys", "rows", "cols", "src", "dst",
-        "cached", "missing", "view", "flops_per_rhs",
+        "cached", "missing", "flops_per_rhs",
     )
 
     def __init__(
@@ -153,7 +164,6 @@ class StreamSegment:
         self.dst = ("util" if s2s else "output", 1, self.rows if dst is None else dst)
         self.cached: List[int] = []       # filled by bind_cache
         self.missing: List[int] = list(range(len(keys)))
-        self.view: Optional[np.ndarray] = None
         self.flops_per_rhs = 2.0 * len(keys) * shape[0] * shape[1]
 
     @property
@@ -164,33 +174,16 @@ class StreamSegment:
     def elems(self) -> int:
         return self.batch * self.shape[0] * self.shape[1]
 
-    @property
-    def buffer_elems(self) -> int:
-        """Chunk-buffer entries the segment needs: none when it runs in place."""
-        return 0 if self.view is not None else self.elems
-
     def bind_cache(self, provider) -> None:
         """Split the segment's keys into cached / to-evaluate once, at build.
 
         The block cache is immutable after compression, so the split never
         changes between matvecs — checking it per materialization would be
-        thousands of dict probes per call for nothing.  A fully cached
-        segment the provider holds as one contiguous run of float64 blocks
-        (a store written in :func:`stream_rounds` order) keeps that run as
-        its operand instead: same values, same GEMM shapes, no copy.
+        thousands of dict probes per call for nothing.
         """
-        self.cached = [g for g, key in enumerate(self.keys) if key in provider]
-        if self.cached:
-            in_cache = set(self.cached)
-            self.missing = [g for g in range(len(self.keys)) if g not in in_cache]
-        else:
-            self.missing = list(range(len(self.keys)))
-        self.view = None
-        contiguous_run = getattr(provider, "contiguous_run", None)
-        if not self.missing and contiguous_run is not None:
-            view = contiguous_run(self.keys, self.shape)
-            if view is not None and view.dtype == np.float64:
-                self.view = view
+        hits = [key in provider for key in self.keys]
+        self.cached = [g for g, hit in enumerate(hits) if hit]
+        self.missing = [g for g, hit in enumerate(hits) if not hit]
 
     def materialize(self, provider, matrix, out: np.ndarray) -> None:
         """Fill ``out`` (a ``(g, p, k)`` buffer view) with this segment's blocks.
@@ -236,12 +229,7 @@ class StreamSegment:
 
 
 class StreamChunk:
-    """A contiguous run of segments executed together.
-
-    The segments without an in-place view materialize into one buffer;
-    ``total_elems`` / ``num_blocks`` count only those, so a chunk of
-    in-place segments needs no buffer and no fill.
-    """
+    """A contiguous run of segments materialized into one buffer and executed together."""
 
     __slots__ = (
         "segments", "offsets", "total_elems", "flops_per_rhs",
@@ -254,33 +242,55 @@ class StreamChunk:
         offset = 0
         for segment in segments:
             self.offsets.append(offset)
-            offset += segment.buffer_elems
+            offset += segment.elems
         self.total_elems = offset
         self.flops_per_rhs = sum(s.flops_per_rhs for s in segments)
         # Telemetry aggregates, fixed once bind_cache has run on the
         # segments (the cache split never changes between matvecs).
-        self.num_blocks = sum(s.batch for s in segments if s.view is None)
+        self.num_blocks = sum(s.batch for s in segments)
         self.missing_elems = sum(
             len(s.missing) * s.shape[0] * s.shape[1] for s in segments
         )
 
-    def _views(self, buffer: Optional[np.ndarray]):
+    def _views(self, buffer: np.ndarray):
         for segment, offset in zip(self.segments, self.offsets):
-            if segment.view is not None:
-                yield segment, segment.view
-                continue
             g, (p, k) = segment.batch, segment.shape
             yield segment, buffer[offset : offset + segment.elems].reshape(g, p, k)
 
     def materialize(self, near_blocks, far_blocks, matrix, buffer: np.ndarray) -> None:
         for segment, view in self._views(buffer):
-            if segment.view is None:
-                provider = far_blocks if segment.kind == "S2S" else near_blocks
-                segment.materialize(provider, matrix, view)
+            provider = far_blocks if segment.kind == "S2S" else near_blocks
+            segment.materialize(provider, matrix, view)
 
-    def run(self, ctx: PlanContext, buffer: Optional[np.ndarray]) -> None:
+    def run(self, ctx: PlanContext, buffer: np.ndarray) -> None:
         for segment, view in self._views(buffer):
             segment.run(ctx, view)
+
+
+class PlannedChunk:
+    """The planned engine's segments (:class:`~repro.core.plan.PlanSegment`) as a chunk.
+
+    The streamed engine's cached work: L2L on the near cache's intact row
+    slabs (``owned=False``) or S2S on block-rows packed at build
+    (``owned=True``).  The operands are the segments' own, so the chunk
+    fills nothing — no buffer, no blocks, no kernel entries.
+    """
+
+    __slots__ = ("segments", "owned", "flops_per_rhs")
+
+    total_elems = num_blocks = missing_elems = 0
+
+    def __init__(self, segments: list, owned: bool) -> None:
+        self.segments = segments
+        self.owned = owned
+        self.flops_per_rhs = sum(s.flops_per_rhs for s in segments)
+
+    def materialize(self, near_blocks, far_blocks, matrix, buffer) -> None:
+        """Nothing to fill: the operands are in place."""
+
+    def run(self, ctx: PlanContext, buffer) -> None:
+        for segment in self.segments:
+            segment.run(ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +327,9 @@ class StreamingPlan:
     """Execution plan of the ``"streamed"`` engine for one compressed matrix.
 
     Holds the shared :class:`~repro.core.plan.PassLayout` (N2S / S2N level
-    segments, workspace offsets) plus the chunked S2S / L2L materialization
-    schedule.  The plan itself is immutable after construction; every
+    segments, workspace offsets) plus the S2S / L2L schedule: planned
+    chunks for the cached work, then the chunked materialization of the
+    rest.  The plan itself is immutable after construction; every
     :meth:`execute` call owns its context and its chunk buffers, so
     concurrent matvecs on one plan are safe and each is bit-identical to
     running alone (the execution chain is sequential per call).
@@ -347,8 +358,8 @@ class StreamingPlan:
         self.spill_degrade_to_heap = bool(spill_degrade_to_heap)
         chunks = s2s_chunks + l2l_chunks
         self.buffer_elems = max((c.total_elems for c in chunks), default=0)
-        #: Chunks that fill a buffer (a ``mat:`` task each); the rest run
-        #: in place on their providers' bytes.
+        #: Chunks that fill a buffer (a ``mat:`` task each); the planned
+        #: chunks run on their segments' own operands.
         self.filled_chunks = sum(1 for c in chunks if c.total_elems)
         #: Decided at plan time: the cycling buffers only exceed the budget
         #: when a single interaction block is bigger than one buffer's share
@@ -390,11 +401,21 @@ class StreamingPlan:
         total = 0
         for chunk in self.s2s_chunks + self.l2l_chunks:
             for segment in chunk.segments:
-                for array in (segment.rows, segment.cols, segment.src[2], segment.dst[2]):
-                    if id(array) not in seen:
+                for array in (segment.src[2], segment.dst[2],
+                              getattr(segment, "rows", None), getattr(segment, "cols", None)):
+                    if array is not None and id(array) not in seen:
                         seen.add(id(array))
                         total += array.nbytes
         return total
+
+    def owned_bytes(self) -> int:
+        """Bytes of the operands the plan owns: the packed S2S block-rows, not the
+        near cache's row slabs its planned L2L runs on."""
+        return sum(
+            segment.operand.nbytes
+            for chunk in self.s2s_chunks + self.l2l_chunks if getattr(chunk, "owned", False)
+            for segment in chunk.segments
+        )
 
     def describe(self) -> str:
         segments = sum(len(c.segments) for c in self.s2s_chunks + self.l2l_chunks)
@@ -754,46 +775,38 @@ class StreamingPlan:
 # plan construction
 # ---------------------------------------------------------------------------
 
-def stream_rounds(tree, lists) -> Tuple[list, list]:
-    """The streamed engine's execution order of the S2S and L2L blocks.
+def _targets(tree) -> Tuple[list, list]:
+    """``(far, near)``: every target with its interaction partners, in list order.
 
-    Returns ``(far, near)``, each a list of ``(shape, members)`` groups in
-    execution order: ``members`` are the ``(target, source)`` node pairs of
-    one round that share one block shape.  Round ``j`` takes each target's
-    ``j``-th pair (Far lists of nodes with a skeleton, Near lists of
-    non-empty leaves), so every target appears at most once per round —
-    scatter targets stay disjoint within a group while each target's
-    accumulation order remains its list order (the per-node traversal's
-    order).  Within a round the groups are sorted by shape.
-
-    :func:`build_streaming_plan` splits these groups into segments, and
-    :meth:`~repro.storage.store.OperatorStore.save` writes cached blocks in
-    this order, so a stored segment is one contiguous run.
+    Far: nodes with a skeleton and the partners of their Far list that have
+    one.  Near: non-empty leaves and the non-empty leaves of their Near list.
     """
-    far_targets = []
+    far = []
     for node in tree.nodes:
         if node.skeleton_rank == 0:
             continue
-        pairs = [tree.node(a) for a in lists.far.get(node.node_id, ())]
-        pairs = [alpha for alpha in pairs if alpha.skeleton_rank > 0]
+        pairs = [alpha for alpha in map(tree.node, node.far) if alpha.skeleton_rank > 0]
         if pairs:
-            far_targets.append((node, pairs))
-    near_targets = []
+            far.append((node, pairs))
+    near = []
     for leaf in tree.leaves:
         if leaf.size == 0:
             continue
-        pairs = [tree.node(a) for a in lists.near.get(leaf.node_id, ())]
-        pairs = [alpha for alpha in pairs if alpha.size > 0]
+        pairs = [alpha for alpha in map(tree.node, leaf.near) if alpha.size > 0]
         if pairs:
-            near_targets.append((leaf, pairs))
-    return (
-        _rounds(far_targets, lambda beta, alpha: (beta.skeleton_rank, alpha.skeleton_rank)),
-        _rounds(near_targets, lambda beta, alpha: (beta.size, alpha.size)),
-    )
+            near.append((leaf, pairs))
+    return far, near
 
 
 def _rounds(targets_with_pairs: List[tuple], shape_of) -> List[tuple]:
-    """Round-major, shape-sorted ``(shape, members)`` groups over per-target lists."""
+    """Round-major, shape-sorted ``(shape, members)`` groups over per-target lists.
+
+    Round ``j`` takes each target's ``j``-th pair, so every target appears
+    at most once per round — scatter targets stay disjoint within a group
+    while each target's accumulation order remains its list order (the
+    per-node traversal's order).  Within a round the groups are sorted by
+    shape; ``members`` are ``(target, source)`` node pairs.
+    """
     groups: List[tuple] = []
     max_len = max((len(pairs) for _, pairs in targets_with_pairs), default=0)
     for j in range(max_len):
@@ -805,20 +818,21 @@ def _rounds(targets_with_pairs: List[tuple], shape_of) -> List[tuple]:
     return groups
 
 
-def _split_segments(
-    kind: str, groups: List[tuple], make_segment, budget_elems: int
-) -> List[StreamSegment]:
-    """One segment per round group, split along the batch dimension to the chunk budget.
+def _fill_chunks(kind, targets, shape_of, make_segment, provider, budget_elems) -> List[StreamChunk]:
+    """The round-major fill chunks over ``targets``.
 
-    The split keeps scatter targets disjoint and accumulation order intact,
-    and leaves each piece of a stored contiguous run contiguous.
+    One segment per round group, split along the batch dimension to the
+    chunk budget (scatter targets stay disjoint, accumulation order
+    intact), its cache split bound once, then packed greedily into chunks.
     """
     segments: List[StreamSegment] = []
-    for shape, members in groups:
+    for shape, members in _rounds(targets, shape_of):
         step = max(1, budget_elems // max(shape[0] * shape[1], 1))
         for start in range(0, len(members), step):
-            segments.append(make_segment(kind, shape, members[start : start + step]))
-    return segments
+            segment = make_segment(kind, shape, members[start : start + step])
+            segment.bind_cache(provider)
+            segments.append(segment)
+    return _pack_chunks(segments, budget_elems)
 
 
 class _S2SSegmentFactory:
@@ -854,20 +868,21 @@ def _l2l_segment(kind: str, shape: tuple[int, int], members: list) -> StreamSegm
     )
 
 
-def _pack_chunks(segments: List[StreamSegment], budget_elems: int) -> List[StreamChunk]:
-    """Greedy packing of consecutive segments into chunks whose buffers fit the budget.
+def _planned(segments: list, owned: bool) -> List[PlannedChunk]:
+    return [PlannedChunk(segments, owned)] if segments else []
 
-    In-place segments need no buffer, so they join whichever chunk is open.
-    """
+
+def _pack_chunks(segments: List[StreamSegment], budget_elems: int) -> List[StreamChunk]:
+    """Greedy packing of consecutive segments into chunks whose buffers fit the budget."""
     chunks: List[StreamChunk] = []
     current: List[StreamSegment] = []
     current_elems = 0
     for segment in segments:
-        if current and current_elems + segment.buffer_elems > budget_elems:
+        if current and current_elems + segment.elems > budget_elems:
             chunks.append(StreamChunk(current))
             current, current_elems = [], 0
         current.append(segment)
-        current_elems += segment.buffer_elems
+        current_elems += segment.elems
     if current:
         chunks.append(StreamChunk(current))
     return chunks
@@ -878,7 +893,11 @@ def build_streaming_plan(compressed) -> StreamingPlan:
 
     The pass layout is built with exact (unbucketed) rank packing — zero
     padding would change GEMM shapes and break the engine's bit-identity
-    with the per-node traversal.
+    with the per-node oracle.  Cached work becomes planned chunks, which
+    lead their stage so the fill chunks' materialization overlaps them:
+    S2S targets whose far blocks are all cached, packed as block-rows, and
+    L2L on the near cache's intact row slabs.  Everything else is split
+    into round-major fill chunks.
     """
     config = compressed.config
     layout = build_pass_layout(compressed, "none")
@@ -892,22 +911,27 @@ def build_streaming_plan(compressed) -> StreamingPlan:
     chunk_bytes = int(getattr(config, "streaming_chunk_bytes", 32 * 2**20))
     budget_elems = max(1, chunk_bytes // (2 * _PIPELINE_BUFFERS) // 8)
 
-    far_groups, near_groups = stream_rounds(compressed.tree, compressed.lists)
-    s2s_segments = _split_segments(
-        "S2S", far_groups, _S2SSegmentFactory(layout.skel_offset), budget_elems
+    far_blocks, near_blocks = compressed.far_blocks, compressed.near_blocks
+    far_targets, near_targets = _targets(compressed.tree)
+    cached = [all((b.node_id, a.node_id) in far_blocks for a in pairs) for b, pairs in far_targets]
+    slabs = intact_row_slabs(compressed)
+    in_rows = {beta_id for slab in slabs for beta_id, _ in slab.rows}
+    packed = _pack_s2s_segments(compressed, layout, [b for (b, _), c in zip(far_targets, cached) if c])
+    s2s_chunks = _planned(packed, owned=True) + _fill_chunks(
+        "S2S", [t for t, c in zip(far_targets, cached) if not c],
+        lambda b, a: (b.skeleton_rank, a.skeleton_rank),
+        _S2SSegmentFactory(layout.skel_offset), far_blocks, budget_elems,
     )
-    l2l_segments = _split_segments("L2L", near_groups, _l2l_segment, budget_elems)
-    for segment in s2s_segments:
-        segment.bind_cache(compressed.far_blocks)
-    for segment in l2l_segments:
-        segment.bind_cache(compressed.near_blocks)
-
+    l2l_chunks = _planned(slab_segments(compressed, layout, slabs), owned=False) + _fill_chunks(
+        "L2L", [t for t in near_targets if t[0].node_id not in in_rows],
+        lambda b, a: (b.size, a.size), _l2l_segment, near_blocks, budget_elems,
+    )
     return StreamingPlan(
         layout=layout,
-        s2s_chunks=_pack_chunks(s2s_segments, budget_elems),
-        l2l_chunks=_pack_chunks(l2l_segments, budget_elems),
-        near_blocks=compressed.near_blocks,
-        far_blocks=compressed.far_blocks,
+        s2s_chunks=s2s_chunks,
+        l2l_chunks=l2l_chunks,
+        near_blocks=near_blocks,
+        far_blocks=far_blocks,
         matrix=compressed.matrix,
         chunk_bytes=chunk_bytes,
         stall_timeout=getattr(config, "executor_stall_timeout", None),

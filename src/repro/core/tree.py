@@ -106,17 +106,17 @@ def metric_split(
         p_pos, q_pos = rng.choice(n, size=2, replace=False)
         p = indices[p_pos]
         q = indices[q_pos]
+        d_p = distance.to_point(indices, int(p))
     else:
         sample = indices[rng.choice(n, size=min(centroid_samples, n), replace=False)]
         d_to_c = distance.to_centroid(indices, sample)
         p = indices[int(np.argmax(d_to_c))]
-        d_to_p = distance.to_point(indices, int(p))
-        q = indices[int(np.argmax(d_to_p))]
+        d_p = distance.to_point(indices, int(p))
+        q = indices[int(np.argmax(d_p))]
         if p == q:
             # Degenerate geometry (all points coincide): fall back to a random pivot.
             q = indices[int(rng.integers(n))]
 
-    d_p = distance.to_point(indices, int(p))
     d_q = distance.to_point(indices, int(q))
     score = d_p - d_q
 

@@ -15,7 +15,11 @@ Two stores share the layout machinery:
 * :class:`OperatorStore` — the complete compressed operator (tree +
   skeletons + coefficients + interaction lists + cached blocks), written
   by :meth:`OperatorStore.save` / ``CompressedOperator.save`` and opened
-  by :meth:`OperatorStore.open` / ``CompressedOperator.open``.
+  by :meth:`OperatorStore.open` / ``CompressedOperator.open``.  Near
+  blocks are stored as the near cache's row slabs (each leaf's block-row
+  ``K[β, Near(β)]``, the L2L operand of both engines), so an opened
+  operator multiplies the stored bytes in place; far blocks are stored
+  flat, key by key.
 * the session-artifact directory written by
   ``Session.save_artifacts(path, format="dir")`` — same arrays as the
   legacy ``.npz``, one file each, manifest instead of the JSON-in-uint8
@@ -41,8 +45,7 @@ from typing import Callable, Dict, Iterator, Optional, Tuple
 import numpy as np
 
 from ..config import DistanceMetric, GOFMMConfig
-from ..core.hmatrix import evaluate_block
-from ..core.streaming import stream_rounds
+from ..core.hmatrix import BlockProvider, RowSlab, evaluate_block
 from ..errors import (
     ArtifactMismatchError,
     ConfigurationError,
@@ -59,6 +62,7 @@ __all__ = [
     "DEFAULT_READ_RETRIES",
     "OperatorStore",
     "StoredBlockProvider",
+    "StoredRowProvider",
     "write_array_dir",
     "read_array_dir",
     "config_to_jsonable",
@@ -296,7 +300,7 @@ def is_disk_backed(array: Optional[np.ndarray]) -> bool:
 # ---------------------------------------------------------------------------
 
 class StoredBlockProvider:
-    """Read-only near/far block provider over a store's packed arrays.
+    """Read-only block provider over a store's flat block arrays.
 
     The same protocol as :class:`repro.core.hmatrix.BlockProvider`
     (``in`` / ``get`` / ``cached_entries`` / ``len``) but backed by one
@@ -306,11 +310,10 @@ class StoredBlockProvider:
     evaluated from ``matrix`` when one is attached (stores saved from
     memoryless compressions), exactly as the in-memory provider does.
 
-    :meth:`OperatorStore.save` writes the blocks in the streamed engine's
-    execution order, so :meth:`contiguous_run` hands each fully cached
-    stream segment its blocks as one in-place ``(g, p, k)`` view.  Stores
-    in any other order (key-sorted, as older writers left them) open and
-    evaluate bit-identically; their segments just copy block by block.
+    Holds the far blocks of every store, and the near blocks of a store in
+    the older flat layout (``near_block_*`` arrays, in any order).  Such a
+    provider has no row slabs, so both engines fill their L2L operands from
+    it block by block.
     """
 
     def __init__(
@@ -362,22 +365,6 @@ class StoredBlockProvider:
         rows, cols = self._shapes[i]
         return self._data[self._indptr[i] : self._indptr[i + 1]].reshape(int(rows), int(cols))
 
-    def contiguous_run(self, keys, shape: Tuple[int, int]) -> Optional[np.ndarray]:
-        """Read-only ``(g, p, k)`` view of the blocks ``keys`` when the store
-        holds them back to back, in this order, each of ``shape``; else ``None``."""
-        first = self._index.get(keys[0]) if keys else None
-        if first is None:
-            return None
-        for g, key in enumerate(keys):
-            if self._index.get(key) != first + g:
-                return None
-        stop = first + len(keys)
-        if np.any(self._shapes[first:stop] != shape):
-            return None
-        view = self._data[self._indptr[first] : self._indptr[stop]].reshape(len(keys), *shape)
-        view.flags.writeable = False
-        return view
-
     def cached_items(self) -> Iterator[tuple]:
         for key in self._index:
             yield key, self.get(key)
@@ -402,6 +389,83 @@ class StoredBlockProvider:
         return int(self._data.nbytes) if self.disk_backed else 0
 
 
+class StoredRowProvider(BlockProvider):
+    """Read-only near-block provider over a store's row slabs.
+
+    The near cache's own format, read back: :meth:`row_slabs` hands out the
+    stored ``(g, m, Σk)`` slabs — read-only mmap views with
+    ``resident="mmap"`` — and ``get((β, α))`` the column view of β's row
+    at α, so both engines run L2L on the stored bytes.  A block the store
+    does not hold is evaluated from ``matrix`` when one is attached.
+    """
+
+    def __init__(self, slabs: list, data: np.ndarray, tree, matrix=None) -> None:
+        super().__init__(tree, matrix, use_skeletons=False)
+        index_sets = [node.indices for node in tree.nodes]
+        self.store_rows(slabs, dict(pair for slab in slabs for pair in slab.blocks(index_sets)))
+        self._data = data
+
+    def store(self, key: tuple, block: np.ndarray) -> None:
+        raise StorageError("stored block providers are read-only")
+
+    @property
+    def disk_backed(self) -> bool:
+        return is_disk_backed(self._data)
+
+    @property
+    def bytes_resident(self) -> int:
+        return 0 if self.disk_backed else int(self._data.nbytes)
+
+    @property
+    def bytes_on_disk(self) -> int:
+        return int(self._data.nbytes) if self.disk_backed else 0
+
+
+def _stored_row_slabs(arrays: Dict[str, np.ndarray], tree, near: Dict[int, list]) -> list:
+    """The store's near row slabs, checked against the tree and the Near lists.
+
+    Slab ``i`` is ``data[offsets[i]:offsets[i+1]]`` viewed ``shapes[i] =
+    (g, m, Σk)``; its rows are the next ``g`` entries of ``leaves``, each
+    row's columns the leaf's Near list.
+    """
+    shapes = arrays["near_slab_shapes"]
+    offsets = arrays["near_slab_offsets"]
+    leaves = arrays["near_slab_leaves"]
+    data = np.asarray(arrays["near_slab_data"])  # plain views, yet disk-backed through .base
+    num = shapes.shape[0] if shapes.ndim == 2 else -1
+    if (
+        shapes.shape != (num, 3)
+        or offsets.shape != (num + 1,)
+        or (num and shapes.min() < 1)
+        or offsets[0] != 0
+        or np.any(np.diff(offsets) != np.prod(shapes, axis=1))
+        or offsets[-1] != data.size
+    ):
+        raise ArtifactMismatchError("store near row-slab offsets do not cover its data array")
+    if leaves.ndim != 1 or leaves.dtype.kind not in "iu":
+        raise ArtifactMismatchError("store holds a malformed near row-slab leaf list")
+    if np.unique(leaves).size != leaves.size:
+        raise ArtifactMismatchError("store near row slabs list a leaf in two slabs")
+    slabs, start = [], 0
+    for i, (g, m, width) in enumerate(shapes.tolist()):
+        rows = tuple((beta, tuple(near.get(beta) or ())) for beta in leaves[start : start + g].tolist())
+        start += g
+        if len(rows) != g or any(
+            not cols or tree.node(beta).size != m or sum(tree.node(a).size for a in cols) != width
+            for beta, cols in rows
+        ):
+            raise ArtifactMismatchError(
+                f"store near row slab {i} of shape {(g, m, width)} disagrees with its "
+                "leaves' sizes and Near lists"
+            )
+        array = data[offsets[i] : offsets[i + 1]].reshape(g, m, width)
+        array.flags.writeable = False
+        slabs.append(RowSlab(array, rows))
+    if start != leaves.size:
+        raise ArtifactMismatchError("store near row-slab leaf list is longer than its slabs")
+    return slabs
+
+
 # ---------------------------------------------------------------------------
 # the operator store
 # ---------------------------------------------------------------------------
@@ -411,9 +475,9 @@ class OperatorStore:
 
     ``OperatorStore.save(operator, path)`` writes the complete operator —
     tree structure, skeletons, interpolation coefficients, Near/Far lists
-    and every cached near/far block — as flat arrays, the blocks in the
-    streamed engine's execution order.  Stores whose blocks are in another
-    order (key-sorted, from older writers) open and evaluate bit-identically.
+    and every cached block — as flat arrays: the near blocks as the near
+    cache's row slabs, the far blocks key by key.  Stores in the older flat
+    near-block layout open and evaluate as well.
     ``OperatorStore(path)`` validates the manifest;
     :meth:`open` rebuilds a :class:`~repro.core.hmatrix.CompressedMatrix`
     whose large arrays stay on disk (``resident="mmap"``) or are loaded
@@ -472,15 +536,18 @@ class OperatorStore:
     def save(operator, path) -> "OperatorStore":
         """Write an operator (or a bare ``CompressedMatrix``) to ``path``.
 
-        Cached near/far blocks are packed into one flat data array per
-        list in the streamed engine's execution order
-        (:func:`~repro.core.streaming.stream_rounds`), so an opened store
-        evaluates on in-place views of its bytes; blocks that order never
-        visits follow, key-sorted.  With memoryless compressions (no
-        cached blocks) the store still round-trips the skeleton
-        representation, and an opened operator then needs a source matrix
-        attached for the direct/near part.
+        The near blocks are written as the near cache's
+        :class:`~repro.core.hmatrix.RowSlab` arrays, unchanged, back to back
+        in one data array, with each slab's ``(g, m, Σk)`` shape and leaf
+        list (a row's columns are its leaf's Near list).  Rows the provider
+        does not hold intact but caches every block of are laid out in
+        fresh slabs from ``provider.get``.  Far blocks stay flat, in key
+        order.  With memoryless compressions (no cached blocks) the store
+        still round-trips the skeleton representation, and an opened
+        operator then needs a source matrix attached for what it lacks.
         """
+        from ..core.plan import near_row_slabs
+
         compressed = getattr(operator, "compressed", operator)
         tree = compressed.tree
         lists = compressed.lists
@@ -515,25 +582,31 @@ class OperatorStore:
         near_indptr, near_cols = ragged([lists.near.get(n.node_id, []) for n in nodes])
         far_indptr, far_cols = ragged([lists.far.get(n.node_id, []) for n in nodes])
 
-        far_groups, near_groups = stream_rounds(tree, lists)
+        slabs, _ = near_row_slabs(compressed, cached_only=True)
+        offsets = np.zeros(len(slabs) + 1, dtype=np.intp)
+        np.cumsum([slab.array.size for slab in slabs], out=offsets[1:])
+        near_slabs = {
+            "shapes": np.array([slab.array.shape for slab in slabs], dtype=np.intp).reshape(-1, 3),
+            "offsets": offsets,
+            "leaves": np.array([beta for slab in slabs for beta, _ in slab.rows], dtype=np.intp),
+            "data": np.concatenate([slab.array.ravel() for slab in slabs] or [np.empty(0)]),
+        }
+        num_near_blocks = sum(len(cols) for slab in slabs for _, cols in slab.rows)
 
-        def pack_blocks(provider, groups) -> Dict[str, np.ndarray]:
-            cached = dict(provider.cached_items())
-            rounds = [(beta.node_id, alpha.node_id) for _, pairs in groups for beta, alpha in pairs]
-            order = [key for key in rounds if key in cached]
-            order += sorted(cached.keys() - set(order))
-            keys = np.array(order, dtype=np.intp).reshape(len(order), 2)
-            shapes = np.array([cached[k].shape for k in order], dtype=np.intp)
-            shapes = shapes.reshape(len(order), 2)
-            indptr = np.zeros(len(order) + 1, dtype=np.intp)
-            np.cumsum(shapes[:, 0] * shapes[:, 1], out=indptr[1:])
-            data = np.empty(int(indptr[-1]), dtype=dtype)
-            for i, key in enumerate(order):
-                data[indptr[i] : indptr[i + 1]] = np.asarray(cached[key]).ravel()
-            return {"keys": keys, "indptr": indptr, "shapes": shapes, "data": data}
-
-        near_blocks = pack_blocks(compressed.near_blocks, near_groups)
-        far_blocks = pack_blocks(compressed.far_blocks, far_groups)
+        cached = dict(compressed.far_blocks.cached_items())
+        order = sorted(cached)
+        shapes = np.array([cached[k].shape for k in order], dtype=np.intp).reshape(-1, 2)
+        indptr = np.zeros(len(order) + 1, dtype=np.intp)
+        np.cumsum(shapes[:, 0] * shapes[:, 1], out=indptr[1:])
+        data = np.empty(int(indptr[-1]), dtype=dtype)
+        for i, key in enumerate(order):
+            data[indptr[i] : indptr[i + 1]] = np.asarray(cached[key]).ravel()
+        far_blocks = {
+            "keys": np.array(order, dtype=np.intp).reshape(-1, 2),
+            "indptr": indptr,
+            "shapes": shapes,
+            "data": data,
+        }
 
         from ..api.stages import STAGE_ORDER, stage_fingerprint
 
@@ -573,15 +646,13 @@ class OperatorStore:
             "counts": {
                 "near_pairs": int(near_pairs),
                 "far_pairs": int(far_pairs),
-                "near_blocks": int(len(near_blocks["keys"])),
-                "far_blocks": int(len(far_blocks["keys"])),
+                "near_blocks": int(num_near_blocks),
+                "far_blocks": int(len(order)),
             },
             # Whether every interaction pair has a stored block.  When
             # False (memoryless compression) an opened operator needs its
             # source matrix re-attached before it can evaluate.
-            "blocks_complete": bool(
-                len(near_blocks["keys"]) == near_pairs and len(far_blocks["keys"]) == far_pairs
-            ),
+            "blocks_complete": bool(num_near_blocks == near_pairs and len(order) == far_pairs),
         }
         arrays: Dict[str, np.ndarray] = {
             **partition_arrays,
@@ -596,7 +667,7 @@ class OperatorStore:
             "far_indptr": far_indptr,
             "far_cols": far_cols,
         }
-        for prefix, packed in (("near_block", near_blocks), ("far_block", far_blocks)):
+        for prefix, packed in (("near_slab", near_slabs), ("far_block", far_blocks)):
             for part, array in packed.items():
                 arrays[f"{prefix}_{part}"] = array
         write_array_dir(path, manifest, arrays)
@@ -609,12 +680,19 @@ class OperatorStore:
 
         ``resident="mmap"`` keeps coefficients and blocks as read-only
         mmap views (paged in on demand), so matvecs default to the
-        ``"streamed"`` engine, which multiplies the stored blocks in place
-        and fills its bounded chunk workspace only with blocks the store
-        lacks; ``resident="ram"`` loads everything eagerly, so a fully
-        cached store runs the ``"planned"`` engine like a fresh operator.
+        ``"streamed"`` engine, which runs L2L on the stored row slabs in
+        place and fills its bounded chunk workspace only with blocks the
+        store lacks; ``resident="ram"`` loads everything eagerly, so a
+        fully cached store runs the ``"planned"`` engine like a fresh
+        operator, on the loaded row slabs.  Either way the near provider
+        (:class:`StoredRowProvider`) hands the slabs out through
+        ``row_slabs()``; a store in the older flat near-block layout opens
+        through :class:`StoredBlockProvider` and both engines fill its rows.
         ``matrix`` re-attaches the source SPD matrix (required to
-        evaluate stores saved from memoryless compressions).
+        evaluate stores saved from memoryless compressions).  The slab
+        tables are validated here: a shape that disagrees with its leaves,
+        offsets that do not cover the data, or a leaf in two slabs raise
+        :class:`~repro.errors.ArtifactMismatchError`.
         """
         if resident not in ("mmap", "ram"):
             raise ConfigurationError(f"resident must be 'mmap' or 'ram', got {resident!r}")
@@ -721,11 +799,16 @@ class OperatorStore:
             num_leaves=int(manifest["num_leaves"]),
             budget_cap=int(manifest["budget_cap"]),
         )
-        near_provider = StoredBlockProvider(
-            arrays["near_block_keys"], arrays["near_block_indptr"],
-            arrays["near_block_shapes"], arrays["near_block_data"],
-            tree=tree, matrix=matrix,
-        )
+        if "near_slab_data" in arrays:
+            near_provider = StoredRowProvider(
+                _stored_row_slabs(arrays, tree, near), arrays["near_slab_data"], tree, matrix
+            )
+        else:  # the older flat layout
+            near_provider = StoredBlockProvider(
+                arrays["near_block_keys"], arrays["near_block_indptr"],
+                arrays["near_block_shapes"], arrays["near_block_data"],
+                tree=tree, matrix=matrix,
+            )
         far_provider = StoredBlockProvider(
             arrays["far_block_keys"], arrays["far_block_indptr"],
             arrays["far_block_shapes"], arrays["far_block_data"],

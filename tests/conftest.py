@@ -13,6 +13,7 @@ import pytest
 from repro import GOFMMConfig
 from repro.matrices import DenseSPD, KernelMatrix
 from repro.matrices.kernels import GaussianKernel
+from repro.storage import read_array_dir, write_array_dir
 
 
 @pytest.fixture(scope="session")
@@ -36,6 +37,34 @@ def make_random_spd(n: int = 64, seed: int = 0, decay: float = 2.0) -> DenseSPD:
     a = (q * eigenvalues) @ q.T
     a = 0.5 * (a + a.T) + 1e-10 * np.eye(n)
     return DenseSPD(a, name="random-spd")
+
+
+def rewrite_in_flat_layout(path) -> None:
+    """Rewrite a store's near row slabs as key-ordered flat ``near_block_*``
+    arrays, the layout of earlier writers."""
+    manifest, arrays = read_array_dir(path, mmap=False)
+    sizes = np.diff(arrays["node_offsets"])
+    near_indptr, near_cols = arrays["near_indptr"], arrays["near_cols"]
+    shapes, offsets = arrays.pop("near_slab_shapes"), arrays.pop("near_slab_offsets")
+    leaves, data = arrays.pop("near_slab_leaves"), arrays.pop("near_slab_data")
+    blocks, start = {}, 0
+    for (g, m, width), offset in zip(shapes, offsets):
+        slab = data[offset : offset + g * m * width].reshape(g, m, width)
+        for row, beta in zip(slab, leaves[start : start + g]):
+            col = 0
+            for alpha in near_cols[near_indptr[beta] : near_indptr[beta + 1]]:
+                blocks[int(beta), int(alpha)] = row[:, col : col + sizes[alpha]]
+                col += sizes[alpha]
+        start += g
+    keys = sorted(blocks)
+    block_shapes = np.array([blocks[k].shape for k in keys], dtype=np.intp).reshape(-1, 2)
+    indptr = np.zeros(len(keys) + 1, dtype=np.intp)
+    np.cumsum(block_shapes[:, 0] * block_shapes[:, 1], out=indptr[1:])
+    arrays["near_block_keys"] = np.array(keys, dtype=np.intp).reshape(-1, 2)
+    arrays["near_block_shapes"] = block_shapes
+    arrays["near_block_indptr"] = indptr
+    arrays["near_block_data"] = np.concatenate([blocks[k].ravel() for k in keys] or [np.empty(0)])
+    write_array_dir(path, manifest, arrays)
 
 
 @pytest.fixture(scope="session")

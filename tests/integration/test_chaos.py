@@ -47,9 +47,9 @@ CONFIG = dict(
     shard_retries=2, shard_task_timeout_s=2.0,
 )
 
-#: Tiny workspace budget so a streamed engine that copies its blocks must
-#: spill — the ``spill.write`` fault then hits a real allocation.  (An
-#: mmap-opened store needs no workspace: its blocks are multiplied in place.)
+#: Tiny workspace budget so a streamed engine that fills its blocks must
+#: spill — the ``spill.write`` fault then hits a real allocation.  (Cached
+#: blocks need no workspace: the engine multiplies them in place.)
 CHUNK_BYTES = 2048
 
 
@@ -62,8 +62,8 @@ def _pipeline(matrix, w, store_dir):
         store_dir, resident="mmap", streaming_chunk_bytes=CHUNK_BYTES
     )
     streamed = reopened.apply(w, engine="streamed")
-    # The in-memory blocks are copied chunk by chunk into spilled buffers.
-    tight = session.recompress(streaming_chunk_bytes=CHUNK_BYTES)
+    # Uncached near blocks are evaluated chunk by chunk into spilled buffers.
+    tight = session.recompress(streaming_chunk_bytes=CHUNK_BYTES, cache_near_blocks=False)
     plan = tight.compressed.streaming_plan()
     spilled = tight.apply(w, engine="streamed")
     router = ShardRouter(

@@ -14,12 +14,20 @@ the only engine switch.  Four task families, matching Table 2:
   ``u_β += Σ_{α ∈ Near(β)} K_{βα} w_α``, which includes the dense diagonal
   blocks because ``β ∈ Near(β)``.
 
-One node and one block at a time, intermediates in dicts keyed by node id:
-slow, obvious, and independent of the plan's packing, rank padding and
-chunking.  The streamed engine accumulates every target in the same order
-and must equal it bitwise (``np.array_equal``); the planned engine
-concatenates each target's blocks into one GEMM and agrees to summation
-order.
+One node at a time, intermediates in dicts keyed by node id: slow,
+obvious, and independent of the plan's packing, rank padding and chunking.
+A target's products follow the streamed engine's rules, so that engine must
+equal the oracle bitwise (``np.array_equal``):
+
+* a leaf whose block-row is a row of one of the near provider's intact
+  ``row_slabs()`` (every row of the slab its leaf's current Near list)
+  multiplies that row in one GEMM,
+* a target whose far blocks are all cached multiplies its concatenated
+  block-row in one GEMM,
+* every other target accumulates block by block, in list order.
+
+The planned engine pads ranks and concatenates every target's blocks, and
+agrees to summation order.
 """
 
 from __future__ import annotations
@@ -70,12 +78,22 @@ def task_n2s(node, state: EvaluationState) -> None:
     state.counters.n2s += 2.0 * node.coeffs.shape[0] * node.coeffs.shape[1] * r
 
 
-def task_s2s(node, state: EvaluationState, far_blocks) -> None:
-    """S2S(β): accumulate skeleton potentials from every far node."""
+def task_s2s(node, state: EvaluationState, far_blocks, tree) -> None:
+    """S2S(β): accumulate skeleton potentials from every far node.
+
+    One GEMM on the concatenated block-row when every far block is cached,
+    else one per block in Far-list order.
+    """
     if node.is_root or node.skeleton_rank == 0:
         return
     r = state.weights.shape[1]
     acc = state.skeleton_potentials.setdefault(node.node_id, np.zeros((node.skeleton_rank, r)))
+    far = [a for a in node.far if tree.node(a).skeleton_rank > 0]
+    if far and all((node.node_id, a) in far_blocks for a in far):
+        blocks = [far_blocks.get((node.node_id, a)) for a in far]
+        acc += np.hstack(blocks) @ np.vstack([state.skeleton_weights[a] for a in far])
+        state.counters.s2s += 2.0 * sum(block.size for block in blocks) * r
+        return
     for alpha_id in node.far:
         block = far_blocks.get((node.node_id, alpha_id))
         if block is None:
@@ -113,11 +131,30 @@ def task_s2n(node, state: EvaluationState) -> None:
             acc += part
 
 
-def task_l2l(node, state: EvaluationState, tree, near_blocks) -> None:
-    """L2L(β): direct (dense) contribution from every near leaf."""
+def intact_rows(tree, near_blocks) -> Dict[int, np.ndarray]:
+    """Leaf id → its block-row, for the rows of the provider's intact row slabs."""
+    rows: Dict[int, np.ndarray] = {}
+    for slab in getattr(near_blocks, "row_slabs", lambda: [])():
+        if all(tuple(tree.node(beta).near) == cols for beta, cols in slab.rows):
+            rows.update((beta, row) for (beta, _), row in zip(slab.rows, slab.array))
+    return rows
+
+
+def task_l2l(node, state: EvaluationState, tree, near_blocks, rows) -> None:
+    """L2L(β): direct (dense) contribution from every near leaf.
+
+    One GEMM on the leaf's cached row (``rows``, from :func:`intact_rows`)
+    when it has one, else one per block in Near-list order.
+    """
     if not node.is_leaf:
         return
     r = state.weights.shape[1]
+    row = rows.get(node.node_id)
+    if row is not None:
+        cols = np.concatenate([tree.node(a).indices for a in node.near])
+        state.output[node.indices] += row @ state.weights[cols]
+        state.counters.l2l += 2.0 * row.size * r
+        return
     for alpha_id in node.near:
         alpha = tree.node(alpha_id)
         block = near_blocks.get((node.node_id, alpha_id))
@@ -140,11 +177,12 @@ def reference_matvec(cm, w: np.ndarray, counters: EvaluationCounters | None = No
     for node in tree.postorder():
         task_n2s(node, state)
     for node in tree.nodes:
-        task_s2s(node, state, cm.far_blocks)
+        task_s2s(node, state, cm.far_blocks, tree)
     for node in tree.preorder():
         task_s2n(node, state)
+    rows = intact_rows(tree, cm.near_blocks)
     for leaf in tree.leaves:
-        task_l2l(leaf, state, tree, cm.near_blocks)
+        task_l2l(leaf, state, tree, cm.near_blocks, rows)
 
     if counters is not None:
         counters.add_flops(vars(state.counters), 1)

@@ -85,8 +85,11 @@ def traced_run():
     operator = session.compress()
     compress_wall = time.perf_counter() - t0
     w = np.random.default_rng(0).standard_normal((matrix.n, 4))
+    # Cached blocks run in place; a memoryless near cache fills chunks.
+    memoryless = Session(matrix, small_config(cache_near_blocks=False)).compress()
     with tracing(tracer):
         operator.apply(w, engine="streamed")
+        memoryless.apply(w, engine="streamed")
     server = MatvecServer(policy=BatchPolicy(max_batch=4, max_wait_ms=2.0), tracer=tracer)
     server.register("op", operator)
     with server:

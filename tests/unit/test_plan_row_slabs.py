@@ -18,6 +18,10 @@ from repro.api import CompressedOperator, Session
 from repro.core.hmatrix import BlockProvider
 from repro.core.plan import build_plan
 from repro.matrices import build_matrix
+from repro.obs import counters as obs_counters
+from repro.storage import is_disk_backed
+
+from ..conftest import rewrite_in_flat_layout
 
 
 def _config(**overrides) -> GOFMMConfig:
@@ -99,6 +103,40 @@ class TestZeroCopyPlan:
             assert not block.flags.writeable
 
 
+class TestZeroCopyStore:
+    """A fully cached mmap store runs the streamed engine on its own bytes."""
+
+    @pytest.fixture(scope="class")
+    def opened(self, k05_session, tmp_path_factory):
+        _, op = k05_session
+        path = tmp_path_factory.mktemp("zero-copy") / "k05.store"
+        op.save(path)
+        return CompressedOperator.open(path, resident="mmap").compressed
+
+    def test_streamed_l2l_runs_on_the_mapped_slabs(self, opened):
+        plan = opened.streaming_plan(rebuild=True)
+        slabs = opened.near_blocks.row_slabs()
+        operands = [seg.operand for chunk in plan.l2l_chunks for seg in chunk.segments]
+        assert operands and all(is_disk_backed(operand) for operand in operands)
+        assert all(any(np.shares_memory(o, slab.array) for slab in slabs) for o in operands)
+        assert sum(o.size for o in operands) == opened.near_blocks.cached_entries
+        assert plan.workspace_bytes == 0
+        before = obs_counters.get("blocks_materialized")
+        plan.execute(np.random.default_rng(3).standard_normal((opened.n, 4)))
+        assert obs_counters.get("blocks_materialized") == before
+
+    def test_memory_report_counts_what_the_streaming_plan_owns(self, opened):
+        opened._streaming_plan = None
+        before = opened.memory_report()["bytes_resident"]
+        plan = opened.streaming_plan()
+        grown = opened.memory_report()["bytes_resident"] - before
+        owned = sum(
+            seg.operand.nbytes for chunk in plan.s2s_chunks for seg in chunk.segments
+        )
+        assert plan.owned_bytes() == owned > 0
+        assert grown == owned + plan.index_bytes()
+
+
 def _fresh(n: int):
     matrix = build_matrix("K05", n=n)
     return matrix, compress(matrix, _config())
@@ -121,13 +159,25 @@ class TestFillPathLattice:
 
     @pytest.mark.parametrize("r", [1, 16])
     def test_store_opened_into_ram(self, fresh_pair, tmp_path, r):
+        """A row-slab store opened into RAM runs L2L on the loaded slabs, filling
+        nothing; one in the older flat layout fills every row."""
         matrix, cm = fresh_pair
         path = os.path.join(tmp_path, "k.store")
         CompressedOperator(cm).save(path)
         opened = CompressedOperator.open(path, resident="ram").compressed
         assert opened.default_engine() == "planned"
         assert np.array_equal(_planned(opened, r), _planned(cm, r))
-        assert opened.plan().owned_bytes() == opened.plan().packed_entries() * 8
+        plan, slabs = opened.plan(), opened.near_blocks.row_slabs()
+        operands = [seg.operand for seg in plan.l2l_segments]
+        assert len(operands) == len(slabs)
+        assert all(operand is slab.array for operand, slab in zip(operands, slabs))
+        assert plan.owned_bytes() == sum(
+            seg.operand.nbytes for seg in plan.segments() if seg.kind != "L2L"
+        )
+        rewrite_in_flat_layout(path)
+        flat = CompressedOperator.open(path, resident="ram").compressed
+        assert np.array_equal(_planned(flat, r), _planned(cm, r))
+        assert flat.plan().owned_bytes() == flat.plan().packed_entries() * 8
 
     @pytest.mark.parametrize("r", [1, 16])
     def test_near_cache_off(self, fresh_pair, r):

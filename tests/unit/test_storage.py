@@ -154,6 +154,43 @@ class TestOperatorStore:
         with pytest.raises(ArtifactMismatchError):
             OperatorStore(path).open()
 
+    @staticmethod
+    def _edited_store(operator, tmp_path, edit):
+        """A fresh store whose arrays ``edit`` rewrites, manifest inventory included."""
+        path = tmp_path / "edited.store"
+        operator.save(path)
+        manifest, arrays = read_array_dir(path, mmap=False)
+        edit(arrays)
+        write_array_dir(path, manifest, arrays)
+        return path
+
+    def test_slab_shape_disagreeing_with_its_leaves_raises(self, operator, tmp_path):
+        def edit(arrays):
+            shapes = arrays["near_slab_shapes"]
+            i = int(np.flatnonzero(shapes[:, 1] != shapes[:, 2])[0])
+            shapes[i, 1], shapes[i, 2] = shapes[i, 2], shapes[i, 1]  # same size, wrong row height
+
+        path = self._edited_store(operator, tmp_path, edit)
+        with pytest.raises(ArtifactMismatchError, match="disagrees with its leaves"):
+            OperatorStore(path).open()
+
+    def test_slab_offsets_not_covering_the_data_raise(self, operator, tmp_path):
+        def edit(arrays):
+            arrays["near_slab_data"] = arrays["near_slab_data"][:-1]
+
+        path = self._edited_store(operator, tmp_path, edit)
+        with pytest.raises(ArtifactMismatchError, match="do not cover"):
+            OperatorStore(path).open(resident="ram")
+
+    def test_leaf_in_two_slabs_raises(self, operator, tmp_path):
+        def edit(arrays):
+            leaves = arrays["near_slab_leaves"]
+            leaves[-1] = leaves[0]
+
+        path = self._edited_store(operator, tmp_path, edit)
+        with pytest.raises(ArtifactMismatchError, match="two slabs"):
+            OperatorStore(path).open()
+
     def test_config_overrides_apply(self, store_path):
         reopened = CompressedOperator.open(
             store_path, resident="mmap", streaming_chunk_bytes=1 << 20
@@ -283,23 +320,6 @@ class TestStoredBlockProvider:
         block = provider.get(key)
         assert type(block) is np.ndarray
         assert provider.disk_backed and is_disk_backed(block)
-
-    def test_contiguous_run_views_consecutive_same_shape_blocks(self):
-        blocks = {(0, 1): np.arange(4.0).reshape(2, 2), (0, 2): np.arange(4.0, 8.0).reshape(2, 2),
-                  (3, 3): np.ones((1, 4))}
-        order = [(0, 1), (0, 2), (3, 3)]
-        provider = StoredBlockProvider(
-            keys=np.array(order, dtype=np.intp),
-            indptr=np.array([0, 4, 8, 12], dtype=np.intp),
-            shapes=np.array([blocks[k].shape for k in order], dtype=np.intp),
-            data=np.concatenate([blocks[k].ravel() for k in order]),
-        )
-        run = provider.contiguous_run([(0, 1), (0, 2)], (2, 2))
-        assert np.array_equal(run, np.stack([blocks[(0, 1)], blocks[(0, 2)]]))
-        assert not run.flags.writeable
-        assert provider.contiguous_run([(0, 2), (0, 1)], (2, 2)) is None   # out of order
-        assert provider.contiguous_run([(0, 2), (3, 3)], (2, 2)) is None   # shape changes
-        assert provider.contiguous_run([(0, 1), (9, 9)], (2, 2)) is None   # not stored
 
 
 class TestPanels:

@@ -13,9 +13,10 @@ The load-bearing guarantees:
   caching was disabled and no plan has been built,
 * the chunk workspace stays within ``streaming_chunk_bytes``,
 * memoryless operators are servable end to end,
-* stored operators stay bitwise whether their blocks are multiplied in
-  place (execution-ordered stores) or copied (key-ordered stores), and a
-  fully cached mmap store needs no workspace and no block reads.
+* stored operators stay bitwise whether their near rows are multiplied in
+  place (row-slab stores) or filled block by block (stores in the older
+  flat layout), and a fully cached mmap store needs no workspace and no
+  block reads.
 """
 
 import numpy as np
@@ -31,7 +32,7 @@ from repro.runtime import parallel_evaluate
 from repro.serving import BatchPolicy, MatvecServer
 from repro.storage import OperatorStore
 
-from ..conftest import make_gaussian_kernel_matrix
+from ..conftest import make_gaussian_kernel_matrix, rewrite_in_flat_layout
 from ..oracles.evaluate_reference import reference_matvec
 
 
@@ -360,102 +361,91 @@ class TestWorkspaceAccounting:
         assert np.array_equal(np.load(out_path), expected)
 
 
-def _rewrite_blocks_in_key_order(path) -> None:
-    """Reorder a store's blocks key-sorted, the layout older writers produced."""
-    from repro.storage import read_array_dir, write_array_dir
-
-    manifest, arrays = read_array_dir(path, mmap=False)
-    for prefix in ("near_block", "far_block"):
-        keys, shapes = arrays[f"{prefix}_keys"], arrays[f"{prefix}_shapes"]
-        indptr, data = arrays[f"{prefix}_indptr"], arrays[f"{prefix}_data"]
-        order = np.lexsort((keys[:, 1], keys[:, 0]))
-        sizes = shapes[order, 0] * shapes[order, 1]
-        new_indptr = np.zeros_like(indptr)
-        np.cumsum(sizes, out=new_indptr[1:])
-        arrays[f"{prefix}_keys"] = keys[order]
-        arrays[f"{prefix}_shapes"] = shapes[order]
-        arrays[f"{prefix}_indptr"] = new_indptr
-        arrays[f"{prefix}_data"] = np.concatenate(
-            [data[indptr[i] : indptr[i + 1]] for i in order] or [data[:0]]
-        )
-    write_array_dir(path, manifest, arrays)
-
-
 _CACHING = {"both": (True, True), "near-only": (True, False), "far-only": (False, True)}
+_LAYOUTS = ("row-slab", "flat")
 
 
 class TestStoredEquivalenceLattice:
     """Stored operators ≡ the per-node oracle, bitwise, whether the streamed
-    engine runs in place on the store's bytes or copies block by block."""
+    engine runs L2L on the store's row slabs or fills a flat store's rows."""
 
     @pytest.fixture(scope="class")
     def stores(self, matrix, tmp_path_factory):
         stores = {}
         for caching, (near, far) in _CACHING.items():
             cm = compress(matrix, make_config(cache_near_blocks=near, cache_far_blocks=far))
-            for order in ("execution", "key"):
-                path = tmp_path_factory.mktemp("lattice") / f"{caching}-{order}.store"
+            for layout in _LAYOUTS:
+                path = tmp_path_factory.mktemp("lattice") / f"{caching}-{layout}.store"
                 OperatorStore.save(cm, path)
-                if order == "key":
-                    _rewrite_blocks_in_key_order(path)
-                stores[caching, order] = (cm, path)
+                if layout == "flat":
+                    rewrite_in_flat_layout(path)
+                stores[caching, layout] = (cm, path)
         return stores
 
     @pytest.mark.parametrize("resident", ["mmap", "ram"])
-    @pytest.mark.parametrize("order", ["execution", "key"])
+    @pytest.mark.parametrize("layout", _LAYOUTS)
     @pytest.mark.parametrize("caching", list(_CACHING))
-    def test_apply_and_panels_match_reference(self, stores, matrix, caching, order, resident, tmp_path):
-        cm, path = stores[caching, order]
+    def test_apply_and_panels_match_reference(self, stores, matrix, caching, layout, resident, tmp_path):
+        cm, path = stores[caching, layout]
         opened = CompressedOperator.open(path, resident=resident, matrix=matrix)
         w = np.random.default_rng(14).standard_normal((matrix.n, 16))
         for width in (1, 16):
-            assert np.array_equal(
-                opened.apply(w[:, :width], engine="streamed"), reference_matvec(cm, w[:, :width])
-            )
+            expected = reference_matvec(opened.compressed, w[:, :width])
+            assert np.array_equal(opened.apply(w[:, :width], engine="streamed"), expected)
+            if layout == "row-slab":  # the same rows as the fresh operator's
+                assert np.array_equal(expected, reference_matvec(cm, w[:, :width]))
         plan = opened.compressed.streaming_plan()
         np.save(tmp_path / "w.npy", w)
         for width in (1, 16):
             out = tmp_path / f"u{width}.npy"
             plan.execute(str(tmp_path / "w.npy"), out=str(out), panel_cols=width)
             expected = np.hstack(
-                [reference_matvec(cm, w[:, s : s + width]) for s in range(0, 16, width)]
+                [reference_matvec(opened.compressed, w[:, s : s + width]) for s in range(0, 16, width)]
             )
             assert np.array_equal(np.load(out), expected)
 
-    @pytest.mark.parametrize("order", ["execution", "key"])
-    def test_fully_cached_mmap_store_runs_in_place(self, stores, matrix, order):
-        cm, path = stores["both", order]
+    @pytest.mark.parametrize("layout", _LAYOUTS)
+    def test_fully_cached_mmap_store_runs_in_place(self, stores, matrix, layout):
+        from repro.storage import is_disk_backed
+
+        cm, path = stores["both", layout]
         compressed = CompressedOperator.open(path, resident="mmap").compressed
         plan = compressed.streaming_plan()
+        w = np.random.default_rng(15).standard_normal((matrix.n, 4))
+        expected = reference_matvec(compressed, w)
         calls = []
         for provider in (compressed.near_blocks, compressed.far_blocks):
             get = provider.get
             provider.get = lambda key, get=get: calls.append(key) or get(key)
         before = obs_counters.get("blocks_materialized")
-        w = np.random.default_rng(15).standard_normal((matrix.n, 4))
-        assert np.array_equal(plan.execute(w), reference_matvec(cm, w))
+        assert np.array_equal(plan.execute(w), expected)
         materialized = obs_counters.get("blocks_materialized") - before
-        if order == "execution":
+        if layout == "row-slab":
             assert plan.workspace_bytes == 0 and plan.report()["workspace_bytes"] == 0
             assert calls == [] and materialized == 0
+            slabs = compressed.near_blocks.row_slabs()
+            operands = [s.operand for c in plan.l2l_chunks for s in c.segments]
+            assert operands and all(is_disk_backed(operand) for operand in operands)
+            assert all(any(np.shares_memory(o, slab.array) for slab in slabs) for o in operands)
         else:
-            # A key-ordered store takes the copy path.
+            # A flat store's rows take the fill path, block by block.
             assert plan.workspace_bytes > 0 and calls and materialized == len(calls)
+            assert {key[0] for key in calls} == {leaf.node_id for leaf in compressed.tree.leaves}
 
     def test_in_place_plan_keeps_the_stall_watchdog(self, stores, matrix, monkeypatch):
         # A plan with nothing to fill still runs on the worker pool, so a
         # wedged GEMM on the mapped bytes raises instead of blocking forever.
         import threading
 
-        from repro.core.streaming import StreamChunk
+        from repro.core.streaming import PlannedChunk
         from repro.errors import ExecutorStallError
         from repro.runtime.executor import WorkerPool
 
-        _, path = stores["both", "execution"]
+        _, path = stores["both", "row-slab"]
         plan = CompressedOperator.open(path, resident="mmap").compressed.streaming_plan()
         assert plan.workspace_bytes == 0
         release = threading.Event()
-        monkeypatch.setattr(StreamChunk, "run", lambda self, ctx, buffer: release.wait(30))
+        monkeypatch.setattr(PlannedChunk, "run", lambda self, ctx, buffer: release.wait(30))
         before = obs_counters.get("chunk_stalls")
         pool = WorkerPool(2)
         try:

@@ -124,6 +124,18 @@ class TestSplitting:
         left, right = metric_split(np.arange(20), distance, np.random.default_rng(0), centroid_samples=4)
         assert left.size == 10 and right.size == 10
 
+    @pytest.mark.parametrize("metric", [DistanceMetric.KERNEL, DistanceMetric.ANGLE])
+    def test_metric_split_evaluates_each_pivot_column_once(self, metric):
+        # centroid distances (n x n_c cross + n_c x n_c sample block), then one
+        # kernel column per pivot: the p column both picks q and scores the split.
+        matrix = make_gaussian_kernel_matrix(n=150, d=3, seed=4)
+        distance = make_distance(matrix, metric)
+        indices = np.arange(0, 150, 2)
+        n, n_c = indices.size, 8
+        matrix.entry_evaluations = 0
+        metric_split(indices, distance, np.random.default_rng(5), centroid_samples=n_c)
+        assert matrix.entry_evaluations == n * n_c + n_c**2 + 2 * n
+
     def test_metric_split_requires_two_indices(self):
         pts = np.zeros((3, 2))
         distance = GeometricDistance(pts)
