@@ -153,7 +153,6 @@ def run_size(n: int, num_rhs: int, budget_bytes: int, workdir: Path) -> dict:
         "high_water_bound_bytes": high_water_bound,
         "bit_identical": bit_identical,
         "panel_bit_identical": panel_bit_identical,
-        "spills": bool(plan.spills),
     }
     for path in (weights_path, out_path):
         path.unlink()

@@ -170,12 +170,6 @@ class GOFMMConfig:
         backoff) before :class:`~repro.errors.StorageRetryExhaustedError`
         is raised.  Non-transient errors (missing files, corrupt data)
         fail immediately as :class:`~repro.errors.ArtifactMismatchError`.
-    spill_degrade_to_heap:
-        when the :class:`~repro.storage.spill.SpillArena` hits ENOSPC
-        mid-matvec (:class:`~repro.errors.SpillCapacityError`), fall back
-        to heap-allocated chunk buffers with a warning instead of failing
-        the evaluation.  The fallback is bit-identical — buffers hold the
-        same values wherever they live.  ``False`` propagates the error.
     executor_stall_timeout:
         watchdog for the threaded executor (:mod:`repro.runtime.executor`):
         if no task of an evaluation completes within this many seconds
@@ -226,7 +220,6 @@ class GOFMMConfig:
     shard_retries: int = 2
     shard_task_timeout_s: Optional[float] = 60.0
     storage_read_retries: int = 2
-    spill_degrade_to_heap: bool = True
     executor_stall_timeout: Optional[float] = 300.0
     telemetry: bool = False
     dtype: np.dtype = np.float64
@@ -269,10 +262,6 @@ class GOFMMConfig:
             raise ConfigurationError(
                 f"storage_read_retries must be a non-negative integer, "
                 f"got {self.storage_read_retries!r}"
-            )
-        if not isinstance(self.spill_degrade_to_heap, bool):
-            raise ConfigurationError(
-                f"spill_degrade_to_heap must be a bool, got {self.spill_degrade_to_heap!r}"
             )
         if self.executor_stall_timeout is not None and not (self.executor_stall_timeout > 0.0):
             raise ConfigurationError(

@@ -405,11 +405,11 @@ class CompressedMatrix:
         (unless they are mmap views into an operator store), cached blocks
         of in-memory providers, the operands each plan owns (not the near
         cache's row slabs both run L2L on) and the streaming plan's index
-        tables and workspace, of the plans *already built* (this report
+        tables and heap workspace, of the plans *already built* (this report
         never builds them).
-        ``bytes_on_disk`` counts mmap-backed coefficients/blocks plus any
-        live streaming spill arena.  Keys are always present, so serving
-        metrics and ``CompressedOperator.report()`` can rely on the schema.
+        ``bytes_on_disk`` counts mmap-backed coefficients/blocks.  Keys are
+        always present, so serving metrics and ``CompressedOperator.report()``
+        can rely on the schema.
         """
         from ..storage.store import is_disk_backed
 
@@ -432,13 +432,7 @@ class CompressedMatrix:
         if self._streaming_plan is not None:
             resident += int(self._streaming_plan.owned_bytes())
             resident += int(self._streaming_plan.index_bytes())
-            if not self._streaming_plan.spills:
-                # Spilled workspaces live in the arena (counted below while
-                # an evaluation holds them), not on the heap.
-                resident += int(self._streaming_plan.workspace_bytes)
-            arena = getattr(self._streaming_plan, "_arena", None)
-            if arena is not None and not arena.closed:
-                on_disk += int(arena.bytes_on_disk)
+            resident += int(self._streaming_plan.workspace_bytes)
         return {"bytes_resident": int(resident), "bytes_on_disk": int(on_disk)}
 
     def plan_report(self) -> dict[str, float]:

@@ -353,7 +353,7 @@ class EvaluationPlan:
         buffers = None
         with self._pool_lock:
             for i, (wtil, _) in enumerate(self._workspace_pool):
-                if wtil.shape[1] == weights.shape[1] and wtil.dtype == weights.dtype:
+                if wtil.shape[1:] == np.shape(weights)[1:] and wtil.dtype == weights.dtype:
                     buffers = self._workspace_pool.pop(i)
                     break
         return self.layout.new_context(weights, buffers)
@@ -624,7 +624,16 @@ class PassLayout:
             setattr(self, name, fields[name])
 
     def new_context(self, weights: np.ndarray, buffers=None) -> PlanContext:
-        """A per-matvec context laid out for this layout (``buffers``: a pooled workspace pair)."""
+        """A per-matvec context laid out for this layout (``buffers``: a pooled workspace pair).
+
+        Both engines start every evaluation here, so this is where weights
+        that are not a real ``(n, r)`` array are rejected.
+        """
+        shape = np.shape(weights)
+        if len(shape) != 2 or shape[0] != self.n:
+            raise EvaluationError(f"weights must be an ({self.n}, r) array, got shape {shape}")
+        if np.iscomplexobj(weights):
+            raise EvaluationError(f"weights must be real, got dtype {np.asarray(weights).dtype}")
         return PlanContext(weights, self.workspace_rows, self.leaf_perm, buffers)
 
     def flops_per_rhs(self, s2s, l2l) -> Dict[str, float]:

@@ -26,9 +26,11 @@ materialization**:
   evaluated in stacked batches through
   :meth:`repro.matrices.base.SPDMatrix.entries_batched` — bitwise equal to
   a per-pair evaluation — and cached ones copied) and the chunk's GEMMs run
-  from that buffer.  All cycling buffers together stay within the
-  configured budget, so evaluation-phase block memory is bounded no matter
-  how many interaction pairs the compression has.
+  from that buffer.  The cycling buffers are plain heap arrays and together
+  stay within the configured budget, so evaluation-phase block memory is
+  bounded no matter how many interaction pairs the compression has — unless
+  a single block is larger than one buffer's share (a chunk holds at least
+  one block), which the plan logs once at build.
 * **in place** — cached work runs the planned engine's segments, not
   chunks: a leaf whose block-row the near cache holds intact multiplies its
   :class:`~repro.core.hmatrix.RowSlab` row (one GEMM per slab, on the
@@ -66,7 +68,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import EvaluationError, SpillCapacityError
+from ..errors import EvaluationError
 from ..obs import counters as _obs_counters
 from ..obs import get_logger
 from ..obs.trace import get_tracer
@@ -345,7 +347,6 @@ class StreamingPlan:
         matrix,
         chunk_bytes: int,
         stall_timeout: Optional[float],
-        spill_degrade_to_heap: bool = True,
     ) -> None:
         self.layout = layout
         self.s2s_chunks = s2s_chunks
@@ -355,21 +356,21 @@ class StreamingPlan:
         self.matrix = matrix
         self.chunk_bytes = chunk_bytes
         self.stall_timeout = stall_timeout
-        self.spill_degrade_to_heap = bool(spill_degrade_to_heap)
         chunks = s2s_chunks + l2l_chunks
         self.buffer_elems = max((c.total_elems for c in chunks), default=0)
         #: Chunks that fill a buffer (a ``mat:`` task each); the planned
         #: chunks run on their segments' own operands.
         self.filled_chunks = sum(1 for c in chunks if c.total_elems)
-        #: Decided at plan time: the cycling buffers only exceed the budget
-        #: when a single interaction block is bigger than one buffer's share
-        #: of it (the packer's one-block minimum).  Exactly-at-budget plans
-        #: allocate normally; strictly-over plans take their buffers from a
-        #: disk-backed :class:`~repro.storage.spill.SpillArena` instead of
-        #: over-allocating anonymous memory.
-        self.spills = self.workspace_bytes > self.chunk_bytes
-        self._arena = None
-        self._arena_lock = threading.Lock()
+        # The cycling buffers only exceed the budget when a single
+        # interaction block is bigger than one buffer's share of it (the
+        # packer's one-block minimum); the buffers stay on the heap.
+        if self.workspace_bytes > self.chunk_bytes:
+            _LOG.info(
+                "streaming workspace (%d bytes) exceeds chunk budget (%d bytes): "
+                "a single block is larger than one buffer's share",
+                self.workspace_bytes,
+                self.chunk_bytes,
+            )
         self.flops_per_rhs: Dict[str, float] = layout.flops_per_rhs(s2s_chunks, l2l_chunks)
 
     # -- inspection ---------------------------------------------------------
@@ -436,47 +437,7 @@ class StreamingPlan:
             "chunk_budget_bytes": float(self.chunk_bytes),
             "index_bytes": float(self.index_bytes()),
             "workspace_rows": float(self.layout.workspace_rows),
-            "spills": float(self.spills),
-            "spill_bytes": float(self._arena.bytes_on_disk if self._arena is not None else 0),
         }
-
-    # -- lifecycle ----------------------------------------------------------
-    def _spill_arena(self):
-        """The lazily created spill arena backing over-budget chunk buffers."""
-        with self._arena_lock:
-            if self._arena is None or self._arena.closed:
-                from ..storage.spill import SpillArena
-
-                _LOG.info(
-                    "streaming workspace (%d bytes) exceeds chunk budget (%d bytes); "
-                    "chunk buffers spill to a disk-backed arena",
-                    self.workspace_bytes,
-                    self.chunk_bytes,
-                )
-                self._arena = SpillArena(
-                    budget_bytes=max(self.chunk_bytes, 1), prefix="gofmm-stream-"
-                )
-            return self._arena
-
-    def close(self) -> None:
-        """Release the spill arena (if any); the plan stays usable and will
-        lazily recreate it on the next over-budget execution."""
-        with self._arena_lock:
-            arena, self._arena = self._arena, None
-        if arena is not None:
-            arena.close()
-
-    def __enter__(self) -> "StreamingPlan":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
 
     # -- execution ----------------------------------------------------------
     def _run_pass(self, levels, ctx: PlanContext, trace_name: Optional[str] = None) -> None:
@@ -557,19 +518,16 @@ class StreamingPlan:
         # The chunk buffers are independent of the RHS width, so one set
         # cycles through every panel.
         buffers = self._allocate_buffers()
-        try:
-            for start in range(0, num_rhs, cols):
-                stop = min(start + cols, num_rhs)
-                panel = self._read_panel(source, n, start, stop)
-                out_panel = self._execute_array(panel, pool, stall_timeout, buffers=buffers)
-                if sink is not None:
-                    self._write_panel(sink, out_panel, start)
-                else:
-                    result[:, start:stop] = out_panel
-                if counters is not None:
-                    counters.add_flops(self.flops_per_rhs, stop - start)
-        finally:
-            self._release_buffers(buffers)
+        for start in range(0, num_rhs, cols):
+            stop = min(start + cols, num_rhs)
+            panel = self._read_panel(source, n, start, stop)
+            out_panel = self._execute_array(panel, pool, stall_timeout, buffers=buffers)
+            if sink is not None:
+                self._write_panel(sink, out_panel, start)
+            else:
+                result[:, start:stop] = out_panel
+            if counters is not None:
+                counters.add_flops(self.flops_per_rhs, stop - start)
         if sink is not None and hasattr(sink, "flush"):
             sink.flush()
         return result
@@ -606,50 +564,8 @@ class StreamingPlan:
             sink.write(row_start, col_start, panel[row_start:row_stop])
 
     def _allocate_buffers(self) -> List[np.ndarray]:
-        """The cycling chunk buffers — heap-allocated within budget,
-        arena-backed (disk spill) when the plan is over budget."""
-        num_buffers = self.num_buffers
-        if not self.spills:
-            return [np.empty(self.buffer_elems) for _ in range(num_buffers)]
-        arena = self._spill_arena()
-        buffers: List[np.ndarray] = []
-        try:
-            for _ in range(num_buffers):
-                buffers.append(arena.allocate(self.buffer_elems))
-        except SpillCapacityError:
-            # The spill disk is full.  Undo the partial allocation, then
-            # either degrade to heap buffers for the rest of the plan's
-            # lifetime (spill_degrade_to_heap, the default — trading the
-            # bounded-workspace guarantee for a completed, still
-            # bit-identical matvec) or surface the typed error.
-            for buffer in buffers:
-                arena.release(buffer)
-            if not self.spill_degrade_to_heap:
-                raise
-            _LOG.warning(
-                "spill arena out of disk space; degrading %d chunk buffer(s) "
-                "(%d bytes each) to heap allocation — the streaming workspace "
-                "bound no longer holds for this plan",
-                num_buffers,
-                self.buffer_elems * 8,
-            )
-            _obs_counters.add("faults_degraded")
-            self.spills = False
-            self.close()
-            return [np.empty(self.buffer_elems) for _ in range(num_buffers)]
-        return buffers
-
-    def _release_buffers(self, buffers: List[np.ndarray]) -> None:
-        """Return spill-backed buffers to the arena (heap buffers just GC)."""
-        if not self.spills:
-            return
-        with self._arena_lock:
-            arena = self._arena
-        if arena is None or arena.closed:
-            return
-        for buffer in buffers:
-            if isinstance(buffer, np.memmap):
-                arena.release(buffer)
+        """The cycling chunk buffers (heap, reused across panels)."""
+        return [np.empty(self.buffer_elems) for _ in range(self.num_buffers)]
 
     def _execute_array(
         self, weights: np.ndarray, pool, stall_timeout, buffers: Optional[List[np.ndarray]]
@@ -666,15 +582,10 @@ class StreamingPlan:
             self._run_pass(self.layout.n2s_levels, ctx, trace_name="eval.n2s")
             self._run_pass(self.layout.s2n_levels, ctx, trace_name="eval.s2n")
             return ctx.output
-        own_buffers = buffers is None
-        if own_buffers:
+        if buffers is None:
             buffers = self._allocate_buffers()
-        try:
-            graph, payloads = self._build_graph(ctx, buffers)
-            (pool or _shared_pool()).run(graph, payloads=payloads, stall_timeout=stall_timeout)
-        finally:
-            if own_buffers:
-                self._release_buffers(buffers)
+        graph, payloads = self._build_graph(ctx, buffers)
+        (pool or _shared_pool()).run(graph, payloads=payloads, stall_timeout=stall_timeout)
         return ctx.output
 
     def _build_graph(self, ctx: PlanContext, buffers):
@@ -706,14 +617,8 @@ class StreamingPlan:
         add("S2N", "S2N", self.flops_per_rhs["s2n"] * num_rhs,
             lambda: self._run_pass(self.layout.s2n_levels, ctx, trace_name="eval.s2n"))
         num_buffers = len(buffers)
-        # Spill-backed buffers are pinned hot across their materialize →
-        # execute window and released after, so the arena's LRU accounting
-        # tracks exactly the chunks the pipeline is actively touching.
-        arena = self._arena if self.spills else None
 
         def run_mat(chunk, buffer, index) -> None:
-            if arena is not None:
-                arena.pin(buffer)
             tracer = get_tracer()
             if tracer.enabled:
                 with tracer.span(
@@ -721,7 +626,6 @@ class StreamingPlan:
                     chunk=index,
                     kind=chunk.segments[0].kind,
                     elems=chunk.total_elems,
-                    spilled=bool(arena is not None),
                 ):
                     chunk.materialize(self.near_blocks, self.far_blocks, self.matrix, buffer)
             else:
@@ -741,8 +645,6 @@ class StreamingPlan:
                     chunk.run(ctx, buffer)
             else:
                 chunk.run(ctx, buffer)
-            if arena is not None and buffer is not None:
-                arena.unpin(buffer)
 
         filled: List[int] = []            # chunk indices with a mat: task, in order
         for i, chunk in enumerate(chunks):
@@ -935,7 +837,6 @@ def build_streaming_plan(compressed) -> StreamingPlan:
         matrix=compressed.matrix,
         chunk_bytes=chunk_bytes,
         stall_timeout=getattr(config, "executor_stall_timeout", None),
-        spill_degrade_to_heap=bool(getattr(config, "spill_degrade_to_heap", True)),
     )
 
 

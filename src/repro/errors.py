@@ -15,7 +15,6 @@ __all__ = [
     "ArtifactMismatchError",
     "StorageError",
     "StorageRetryExhaustedError",
-    "SpillCapacityError",
     "RankDeficiencyError",
     "EvaluationError",
     "SchedulingError",
@@ -71,8 +70,8 @@ class ArtifactMismatchError(CompressionError, ConfigurationError):
 class StorageError(GOFMMError, RuntimeError):
     """The out-of-core storage layer was used in an invalid state.
 
-    A closed spill arena, a write into a read-only stored block provider,
-    an object that cannot be interpreted as a panel source/sink.
+    A write into a read-only stored block provider, an object that cannot
+    be interpreted as a panel source/sink.
     """
 
 
@@ -90,16 +89,6 @@ class StorageRetryExhaustedError(StorageError):
         super().__init__(message)
         self.path = str(path)
         self.attempts = int(attempts)
-
-
-class SpillCapacityError(StorageError):
-    """The spill arena's backing device is out of space (ENOSPC).
-
-    Raised by :meth:`repro.storage.spill.SpillArena.allocate` (and the
-    eviction flush) when the filesystem refuses the write.  The streamed
-    engine catches it and — when ``spill_degrade_to_heap`` is set — falls
-    back to heap chunk buffers instead of dying mid-matvec.
-    """
 
 
 class RankDeficiencyError(CompressionError):

@@ -27,7 +27,6 @@ Built-in fault points::
 
     shard.worker    entry of every supervised fork-pool shard task
     storage.read    store manifest / array reads (read_array_dir)
-    spill.write     spill-arena buffer allocation (default error: ENOSPC)
     serving.shard   cluster submit path (flag: the router kills the shard)
 """
 
@@ -77,8 +76,8 @@ class FaultPointSpec:
     """One registered fault point: a named seam the pipeline fires through.
 
     ``default_error`` builds the exception an ``inject(point)`` with no
-    explicit action raises — e.g. ``spill.write`` defaults to ENOSPC so a
-    plan can say "the disk fills here" without spelling out the errno.
+    explicit action raises — e.g. ``storage.read`` defaults to EIO so a
+    plan can say "the device glitches here" without spelling out the errno.
     """
 
     name: str
@@ -237,7 +236,6 @@ class FaultPlan:
         plan = FaultPlan(seed=7)
         plan.inject("shard.worker", kill=True, trigger=match(task=0, attempt=0))
         plan.inject("storage.read", trigger=nth_call(1))
-        plan.inject("spill.write")                      # default: ENOSPC
         plan.inject("serving.shard", trigger=nth_call(1))
         with plan.armed():
             run_pipeline()
@@ -388,11 +386,6 @@ register_point(
     "storage.read",
     description="operator-store manifest and array reads (transient I/O errors)",
     default_error=lambda: OSError(errno.EIO, "injected transient I/O error"),
-)
-register_point(
-    "spill.write",
-    description="spill-arena buffer allocation (disk-full on the spill device)",
-    default_error=lambda: OSError(errno.ENOSPC, "injected: no space left on device"),
 )
 register_point(
     "serving.shard",

@@ -10,8 +10,9 @@ re-exports these) sees where blocks, bytes and batches actually went:
 ``kernel_entries_evaluated``   kernel entries evaluated through
                                ``matrix.entries`` during skeletonization
                                and chunk materialization
-``spill_bytes_out``            bytes written to the :class:`SpillArena`
-``spill_bytes_in``             bytes paged back in from the arena
+``spill_bytes_out`` /          always 0 (the streamed engine keeps its
+``spill_bytes_in``             chunk buffers on the heap); kept so the
+                               ledger probe's vocabulary stays stable
 ``chunk_stalls``               chunk-pipeline stalls (executor watchdog
                                fired while a streamed matvec waited)
 ``batches_assembled``          micro-batches assembled by the serving tier
@@ -34,8 +35,8 @@ re-exports these) sees where blocks, bytes and batches actually went:
                                place
 ``faults_degraded``            faults survived by *degrading*: a sharded
                                stage falling back to its single-process
-                               equivalent, spill buffers falling back to
-                               heap, a shard routed around / breaker-opened
+                               equivalent, a shard routed around /
+                               breaker-opened
 =============================  =============================================
 
 Counters are monotone within a process; :func:`reset` (tests, benchmark

@@ -8,8 +8,8 @@ and embedders can route it like any stdlib logger.  The root carries a
 
 The library emits events only where behaviour silently degrades or
 changes shape: shard restarts and route-arounds in the serving cluster,
-deadline sheds, :class:`~repro.storage.spill.SpillArena` activation, and
-legacy ``.npz`` artifact fallbacks.
+deadline sheds, a streaming plan whose workspace exceeds its chunk
+budget, and legacy ``.npz`` artifact fallbacks.
 """
 
 from __future__ import annotations

@@ -224,7 +224,7 @@ class Tracer:
         return _SpanCtx(self, name, attrs)
 
     def instant(self, name: str, **attrs: Any) -> None:
-        """Record a zero-duration event (e.g. a shed, a spill, a stall)."""
+        """Record a zero-duration event (e.g. a shed, a stall)."""
         state = self._state()
         now = self._clock()
         state.buffer.append(Span(name, now, now, state.ident, state.name, state.depth, attrs))

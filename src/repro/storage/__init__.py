@@ -1,6 +1,6 @@
 """Out-of-core operator storage.
 
-Three pillars let operators larger than RAM compress, cold-start and
+Two pillars let operators larger than RAM compress, cold-start and
 serve (the ROADMAP's "out-of-core end-to-end" thread):
 
 * :mod:`repro.storage.store` — the mmap artifact format v2: a directory
@@ -10,9 +10,6 @@ serve (the ROADMAP's "out-of-core end-to-end" thread):
 * :mod:`repro.storage.panels` — :class:`PanelSource` / :class:`PanelSink`
   adapters that stream RHS weights and outputs through the evaluation as
   bounded column panels instead of full ``(n, r)`` arrays.
-* :mod:`repro.storage.spill` — :class:`SpillArena`, the bounded
-  temp-file arena the streamed engine spills oversized chunk buffers to
-  instead of over-allocating anonymous memory.
 """
 
 from .panels import (
@@ -25,7 +22,6 @@ from .panels import (
     as_panel_sink,
     as_panel_source,
 )
-from .spill import SpillArena
 from .store import (
     MANIFEST_NAME,
     STORE_SCHEMA_VERSION,
@@ -45,7 +41,6 @@ __all__ = [
     "MmapPanelSink",
     "as_panel_source",
     "as_panel_sink",
-    "SpillArena",
     "MANIFEST_NAME",
     "STORE_SCHEMA_VERSION",
     "OperatorStore",

@@ -58,12 +58,6 @@ class TestFaultToleranceErrors:
         assert issubclass(StorageRetryExhaustedError, GOFMMError)
         assert exc.path == "/tmp/x" and exc.attempts == 3
 
-    def test_spill_capacity_is_storage_error(self):
-        from repro.errors import SpillCapacityError, StorageError
-
-        assert issubclass(SpillCapacityError, StorageError)
-        assert issubclass(SpillCapacityError, GOFMMError)
-
     def test_executor_stall_carries_task_labels(self):
         from repro.errors import ExecutorStallError
 

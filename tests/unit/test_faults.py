@@ -68,7 +68,7 @@ def _clean_state():
 
 class TestRegistry:
     def test_builtins_available(self):
-        assert {"shard.worker", "storage.read", "spill.write", "serving.shard"} <= set(
+        assert {"shard.worker", "storage.read", "serving.shard"} <= set(
             available_fault_points()
         )
         assert is_registered("shard.worker")
@@ -96,7 +96,6 @@ class TestRegistry:
 
     def test_default_errors_of_builtins(self):
         assert get_fault_point("storage.read").default_error().errno == errno.EIO
-        assert get_fault_point("spill.write").default_error().errno == errno.ENOSPC
         assert get_fault_point("serving.shard").default_error is None
 
 
@@ -164,9 +163,9 @@ class TestTriggers:
     def test_points_and_has(self):
         plan = FaultPlan()
         plan.inject("storage.read")
-        plan.inject("spill.write")
-        assert plan.points() == ("spill.write", "storage.read")
-        assert plan.has("storage.read") and not plan.has("shard.worker")
+        plan.inject("shard.worker")
+        assert plan.points() == ("shard.worker", "storage.read")
+        assert plan.has("storage.read") and not plan.has("serving.shard")
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +192,7 @@ class TestArming:
         plan.inject("storage.read")
         with plan.armed():
             assert injection.armed_for("storage.read")
-            assert not injection.armed_for("spill.write")
+            assert not injection.armed_for("shard.worker")
 
     def test_default_error_raised_and_counted(self):
         plan = FaultPlan()

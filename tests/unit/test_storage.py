@@ -1,9 +1,9 @@
 """Unit tests for the out-of-core storage subsystem (repro.storage).
 
-Covers the three pillars: the format-v2 operator store (save / mmap
-cold-start / trust-boundary validation), the panel source/sink streaming
-layer, and the disk-backed spill arena — plus the serving integration
-(``MatvecServer.register(store=...)``).
+Covers the two pillars: the format-v2 operator store (save / mmap
+cold-start / trust-boundary validation) and the panel source/sink
+streaming layer — plus the serving integration
+(``MatvecServer.register(store=...)``) and hardened store reads.
 """
 
 import json
@@ -20,7 +20,6 @@ from repro.storage import (
     MmapPanelSink,
     MmapPanelSource,
     OperatorStore,
-    SpillArena,
     StoredBlockProvider,
     as_panel_sink,
     as_panel_source,
@@ -217,6 +216,24 @@ class TestOperatorStore:
         assert np.array_equal(reference_matvec(reopened.compressed, weights), reference)
 
     @pytest.mark.parametrize("resident", ["mmap", "ram"])
+    def test_store_with_retired_spill_degrade_key_opens(
+        self, operator, weights, reference, tmp_path, resident
+    ):
+        """Stores written while ``spill_degrade_to_heap`` was a config field
+        open unchanged, and their streamed engine runs on heap buffers."""
+        path = tmp_path / "old.store"
+        operator.save(path)
+        manifest_path = path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["spill_degrade_to_heap"] = False
+        manifest_path.write_text(json.dumps(manifest))
+        reopened = CompressedOperator.open(
+            path, resident=resident, streaming_chunk_bytes=2048
+        )
+        assert not hasattr(reopened.config, "spill_degrade_to_heap")
+        assert np.array_equal(reopened.apply(weights, engine="streamed"), reference)
+
+    @pytest.mark.parametrize("resident", ["mmap", "ram"])
     def test_store_with_the_single_blocks_fingerprint_opens(
         self, operator, weights, reference, tmp_path, resident
     ):
@@ -360,54 +377,6 @@ class TestPanels:
             as_panel_sink(out, (5, 2))
 
 
-class TestSpillArena:
-    def test_allocate_returns_disk_backed_buffer(self, tmp_path):
-        with SpillArena(budget_bytes=1 << 20, directory=tmp_path) as arena:
-            buf = arena.allocate((16, 8))
-            assert buf.shape == (16, 8)
-            assert is_disk_backed(buf)
-            buf[:] = 3.0
-            assert float(buf.sum()) == 16 * 8 * 3.0
-
-    def test_budget_eviction_prefers_unpinned_lru(self, tmp_path):
-        nbytes = 16 * 8 * 8
-        with SpillArena(budget_bytes=2 * nbytes, directory=tmp_path) as arena:
-            a = arena.allocate((16, 8))
-            b = arena.allocate((16, 8))
-            c = arena.allocate((16, 8))
-            arena.pin(a)
-            arena.pin(b)
-            arena.unpin(a)
-            arena.pin(c)  # budget forces an eviction; a is the unpinned LRU
-            assert arena.resident_bytes <= 2 * nbytes
-            arena.unpin(b)
-            arena.unpin(c)
-
-    def test_release_frees_disk(self, tmp_path):
-        arena = SpillArena(budget_bytes=1 << 20, directory=tmp_path)
-        buf = arena.allocate((8, 8))
-        assert arena.bytes_on_disk == 8 * 8 * 8
-        arena.release(buf)
-        assert arena.bytes_on_disk == 0
-        arena.close()
-
-    def test_foreign_buffer_rejected(self, tmp_path):
-        with SpillArena(budget_bytes=1 << 20, directory=tmp_path) as arena:
-            with pytest.raises(StorageError):
-                arena.pin(np.zeros((2, 2)))
-
-    def test_close_removes_backing_files_and_is_idempotent(self, tmp_path):
-        arena = SpillArena(budget_bytes=1 << 20, directory=tmp_path)
-        arena.allocate((8, 8))
-        backing = arena.path
-        assert os.path.isdir(backing)
-        arena.close()
-        arena.close()
-        assert not os.path.exists(backing)
-        with pytest.raises(StorageError):
-            arena.allocate((2, 2))
-
-
 class TestServingColdStart:
     def test_register_from_store_serves_bit_identically(self, store_path, operator, weights):
         from repro.serving import BatchPolicy, MatvecServer
@@ -443,7 +412,7 @@ class TestServingColdStart:
 
 
 class TestStorageFaultTolerance:
-    """Hardened reads and the typed spill-capacity failure path."""
+    """Hardened reads: transient errors retry, persistent ones fail typed."""
 
     def test_transient_read_error_is_retried_and_recovered(self, store_path):
         from repro.faults import FaultPlan, nth_call
@@ -488,56 +457,3 @@ class TestStorageFaultTolerance:
             op = CompressedOperator.open(store_path, resident="mmap")
         assert np.array_equal(op @ weights, reference)
         assert plan.injected == 1
-
-    def test_enospc_raises_spill_capacity_error(self, tmp_path):
-        from repro.errors import SpillCapacityError
-        from repro.faults import FaultPlan
-
-        plan = FaultPlan()
-        plan.inject("spill.write")  # default error: ENOSPC
-        with SpillArena(budget_bytes=1 << 20, directory=tmp_path) as arena:
-            with plan.armed():
-                with pytest.raises(SpillCapacityError):
-                    arena.allocate((16, 8))
-                buf = arena.allocate((16, 8))  # budget spent: next allocation works
-            assert buf.shape == (16, 8)
-
-    def test_streamed_matvec_degrades_to_heap_on_enospc(self, matrix):
-        from repro.faults import FaultPlan, always
-        from repro.obs import counters
-
-        op = Session(matrix, GOFMMConfig(**{
-            **CONFIG, "cache_near_blocks": False, "cache_far_blocks": False,
-            "streaming_chunk_bytes": 2048,
-        })).compress()
-        plan = op.compressed.streaming_plan()
-        assert plan.spills
-        w = np.random.default_rng(21).standard_normal((matrix.n, 3))
-        expected = reference_matvec(op.compressed, w)
-
-        fault = FaultPlan()
-        fault.inject("spill.write", trigger=always(), times=None)
-        degraded_before = counters.get("faults_degraded")
-        with fault.armed():
-            got = op.compressed.matvec(w, engine="streamed")
-        assert np.array_equal(got, expected)  # heap fallback is bit-identical
-        assert not plan.spills  # degraded for the plan's lifetime
-        assert counters.get("faults_degraded") == degraded_before + 1
-        # and the degraded plan keeps serving without the arena
-        assert np.array_equal(op.compressed.matvec(w, engine="streamed"), expected)
-
-    def test_spill_degrade_disabled_surfaces_typed_error(self, matrix):
-        from repro.errors import SpillCapacityError
-        from repro.faults import FaultPlan, always
-
-        op = Session(matrix, GOFMMConfig(**{
-            **CONFIG, "cache_near_blocks": False, "cache_far_blocks": False,
-            "streaming_chunk_bytes": 2048, "spill_degrade_to_heap": False,
-        })).compress()
-        assert op.compressed.streaming_plan().spills
-        fault = FaultPlan()
-        fault.inject("spill.write", trigger=always(), times=None)
-        w = np.random.default_rng(22).standard_normal((matrix.n, 2))
-        with fault.armed():
-            with pytest.raises(SpillCapacityError):
-                op.compressed.matvec(w, engine="streamed")

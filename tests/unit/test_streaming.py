@@ -19,6 +19,8 @@ The load-bearing guarantees:
   block reads.
 """
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,19 @@ class TestExecutionPaths:
         with pytest.raises(EvaluationError, match="no source matrix"):
             cm.matvec(np.zeros(matrix.n), engine="streamed")
 
+    @pytest.mark.parametrize("engine", ["planned", "streamed"])
+    @pytest.mark.parametrize(
+        "shape,dtype",
+        [((1, 2), float), ((-40, 2), float), ((0,), float), ((0, 2), complex)],
+        ids=["extra-row", "missing-rows", "vector", "complex"],
+    )
+    def test_bad_weights_rejected_by_both_engines(self, matrix, engine, shape, dtype):
+        cm = compress(matrix, make_config())
+        plan = cm.plan() if engine == "planned" else cm.streaming_plan()
+        weights = np.ones((matrix.n + shape[0],) + shape[1:], dtype=dtype)
+        with pytest.raises(EvaluationError, match="weights must be"):
+            plan.execute(weights)
+
     def test_parallel_evaluate_dispatches_streamed(self, memoryless, matrix):
         w = np.random.default_rng(7).standard_normal((matrix.n, 3))
         out = parallel_evaluate(memoryless, w, num_workers=2, engine="streamed")
@@ -278,22 +293,19 @@ class TestWorkspaceAccounting:
         def check(chunk_bytes):
             plan = self._plan(session, chunk_bytes)
             buffers = plan._allocate_buffers()
-            try:
-                assert sum(b.nbytes for b in buffers) <= plan.workspace_bytes
-                for chunk in plan.s2s_chunks + plan.l2l_chunks:
-                    assert chunk.total_elems <= plan.buffer_elems
-                # heap buffers only while within budget; disk-backed beyond it
-                for buffer in buffers:
-                    assert isinstance(buffer, np.memmap) == plan.spills
-            finally:
-                plan._release_buffers(buffers)
-                plan.close()
+            assert sum(b.nbytes for b in buffers) <= plan.workspace_bytes
+            for chunk in plan.s2s_chunks + plan.l2l_chunks:
+                assert chunk.total_elems <= plan.buffer_elems
+            # every buffer is a plain heap array, within budget or not
+            for buffer in buffers:
+                assert type(buffer) is np.ndarray
 
         check()
 
-    def test_exactly_at_budget_must_not_spill(self, session):
-        """Regression: the spill trigger is strictly-greater-than — a plan
-        whose workspace lands exactly on the budget allocates normally."""
+    def test_exactly_at_budget_is_silent_and_bitwise(self, session, caplog):
+        """Regression: the over-budget notice is strictly-greater-than — a
+        plan whose workspace lands exactly on the budget says nothing, and
+        moving the budget never changes a result."""
         from repro.core.streaming import StreamingPlan
 
         base = self._plan(session, 1 << 20)
@@ -311,35 +323,59 @@ class TestWorkspaceAccounting:
                 stall_timeout=None,
             )
 
-        at_budget = clone(base.workspace_bytes)
-        assert not at_budget.spills
-        buffers = at_budget._allocate_buffers()
-        assert all(not isinstance(b, np.memmap) for b in buffers)
-        w = np.random.default_rng(11).standard_normal((at_budget.layout.n, 2))
-        assert np.array_equal(at_budget.execute(w), base.execute(w))
+        def notices():
+            return [r for r in caplog.records if "exceeds chunk budget" in r.getMessage()]
 
-        over_budget = clone(base.workspace_bytes - 8)
-        assert over_budget.spills
-        over_budget.close()
+        w = np.random.default_rng(11).standard_normal((base.layout.n, 2))
+        with caplog.at_level(logging.INFO, logger="repro.core.streaming"):
+            at_budget = clone(base.workspace_bytes)
+            assert notices() == []
+            assert np.array_equal(at_budget.execute(w), base.execute(w))
 
-    def test_over_budget_plan_spills_to_disk_and_stays_bitwise(self, matrix):
+            over_budget = clone(base.workspace_bytes - 8)
+            assert len(notices()) == 1
+            assert np.array_equal(over_budget.execute(w), base.execute(w))
+
+    def test_over_budget_workspace_is_resident_not_on_disk(self, matrix):
+        """The over-budget workspace is heap memory: ``memory_report`` adds
+        it to ``bytes_resident`` and an in-memory operator has nothing on disk."""
         cm = compress(
             matrix,
             make_config(
                 cache_near_blocks=False, cache_far_blocks=False, streaming_chunk_bytes=2048
             ),
         )
+        before = cm.memory_report()
         plan = cm.streaming_plan()
-        assert plan.spills
         assert plan.workspace_bytes > plan.chunk_bytes
-        report = plan.report()
-        assert report["spills"] == 1.0 and "spill_bytes" in report
-        w = np.random.default_rng(12).standard_normal((matrix.n, 3))
-        assert np.array_equal(
-            cm.matvec(w, engine="streamed"), reference_matvec(cm, w)
+        w = np.random.default_rng(13).standard_normal((matrix.n, 2))
+        cm.matvec(w, engine="streamed")
+        after = cm.memory_report()
+        assert after["bytes_on_disk"] == before["bytes_on_disk"] == 0
+        assert after["bytes_resident"] - before["bytes_resident"] == (
+            plan.owned_bytes() + plan.index_bytes() + plan.workspace_bytes
         )
-        # the execution released its arena buffers: no disk left held
-        assert plan.report()["spill_bytes"] == 0.0
+
+    def test_over_budget_plan_logs_once_and_stays_bitwise(self, matrix, caplog):
+        """A 2 KiB budget puts single blocks over one buffer's share: the
+        plan keeps heap buffers, says so once at build, and stays bitwise."""
+        cm = compress(
+            matrix,
+            make_config(
+                cache_near_blocks=False, cache_far_blocks=False, streaming_chunk_bytes=2048
+            ),
+        )
+        with caplog.at_level(logging.INFO, logger="repro.core.streaming"):
+            plan = cm.streaming_plan()
+            assert plan.workspace_bytes > plan.chunk_bytes
+            assert all(type(b) is np.ndarray for b in plan._allocate_buffers())
+            w = np.random.default_rng(12).standard_normal((matrix.n, 3))
+            for _ in range(2):
+                assert np.array_equal(
+                    cm.matvec(w, engine="streamed"), reference_matvec(cm, w)
+                )
+        logged = [r.getMessage() for r in caplog.records if "exceeds chunk budget" in r.getMessage()]
+        assert len(logged) == 1 and str(plan.workspace_bytes) in logged[0]
 
     def test_panel_execution_matches_per_panel_reference(self, matrix, tmp_path):
         cm = compress(
