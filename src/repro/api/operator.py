@@ -16,11 +16,11 @@ and the rank / storage / plan / interaction reports.
 **Thread safety.**  ``matvec`` / ``matmat`` / ``apply`` / ``solve`` are safe
 to call from concurrent threads on one operator — the serving runtime
 (:mod:`repro.serving`) does exactly that.  The compressed representation
-(tree, packed plan, streaming plan, cached blocks) is immutable after
-compression; all per-call state lives in per-call contexts, with the
-planned engine drawing its workspaces from a small thread-safe pool on the
-plan (:meth:`repro.core.plan.EvaluationPlan.new_context`) and the streamed
-engine allocating its chunk buffers per call.  Two caveats: the FLOP
+(tree, both plans, cached blocks) is immutable after compression; all
+per-call state lives in per-call contexts, whose skeleton workspaces come
+from a small thread-safe pool on the plan
+(:meth:`repro.core.streaming.StreamingPlan.new_context`), with chunk
+buffers allocated per call.  Two caveats: the FLOP
 ``counters`` carried by the underlying :class:`CompressedMatrix` (and the
 source matrix's ``entry_evaluations``, which streamed matvecs advance) are
 updated without a lock (concurrent calls may under-count — they are
@@ -61,22 +61,26 @@ class OperatorReport(CompressionReport):
     always present, including the live ``bytes_resident`` /
     ``bytes_on_disk`` memory split of the operator's representation
     (mmap-opened stores report their coefficients and blocks on disk).
+
+    It holds the :class:`CompressedMatrix`, not the operator: the operator
+    holds the report, and a reference back would make every operator cyclic
+    garbage, keeping an mmap-opened store mapped until a ``gc.collect()``.
     """
 
-    def __init__(self, operator: "CompressedOperator", base: Optional[CompressionReport] = None) -> None:
+    def __init__(self, compressed: CompressedMatrix, base: Optional[CompressionReport] = None) -> None:
         base = base if base is not None else CompressionReport()
         super().__init__(
             **{f.name: getattr(base, f.name) for f in dataclasses.fields(CompressionReport)}
         )
-        self._operator = operator
+        self._compressed = compressed
 
     def __call__(self) -> dict:
-        operator = self._operator
-        memory = operator.compressed.memory_report()
+        compressed = self._compressed
+        memory = compressed.memory_report()
         return {
             "schema_version": REPORT_SCHEMA_VERSION,
-            "n": int(operator.n),
-            "engine": operator.default_engine(),
+            "n": int(compressed.n),
+            "engine": compressed.default_engine(),
             "bytes_resident": int(memory["bytes_resident"]),
             "bytes_on_disk": int(memory["bytes_on_disk"]),
             "average_rank": float(self.average_rank),
@@ -98,7 +102,7 @@ class CompressedOperator(LinearOperator):
     ``K̃`` is symmetric by construction (symmetrized interaction lists), so
     the adjoint product reuses the forward matvec.  ``operator @ w`` and
     ``operator.matmat(w)`` evaluate all right-hand sides in one wide-GEMM
-    pass of the planned engine.
+    pass of the default engine's plan.
     """
 
     #: Preconditioners kept per operator (one per distinct shift).
@@ -109,7 +113,7 @@ class CompressedOperator(LinearOperator):
         # ``report`` is both the compression report (attribute access, the
         # historical contract) and callable for the stable summary dict with
         # the bytes_resident / bytes_on_disk split.
-        self.report = OperatorReport(self, report)
+        self.report = OperatorReport(compressed, report)
         # Preconditioners per shift, built once and shared across solves (they
         # are read-only after construction): a serving batch of solves must not
         # re-factor the operator per request batch.

@@ -431,16 +431,15 @@ class Session:
             ):
                 # The previous plans were built against these exact blocks
                 # (same tree / lists / providers): still exact — only the
-                # config wrapper changed.  Each cached plan additionally
-                # requires its own packing knob to be unchanged (the packed
-                # plan's rank bucketing, the streaming plan's chunk budget).
+                # config wrapper changed.  Both plans' fill chunks follow
+                # the chunk budget, and the padded plan also its rank
+                # bucketing: each is reused only if its knobs are unchanged.
                 old = previous_plan_entry.fingerprint
-                if old.get("plan_rank_bucketing") == config.plan_rank_bucketing:
-                    compressed._plan = previous_plan_entry.value.compressed._plan
+                previous = previous_plan_entry.value.compressed
                 if old.get("streaming_chunk_bytes") == config.streaming_chunk_bytes:
-                    compressed._streaming_plan = (
-                        previous_plan_entry.value.compressed._streaming_plan
-                    )
+                    compressed._streaming_plan = previous._streaming_plan
+                    if old.get("plan_rank_bucketing") == config.plan_rank_bucketing:
+                        compressed._plan = previous._plan
             if config.prebuild_plan:
                 compressed.plan()
             return Plan(compressed=compressed)

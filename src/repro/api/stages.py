@@ -322,5 +322,5 @@ class Plan:
 
     @property
     def evaluation_plan(self):
-        """The packed plan, if one has been built (``None`` before first use)."""
+        """The ``"planned"`` plan, if one has been built (``None`` before first use)."""
         return self.compressed._plan

@@ -112,17 +112,16 @@ class GOFMMConfig:
         if ``True``, raise when a node's skeletonization falls back to an
         empty skeleton instead of silently producing a rank-0 block.
     streaming_chunk_bytes:
-        workspace budget of the ``"streamed"`` engine, in bytes — the
-        engine matvecs run whenever the blocks are not all resident
-        (memoryless caching, or a store opened with ``resident="mmap"``;
-        see :meth:`repro.core.hmatrix.CompressedMatrix.default_engine`).  The
-        engine partitions the evaluation's near/far blocks into chunks and
-        pipelines their materialization against GEMM execution through a
-        small set of cycling buffers (currently four, each sized an eighth
-        of this budget, always holding at least one block); all in-flight
-        chunk buffers *together* stay within this budget, so the
-        evaluation-phase block memory is bounded regardless of how many
-        interaction pairs the compression has.
+        workspace budget of the evaluation plan's fill chunks, in bytes —
+        the blocks it does not find cached (memoryless caching, partly
+        cached targets, rows a store holds in the older flat layout; see
+        :mod:`repro.core.streaming`).  The plan partitions those blocks
+        into chunks and pipelines their materialization against GEMM
+        execution through a small set of cycling buffers (currently four,
+        each sized an eighth of this budget, always holding at least one
+        block); all in-flight chunk buffers *together* stay within this
+        budget, so the evaluation-phase block memory is bounded regardless
+        of how many interaction pairs the compression has.
     neighbor_workers:
         process count of the ANN search (:mod:`repro.core.neighbors`):
         above 1, projection-tree iterations are fanned out in waves over a
@@ -139,8 +138,9 @@ class GOFMMConfig:
         bitwise worker-count independent), so it enters no stage
         fingerprint.
     plan_rank_bucketing:
-        how the evaluation-plan packer pads skeleton ranks so that
-        adaptive-rank trees batch into fewer, larger GEMM groups:
+        how the ``"planned"`` plan (``CompressedMatrix.plan()``) pads
+        skeleton ranks so that adaptive-rank trees batch into fewer,
+        larger GEMM groups (the ``"streamed"`` plan always packs exactly):
         ``"pow2"`` (default) rounds each rank up to the next power of
         two, ``"max"`` pads to the per-level maximum, ``"none"`` packs
         exact ranks.  Padding only engages when a tree's active ranks are

@@ -18,28 +18,24 @@ algorithmic pieces in the order the paper presents them:
   shape-bucketed stacked pivoted QRs, fanned out over subtrees when
   ``compression_workers > 1``,
 * :mod:`repro.core.compress` — Algorithm 2.2 (compression driver),
-* :mod:`repro.core.plan` — Algorithm 2.7 (N2S / S2S / S2N / L2L) as a
-  packed plan of level-batched GEMMs (the "planned" engine, for resident
-  blocks),
-* :mod:`repro.core.streaming` — the same passes with chunked block
-  materialization in a bounded workspace (the "streamed" engine, for
-  memoryless or mmap-opened operators),
+* :mod:`repro.core.plan` — Algorithm 2.7 (N2S / S2S / S2N / L2L) as
+  level-batched GEMM segments over a packed workspace layout,
+* :mod:`repro.core.streaming` — the evaluation plan: those segments on
+  cached blocks in place, the rest materialized chunk by chunk in a
+  bounded workspace,
 * :mod:`repro.core.hmatrix` — the compressed-matrix object, whose
-  ``default_engine`` picks between the two by block residency,
+  ``default_engine`` picks the plan's packing (rank-padded "planned" or
+  exact "streamed") by block residency,
 * :mod:`repro.core.accuracy` — the ε2 error metric.
 """
 
 from .compress import CompressionReport, compress
 from .hmatrix import CompressedMatrix
-from .plan import EvaluationPlan, build_plan, evaluate_planned
 from .accuracy import relative_error
 
 __all__ = [
     "compress",
     "CompressionReport",
     "CompressedMatrix",
-    "EvaluationPlan",
-    "build_plan",
-    "evaluate_planned",
     "relative_error",
 ]

@@ -9,9 +9,9 @@ The driver runs the paper's pipeline:
 4. nested skeletonization (tasks SKEL + COEF),
 5. optional caching of near and far submatrices (tasks Kba + SKba), each
    entry evaluated once, in bulk, into read-only slabs — near blocks into
-   per-leaf block-rows, which the planned engine multiplies in place,
-6. optionally (``config.prebuild_plan``) the packed evaluation plan of
-   :mod:`repro.core.plan`.
+   per-leaf block-rows, which the evaluation plan multiplies in place,
+6. optionally (``config.prebuild_plan``) the ``"planned"`` evaluation plan
+   (:meth:`repro.core.hmatrix.CompressedMatrix.plan`).
 
 Each step is exposed as a ``run_*_stage`` function so the staged session
 API (:mod:`repro.api`) can cache and reuse individual stage artifacts
@@ -428,7 +428,7 @@ def compress(
         neighbors=neighbors,
     )
     if config.prebuild_plan:
-        # Flatten the tree into the packed evaluation plan now rather than on
+        # Flatten the tree into the evaluation plan now rather than on
         # the first matvec, so the "plan" phase shows up in the report and
         # later matvecs are pure execution.
         with phase("plan"):

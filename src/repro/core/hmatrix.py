@@ -6,13 +6,13 @@ Near/Far interaction lists, and (optionally cached) near/far submatrices —
 and exposes the operations a user of the library needs:
 
 * ``matvec(w)`` / ``@`` — the fast approximate product (Algorithm 2.7),
-  run by one of two engines chosen by where the blocks live: the
-  ``"planned"`` engine executes a cached
-  :class:`repro.core.plan.EvaluationPlan` as level-batched GEMMs over
-  resident blocks, and the ``"streamed"`` engine runs the same passes
-  while materializing near/far blocks chunk by chunk inside a bounded
-  workspace (:class:`repro.core.streaming.StreamingPlan` — for memoryless
-  compressions and mmap-opened stores),
+  run by a cached :class:`repro.core.streaming.StreamingPlan`: level-batched
+  GEMMs on cached blocks in place, the rest materialized chunk by chunk
+  inside a bounded workspace.  The two engine names are two packings of
+  that plan, chosen by where the blocks live: ``"planned"`` (rank-padded,
+  :meth:`CompressedMatrix.plan`) and ``"streamed"`` (exact,
+  :meth:`CompressedMatrix.streaming_plan` — for memoryless compressions and
+  mmap-opened stores),
 * ``to_dense()`` — explicit ``K̃`` for small problems (tests, exact error),
 * storage / rank / FLOP reports used by the benchmark harness,
 * ``relative_error`` — the sampled ε2 metric of the paper.
@@ -28,7 +28,8 @@ import numpy as np
 from ..config import GOFMMConfig
 from ..errors import EvaluationError
 from ..matrices.base import SPDMatrix
-from .plan import EvaluationCounters, EvaluationPlan, build_plan, evaluate_planned
+from .plan import EvaluationCounters, _as_matrix
+from .streaming import StreamingPlan, build_streaming_plan
 from .interactions import InteractionLists
 from .neighbors import NeighborTable
 from .tree import BallTree, TreeNode
@@ -187,8 +188,8 @@ class CompressedMatrix:
     matrix: Optional[SPDMatrix] = None
     neighbors: Optional[NeighborTable] = None
     counters: EvaluationCounters = field(default_factory=EvaluationCounters)
-    _plan: Optional[EvaluationPlan] = field(default=None, repr=False, compare=False)
-    _streaming_plan: object = field(default=None, repr=False, compare=False)
+    _plan: Optional[StreamingPlan] = field(default=None, repr=False, compare=False)
+    _streaming_plan: Optional[StreamingPlan] = field(default=None, repr=False, compare=False)
 
     # -- linear operator interface -------------------------------------------
     @property
@@ -199,22 +200,24 @@ class CompressedMatrix:
     def n(self) -> int:
         return self.tree.n
 
-    def plan(self, rebuild: bool = False) -> EvaluationPlan:
-        """The cached :class:`~repro.core.plan.EvaluationPlan` (built on first use)."""
+    def plan(self, rebuild: bool = False) -> StreamingPlan:
+        """The cached ``"planned"`` plan (built on first use).
+
+        Ranks are padded per ``config.plan_rank_bucketing``, which batches
+        adaptive-rank trees into fewer, larger GEMMs.
+        """
         if self._plan is None or rebuild:
-            self._plan = build_plan(self)
+            self._plan = build_streaming_plan(self, self.config.plan_rank_bucketing)
         return self._plan
 
-    def streaming_plan(self, rebuild: bool = False):
-        """The cached :class:`~repro.core.streaming.StreamingPlan` (built on first use).
+    def streaming_plan(self, rebuild: bool = False) -> StreamingPlan:
+        """The cached ``"streamed"`` plan (built on first use).
 
-        The streamed engine's schedule: the shared pass layout plus the
-        chunked S2S / L2L materialization bounded by
+        Exact rank packing, so its products are bitwise those of the
+        per-node traversal; fill chunks are bounded by
         ``config.streaming_chunk_bytes``.
         """
         if self._streaming_plan is None or rebuild:
-            from .streaming import build_streaming_plan
-
             self._streaming_plan = build_streaming_plan(self)
         return self._streaming_plan
 
@@ -223,15 +226,15 @@ class CompressedMatrix:
 
         Residency decides: ``"planned"`` when every block is on the heap —
         no provider is disk-backed (an mmap-opened store's are, even when
-        it holds no blocks), and either both caches are on or the packed
+        it holds no blocks), and either both caches are on or the padded
         plan is already built.
         Otherwise ``"streamed"``: memoryless compressions evaluate blocks
         chunk by chunk in a bounded workspace, and mmap-opened stores run
         L2L on their stored row slabs in place, packing only the far
-        block-rows onto the heap.  Both engines share the L2L segments on
-        intact row slabs; they differ in rank padding and in how they
-        handle what is not cached.  Pass ``engine="planned"`` (or call
-        :meth:`plan`) to opt into the packed engine anyway.
+        block-rows onto the heap.  Both are the same plan class with the
+        same fill rules; they differ only in rank padding.  Pass
+        ``engine="planned"`` (or call :meth:`plan`) to opt into padding
+        anyway.
         """
         on_disk = self.near_blocks.disk_backed or self.far_blocks.disk_backed
         cached = self.config.cache_near_blocks and self.config.cache_far_blocks
@@ -240,20 +243,22 @@ class CompressedMatrix:
     def matvec(self, w: np.ndarray, engine: Optional[str] = None) -> np.ndarray:
         """Approximate product ``K̃ w`` (Algorithm 2.7); accepts (N,) or (N, r).
 
-        ``engine="planned"`` executes level-batched GEMMs over the cached
-        plan; ``"streamed"`` runs the same passes with chunked on-the-fly
-        block materialization in a bounded workspace
-        (:mod:`repro.core.streaming`; bit-identical to the per-node
-        traversal of Algorithm 2.7).  Defaults to :meth:`default_engine`.
+        ``engine="planned"`` executes :meth:`plan` (rank-padded, agreeing
+        with the per-node traversal to summation order); ``"streamed"``
+        executes :meth:`streaming_plan` (exact packing, bit-identical to
+        the per-node traversal of Algorithm 2.7).  Defaults to
+        :meth:`default_engine`.
         """
         engine = engine or self.default_engine()
         if engine == "planned":
-            return evaluate_planned(self, w, counters=self.counters)
-        if engine == "streamed":
-            from .streaming import evaluate_streamed
-
-            return evaluate_streamed(self, w, counters=self.counters)
-        raise EvaluationError(f"unknown evaluation engine {engine!r}; use 'planned' or 'streamed'")
+            plan = self.plan()
+        elif engine == "streamed":
+            plan = self.streaming_plan()
+        else:
+            raise EvaluationError(f"unknown evaluation engine {engine!r}; use 'planned' or 'streamed'")
+        weights, was_vector = _as_matrix(w, self.tree.n)
+        output = plan.execute(weights, counters=self.counters)
+        return output[:, 0] if was_vector else output
 
     def __matmul__(self, w: np.ndarray) -> np.ndarray:
         return self.matvec(w)
@@ -403,10 +408,10 @@ class CompressedMatrix:
 
         ``bytes_resident`` counts heap-held arrays: skeleton coefficients
         (unless they are mmap views into an operator store), cached blocks
-        of in-memory providers, the operands each plan owns (not the near
-        cache's row slabs both run L2L on) and the streaming plan's index
-        tables and heap workspace, of the plans *already built* (this report
-        never builds them).
+        of in-memory providers, and of each plan *already built* (this
+        report never builds them) the operands it owns (not the near
+        cache's row slabs it runs L2L on), its index tables and its chunk
+        workspace.
         ``bytes_on_disk`` counts mmap-backed coefficients/blocks.  Keys are
         always present, so serving metrics and ``CompressedOperator.report()``
         can rely on the schema.
@@ -427,16 +432,13 @@ class CompressedMatrix:
         for provider in (self.near_blocks, self.far_blocks):
             resident += int(getattr(provider, "bytes_resident", 0))
             on_disk += int(getattr(provider, "bytes_on_disk", 0))
-        if self._plan is not None:
-            resident += int(self._plan.owned_bytes())
-        if self._streaming_plan is not None:
-            resident += int(self._streaming_plan.owned_bytes())
-            resident += int(self._streaming_plan.index_bytes())
-            resident += int(self._streaming_plan.workspace_bytes)
+        for plan in (self._plan, self._streaming_plan):
+            if plan is not None:
+                resident += plan.owned_bytes() + plan.index_bytes() + plan.workspace_bytes
         return {"bytes_resident": int(resident), "bytes_on_disk": int(on_disk)}
 
     def plan_report(self) -> dict[str, float]:
-        """Size of the packed evaluation plan (builds it if not yet cached)."""
+        """Size of the ``"planned"`` plan's in-place work (builds it if not yet cached)."""
         plan = self.plan()
         return {
             "segments": float(plan.num_segments),

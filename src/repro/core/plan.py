@@ -1,12 +1,13 @@
-"""Packed evaluation plan: Algorithm 2.7 as level-batched GEMMs.
+"""Plan machinery: Algorithm 2.7 as level-batched GEMMs.
 
 The paper states the evaluation as four task families (N2S / S2S / S2N /
 L2L) run one tree node at a time.  Run that way in Python, the hot path is
 dominated by interpreter and allocation overhead rather than BLAS (the
 per-node traversal survives only as the test suite's oracle).
 
-This module flattens the tree, once per compression, into an
-:class:`EvaluationPlan`:
+This module holds what the evaluation plan
+(:class:`repro.core.streaming.StreamingPlan`, the one plan class) is made
+of:
 
 * **one workspace** — every active node's skeleton weights ``w̃`` and
   potentials ``ũ`` live at a precomputed row offset of two ``(R, r)``
@@ -26,76 +27,56 @@ This module flattens the tree, once per compression, into an
   index moves a whole leaf or node — kilobytes instead of one row.  Both
   forms give the same bits; the planner picks the block from the
   uniformity it observes, with no knob,
-* **packed coefficients and blocks** — nodes of each level are grouped by
-  coefficient shape and their ``P`` matrices stacked into one contiguous
-  array, so each level of the upward (N2S) and downward (S2N) passes is a
-  handful of batched GEMMs instead of thousands of tiny ones; near and far
-  blocks are grouped by shape the same way,
+* **packed coefficients** — the :class:`PassLayout` groups the nodes of
+  each level by coefficient shape and stacks their ``P`` matrices into one
+  contiguous array, so each level of the upward (N2S) and downward (S2N)
+  passes is a handful of batched GEMMs instead of thousands of tiny ones,
 * **dead-branch pruning** — a node participates in the up/down passes only
   if it (or an ancestor) appears in some Far list; with ``budget`` large
   enough that everything is handled directly, the passes vanish entirely,
 * **rank bucketing** — when the tree's active skeleton ranks are
-  non-uniform (adaptive rank), ``config.plan_rank_bucketing`` pads each
-  rank up to a bucket (next power of two, or the per-level maximum) before
-  grouping, so adaptive-rank trees batch into a few large GEMM groups
-  instead of fragmenting into one group per distinct rank; all padding is
-  zeros, leaving the product unchanged up to floating-point order.
+  non-uniform (adaptive rank), a layout built with ``"pow2"`` or ``"max"``
+  pads each rank up to a bucket (next power of two, or the per-level
+  maximum) before grouping, so adaptive-rank trees batch into a few large
+  GEMM groups instead of fragmenting into one group per distinct rank; all
+  padding is zeros, leaving the product unchanged up to floating-point
+  order.  ``CompressedMatrix.plan()`` packs with
+  ``config.plan_rank_bucketing``, ``streaming_plan()`` exactly.
 
-The plan is built lazily by :meth:`repro.core.hmatrix.CompressedMatrix.plan`
-and cached there, so repeated matvecs (e.g. inside CG) reuse it.  For the
-S2S and L2L families, each target's interaction blocks form one wide
-block-row — the whole Far (resp. Near) list of a node becomes a single
-GEMM with a large inner dimension, and every scatter target appears
-exactly once per stage, keeping every scatter a plain vectorized
-fancy-index add — no ``np.add.at`` in the hot loop.  S2S block-rows are
-concatenated (and rank-padded) at build time.  The L2L operand is the
-near cache's own row slab (:class:`repro.core.hmatrix.RowSlab`): the
-near-blocks stage evaluates each leaf's block-row ``K[β, Near(β)]`` into
-it once, and the plan runs one segment per slab on it unchanged — no
-second copy of the near blocks; a store holds and reopens the same slabs.
-Leaves the cache holds no intact row for (the near cache off, a replaced
-block, a store in the older flat layout) get fresh row slabs filled from
-the provider by the same routine.  The streamed engine runs the same
-slab segments on intact rows.
+For the S2S and L2L families, each target's interaction blocks form one
+wide block-row — the whole Far (resp. Near) list of a node becomes a
+single GEMM with a large inner dimension, and every scatter target appears
+exactly once per segment, keeping every scatter a plain vectorized
+fancy-index add — no ``np.add.at`` in the hot loop.
+:func:`_pack_s2s_segments` concatenates (and rank-pads) the block-rows of
+fully cached S2S targets at build.  The L2L operand is the near cache's own
+row slab (:class:`repro.core.hmatrix.RowSlab`): the near-blocks stage
+evaluates each leaf's block-row ``K[β, Near(β)]`` into it once, and
+:func:`slab_segments` runs one segment per intact slab on it unchanged —
+no second copy of the near blocks; a store holds and reopens the same
+slabs.
 
-:func:`evaluate_planned` is numerically equivalent to the per-node
-traversal up to floating-point summation order (the equivalence tests
-assert agreement to 1e-10).
-
-**Thread safety / reentrancy.**  The plan itself (packed coefficients,
-blocks, index tables) is immutable after :func:`build_plan`; all mutable
-per-matvec state lives in a :class:`PlanContext`.  Contexts are created per
-call — never shared — so any number of threads may evaluate the same plan
-concurrently (the serving runtime relies on this).  To avoid paying two
-workspace allocations per request under load, the plan keeps a small
-thread-safe pool of workspace buffers: :meth:`EvaluationPlan.new_context`
-reuses a (zeroed) buffer pair when one of matching width is available and
-:meth:`EvaluationPlan.release_context` returns it.  The output array is
-always freshly allocated — it is handed to the caller.
+**Thread safety.**  Segments and layouts are immutable after build; all
+mutable per-matvec state lives in a :class:`PlanContext`, created per call
+and never shared.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..errors import CompressionError, EvaluationError
-from ..obs import counters as _obs_counters
-from ..obs.trace import get_tracer
 
 __all__ = [
     "BUCKETING_MODES",
     "EvaluationCounters",
-    "EvaluationPlan",
     "PassLayout",
     "PlanContext",
     "PlanSegment",
     "build_pass_layout",
-    "build_plan",
-    "evaluate_planned",
     "gather_gemm_scatter",
     "pad_ranks",
 ]
@@ -161,7 +142,7 @@ class PlanContext:
         self.num_rhs = weights.shape[1]
         self.output = np.zeros_like(weights)
         if buffers is not None:
-            # Pooled workspaces (EvaluationPlan.new_context): zeroed here so a
+            # Pooled workspaces (StreamingPlan.new_context): zeroed here so a
             # reused buffer is indistinguishable from a fresh allocation.
             wtil, util = buffers
             wtil.fill(0.0)
@@ -183,7 +164,7 @@ def _blocks(buffer: np.ndarray, block: int) -> np.ndarray:
     return buffer.reshape(buffer.shape[0] // block, block, buffer.shape[1])
 
 
-def gather_gemm_scatter(ctx: PlanContext, operand: np.ndarray, src: tuple, dst: tuple, out_lock=None) -> None:
+def gather_gemm_scatter(ctx: PlanContext, operand: np.ndarray, src: tuple, dst: tuple) -> None:
     """One batched GEMM of Algorithm 2.7 on the buffers of ``ctx``.
 
     ``operand`` is a ``(g, a, b)`` stack; ``src`` and ``dst`` are
@@ -192,7 +173,6 @@ def gather_gemm_scatter(ctx: PlanContext, operand: np.ndarray, src: tuple, dst: 
     reshapes it to ``(g, b, r)``; the ``(g, a, r)`` products are then
     scatter-added at the destination index, or — for a ``slice`` index,
     N2S's contiguous block of fresh workspace rows — written there.
-    ``out_lock`` (threaded executor only) guards the scatter-add.
     """
     num_rhs = ctx.num_rhs
     name, block, index = src
@@ -203,12 +183,7 @@ def gather_gemm_scatter(ctx: PlanContext, operand: np.ndarray, src: tuple, dst: 
     if isinstance(index, slice):
         target[index] = res.reshape(res.shape[0] * res.shape[1] // block, block, num_rhs)
         return
-    res = res.reshape(index.shape + (block, num_rhs))
-    if out_lock is None:
-        target[index] += res
-    else:
-        with out_lock:
-            target[index] += res
+    target[index] += res.reshape(index.shape + (block, num_rhs))
 
 
 class PlanSegment:
@@ -218,11 +193,9 @@ class PlanSegment:
     ``P``; S2N: ``Pᵀ``), of concatenated far block-rows (S2S), or the near
     cache's row slab of ``g`` leaf block-rows, used in place (L2L);
     ``src`` / ``dst`` are the ``(buffer, block, index)`` accesses of
-    :func:`gather_gemm_scatter`.  ``run`` takes the per-matvec context plus
-    one optional lock that the threaded executor passes only to segments
-    whose destination is the output (S2N-at-leaves and L2L overlap there).
-    Workspace scatters need no lock — build-time concatenation keeps every
-    stage's scatter targets disjoint.
+    :func:`gather_gemm_scatter`.  ``run`` takes the per-matvec context.
+    Build-time concatenation keeps every segment's scatter targets
+    disjoint.
     """
 
     __slots__ = ("kind", "level", "operand", "src", "dst", "flops_per_rhs")
@@ -239,188 +212,11 @@ class PlanSegment:
     def batch(self) -> int:
         return self.operand.shape[0]
 
-    def run(self, ctx: PlanContext, out_lock=None) -> None:
-        gather_gemm_scatter(ctx, self.operand, self.src, self.dst, out_lock)
+    def run(self, ctx: PlanContext) -> None:
+        gather_gemm_scatter(ctx, self.operand, self.src, self.dst)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PlanSegment({self.kind}, level={self.level}, batch={self.batch})"
-
-
-# ---------------------------------------------------------------------------
-# the plan
-# ---------------------------------------------------------------------------
-
-class EvaluationPlan:
-    """Precomputed execution plan for the matvec of a compressed matrix.
-
-    Built once by :func:`build_plan` (usually via
-    ``CompressedMatrix.plan()``) and reused across matvecs: the
-    :class:`PassLayout` (workspace layout, N2S / S2N levels) plus the packed
-    S2S and L2L segments.  Only the ``(R, r)`` workspace depends on the
-    number of right-hand sides and is allocated (or pooled) per call.
-    """
-
-    def __init__(
-        self,
-        layout: PassLayout,
-        s2s_segments: List[PlanSegment],
-        l2l_segments: List[PlanSegment],
-        borrowed: Sequence[np.ndarray] = (),
-    ) -> None:
-        self.layout = layout
-        self.s2s_segments = s2s_segments
-        self.l2l_segments = l2l_segments
-        # Operands that are the near cache's row slabs: the cache owns them.
-        self._borrowed = frozenset(id(operand) for operand in borrowed)
-        # Pooled per-call workspace buffers (see the module docstring): a
-        # bounded LIFO of (wtil, util) pairs protected by a lock, so
-        # concurrent callers are reentrant while repeated matvecs (CG,
-        # serving) skip the two workspace allocations per call.
-        self._pool_lock = threading.Lock()
-        self._workspace_pool: List[tuple[np.ndarray, np.ndarray]] = []
-        self.flops_per_rhs: Dict[str, float] = layout.flops_per_rhs(s2s_segments, l2l_segments)
-
-    @property
-    def workspace_rows(self) -> int:
-        return self.layout.workspace_rows
-
-    @property
-    def skel_offset(self) -> np.ndarray:
-        return self.layout.skel_offset
-
-    # -- inspection ---------------------------------------------------------
-    def segments(self) -> Iterator[PlanSegment]:
-        for _, stage in self.stages():
-            yield from stage
-
-    @property
-    def num_segments(self) -> int:
-        return sum(1 for _ in self.segments())
-
-    def packed_entries(self) -> int:
-        """Total entries of every segment operand, the near cache's row slabs included."""
-        return sum(seg.operand.size for seg in self.segments())
-
-    def owned_bytes(self) -> int:
-        """Bytes of the operands the plan owns: every operand but the near cache's row slabs."""
-        return sum(
-            seg.operand.nbytes for seg in self.segments() if id(seg.operand) not in self._borrowed
-        )
-
-    def stages(self) -> List[Tuple[str, List[PlanSegment]]]:
-        """Barrier-separated stages, in a valid sequential order.
-
-        Segments within one stage are mutually independent up to the locks
-        described on :class:`PlanSegment`; the threaded executor builds its
-        DAG from exactly this structure.
-        """
-        out: List[Tuple[str, List[PlanSegment]]] = []
-        for level in self.layout.n2s_levels:
-            if level:
-                out.append((f"N2S@{level[0].level}", level))
-        if self.s2s_segments:
-            out.append(("S2S", self.s2s_segments))
-        for level in self.layout.s2n_levels:
-            if level:
-                out.append((f"S2N@{level[0].level}", level))
-        if self.l2l_segments:
-            out.append(("L2L", self.l2l_segments))
-        return out
-
-    def describe(self) -> str:
-        fams = {"N2S": 0, "S2S": 0, "S2N": 0, "L2L": 0}
-        for seg in self.segments():
-            fams[seg.kind] += 1
-        return (
-            f"plan: {self.num_segments} segments "
-            f"(N2S={fams['N2S']}, S2S={fams['S2S']}, S2N={fams['S2N']}, L2L={fams['L2L']}), "
-            f"workspace {self.workspace_rows} rows, {self.packed_entries()} packed entries"
-        )
-
-    # -- execution ----------------------------------------------------------
-    #: Maximum number of pooled workspace pairs kept per plan (≈ the number
-    #: of concurrent evaluations worth caching for; beyond it, extra
-    #: contexts simply allocate and are dropped on release).
-    WORKSPACE_POOL_MAX = 8
-
-    def new_context(self, weights: np.ndarray) -> PlanContext:
-        """A fresh per-call context, reusing a pooled workspace when possible.
-
-        Pair every ``new_context`` with a :meth:`release_context` (use
-        ``try/finally`` as :meth:`execute` does) so the buffers return to
-        the pool; forgetting to release is safe — it only costs the reuse.
-        """
-        buffers = None
-        with self._pool_lock:
-            for i, (wtil, _) in enumerate(self._workspace_pool):
-                if wtil.shape[1:] == np.shape(weights)[1:] and wtil.dtype == weights.dtype:
-                    buffers = self._workspace_pool.pop(i)
-                    break
-        return self.layout.new_context(weights, buffers)
-
-    def release_context(self, ctx: PlanContext) -> None:
-        """Return a context's workspace buffers to the pool (not the output)."""
-        wtil, util = ctx.wtil, ctx.util
-        # Defensive: a released context must never be run again.
-        ctx.wtil = ctx.util = ctx.leaves = None
-        if wtil is None:
-            return
-        with self._pool_lock:
-            if len(self._workspace_pool) < self.WORKSPACE_POOL_MAX:
-                self._workspace_pool.append((wtil, util))
-
-    def workspace_pool_size(self) -> int:
-        with self._pool_lock:
-            return len(self._workspace_pool)
-
-    def execute(self, weights: np.ndarray, counters: Optional[EvaluationCounters] = None) -> np.ndarray:
-        """Sequential execution of the plan on an ``(N, r)`` weight matrix.
-
-        Reentrant: all mutable state lives in the per-call context, so
-        concurrent ``execute`` calls on one plan are safe and each is
-        bit-identical to running alone.  With tracing enabled
-        (:mod:`repro.obs`), each pass stage gets a span and its byte
-        traffic is added to the ``gemm_bytes_*`` counters; the disabled
-        cost is one attribute check per matvec.
-        """
-        ctx = self.new_context(weights)
-        try:
-            tracer = get_tracer()
-            if tracer.enabled:
-                self._execute_traced(ctx, tracer)
-            else:
-                for _, stage in self.stages():
-                    for segment in stage:
-                        segment.run(ctx)
-            output = ctx.output
-        finally:
-            self.release_context(ctx)
-        if counters is not None:
-            counters.add_flops(self.flops_per_rhs, weights.shape[1])
-        return output
-
-    def _execute_traced(self, ctx: PlanContext, tracer) -> None:
-        """Traced sequential execution: identical work, one span per stage."""
-        for _, stage in self.stages():
-            kind = stage[0].kind.lower()
-            with tracer.span(f"eval.{kind}", level=stage[0].level, segments=len(stage)):
-                for segment in stage:
-                    segment.run(ctx)
-            _obs_counters.add(f"gemm_bytes_{kind}", _stage_bytes(stage, ctx.num_rhs))
-
-
-def _stage_bytes(stage: List[PlanSegment], num_rhs: int) -> int:
-    """Approximate bytes one stage moves: packed operands + workspace rows.
-
-    For a packed ``(g, a, b)`` operand the GEMM reads ``g·b`` workspace
-    rows and writes ``g·a``, each ``num_rhs`` floats wide.  Recorded only
-    on the traced path, so the disabled matvec never computes this.
-    """
-    total = 0
-    for seg in stage:
-        g, a, b = seg.operand.shape
-        total += seg.operand.nbytes + g * (a + b) * num_rhs * seg.operand.itemsize
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -444,13 +240,6 @@ def _active_nodes(tree) -> np.ndarray:
         if node.parent is not None and active[node.parent.node_id]:
             active[node.node_id] = True
     return active
-
-
-def _require_block(provider, key: tuple[int, int], what: str) -> np.ndarray:
-    block = provider.get(key)
-    if block is None:
-        raise EvaluationError(f"missing {what} block {key} while building evaluation plan")
-    return block
 
 
 #: Valid values of ``GOFMMConfig.plan_rank_bucketing``.
@@ -607,11 +396,9 @@ class PassLayout:
     Everything the evaluation needs *besides* the interaction blocks: the
     workspace row layout (``skel_offset`` / ``workspace_rows``), the packed
     N2S / S2N level segments, and the uniformity metadata that picks the
-    segments' block sizes.  The planned engine (:func:`build_plan`)
-    combines a layout with eagerly packed S2S / L2L block segments; the
-    streamed engine (:mod:`repro.core.streaming`) combines the same layout
-    with chunked on-the-fly block materialization — one planner, two block
-    strategies.
+    segments' block sizes.  :func:`repro.core.streaming.build_streaming_plan`
+    combines a layout with the S2S / L2L work: cached work in place, the
+    rest filled chunk by chunk.
     """
 
     __slots__ = (
@@ -626,8 +413,8 @@ class PassLayout:
     def new_context(self, weights: np.ndarray, buffers=None) -> PlanContext:
         """A per-matvec context laid out for this layout (``buffers``: a pooled workspace pair).
 
-        Both engines start every evaluation here, so this is where weights
-        that are not a real ``(n, r)`` array are rejected.
+        Every evaluation starts here, so this is where weights that are not
+        a real ``(n, r)`` array are rejected.
         """
         shape = np.shape(weights)
         if len(shape) != 2 or shape[0] != self.n:
@@ -650,9 +437,9 @@ def build_pass_layout(compressed, bucketing: str = "none") -> PassLayout:
     """Build the block-free :class:`PassLayout` of a compressed matrix.
 
     ``bucketing`` pads workspace ranks exactly like
-    ``GOFMMConfig.plan_rank_bucketing``; the streamed engine always passes
-    ``"none"`` (exact packing keeps its GEMM shapes — and therefore its
-    results — identical to the per-node traversal of Algorithm 2.7).
+    ``GOFMMConfig.plan_rank_bucketing``; ``"none"`` (exact packing) keeps
+    the GEMM shapes — and therefore the results — identical to the
+    per-node traversal of Algorithm 2.7.
     """
     tree = compressed.tree
     levels = tree.levels()
@@ -750,23 +537,17 @@ def build_pass_layout(compressed, bucketing: str = "none") -> PassLayout:
     )
 
 
-def _pack_s2s_segments(compressed, layout: PassLayout, targets=None) -> List[PlanSegment]:
-    """Eagerly pack the far field: each target's far blocks concatenated into
-    one wide (rank-padded) block-row, the block-rows batched by shape.
-
-    ``targets`` (default: every node) are the nodes whose block-rows are
-    packed.  Each block is copied once, straight into its batch.
+def _pack_s2s_segments(compressed, layout: PassLayout, targets) -> List[PlanSegment]:
+    """Pack the far field of ``targets`` (``(node, far partners)`` pairs): each
+    target's cached far blocks concatenated into one wide (rank-padded)
+    block-row, the block-rows batched by shape.  Each block is copied once,
+    straight into its batch.
     """
-    tree = compressed.tree
     skel_offset, prank = layout.skel_offset, layout.prank
     s2s_groups: Dict[tuple[int, int], list] = {}
-    for node in tree.nodes if targets is None else targets:
-        if not node.far or node.skeleton_rank == 0:
-            continue
-        alphas = [alpha for alpha in map(tree.node, node.far) if alpha.skeleton_rank > 0]
-        if alphas:
-            shape = (int(prank[node.node_id]), int(sum(prank[a.node_id] for a in alphas)))
-            s2s_groups.setdefault(shape, []).append((node, alphas))
+    for node, alphas in targets:
+        shape = (int(prank[node.node_id]), int(sum(prank[a.node_id] for a in alphas)))
+        s2s_groups.setdefault(shape, []).append((node, alphas))
     s2s_segments: List[PlanSegment] = []
     for (s, k), entries in sorted(s2s_groups.items()):
         blocks = None
@@ -775,7 +556,7 @@ def _pack_s2s_segments(compressed, layout: PassLayout, targets=None) -> List[Pla
             offset = 0
             for alpha in alphas:
                 key = (node.node_id, alpha.node_id)
-                block = _require_block(compressed.far_blocks, key, "far")
+                block = compressed.far_blocks.get(key)
                 if block.shape != (node.skeleton_rank, alpha.skeleton_rank):
                     raise EvaluationError(
                         f"far block {key} has shape {block.shape}, "
@@ -797,11 +578,9 @@ def _pack_s2s_segments(compressed, layout: PassLayout, targets=None) -> List[Pla
 
 
 def _copy_blocks(provider, keys: list[tuple[int, int]], views: list[np.ndarray]) -> None:
-    """Fill row-slab ``views`` with the provider's blocks ``keys`` (the L2L fill path)."""
+    """Fill row-slab ``views`` with the provider's cached blocks ``keys``."""
     for key, view in zip(keys, views):
         block = provider.get(key)
-        if block is None:
-            raise EvaluationError(f"missing near block {key} while building evaluation plan")
         if block.shape != view.shape:
             raise EvaluationError(
                 f"near block {key} has shape {block.shape}, expected {view.shape}"
@@ -812,7 +591,7 @@ def _copy_blocks(provider, keys: list[tuple[int, int]], views: list[np.ndarray])
 def intact_row_slabs(compressed) -> list:
     """The near cache's row slabs every row of which is its leaf's current Near list.
 
-    Both engines run their L2L segments on these slabs in place.
+    Every plan runs its L2L segments on these slabs in place.
     """
     near = {leaf.node_id: tuple(leaf.near) for leaf in compressed.tree.leaves if leaf.near}
     cached = getattr(compressed.near_blocks, "row_slabs", None)
@@ -822,13 +601,12 @@ def intact_row_slabs(compressed) -> list:
     ]
 
 
-def near_row_slabs(compressed, cached_only: bool = False) -> tuple[list, int]:
-    """Every leaf's block-row ``K[β, Near(β)]`` in row slabs; returns the slabs and how
-    many of them, leading, are the near cache's own (:func:`intact_row_slabs`).
+def near_row_slabs(compressed) -> list:
+    """Every cached leaf block-row ``K[β, Near(β)]`` in row slabs (what a store saves).
 
-    The other leaves get fresh slabs filled from ``provider.get`` by the
-    near-blocks stage's own routine — with ``cached_only``, only the leaves
-    whose every near block the provider caches.
+    The near cache's intact slabs (:func:`intact_row_slabs`) come first;
+    the other leaves whose every near block the provider caches get fresh
+    slabs filled by the near-blocks stage's own routine.
     """
     from .compress import fill_row_slabs  # compress → hmatrix → plan: import at use
 
@@ -838,16 +616,15 @@ def near_row_slabs(compressed, cached_only: bool = False) -> tuple[list, int]:
     rest = [
         (leaf.node_id, tuple(leaf.near)) for leaf in tree.leaves
         if leaf.near and leaf.node_id not in covered
-        and (not cached_only or all((leaf.node_id, a) in provider for a in leaf.near))
+        and all((leaf.node_id, a) in provider for a in leaf.near)
     ]
-    borrowed = len(slabs)
     if rest:
         index_sets = [node.indices for node in tree.nodes]
         fresh, _ = fill_row_slabs(
             rest, index_sets, lambda keys, views: _copy_blocks(provider, keys, views)
         )
         slabs += fresh
-    return slabs, borrowed
+    return slabs
 
 
 def slab_segments(compressed, layout: PassLayout, slabs) -> List[PlanSegment]:
@@ -865,32 +642,3 @@ def slab_segments(compressed, layout: PassLayout, slabs) -> List[PlanSegment]:
             src = ("weights", 1, np.stack(cols))
         l2l_segments.append(PlanSegment("L2L", 0, slab.array, src, dst))
     return l2l_segments
-
-
-def build_plan(compressed) -> EvaluationPlan:
-    """Flatten a :class:`~repro.core.hmatrix.CompressedMatrix` into an :class:`EvaluationPlan`."""
-    bucketing = getattr(compressed.config, "plan_rank_bucketing", "none")
-    layout = build_pass_layout(compressed, bucketing)
-    slabs, borrowed = near_row_slabs(compressed)
-    return EvaluationPlan(
-        layout,
-        _pack_s2s_segments(compressed, layout),
-        slab_segments(compressed, layout, slabs),
-        borrowed=[slab.array for slab in slabs[:borrowed]],
-    )
-
-
-# ---------------------------------------------------------------------------
-# driver
-# ---------------------------------------------------------------------------
-
-def evaluate_planned(compressed, w: np.ndarray, counters: Optional[EvaluationCounters] = None) -> np.ndarray:
-    """Planned-engine matvec ``u ≈ K̃ w``; drop-in for the streamed engine.
-
-    Builds (or reuses) the cached :class:`EvaluationPlan` of ``compressed``
-    and executes it sequentially.  Accepts ``(N,)`` or ``(N, r)`` weights.
-    """
-    weights, was_vector = _as_matrix(w, compressed.tree.n)
-    plan = compressed.plan()
-    output = plan.execute(weights, counters=counters)
-    return output[:, 0] if was_vector else output

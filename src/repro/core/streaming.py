@@ -1,70 +1,76 @@
-"""Streamed evaluation engine: chunked block materialization in a bounded workspace.
+"""The evaluation plan: Algorithm 2.7 on cached blocks in place, the rest streamed.
 
-The ``"planned"`` engine (:mod:`repro.core.plan`) is fast because every
-near/far block is packed up front — which is exactly what a memoryless
-compression (``cache_near_blocks=False`` / ``cache_far_blocks=False``, the
-only way to run large ``n`` at bounded memory) cannot afford, and which an
-mmap-opened store should not copy onto the heap.
-
-This module is the second engine, ``"streamed"``, which
-:meth:`~repro.core.hmatrix.CompressedMatrix.default_engine` picks whenever
-the blocks are not all resident: it shares the planned engine's
+:class:`StreamingPlan` is the one plan class.  It combines a
 :class:`~repro.core.plan.PassLayout` (workspace offsets, packed N2S / S2N
-level segments) and replaces eager block storage with **chunked on-the-fly
-materialization**:
+level segments) with the S2S / L2L work, split by residency:
 
-* **rounds** — the S2S pairs to fill are split into rounds: round ``j``
-  holds every such target's ``j``-th far interaction.  Within a round each
-  target appears at most once, so same-shape pairs batch into one 3-D GEMM
-  with a plain vectorized scatter-add, while each target's accumulator
-  still receives its contributions *in far-list order* — the per-pair
-  products of the per-node traversal of Algorithm 2.7, in its order.  L2L
-  is organized the same way over Near lists.
-* **chunks** — the round segments are packed, in execution order, into
-  chunks bounded by ``GOFMMConfig.streaming_chunk_bytes``: each chunk's
-  blocks are materialized into a reusable buffer (missing blocks are
-  evaluated in stacked batches through
+* **in place** — cached work runs :class:`~repro.core.plan.PlanSegment`
+  records on operands that exist before the call: a leaf whose block-row the near
+  cache holds intact multiplies its :class:`~repro.core.hmatrix.RowSlab`
+  row (one GEMM per slab, on the cache's own bytes — the mapped store's,
+  for an mmap-opened operator), and an S2S target whose far blocks are all
+  cached multiplies its block-row, concatenated once at build.  These
+  segments form one :class:`PlannedChunk` per stage.
+* **rounds** — the S2S pairs left over (uncached blocks, partly cached
+  targets) are split into rounds: round ``j`` holds every such target's
+  ``j``-th far interaction.  Within a round each target appears at most
+  once, so same-shape pairs batch into one 3-D GEMM with a plain
+  vectorized scatter-add, while each target's accumulator still receives
+  its contributions *in far-list order* — the per-pair products of the
+  per-node traversal of Algorithm 2.7, in its order.  Leaves without an
+  intact row (the near cache off, a replaced block, a store in the older
+  flat layout) are organized the same way over Near lists.
+* **fill chunks** — the round segments are packed, in execution order,
+  into chunks bounded by ``GOFMMConfig.streaming_chunk_bytes``: each
+  chunk's blocks are materialized into a reusable buffer (missing blocks
+  are evaluated in stacked batches through
   :meth:`repro.matrices.base.SPDMatrix.entries_batched` — bitwise equal to
   a per-pair evaluation — and cached ones copied) and the chunk's GEMMs run
   from that buffer.  The cycling buffers are plain heap arrays and together
   stay within the configured budget, so evaluation-phase block memory is
-  bounded no matter how many interaction pairs the compression has — unless
-  a single block is larger than one buffer's share (a chunk holds at least
-  one block), which the plan logs once at build.
-* **in place** — cached work runs the planned engine's segments, not
-  chunks: a leaf whose block-row the near cache holds intact multiplies its
-  :class:`~repro.core.hmatrix.RowSlab` row (one GEMM per slab, on the
-  cache's own bytes — the mapped store's, for an mmap-opened operator), and
-  an S2S target whose far blocks are all cached multiplies its block-row,
-  concatenated once at build.  Only the pairs left over — uncached blocks,
-  partly cached targets, the rows of a store in the older flat layout — go
-  through the round-major fill chunks, so a fully cached operator needs no
-  workspace: its graph holds only the N2S, exec and S2N tasks.  Each target
-  gets either one block-row product or its per-block sum in list order, the
-  rules the per-node oracle follows too.
-* **buffered pipelining** — upcoming chunks materialize on the shared
-  persistent :class:`~repro.runtime.executor.WorkerPool` while the current
-  chunk's GEMMs execute (materialization dominates a memoryless matvec and
-  NumPy's ufuncs/BLAS release the GIL, so several materializer threads run
-  ahead of the executor), block evaluation fully overlapping compute.  The
-  execution chain itself is strictly sequential (chunk order, with the S2N
-  pass between the last S2S chunk and the first L2L chunk), keeping the
-  result deterministic and **bit-identical** to the per-node oracle.
+  bounded no matter how many interaction pairs the compression has —
+  unless a single block is larger than one buffer's share (a chunk holds at
+  least one block), which the plan logs once at build.
 
-The engine works for *any* caching configuration — cached blocks are read
-in place or copied instead of re-evaluated — so ``near-only`` /
-``far-only`` caching streams exactly the missing side.  It needs the source
+Each target gets either one block-row product or its per-block sum in list
+order, the rules the per-node oracle follows too.  ``CompressedMatrix``
+builds two packings of this plan: :meth:`~repro.core.hmatrix.CompressedMatrix.plan`
+pads ranks per ``config.plan_rank_bucketing`` (the ``"planned"`` engine)
+and :meth:`~repro.core.hmatrix.CompressedMatrix.streaming_plan` packs them
+exactly (the ``"streamed"`` engine, bit-identical to the per-node oracle).
+
+**Execution.**  A plan that fills no chunk — every fully cached operator,
+in memory or mapped — runs its stages (:meth:`StreamingPlan.stages`) in
+the caller's thread: N2S, S2S, S2N, L2L.  A plan that fills chunks
+pipelines them: upcoming chunks materialize on the shared persistent
+:class:`~repro.runtime.executor.WorkerPool` while the current chunk's GEMMs
+execute (materialization dominates a memoryless matvec and NumPy's
+ufuncs/BLAS release the GIL).  The execution chain itself is strictly
+sequential in both cases (chunk order, with the S2N pass between the last
+S2S chunk and the first L2L chunk), so the result is deterministic and
+independent of threads.
+
+The plan works for *any* caching configuration.  It needs the source
 matrix attached for whatever is not cached, and because chunks materialize
 on several worker threads concurrently, that matrix's entry evaluation must
 be thread-safe for concurrent reads (the built-in matrix classes are; see
 :meth:`repro.matrices.base.SPDMatrix.entries_batched`).
+
+**Thread safety.**  The plan is immutable after construction; every
+:meth:`~StreamingPlan.execute` call owns its context and its chunk
+buffers, so concurrent matvecs on one plan are safe and each is
+bit-identical to running alone.  The ``(R, r)`` skeleton workspaces of
+in-place runs come from a small thread-safe pool on the plan
+(:meth:`~StreamingPlan.new_context` / :meth:`~StreamingPlan.release_context`),
+so repeated short matvecs (CG, serving) skip two allocations per call; the
+output is always fresh.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -76,7 +82,7 @@ from .plan import (
     EvaluationCounters,
     PassLayout,
     PlanContext,
-    _as_matrix,
+    PlanSegment,
     _pack_s2s_segments,
     build_pass_layout,
     gather_gemm_scatter,
@@ -92,7 +98,6 @@ __all__ = [
     "StreamChunk",
     "StreamingPlan",
     "build_streaming_plan",
-    "evaluate_streamed",
 ]
 
 #: Per-call cap (in packed block bytes) on one ``entries_batched``
@@ -128,8 +133,8 @@ class StreamSegment:
     ``rows[g]`` / ``cols[g]`` are the global entry indices of the ``g``-th
     block (skeleton sets for S2S, leaf index sets for L2L) and ``keys[g]``
     its provider key; ``src`` / ``dst`` are the ``(buffer, block, index)``
-    gather / scatter accesses of the batched GEMM, run by the planned
-    engine's :func:`~repro.core.plan.gather_gemm_scatter`.  Scatter targets
+    gather / scatter accesses of the batched GEMM, run by
+    :func:`~repro.core.plan.gather_gemm_scatter`.  Scatter targets
     are disjoint within the segment (each target appears at most once per
     round), so the fancy-index add is a plain vectorized scatter.
     """
@@ -270,21 +275,19 @@ class StreamChunk:
 
 
 class PlannedChunk:
-    """The planned engine's segments (:class:`~repro.core.plan.PlanSegment`) as a chunk.
+    """In-place segments (:class:`~repro.core.plan.PlanSegment`) as a chunk.
 
-    The streamed engine's cached work: L2L on the near cache's intact row
-    slabs (``owned=False``) or S2S on block-rows packed at build
-    (``owned=True``).  The operands are the segments' own, so the chunk
-    fills nothing — no buffer, no blocks, no kernel entries.
+    The plan's cached work: L2L on the near cache's intact row slabs or
+    S2S on block-rows packed at build.  The operands are the segments' own,
+    so the chunk fills nothing — no buffer, no blocks, no kernel entries.
     """
 
-    __slots__ = ("segments", "owned", "flops_per_rhs")
+    __slots__ = ("segments", "flops_per_rhs")
 
     total_elems = num_blocks = missing_elems = 0
 
-    def __init__(self, segments: list, owned: bool) -> None:
+    def __init__(self, segments: list) -> None:
         self.segments = segments
-        self.owned = owned
         self.flops_per_rhs = sum(s.flops_per_rhs for s in segments)
 
     def materialize(self, near_blocks, far_blocks, matrix, buffer) -> None:
@@ -295,16 +298,35 @@ class PlannedChunk:
             segment.run(ctx)
 
 
+def _level_stages(kind: str, levels) -> List[Tuple[str, list]]:
+    """A pass's non-empty levels as ``(label, segments)`` stages."""
+    return [(f"{kind}@{level[0].level}", level) for level in levels if level]
+
+
+def _stage_bytes(stage: List[PlanSegment], num_rhs: int) -> int:
+    """Approximate bytes one stage moves: packed operands + workspace rows.
+
+    For a packed ``(g, a, b)`` operand the GEMM reads ``g·b`` workspace
+    rows and writes ``g·a``, each ``num_rhs`` floats wide.  Recorded only
+    on the traced path, so the disabled matvec never computes this.
+    """
+    total = 0
+    for seg in stage:
+        g, a, b = seg.operand.shape
+        total += seg.operand.nbytes + g * (a + b) * num_rhs * seg.operand.itemsize
+    return total
+
+
 # ---------------------------------------------------------------------------
 # the shared materialization/execution pool
 # ---------------------------------------------------------------------------
 
 _POOL_LOCK = threading.Lock()
-_POOL = None  # lazily created WorkerPool shared by every streamed evaluation
+_POOL = None  # lazily created WorkerPool shared by every plan that fills chunks
 
 
 def _shared_pool():
-    """The persistent worker pool pipelining every streamed matvec.
+    """The persistent worker pool pipelining every plan that fills chunks.
 
     Workers materialize upcoming chunks while one runs the current chunk's
     GEMMs; the pool is shared across plans and across concurrent
@@ -326,16 +348,17 @@ def _shared_pool():
 # ---------------------------------------------------------------------------
 
 class StreamingPlan:
-    """Execution plan of the ``"streamed"`` engine for one compressed matrix.
+    """The evaluation plan of one compressed matrix (see the module docstring).
 
-    Holds the shared :class:`~repro.core.plan.PassLayout` (N2S / S2N level
+    Holds the :class:`~repro.core.plan.PassLayout` (N2S / S2N level
     segments, workspace offsets) plus the S2S / L2L schedule: planned
-    chunks for the cached work, then the chunked materialization of the
-    rest.  The plan itself is immutable after construction; every
-    :meth:`execute` call owns its context and its chunk buffers, so
-    concurrent matvecs on one plan are safe and each is bit-identical to
-    running alone (the execution chain is sequential per call).
+    chunks for the cached work, then the fill chunks of the rest.
     """
+
+    #: Maximum number of pooled workspace pairs kept per plan (≈ the number
+    #: of concurrent evaluations worth caching for; beyond it, extra
+    #: contexts simply allocate and are dropped on release).
+    WORKSPACE_POOL_MAX = 8
 
     def __init__(
         self,
@@ -372,8 +395,43 @@ class StreamingPlan:
                 self.chunk_bytes,
             )
         self.flops_per_rhs: Dict[str, float] = layout.flops_per_rhs(s2s_chunks, l2l_chunks)
+        # Pooled per-call workspace buffers: a bounded LIFO of (wtil, util)
+        # pairs behind a lock, so concurrent callers stay reentrant.
+        self._pool_lock = threading.Lock()
+        self._workspace_pool: List[tuple[np.ndarray, np.ndarray]] = []
 
     # -- inspection ---------------------------------------------------------
+    @property
+    def workspace_rows(self) -> int:
+        return self.layout.workspace_rows
+
+    def stages(self) -> List[Tuple[str, list]]:
+        """The in-place segments, barrier-separated, in execution order.
+
+        N2S levels bottom-up, the planned S2S chunk, S2N levels top-down and
+        the planned L2L chunk — the whole evaluation of a plan that fills no
+        chunk.  The segment lists are the plan's own.
+        """
+        planned = lambda chunks: [c.segments for c in chunks if isinstance(c, PlannedChunk)]
+        return (
+            _level_stages("N2S", self.layout.n2s_levels)
+            + [("S2S", segments) for segments in planned(self.s2s_chunks)]
+            + _level_stages("S2N", self.layout.s2n_levels)
+            + [("L2L", segments) for segments in planned(self.l2l_chunks)]
+        )
+
+    def segments(self) -> Iterator[PlanSegment]:
+        for _, stage in self.stages():
+            yield from stage
+
+    @property
+    def num_segments(self) -> int:
+        return sum(1 for _ in self.segments())
+
+    def packed_entries(self) -> int:
+        """Total entries of the in-place operands, the near cache's row slabs included."""
+        return sum(segment.operand.size for segment in self.segments())
+
     @property
     def num_chunks(self) -> int:
         return len(self.s2s_chunks) + len(self.l2l_chunks)
@@ -410,13 +468,9 @@ class StreamingPlan:
         return total
 
     def owned_bytes(self) -> int:
-        """Bytes of the operands the plan owns: the packed S2S block-rows, not the
-        near cache's row slabs its planned L2L runs on."""
-        return sum(
-            segment.operand.nbytes
-            for chunk in self.s2s_chunks + self.l2l_chunks if getattr(chunk, "owned", False)
-            for segment in chunk.segments
-        )
+        """Bytes of the operands the plan owns: every in-place operand but the
+        near cache's row slabs its L2L runs on."""
+        return sum(seg.operand.nbytes for seg in self.segments() if seg.kind != "L2L")
 
     def describe(self) -> str:
         segments = sum(len(c.segments) for c in self.s2s_chunks + self.l2l_chunks)
@@ -440,17 +494,35 @@ class StreamingPlan:
         }
 
     # -- execution ----------------------------------------------------------
-    def _run_pass(self, levels, ctx: PlanContext, trace_name: Optional[str] = None) -> None:
-        tracer = get_tracer()
-        if trace_name is not None and tracer.enabled:
-            with tracer.span(trace_name, segments=sum(len(level) for level in levels)):
-                for level in levels:
-                    for segment in level:
-                        segment.run(ctx)
+    def new_context(self, weights: np.ndarray) -> PlanContext:
+        """A fresh per-call context, reusing a pooled workspace when possible.
+
+        Pair every ``new_context`` with a :meth:`release_context` so the
+        buffers return to the pool; forgetting to release is safe — it only
+        costs the reuse.
+        """
+        buffers = None
+        with self._pool_lock:
+            for i, (wtil, _) in enumerate(self._workspace_pool):
+                if wtil.shape[1:] == np.shape(weights)[1:] and wtil.dtype == weights.dtype:
+                    buffers = self._workspace_pool.pop(i)
+                    break
+        return self.layout.new_context(weights, buffers)
+
+    def release_context(self, ctx: PlanContext) -> None:
+        """Return a context's workspace buffers to the pool (not the output)."""
+        wtil, util = ctx.wtil, ctx.util
+        # Defensive: a released context must never be run again.
+        ctx.wtil = ctx.util = ctx.leaves = None
+        if wtil is None:
             return
-        for level in levels:
-            for segment in level:
-                segment.run(ctx)
+        with self._pool_lock:
+            if len(self._workspace_pool) < self.WORKSPACE_POOL_MAX:
+                self._workspace_pool.append((wtil, util))
+
+    def workspace_pool_size(self) -> int:
+        with self._pool_lock:
+            return len(self._workspace_pool)
 
     #: Sentinel: "use the stall timeout captured from the config at build".
     _PLAN_TIMEOUT = object()
@@ -464,7 +536,7 @@ class StreamingPlan:
         out=None,
         panel_cols: Optional[int] = None,
     ) -> Optional[np.ndarray]:
-        """One streamed matvec on ``(N, r)`` weights.
+        """One matvec on ``(N, r)`` weights.
 
         ``weights`` is either a plain array (the classic path: one context,
         one result array) or anything :func:`repro.storage.panels.as_panel_source`
@@ -485,6 +557,8 @@ class StreamingPlan:
         evaluation (the established engine-contract caveat from the
         serving batcher, which pads to a canonical width for that reason).
 
+        ``pool`` and ``stall_timeout`` apply to the fill-chunk pipeline
+        only: a plan that fills no chunk runs in the caller's thread.
         ``stall_timeout`` defaults to the config value captured at plan
         build; pass ``None`` explicitly to disable the watchdog for this
         call (``parallel_evaluate`` forwards its argument here).
@@ -575,18 +649,38 @@ class StreamingPlan:
         ``buffers`` lets the panel loop reuse one set of chunk buffers
         across panels; ``None`` allocates (and lets GC drop) a fresh set.
         """
+        if not self.filled_chunks:
+            ctx = self.new_context(weights)
+            try:
+                self._run_stages(self.stages(), ctx)
+                return ctx.output
+            finally:
+                self.release_context(ctx)
+        # A pipelined run takes a fresh workspace: an abandoned run's tasks may
+        # still write through its context, so it must never be pooled.
         ctx = self.layout.new_context(weights)
-        chunks = self.s2s_chunks + self.l2l_chunks
-        if not chunks:
-            # Degenerate (no interactions): just the up/down passes.
-            self._run_pass(self.layout.n2s_levels, ctx, trace_name="eval.n2s")
-            self._run_pass(self.layout.s2n_levels, ctx, trace_name="eval.s2n")
-            return ctx.output
         if buffers is None:
             buffers = self._allocate_buffers()
         graph, payloads = self._build_graph(ctx, buffers)
         (pool or _shared_pool()).run(graph, payloads=payloads, stall_timeout=stall_timeout)
         return ctx.output
+
+    @staticmethod
+    def _run_stages(stages, ctx: PlanContext) -> None:
+        """Run ``stages`` in order, in this thread.  Traced: one span per stage,
+        and its byte traffic added to the ``gemm_bytes_*`` counters."""
+        tracer = get_tracer()
+        if not tracer.enabled:
+            for _, stage in stages:
+                for segment in stage:
+                    segment.run(ctx)
+            return
+        for _, stage in stages:
+            kind = stage[0].kind.lower()
+            with tracer.span(f"eval.{kind}", level=stage[0].level, segments=len(stage)):
+                for segment in stage:
+                    segment.run(ctx)
+            _obs_counters.add(f"gemm_bytes_{kind}", _stage_bytes(stage, ctx.num_rhs))
 
     def _build_graph(self, ctx: PlanContext, buffers):
         """The buffered chunk pipeline as a task graph.
@@ -612,10 +706,10 @@ class StreamingPlan:
             payloads[task_id] = payload
 
         num_rhs = ctx.num_rhs
-        add("N2S", "N2S", self.flops_per_rhs["n2s"] * num_rhs,
-            lambda: self._run_pass(self.layout.n2s_levels, ctx, trace_name="eval.n2s"))
-        add("S2N", "S2N", self.flops_per_rhs["s2n"] * num_rhs,
-            lambda: self._run_pass(self.layout.s2n_levels, ctx, trace_name="eval.s2n"))
+        n2s = _level_stages("N2S", self.layout.n2s_levels)
+        s2n = _level_stages("S2N", self.layout.s2n_levels)
+        add("N2S", "N2S", self.flops_per_rhs["n2s"] * num_rhs, lambda: self._run_stages(n2s, ctx))
+        add("S2N", "S2N", self.flops_per_rhs["s2n"] * num_rhs, lambda: self._run_stages(s2n, ctx))
         num_buffers = len(buffers)
 
         def run_mat(chunk, buffer, index) -> None:
@@ -770,8 +864,8 @@ def _l2l_segment(kind: str, shape: tuple[int, int], members: list) -> StreamSegm
     )
 
 
-def _planned(segments: list, owned: bool) -> List[PlannedChunk]:
-    return [PlannedChunk(segments, owned)] if segments else []
+def _planned(segments: list) -> List[PlannedChunk]:
+    return [PlannedChunk(segments)] if segments else []
 
 
 def _pack_chunks(segments: List[StreamSegment], budget_elems: int) -> List[StreamChunk]:
@@ -790,19 +884,20 @@ def _pack_chunks(segments: List[StreamSegment], budget_elems: int) -> List[Strea
     return chunks
 
 
-def build_streaming_plan(compressed) -> StreamingPlan:
-    """Build the ``"streamed"`` engine's plan for a compressed matrix.
+def build_streaming_plan(compressed, bucketing: str = "none") -> StreamingPlan:
+    """Build the evaluation plan of a compressed matrix.
 
-    The pass layout is built with exact (unbucketed) rank packing — zero
-    padding would change GEMM shapes and break the engine's bit-identity
-    with the per-node oracle.  Cached work becomes planned chunks, which
-    lead their stage so the fill chunks' materialization overlaps them:
-    S2S targets whose far blocks are all cached, packed as block-rows, and
-    L2L on the near cache's intact row slabs.  Everything else is split
-    into round-major fill chunks.
+    ``bucketing`` pads the layout's ranks (:func:`~repro.core.plan.pad_ranks`);
+    the default exact packing keeps the GEMM shapes — and the bits — of the
+    per-node oracle.  Cached work becomes planned chunks, which lead their
+    stage so the fill chunks' materialization overlaps them: S2S targets
+    whose far blocks are all cached, packed as block-rows, and L2L on the
+    near cache's intact row slabs.  Everything else is split into
+    round-major fill chunks; their S2S segments address the real ranks
+    inside padded offsets, which is exact because padding rows are zero.
     """
     config = compressed.config
-    layout = build_pass_layout(compressed, "none")
+    layout = build_pass_layout(compressed, bucketing)
     # The chunk budget is split across twice the pipeline's cycling buffers
     # so all in-flight chunks together stay within half of
     # streaming_chunk_bytes (one block minimum per chunk) — halving the
@@ -818,13 +913,13 @@ def build_streaming_plan(compressed) -> StreamingPlan:
     cached = [all((b.node_id, a.node_id) in far_blocks for a in pairs) for b, pairs in far_targets]
     slabs = intact_row_slabs(compressed)
     in_rows = {beta_id for slab in slabs for beta_id, _ in slab.rows}
-    packed = _pack_s2s_segments(compressed, layout, [b for (b, _), c in zip(far_targets, cached) if c])
-    s2s_chunks = _planned(packed, owned=True) + _fill_chunks(
+    packed = _pack_s2s_segments(compressed, layout, [t for t, c in zip(far_targets, cached) if c])
+    s2s_chunks = _planned(packed) + _fill_chunks(
         "S2S", [t for t, c in zip(far_targets, cached) if not c],
         lambda b, a: (b.skeleton_rank, a.skeleton_rank),
         _S2SSegmentFactory(layout.skel_offset), far_blocks, budget_elems,
     )
-    l2l_chunks = _planned(slab_segments(compressed, layout, slabs), owned=False) + _fill_chunks(
+    l2l_chunks = _planned(slab_segments(compressed, layout, slabs)) + _fill_chunks(
         "L2L", [t for t in near_targets if t[0].node_id not in in_rows],
         lambda b, a: (b.size, a.size), _l2l_segment, near_blocks, budget_elems,
     )
@@ -838,20 +933,3 @@ def build_streaming_plan(compressed) -> StreamingPlan:
         chunk_bytes=chunk_bytes,
         stall_timeout=getattr(config, "executor_stall_timeout", None),
     )
-
-
-# ---------------------------------------------------------------------------
-# driver
-# ---------------------------------------------------------------------------
-
-def evaluate_streamed(compressed, w: np.ndarray, counters: Optional[EvaluationCounters] = None) -> np.ndarray:
-    """Streamed-engine matvec ``u ≈ K̃ w``; drop-in for the planned engine.
-
-    Builds (or reuses) the cached :class:`StreamingPlan` of ``compressed``
-    and executes it with double-buffered chunk materialization.  Accepts
-    ``(N,)`` or ``(N, r)`` weights.
-    """
-    weights, was_vector = _as_matrix(w, compressed.tree.n)
-    plan = compressed.streaming_plan()
-    output = plan.execute(weights, counters=counters)
-    return output[:, 0] if was_vector else output

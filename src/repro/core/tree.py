@@ -23,6 +23,7 @@ chosen at random.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -43,6 +44,10 @@ class TreeNode:
     ``indices`` are *global* matrix indices (original ordering) owned by the
     node; children split them evenly.  Skeletonization results are attached
     later by the compression driver (``skeleton``, ``coeffs``).
+
+    ``parent`` is held weakly (the tree's ``nodes`` list owns every node),
+    so a tree is no reference cycle: it is freed — with the store pages its
+    skeletons and coefficients may map — as soon as its last user drops it.
     """
 
     node_id: int
@@ -82,6 +87,18 @@ class TreeNode:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "leaf" if self.is_leaf else "internal"
         return f"TreeNode(id={self.node_id}, level={self.level}, size={self.size}, {kind})"
+
+
+def _get_parent(node: TreeNode) -> Optional[TreeNode]:
+    ref = node.__dict__["_parent_ref"]
+    return None if ref is None else ref()
+
+
+def _set_parent(node: TreeNode, parent: Optional[TreeNode]) -> None:
+    node.__dict__["_parent_ref"] = None if parent is None else weakref.ref(parent)
+
+
+TreeNode.parent = property(_get_parent, _set_parent)
 
 
 def metric_split(

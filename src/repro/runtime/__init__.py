@@ -8,10 +8,9 @@ heterogeneous ones (a GPU worker that is far faster on FLOP-heavy tasks).
 
 This subpackage reproduces that machinery in two complementary forms:
 
-* a **real executor** (:mod:`repro.runtime.executor`) that runs the actual
-  evaluation tasks of Algorithm 2.7 on a thread pool honoring the DAG, so
-  the out-of-order traversal can be verified to produce bit-identical
-  results to the sequential code, and
+* a **real executor** (:mod:`repro.runtime.executor`): a persistent
+  worker pool that runs task graphs honoring their edges — the evaluation
+  plan pipelines its block materialization on it — and
 * a **scheduler simulator** (:mod:`repro.runtime.schedulers` +
   :mod:`repro.runtime.machine`) that replays the same DAG against analytic
   machine models (Haswell, KNL, ARM, Haswell+P100) with the Table 2 cost
@@ -22,7 +21,7 @@ This subpackage reproduces that machinery in two complementary forms:
 from .task import Task, TaskGraph
 from .costs import CostModel
 from .machine import MachineModel, Worker, arm_4, haswell_24, haswell_p100, knl_68, scaled_machine
-from .dag import build_compression_dag, build_evaluation_dag, build_plan_dag
+from .dag import build_compression_dag, build_evaluation_dag
 from .schedulers import (
     HEFTScheduler,
     LevelByLevelScheduler,
@@ -45,7 +44,6 @@ __all__ = [
     "scaled_machine",
     "build_compression_dag",
     "build_evaluation_dag",
-    "build_plan_dag",
     "LevelByLevelScheduler",
     "OmpTaskScheduler",
     "HEFTScheduler",

@@ -29,13 +29,11 @@ Compression DAG (Algorithm 2.2):
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 from ..core.tree import BallTree
 from .costs import CostModel
 from .task import Task, TaskGraph
 
-__all__ = ["build_compression_dag", "build_evaluation_dag", "build_plan_dag"]
+__all__ = ["build_compression_dag", "build_evaluation_dag"]
 
 
 def _mk(graph: TaskGraph, kind: str, node, cost: CostModel, flops: float, bytes_moved: float = 0.0) -> Task:
@@ -110,62 +108,6 @@ def build_evaluation_dag(tree: BallTree, cost: CostModel, include_l2l: bool = Tr
 
     graph.validate()
     return graph
-
-
-def build_plan_dag(plan, num_rhs: int = 1) -> tuple[TaskGraph, Dict[str, object]]:
-    """Task DAG over the *segments* of a packed :class:`repro.core.plan.EvaluationPlan`.
-
-    Where :func:`build_evaluation_dag` has one task per tree node, this has
-    one task per batched-GEMM segment — typically orders of magnitude fewer
-    tasks for the same matvec.  Dependencies mirror the plan's stage
-    structure:
-
-    * N2S levels chain bottom-up (a level's GEMMs read the level below),
-    * every S2S segment reads skeleton weights finalized by the N2S pass,
-    * S2N levels chain top-down and start after the whole S2S stage,
-    * L2L segments are independent of everything (they read ``w``, write
-      ``u``), exactly as in the per-node DAG.
-
-    Returns the graph plus a ``task_id -> segment`` mapping; flops are the
-    segment's batched-GEMM count so the executor's largest-first priority
-    keeps working.
-    """
-    graph = TaskGraph()
-    segments: Dict[str, object] = {}
-    stage_ids: list[list[str]] = []
-    stages = plan.stages()
-
-    for stage_index, (stage_name, stage_segments) in enumerate(stages):
-        ids: list[str] = []
-        for i, segment in enumerate(stage_segments):
-            task_id = f"{stage_name}/{i}"
-            graph.add_task(
-                Task(
-                    task_id=task_id,
-                    kind=segment.kind,
-                    node_id=i,
-                    level=segment.level,
-                    flops=segment.flops_per_rhs * num_rhs,
-                    gpu_eligible=CostModel.is_gpu_eligible(segment.kind),
-                )
-            )
-            segments[task_id] = segment
-            ids.append(task_id)
-        stage_ids.append(ids)
-
-    # Barrier edges between consecutive non-L2L stages (N2S levels → S2S →
-    # S2N levels); L2L stages depend on nothing.
-    previous: list[str] = []
-    for (stage_name, stage_segments), ids in zip(stages, stage_ids):
-        if stage_segments and stage_segments[0].kind == "L2L":
-            continue
-        for before in previous:
-            for after in ids:
-                graph.add_dependency(before, after)
-        previous = ids
-
-    graph.validate()
-    return graph, segments
 
 
 def build_compression_dag(tree: BallTree, cost: CostModel, num_neighbor_trees: int = 1) -> TaskGraph:

@@ -1,19 +1,14 @@
-"""Real out-of-order execution of the evaluation work on a thread pool.
+"""Real out-of-order execution of task graphs on a thread pool.
 
 The scheduler simulations in :mod:`repro.runtime.schedulers` answer "how
-long would this DAG take on machine X under policy Y"; this module answers
-the complementary correctness question: the evaluation of Algorithm 2.7
-really can be executed out of order, constrained only by the RAW edges of
-the symbolic DAG, and produce the same result as the sequential engines.
+long would this DAG take on machine X under policy Y"; this module runs a
+task graph for real, constrained only by its RAW edges.
 
-Both engines share one worker pool:
-
-* ``engine="planned"`` runs over the *segments* of the packed
-  :class:`repro.core.plan.EvaluationPlan` — a few dozen batched GEMMs with
-  level/stage dependencies (:func:`repro.runtime.dag.build_plan_dag`) —
-  instead of one task per tree node,
-* ``engine="streamed"`` runs the streaming plan's chunk pipeline, its
-  materializers drawing from the same pool.
+The evaluation plan (:class:`repro.core.streaming.StreamingPlan`) uses it
+for its fill chunks: upcoming chunks materialize on pool workers while the
+current chunk's GEMMs run, the execution chain itself sequential.  A plan
+that fills no chunk runs in the caller's thread and never touches a pool.
+:func:`parallel_evaluate` runs the selected plan with a caller's pool.
 
 The pool itself is a :class:`WorkerPool`: a condition-variable work queue
 whose workers sleep until a task becomes ready, an error is recorded, or a
@@ -25,21 +20,14 @@ runs draw from one set of worker threads, largest-estimated-flops first.
 transient pool.  There is no timeout polling for normal progress, and a
 worker never abandons a run while sibling tasks of that run are still in
 flight — completion is decided solely by the remaining-task count under
-the queue lock.  NumPy releases the GIL inside BLAS calls, so the parallel
-speed-up is real, especially for the large batched GEMMs of the planned
-engine.
+the queue lock.  NumPy releases the GIL inside BLAS calls and kernel
+evaluation, so the overlap is real.
 
 Stall handling is two-layered: a *dependency* stall (nothing ready, nothing
 in flight, tasks remaining — a malformed DAG) fails immediately, while a
 *watchdog* timeout (``stall_timeout``, defaulting to
 ``GOFMMConfig.executor_stall_timeout``) bounds the gap between task
 completions so a wedged payload cannot hang a server evaluation forever.
-
-Output writes (S2N-at-leaves and L2L, which overlap on ``ctx.output``) are
-serialized per *leaf range*, not through one shared lock: the leaves are
-split into contiguous stripes with one lock each, and a plan segment
-holds exactly the stripes its leaves fall in — segments writing disjoint
-leaf ranges proceed concurrently.
 """
 
 from __future__ import annotations
@@ -57,7 +45,6 @@ from ..errors import ExecutorStallError, SchedulingError
 from ..obs import counters as _obs_counters
 from ..obs import get_logger
 from ..obs.trace import get_tracer
-from .dag import build_plan_dag
 from .task import TaskGraph
 
 __all__ = ["WorkerPool", "parallel_evaluate", "run_task_graph"]
@@ -321,98 +308,6 @@ def run_task_graph(
     return result
 
 
-# ---------------------------------------------------------------------------
-# planned engine: plan-segment DAG
-# ---------------------------------------------------------------------------
-
-class _StripeLockSet:
-    """Ordered set of stripe locks one output-writing segment must hold.
-
-    Acquisition is always in ascending stripe order (the constructor
-    receives the locks pre-sorted), so two segments whose leaf ranges
-    overlap can never deadlock.
-    """
-
-    __slots__ = ("locks",)
-
-    def __init__(self, locks: list) -> None:
-        self.locks = locks
-
-    def __enter__(self) -> "_StripeLockSet":
-        for lock in self.locks:
-            lock.acquire()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        for lock in reversed(self.locks):
-            lock.release()
-        return False
-
-
-def _output_stripe_locks(compressed: CompressedMatrix, segments: dict, num_workers: int) -> dict:
-    """Per-leaf-range stripe locks for the segments that add into the output.
-
-    S2N-at-leaves and L2L both scatter into ``ctx.output``; a single shared
-    lock would serialize them entirely (the last contention point of the
-    threaded executor).  Leaves are split into contiguous ranges ("stripes"),
-    one lock each, and every output-writing segment takes exactly the locks
-    of the stripes its leaves fall in — segments touching disjoint leaf
-    ranges now add into the output concurrently.
-    """
-    tree = compressed.tree
-    num_leaves = len(tree.leaves)
-    num_stripes = max(1, min(4 * num_workers, num_leaves))
-    stripe_locks = [threading.Lock() for _ in range(num_stripes)]
-    # balanced contiguous ranges in left-to-right leaf order
-    stripe_of_leaf = np.arange(num_leaves, dtype=np.intp) * num_stripes // num_leaves
-    stripe_of_row = np.empty(tree.n, dtype=np.intp)
-    for slot, leaf in enumerate(tree.leaves):
-        stripe_of_row[leaf.indices] = stripe_of_leaf[slot]
-
-    locks: dict = {}
-    for tid, seg in segments.items():
-        buffer, _, rows = seg.dst
-        if buffer != "output":
-            locks[tid] = None  # workspace scatters are disjoint by construction
-            continue
-        # Output is written row by row and each row-block is one whole leaf,
-        # so its first row names the leaf.
-        stripes = np.unique(stripe_of_row[rows[:, 0]])
-        locks[tid] = _StripeLockSet([stripe_locks[int(s)] for s in stripes])
-    return locks
-
-
-def _parallel_evaluate_planned(
-    compressed: CompressedMatrix,
-    weights: np.ndarray,
-    num_workers: int,
-    pool: Optional[WorkerPool] = None,
-    stall_timeout: Optional[float] = None,
-) -> np.ndarray:
-    plan = compressed.plan()
-    ctx = plan.new_context(weights)
-    graph, segments = build_plan_dag(plan, num_rhs=weights.shape[1])
-    # S2N-at-leaves overlaps L2L on the output; instead of one shared lock,
-    # the output is striped by leaf range and each segment holds only the
-    # stripes it writes.  Workspace scatters are disjoint per stage by
-    # construction (see plan.PlanSegment) and need no lock.
-    out_locks = _output_stripe_locks(compressed, segments, num_workers)
-    payloads = {
-        tid: (lambda s=seg, l=out_locks[tid]: s.run(ctx, out_lock=l))
-        for tid, seg in segments.items()
-    }
-    if pool is not None:
-        pool.run(graph, payloads=payloads, stall_timeout=stall_timeout)
-    else:
-        run_task_graph(graph, num_workers, payloads=payloads, stall_timeout=stall_timeout)
-    # Release only on success: after a failed or watchdog-abandoned run an
-    # in-flight payload may still be writing through the context, so pooling
-    # its buffers could corrupt a later evaluation — let the GC take them.
-    output = ctx.output
-    plan.release_context(ctx)
-    return output
-
-
 #: Sentinel: "take the stall timeout from the compression's config" — distinct
 #: from None, which explicitly disables the watchdog (WorkerPool.run semantics).
 _CONFIG_TIMEOUT = object()
@@ -426,40 +321,33 @@ def parallel_evaluate(
     pool: Optional[WorkerPool] = None,
     stall_timeout=_CONFIG_TIMEOUT,
 ) -> np.ndarray:
-    """Evaluate ``K̃ w`` by executing the evaluation DAG with ``num_workers`` threads.
+    """Evaluate ``K̃ w`` by running the selected plan with a worker pool.
 
-    ``engine`` defaults to :meth:`CompressedMatrix.default_engine`.
-    ``engine="planned"`` schedules the batched segments of the cached
-    evaluation plan, agreeing with the sequential planned engine to
-    floating-point summation order.  ``engine="streamed"`` runs the streaming plan's chunk pipeline
-    (bit-identical to the sequential streamed engine — its execution chain
-    is sequential by design); its concurrency is bounded by the pipeline's
-    buffer count, so ``num_workers`` does not apply to it.  Passing a
-    :class:`WorkerPool` as ``pool`` reuses its persistent workers (and
-    ignores ``num_workers`` for thread creation — the pool's size governs
-    concurrency).  ``stall_timeout`` defaults to the compression's
-    ``GOFMMConfig.executor_stall_timeout``; pass ``None`` explicitly to
-    disable the watchdog for this call.
+    ``engine`` defaults to :meth:`CompressedMatrix.default_engine` and
+    selects the plan (``"planned"``: :meth:`CompressedMatrix.plan`,
+    ``"streamed"``: :meth:`CompressedMatrix.streaming_plan`); the result is
+    bit-identical to ``compressed.matvec(w, engine=engine)``, because the
+    plan's execution chain is sequential.  Only fill chunks run on a pool:
+    ``pool`` (a :class:`WorkerPool`) replaces the plan's shared pipeline
+    pool for them, and a plan that fills no chunk runs in the caller's
+    thread.  ``num_workers`` is checked but sizes nothing — the pipeline's
+    concurrency is bounded by its buffer count.  ``stall_timeout``
+    defaults to the compression's ``GOFMMConfig.executor_stall_timeout``;
+    pass ``None`` explicitly to disable the watchdog for this call.
     """
     if num_workers < 1:
         raise SchedulingError("need at least one worker")
     engine = engine or compressed.default_engine()
-    if stall_timeout is _CONFIG_TIMEOUT:
-        stall_timeout = getattr(compressed.config, "executor_stall_timeout", None)
-    weights, was_vector = _as_matrix(w, compressed.tree.n)
     if engine == "planned":
-        output = _parallel_evaluate_planned(compressed, weights, num_workers, pool, stall_timeout)
+        plan = compressed.plan()
     elif engine == "streamed":
-        # The streaming plan is already a task graph (chunk pipeline); run
-        # it on the caller's pool so serving shares one set of workers.
-        # Without a pool it uses the engine's shared pipeline pool —
-        # ``num_workers`` does not apply: the chunk pipeline's concurrency
-        # is bounded by its buffer count, not by a worker-count argument.
-        output = compressed.streaming_plan().execute(
-            weights, counters=None, pool=pool, stall_timeout=stall_timeout
-        )
+        plan = compressed.streaming_plan()
     else:
         raise SchedulingError(
             f"unknown evaluation engine {engine!r}; use 'planned' or 'streamed'"
         )
+    if stall_timeout is _CONFIG_TIMEOUT:
+        stall_timeout = getattr(compressed.config, "executor_stall_timeout", None)
+    weights, was_vector = _as_matrix(w, compressed.tree.n)
+    output = plan.execute(weights, pool=pool, stall_timeout=stall_timeout)
     return output[:, 0] if was_vector else output

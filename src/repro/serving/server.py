@@ -19,12 +19,12 @@ The server is the composition point of the serving runtime:
   serving and is recorded in the metrics,
 * per-operator :class:`~repro.serving.metrics.ServingMetrics`.
 
-Evaluation runs the sequential planned engine by default (deterministic,
-and the batched GEMMs already saturate BLAS threads); pass
-``num_workers > 1`` to execute each wide evaluation on a shared
-:class:`~repro.runtime.executor.WorkerPool` across all entries — higher
-throughput for huge operators, at the cost of the bitwise batch-invariance
-guarantee (threaded output accumulation order varies run to run).
+Every evaluation runs the default engine's plan, whose execution chain is
+sequential, so a batched response is bit-identical to serving the same
+vector alone.  ``num_workers > 1`` gives the entries one shared
+:class:`~repro.runtime.executor.WorkerPool` for the plans' fill chunks
+(memoryless and partly cached operators materialize blocks on it); the
+bits do not depend on it, and fully cached operators never use it.
 """
 
 from __future__ import annotations
@@ -68,11 +68,11 @@ def _record_memory(entry: "OperatorEntry") -> None:
 
 
 def _prebuild_plan(operator: CompressedOperator) -> None:
-    """Build the default engine's execution plan so the first request skips it.
+    """Build the default engine's plan so the first request skips it.
 
-    ``"planned"`` prebuilds the packed plan; ``"streamed"`` — the default of
-    memoryless (uncached-block) and mmap-opened operators, which are
-    servable like any other — prebuilds the chunked streaming plan.
+    ``"planned"`` prebuilds the rank-padded plan; ``"streamed"`` — the
+    default of memoryless (uncached-block) and mmap-opened operators, which
+    are servable like any other — the exactly packed one.
     """
     if operator.default_engine() == "planned":
         operator.compressed.plan()
@@ -181,9 +181,8 @@ class MatvecServer:
             fut = server.submit("kernel", w)                    # raw future
             res = server.solve("kernel", b, shift=1e-4)
 
-    ``num_workers > 1`` attaches a shared :class:`WorkerPool` so every
-    entry's wide evaluations run threaded on the same workers (see the
-    module docstring for the determinism trade-off).
+    ``num_workers > 1`` attaches a shared :class:`WorkerPool` on which every
+    entry's fill chunks materialize (the results do not depend on it).
     """
 
     def __init__(

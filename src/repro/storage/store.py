@@ -582,7 +582,7 @@ class OperatorStore:
         near_indptr, near_cols = ragged([lists.near.get(n.node_id, []) for n in nodes])
         far_indptr, far_cols = ragged([lists.far.get(n.node_id, []) for n in nodes])
 
-        slabs, _ = near_row_slabs(compressed, cached_only=True)
+        slabs = near_row_slabs(compressed)
         offsets = np.zeros(len(slabs) + 1, dtype=np.intp)
         np.cumsum([slab.array.size for slab in slabs], out=offsets[1:])
         near_slabs = {

@@ -16,8 +16,9 @@ the only engine switch.  Four task families, matching Table 2:
 
 One node at a time, intermediates in dicts keyed by node id: slow,
 obvious, and independent of the plan's packing, rank padding and chunking.
-A target's products follow the streamed engine's rules, so that engine must
-equal the oracle bitwise (``np.array_equal``):
+A target's products follow the evaluation plan's rules, so the exactly
+packed plan (``engine="streamed"``) must equal the oracle bitwise
+(``np.array_equal``):
 
 * a leaf whose block-row is a row of one of the near provider's intact
   ``row_slabs()`` (every row of the slab its leaf's current Near list)
@@ -26,8 +27,9 @@ equal the oracle bitwise (``np.array_equal``):
   block-row in one GEMM,
 * every other target accumulates block by block, in list order.
 
-The planned engine pads ranks and concatenates every target's blocks, and
-agrees to summation order.
+The ``"planned"`` packing of the same plan pads adaptive ranks, and agrees
+to summation order; with uniform ranks (or ``plan_rank_bucketing="none"``)
+it pads nothing and is bitwise equal too.
 """
 
 from __future__ import annotations

@@ -146,3 +146,33 @@ class TestOperatorReport:
         assert np.array_equal(
             reopened.apply(w), reference_matvec(operator.compressed, w)
         )
+
+
+class TestLifetime:
+    """Reference counting alone frees an operator: nothing makes it cyclic."""
+
+    @pytest.mark.parametrize("resident", ["mmap", "ram"])
+    def test_opened_operator_dies_with_its_last_reference(self, operator, matrix, tmp_path, resident):
+        import gc
+        import os
+        import weakref
+
+        path = tmp_path / "lifetime.store"
+        operator.save(path)
+        w = np.random.default_rng(9).standard_normal((matrix.n, 2))
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            opened = CompressedOperator.open(path, resident=resident)
+            opened.apply(w)
+            opened.solve(w, shift=1.0, tolerance=1e-8)
+            refs = weakref.ref(opened), weakref.ref(opened.compressed)
+            del opened
+            assert [ref() for ref in refs] == [None, None]
+            if os.path.exists("/proc/self/maps"):
+                with open("/proc/self/maps") as maps:
+                    assert [line for line in maps if str(path) in line] == []
+        finally:
+            if enabled:
+                gc.enable()

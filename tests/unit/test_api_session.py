@@ -119,6 +119,21 @@ class TestSessionReuse:
         assert session.stage_builds["neighbors"] == 1
         assert session.stage_builds["skeletons"] == 5
 
+    def test_plan_reuse_honours_the_chunk_budget(self, matrix):
+        """Fill chunks follow the chunk budget, so a plan is reused only under it."""
+        session = make_session(matrix, cache_near_blocks=False, cache_far_blocks=False)
+        op = session.compress()
+        plan = op.compressed.plan()
+        assert plan.filled_chunks > 0
+        kept = session.recompress(prebuild_plan=True)
+        assert session.last_built == ("plan",)
+        assert kept.compressed._plan is plan
+        budget = op.compressed.config.streaming_chunk_bytes // 4
+        moved = session.recompress(streaming_chunk_bytes=budget)
+        assert session.last_built == ("plan",)
+        assert moved.compressed._plan is not plan
+        assert moved.compressed.plan().report()["chunk_budget_bytes"] == budget
+
     def test_tolerance_change_reuses_interactions(self, matrix):
         session = make_session(matrix)
         session.compress()

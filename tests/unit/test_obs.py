@@ -207,12 +207,14 @@ class TestThreadSafety:
         matrix = make_gaussian_kernel_matrix(n=160, d=3, bandwidth=1.5, seed=5)
         from repro.gofmm import compress
 
-        compressed = compress(matrix, small_config())
-        compressed.plan()
+        # Memoryless: only fill chunks run on the pool.
+        compressed = compress(
+            matrix, small_config(cache_near_blocks=False, cache_far_blocks=False)
+        )
         w = np.random.default_rng(0).standard_normal((matrix.n, 8))
         tracer = Tracer()
         with tracing(tracer):
-            parallel_evaluate(compressed, w, num_workers=4, engine="planned")
+            parallel_evaluate(compressed, w, num_workers=4)
         tasks = [s for s in tracer.spans() if s.name == "executor.task"]
         assert tasks, "worker tasks were not traced"
         # spans recorded from the pool's threads, not the submitting thread

@@ -1,4 +1,4 @@
-"""Unit tests for the packed evaluation plan (the "planned" matvec engine).
+"""Unit tests for the rank-padded evaluation plan (the "planned" matvec engine).
 
 The per-node traversal in ``tests/oracles/evaluate_reference.py`` is the
 correctness oracle: every test here asserts that the planned engine
@@ -12,7 +12,8 @@ import pytest
 from repro import ConfigurationError, EvaluationError, GOFMMConfig, compress
 from repro.api import Session
 from repro.config import DistanceMetric
-from repro.core.plan import EvaluationCounters, EvaluationPlan, PlanSegment, build_plan, evaluate_planned, pad_ranks
+from repro.core.plan import EvaluationCounters, PlanSegment, pad_ranks
+from repro.core.streaming import StreamingPlan, build_streaming_plan
 from repro.errors import CompressionError
 from repro.runtime import parallel_evaluate
 
@@ -47,32 +48,32 @@ class TestEquivalence:
         matrix = make_gaussian_kernel_matrix(n=220, d=3, bandwidth=1.5, seed=0)
         cm = compress(matrix, _config(budget=budget))
         w = np.random.default_rng(0).standard_normal((matrix.n, 4))
-        assert np.allclose(evaluate_planned(cm, w), reference_matvec(cm, w), atol=1e-10)
+        assert np.allclose(cm.matvec(w, engine="planned"), reference_matvec(cm, w), atol=1e-10)
 
     def test_single_vector(self, fmm_pair):
         matrix, cm = fmm_pair
         w = np.random.default_rng(1).standard_normal(matrix.n)
-        planned = evaluate_planned(cm, w)
+        planned = cm.matvec(w, engine="planned")
         assert planned.shape == (matrix.n,)
         assert np.allclose(planned, reference_matvec(cm, w), atol=1e-10)
 
     def test_multi_rhs(self, fmm_pair):
         matrix, cm = fmm_pair
         w = np.random.default_rng(2).standard_normal((matrix.n, 7))
-        planned = evaluate_planned(cm, w)
+        planned = cm.matvec(w, engine="planned")
         assert planned.shape == (matrix.n, 7)
         assert np.allclose(planned, reference_matvec(cm, w), atol=1e-10)
 
     def test_hss_case(self, hss_pair):
         matrix, cm = hss_pair
         w = np.random.default_rng(3).standard_normal((matrix.n, 3))
-        assert np.allclose(evaluate_planned(cm, w), reference_matvec(cm, w), atol=1e-10)
+        assert np.allclose(cm.matvec(w, engine="planned"), reference_matvec(cm, w), atol=1e-10)
 
     def test_unstructured_matrix(self):
         matrix = make_random_spd(n=96, seed=2)
         cm = compress(matrix, _config(budget=0.25, leaf_size=24, max_rank=24, distance=DistanceMetric.ANGLE))
         w = np.random.default_rng(4).standard_normal((96, 2))
-        assert np.allclose(evaluate_planned(cm, w), reference_matvec(cm, w), atol=1e-10)
+        assert np.allclose(cm.matvec(w, engine="planned"), reference_matvec(cm, w), atol=1e-10)
 
     @pytest.mark.parametrize("name", ["gaussian-narrow", "gaussian-wide"])
     def test_across_kernels(self, name):
@@ -80,20 +81,20 @@ class TestEquivalence:
         matrix = make_gaussian_kernel_matrix(n=200, d=3, bandwidth=bandwidth, seed=5)
         cm = compress(matrix, _config(budget=0.2))
         w = np.random.default_rng(5).standard_normal((200, 3))
-        assert np.allclose(evaluate_planned(cm, w), reference_matvec(cm, w), atol=1e-10)
+        assert np.allclose(cm.matvec(w, engine="planned"), reference_matvec(cm, w), atol=1e-10)
 
     def test_matches_explicit_dense_form(self, fmm_pair):
         matrix, cm = fmm_pair
         w = np.random.default_rng(6).standard_normal((matrix.n, 2))
-        assert np.allclose(evaluate_planned(cm, w), cm.to_dense() @ w, atol=1e-8)
+        assert np.allclose(cm.matvec(w, engine="planned"), cm.to_dense() @ w, atol=1e-8)
 
     def test_uncached_blocks(self):
-        """The plan packs blocks on demand when compression skipped caching."""
+        """The plan fills blocks chunk by chunk when compression skipped caching."""
         matrix = make_gaussian_kernel_matrix(n=150, d=3, bandwidth=1.2, seed=6)
         cm = compress(matrix, _config(budget=0.2, leaf_size=25, max_rank=20,
                                       cache_near_blocks=False, cache_far_blocks=False))
         w = np.random.default_rng(7).standard_normal(150)
-        assert np.allclose(evaluate_planned(cm, w), reference_matvec(cm, w), atol=1e-10)
+        assert np.allclose(cm.matvec(w, engine="planned"), reference_matvec(cm, w), atol=1e-10)
 
     def test_uncached_blocks_default_to_streamed(self):
         """Memory-bounded configs must not be silently packed by the default engine."""
@@ -143,14 +144,14 @@ class TestPlanStructure:
         plan = cm.plan()
         assert cm.plan() is plan
         assert cm.plan(rebuild=True) is not plan
-        assert isinstance(plan, EvaluationPlan)
+        assert isinstance(plan, StreamingPlan)
 
     def test_workspace_offsets_disjoint(self, fmm_pair):
         _, cm = fmm_pair
         plan = cm.plan()
         spans = []
         for node in cm.tree.nodes:
-            off = plan.skel_offset[node.node_id]
+            off = plan.layout.skel_offset[node.node_id]
             if off >= 0:
                 spans.append((off, off + node.skeleton_rank))
         spans.sort()
@@ -162,7 +163,9 @@ class TestPlanStructure:
         """Rounds must leave no duplicate output row inside any one segment."""
         _, cm = fmm_pair
         plan = cm.plan()
-        for seg in plan.s2s_segments + plan.l2l_segments:
+        for seg in plan.segments():
+            if seg.kind not in ("S2S", "L2L"):
+                continue
             # the index lists whole blocks of the destination (rows when block is 1)
             flat = seg.dst[2].ravel()
             assert flat.size == np.unique(flat).size
@@ -170,9 +173,10 @@ class TestPlanStructure:
     def test_hss_plan_has_no_offdiagonal_l2l(self, hss_pair):
         _, cm = hss_pair
         plan = cm.plan()
+        l2l = [seg for seg in plan.segments() if seg.kind == "L2L"]
         # budget 0: the direct part is exactly the diagonal leaf blocks
-        assert sum(seg.batch for seg in plan.l2l_segments) == len(cm.tree.leaves)
-        assert all(seg.operand.shape[1] == seg.operand.shape[2] for seg in plan.l2l_segments)
+        assert sum(seg.batch for seg in l2l) == len(cm.tree.leaves)
+        assert all(seg.operand.shape[1] == seg.operand.shape[2] for seg in l2l)
 
     def test_stages_cover_all_segments(self, fmm_pair):
         _, cm = fmm_pair
@@ -273,7 +277,7 @@ class TestCounters:
         ref, planned = EvaluationCounters(), EvaluationCounters()
         w = np.random.default_rng(12).standard_normal((matrix.n, 2))
         reference_matvec(cm, w, counters=ref)
-        evaluate_planned(cm, w, counters=planned)
+        cm.plan().execute(w, counters=planned)
         assert planned.total <= ref.total + 1e-9
 
     def test_bucketing_defragments_adaptive_plans(self):
@@ -292,7 +296,7 @@ class TestCounters:
         ref, planned = EvaluationCounters(), EvaluationCounters()
         w = np.random.default_rng(12).standard_normal((matrix.n, 2))
         reference_matvec(cm, w, counters=ref)
-        evaluate_planned(cm, w, counters=planned)
+        cm.plan().execute(w, counters=planned)
         assert planned.total <= 4.0 * ref.total + 1e-9
 
 
@@ -300,11 +304,11 @@ class TestValidation:
     def test_wrong_length_rejected(self, fmm_pair):
         _, cm = fmm_pair
         with pytest.raises(EvaluationError):
-            evaluate_planned(cm, np.zeros(cm.n + 1))
+            cm.matvec(np.zeros(cm.n + 1), engine="planned")
 
     def test_build_plan_direct(self, fmm_pair):
         _, cm = fmm_pair
-        plan = build_plan(cm)
+        plan = build_streaming_plan(cm, cm.config.plan_rank_bucketing)
         w = np.random.default_rng(13).standard_normal((cm.n, 2))
         assert np.allclose(plan.execute(w), reference_matvec(cm, w), atol=1e-10)
 

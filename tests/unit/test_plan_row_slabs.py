@@ -1,9 +1,9 @@
-"""The planned engine's L2L operands are the near cache's row slabs.
+"""The plan's L2L operands are the near cache's row slabs.
 
 The near-blocks stage evaluates each leaf's block-row ``K[β, Near(β)]``
 into a shared row slab; the plan multiplies those slabs in place.  Leaves
-the cache holds no intact row for get fresh slabs filled from the provider
-by the same routine, and every cell gives the bits of the fresh operator.
+the cache holds no intact row for fill through chunks, block by block,
+the rule the per-node oracle follows too.
 """
 
 import dataclasses
@@ -16,12 +16,12 @@ import pytest
 from repro import GOFMMConfig, compress
 from repro.api import CompressedOperator, Session
 from repro.core.hmatrix import BlockProvider
-from repro.core.plan import build_plan
 from repro.matrices import build_matrix
 from repro.obs import counters as obs_counters
 from repro.storage import is_disk_backed
 
 from ..conftest import rewrite_in_flat_layout
+from ..oracles.evaluate_reference import reference_matvec
 
 
 def _config(**overrides) -> GOFMMConfig:
@@ -34,6 +34,11 @@ def _near_blocks(cm) -> list:
 
 def _borrows(operand, blocks) -> bool:
     return any(np.shares_memory(operand, block) for block in blocks)
+
+
+def _l2l(plan) -> list:
+    """The plan's in-place L2L segments."""
+    return [seg for seg in plan.segments() if seg.kind == "L2L"]
 
 
 @pytest.fixture(scope="module")
@@ -52,33 +57,34 @@ class TestZeroCopyPlan:
         cm = op.compressed
         plan = cm.plan(rebuild=True)
         blocks = _near_blocks(cm)
-        assert plan.l2l_segments
-        assert all(_borrows(seg.operand, blocks) for seg in plan.l2l_segments)
+        l2l = _l2l(plan)
+        assert l2l and plan.filled_chunks == 0
+        assert all(_borrows(seg.operand, blocks) for seg in l2l)
         # the operands are the cache, no more and no less
-        assert sum(seg.operand.size for seg in plan.l2l_segments) == cm.near_blocks.cached_entries
-        assert all(not seg.operand.flags.writeable for seg in plan.l2l_segments)
+        assert sum(seg.operand.size for seg in l2l) == cm.near_blocks.cached_entries
+        assert all(not seg.operand.flags.writeable for seg in l2l)
 
     def test_build_plan_allocates_a_small_fraction_of_the_near_cache(self):
         # Rank 8 keeps the operands the plan does own (N2S / S2N coefficient
         # stacks, S2S block-rows) at 4 % of the near cache; at rank 32 they
         # are 30 %, and a second copy of the near blocks would be 100 %.
         cm = compress(build_matrix("K05", n=2048), _config(max_rank=8))
-        build_plan(cm)  # warm every lazy import and cache outside the measurement
+        cm.plan()  # warm every lazy import and cache outside the measurement
         tracemalloc.start()
         try:
-            plan = build_plan(cm)
+            plan = cm.plan(rebuild=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert plan.l2l_segments
+        assert _l2l(plan)
         assert peak < 0.1 * cm.near_blocks.bytes_resident, (peak, cm.near_blocks.bytes_resident)
 
     def test_tolerance_only_recompress_reuses_the_operands(self, k05_session):
         session, op = k05_session
-        first = [seg.operand for seg in op.compressed.plan().l2l_segments]
+        first = [seg.operand for seg in _l2l(op.compressed.plan())]
         looser = session.recompress(tolerance=1e-3)
         assert "near_blocks" in session.last_reused
-        second = [seg.operand for seg in looser.compressed.plan().l2l_segments]
+        second = [seg.operand for seg in _l2l(looser.compressed.plan())]
         assert len(first) == len(second)
         assert all(a is b for a, b in zip(first, second))
 
@@ -90,7 +96,9 @@ class TestZeroCopyPlan:
         grown = cm.memory_report()["bytes_resident"] - before
         blocks = _near_blocks(cm) + [block for _, block in cm.far_blocks.cached_items()]
         owned = sum(seg.operand.nbytes for seg in plan.segments() if not _borrows(seg.operand, blocks))
-        assert grown == owned == plan.owned_bytes() > 0
+        assert owned == plan.owned_bytes() > 0
+        # besides its operands, a plan holds only its index tables: no workspace
+        assert plan.workspace_bytes == 0 and grown == owned + plan.index_bytes()
         # L2L adds nothing: the plan owns exactly its N2S / S2N / S2S operands
         assert owned == sum(seg.operand.nbytes for seg in plan.segments() if seg.kind != "L2L")
 
@@ -130,10 +138,11 @@ class TestZeroCopyStore:
         before = opened.memory_report()["bytes_resident"]
         plan = opened.streaming_plan()
         grown = opened.memory_report()["bytes_resident"] - before
-        owned = sum(
+        # the packed S2S block-rows and the N2S / S2N coefficient stacks
+        owned = sum(seg.operand.nbytes for seg in plan.segments() if seg.kind != "L2L")
+        assert plan.owned_bytes() == owned > sum(
             seg.operand.nbytes for chunk in plan.s2s_chunks for seg in chunk.segments
         )
-        assert plan.owned_bytes() == owned > 0
         assert grown == owned + plan.index_bytes()
 
 
@@ -154,8 +163,25 @@ def _planned(cm, r: int) -> np.ndarray:
     return cm.matvec(w, engine="planned")
 
 
+def _exact(cm):
+    """``cm`` with its planned plan packed exactly: then its bits are the oracle's."""
+    config = cm.config.replace(plan_rank_bucketing="none")
+    return dataclasses.replace(cm, config=config, _plan=None, _streaming_plan=None)
+
+
+def _oracle(cm, r: int) -> np.ndarray:
+    return reference_matvec(cm, np.random.default_rng(r).standard_normal((cm.n, r)))
+
+
+def _without_rows(cm, matrix):
+    """``cm`` with a near provider that caches nothing: every leaf's row fills."""
+    near = BlockProvider(cm.tree, matrix, use_skeletons=False)
+    return dataclasses.replace(cm, near_blocks=near, _plan=None, _streaming_plan=None)
+
+
 class TestFillPathLattice:
-    """Cells that fill fresh row slabs give the fresh operator's bits."""
+    """Cells without an intact row fill it block by block, and give the bits
+    of an operator that holds no row slab; at exact packing, the oracle's."""
 
     @pytest.mark.parametrize("r", [1, 16])
     def test_store_opened_into_ram(self, fresh_pair, tmp_path, r):
@@ -168,15 +194,17 @@ class TestFillPathLattice:
         assert opened.default_engine() == "planned"
         assert np.array_equal(_planned(opened, r), _planned(cm, r))
         plan, slabs = opened.plan(), opened.near_blocks.row_slabs()
-        operands = [seg.operand for seg in plan.l2l_segments]
-        assert len(operands) == len(slabs)
+        operands = [seg.operand for seg in _l2l(plan)]
+        assert len(operands) == len(slabs) and plan.filled_chunks == 0
         assert all(operand is slab.array for operand, slab in zip(operands, slabs))
         assert plan.owned_bytes() == sum(
             seg.operand.nbytes for seg in plan.segments() if seg.kind != "L2L"
         )
         rewrite_in_flat_layout(path)
         flat = CompressedOperator.open(path, resident="ram").compressed
-        assert np.array_equal(_planned(flat, r), _planned(cm, r))
+        assert np.array_equal(_planned(flat, r), _planned(_without_rows(cm, matrix), r))
+        assert np.array_equal(_planned(_exact(flat), r), _oracle(flat, r))
+        assert not _l2l(flat.plan()) and flat.plan().filled_chunks > 0
         assert flat.plan().owned_bytes() == flat.plan().packed_entries() * 8
 
     @pytest.mark.parametrize("r", [1, 16])
@@ -184,12 +212,12 @@ class TestFillPathLattice:
         matrix, cm = fresh_pair
         off = compress(matrix, cm.config.replace(cache_near_blocks=False))
         assert len(off.near_blocks) == 0
-        assert np.array_equal(_planned(off, r), _planned(cm, r))
+        assert np.array_equal(_planned(off, r), _planned(_without_rows(cm, matrix), r))
+        assert np.array_equal(_planned(_exact(off), r), _oracle(off, r))
 
     @pytest.mark.parametrize("r", [1, 16])
     def test_overwritten_block_retires_its_row(self, fresh_pair, r):
         matrix, cm = fresh_pair
-        expected = _planned(cm, r)
         # a private compression: the store below mutates its provider
         _, mutated = _fresh(cm.n)
         provider = mutated.near_blocks
@@ -201,16 +229,17 @@ class TestFillPathLattice:
         assert all(slab is not stale for slab in provider.row_slabs())
         assert len(provider.row_slabs()) == len(slabs) - 1
         plan = mutated.plan()
-        operands = [seg.operand for seg in plan.l2l_segments]
+        operands = [seg.operand for seg in _l2l(plan)]
         assert not any(operand is stale.array for operand in operands)
         assert sum(operand.size for operand in operands) == sum(
             slab.array.size for slab in slabs
-        )
-        assert np.array_equal(_planned(mutated, r), expected)
+        ) - stale.array.size
+        assert plan.filled_chunks > 0
+        assert np.array_equal(_planned(_exact(mutated), r), _oracle(mutated, r))
 
     @pytest.mark.parametrize("r", [1, 16])
     def test_changed_near_list_refuses_the_row(self, fresh_pair, r):
-        """A cached row that is not its leaf's current Near list is refilled, not used."""
+        """A cached row that is not its leaf's current Near list is filled, not used."""
         matrix, cm = fresh_pair
         _, changed = _fresh(cm.n)
         leaf = next(leaf for leaf in changed.tree.leaves if len(leaf.near) > 1)
@@ -219,9 +248,6 @@ class TestFillPathLattice:
             slab for slab in changed.near_blocks.row_slabs()
             if any(beta == leaf.node_id for beta, _ in slab.rows)
         )
-        operands = [seg.operand for seg in changed.plan().l2l_segments]
+        operands = [seg.operand for seg in _l2l(changed.plan())]
         assert not any(operand is stale.array for operand in operands)
-        uncached = dataclasses.replace(
-            changed, near_blocks=BlockProvider(changed.tree, matrix, use_skeletons=False), _plan=None
-        )
-        assert np.array_equal(_planned(changed, r), _planned(uncached, r))
+        assert np.array_equal(_planned(_exact(changed), r), _oracle(changed, r))

@@ -5,7 +5,7 @@ import pytest
 
 from repro import GOFMMConfig, SchedulingError, compress
 from repro.config import DistanceMetric
-from repro.runtime import CostModel, build_plan_dag, parallel_evaluate, run_task_graph
+from repro.runtime import parallel_evaluate, run_task_graph
 from repro.runtime.task import Task, TaskGraph
 
 from ..conftest import make_gaussian_kernel_matrix
@@ -65,7 +65,7 @@ class TestParallelEvaluate:
 
 
 class TestPlannedEngine:
-    """The executor scheduling plan segments instead of per-node closures."""
+    """``parallel_evaluate`` runs the selected engine's plan."""
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("engine", ["planned", "streamed"])
@@ -90,21 +90,6 @@ class TestPlannedEngine:
         _, cm = compressed_pair
         with pytest.raises(SchedulingError):
             parallel_evaluate(cm, np.zeros(cm.n), num_workers=2, engine="warp-drive")
-
-    def test_plan_dag_structure(self, compressed_pair):
-        _, cm = compressed_pair
-        plan = cm.plan()
-        graph, segments = build_plan_dag(plan, num_rhs=3)
-        assert len(graph) == plan.num_segments == len(segments)
-        # L2L segments are roots (independent of the up/down passes)
-        for tid, seg in segments.items():
-            if seg.kind == "L2L":
-                assert not graph.predecessors(tid)
-        # every S2S segment runs after every N2S segment (directly or transitively)
-        order = {tid: i for i, tid in enumerate(graph.topological_order())}
-        n2s_max = max((order[t] for t, s in segments.items() if s.kind == "N2S"), default=-1)
-        s2s_min = min((order[t] for t, s in segments.items() if s.kind == "S2S"), default=np.inf)
-        assert n2s_max < s2s_min
 
 
 class TestRunTaskGraph:

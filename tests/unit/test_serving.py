@@ -91,6 +91,24 @@ class TestBitIdentity:
         for got, alone in zip(batched, sequential):
             assert np.array_equal(got, alone)
 
+    @pytest.mark.parametrize("caching", ["cached", "memoryless"])
+    def test_threaded_server_equals_sequential_bitwise(self, matrix, operator, caching):
+        """Worker threads only materialize fill chunks: the bits do not move."""
+        if caching == "memoryless":
+            config = make_config(cache_near_blocks=False, cache_far_blocks=False)
+            operator = Session(matrix, config).compress()
+        vectors = np.random.default_rng(4).standard_normal((12, matrix.n))
+        policy = BatchPolicy(max_batch=8, max_wait_ms=5.0, max_queue=512)
+        responses = []
+        for workers in (0, 2):
+            server = MatvecServer(policy=policy, num_workers=workers)
+            server.register("op", operator)
+            with server:
+                futures = [server.submit("op", v) for v in vectors]
+                responses.append([f.result(timeout=30) for f in futures])
+        for threaded, alone in zip(responses[1], responses[0]):
+            assert np.array_equal(threaded, alone)
+
     def test_response_equals_direct_padded_evaluation(self, matrix, operator):
         """The canonical-width mechanism itself: response == column 0 of the
         zero-padded direct product, bit for bit."""

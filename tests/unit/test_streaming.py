@@ -468,27 +468,25 @@ class TestStoredEquivalenceLattice:
             assert plan.workspace_bytes > 0 and calls and materialized == len(calls)
             assert {key[0] for key in calls} == {leaf.node_id for leaf in compressed.tree.leaves}
 
-    def test_in_place_plan_keeps_the_stall_watchdog(self, stores, matrix, monkeypatch):
-        # A plan with nothing to fill still runs on the worker pool, so a
-        # wedged GEMM on the mapped bytes raises instead of blocking forever.
+    def test_in_place_plan_runs_in_the_callers_thread(self, stores, matrix):
+        # A plan with nothing to fill runs its stages here: a shut-down pool
+        # passed in is never asked, and every span lands on this thread.
         import threading
 
-        from repro.core.streaming import PlannedChunk
-        from repro.errors import ExecutorStallError
+        from repro.obs import Tracer, tracing
         from repro.runtime.executor import WorkerPool
 
         _, path = stores["both", "row-slab"]
-        plan = CompressedOperator.open(path, resident="mmap").compressed.streaming_plan()
-        assert plan.workspace_bytes == 0
-        release = threading.Event()
-        monkeypatch.setattr(PlannedChunk, "run", lambda self, ctx, buffer: release.wait(30))
-        before = obs_counters.get("chunk_stalls")
-        pool = WorkerPool(2)
-        try:
-            with pytest.raises(ExecutorStallError) as info:
-                plan.execute(np.ones((matrix.n, 2)), pool=pool, stall_timeout=0.05)
-            assert info.value.stalled_tasks == ("exec:0",)
-            assert obs_counters.get("chunk_stalls") == before + 1
-        finally:
-            release.set()
-            pool.shutdown(join_timeout=1.0)
+        compressed = CompressedOperator.open(path, resident="mmap").compressed
+        plan = compressed.streaming_plan()
+        assert plan.filled_chunks == 0
+        pool = WorkerPool(1)
+        pool.shutdown()
+        w = np.random.default_rng(16).standard_normal((matrix.n, 2))
+        tracer = Tracer()
+        with tracing(tracer):
+            out = plan.execute(w, pool=pool, stall_timeout=0.05)
+        assert np.array_equal(out, reference_matvec(compressed, w))
+        spans = tracer.spans()
+        assert {"eval.n2s", "eval.s2s", "eval.s2n", "eval.l2l"} <= {s.name for s in spans}
+        assert all(s.thread_id == threading.get_ident() for s in spans)
