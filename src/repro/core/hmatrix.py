@@ -28,7 +28,7 @@ import numpy as np
 from ..config import GOFMMConfig
 from ..errors import EvaluationError
 from ..matrices.base import SPDMatrix
-from .plan import EvaluationCounters, _as_matrix
+from .plan import EvaluationCounters, _as_matrix, pads_ranks
 from .streaming import StreamingPlan, build_streaming_plan
 from .interactions import InteractionLists
 from .neighbors import NeighborTable
@@ -204,10 +204,13 @@ class CompressedMatrix:
         """The cached ``"planned"`` plan (built on first use).
 
         Ranks are padded per ``config.plan_rank_bucketing``, which batches
-        adaptive-rank trees into fewer, larger GEMMs.
+        adaptive-rank trees into fewer, larger GEMMs.  When the bucketing
+        pads no rank, the plan is the exact one: an already built
+        :meth:`streaming_plan` is reused unless ``rebuild``.
         """
         if self._plan is None or rebuild:
-            self._plan = build_streaming_plan(self, self.config.plan_rank_bucketing)
+            self._plan = self._shared_or_built(self._streaming_plan, rebuild,
+                                               self.config.plan_rank_bucketing)
         return self._plan
 
     def streaming_plan(self, rebuild: bool = False) -> StreamingPlan:
@@ -215,11 +218,20 @@ class CompressedMatrix:
 
         Exact rank packing, so its products are bitwise those of the
         per-node traversal; fill chunks are bounded by
-        ``config.streaming_chunk_bytes``.
+        ``config.streaming_chunk_bytes``.  An already built :meth:`plan`
+        that pads no rank is reused unless ``rebuild``.
         """
         if self._streaming_plan is None or rebuild:
-            self._streaming_plan = build_streaming_plan(self)
+            self._streaming_plan = self._shared_or_built(self._plan, rebuild, "none")
         return self._streaming_plan
+
+    def _shared_or_built(self, other: Optional[StreamingPlan], rebuild: bool,
+                         bucketing: str) -> StreamingPlan:
+        """``other`` when it exists and the padding pads nothing, else a new plan."""
+        if (other is None or rebuild
+                or pads_ranks(self.tree, self.config.plan_rank_bucketing)):
+            return build_streaming_plan(self, bucketing)
+        return other
 
     def default_engine(self) -> str:
         """Engine used when ``matvec`` is called without an explicit ``engine``.
@@ -409,9 +421,9 @@ class CompressedMatrix:
         ``bytes_resident`` counts heap-held arrays: skeleton coefficients
         (unless they are mmap views into an operator store), cached blocks
         of in-memory providers, and of each plan *already built* (this
-        report never builds them) the operands it owns (not the near
-        cache's row slabs it runs L2L on), its index tables and its chunk
-        workspace.
+        report never builds them; one shared by both engines counts once)
+        the operands it owns (not the near cache's row slabs it runs L2L
+        on), its index tables and its chunk workspace.
         ``bytes_on_disk`` counts mmap-backed coefficients/blocks.  Keys are
         always present, so serving metrics and ``CompressedOperator.report()``
         can rely on the schema.
@@ -432,9 +444,9 @@ class CompressedMatrix:
         for provider in (self.near_blocks, self.far_blocks):
             resident += int(getattr(provider, "bytes_resident", 0))
             on_disk += int(getattr(provider, "bytes_on_disk", 0))
-        for plan in (self._plan, self._streaming_plan):
-            if plan is not None:
-                resident += plan.owned_bytes() + plan.index_bytes() + plan.workspace_bytes
+        plans = {id(plan): plan for plan in (self._plan, self._streaming_plan) if plan is not None}
+        for plan in plans.values():             # a plan shared by both engines counts once
+            resident += plan.owned_bytes() + plan.index_bytes() + plan.workspace_bytes
         return {"bytes_resident": int(resident), "bytes_on_disk": int(on_disk)}
 
     def plan_report(self) -> dict[str, float]:

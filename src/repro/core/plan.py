@@ -79,6 +79,7 @@ __all__ = [
     "build_pass_layout",
     "gather_gemm_scatter",
     "pad_ranks",
+    "pads_ranks",
 ]
 
 
@@ -294,6 +295,17 @@ def _padded_rank_table(tree, levels, active: np.ndarray, mode: str) -> np.ndarra
     else:
         prank[active_mask] = pad_ranks(true_rank[active_mask], mode)
     return prank
+
+
+def pads_ranks(tree, mode: str) -> bool:
+    """Whether bucketing ``mode`` pads any workspace rank of ``tree``.
+
+    When it pads none, the padded plan is the exact one, so the two plans
+    can be one object.
+    """
+    true_rank = np.asarray([node.skeleton_rank for node in tree.nodes], dtype=np.intp)
+    prank = _padded_rank_table(tree, tree.levels(), _active_nodes(tree), mode)
+    return not np.array_equal(prank, true_rank)
 
 
 def _padded_children_width(node, skel_offset: np.ndarray, prank: np.ndarray) -> int:

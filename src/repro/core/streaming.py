@@ -454,17 +454,20 @@ class StreamingPlan:
         ``O((p + k))`` integers per pair, roughly an eighth of the eager
         block bytes at rank 16 / leaf 32.  Reported so memory planning for
         large memoryless runs accounts for it; aliased arrays (L2L
-        src/dst) are counted once.
+        src/dst) are counted once.  Every segment counts: the layout's
+        N2S / S2N levels and every chunk's.
         """
+        levels = self.layout.n2s_levels + self.layout.s2n_levels
+        segments = [s for level in levels for s in level]
+        segments += [s for chunk in self.s2s_chunks + self.l2l_chunks for s in chunk.segments]
         seen: set = set()
         total = 0
-        for chunk in self.s2s_chunks + self.l2l_chunks:
-            for segment in chunk.segments:
-                for array in (segment.src[2], segment.dst[2],
-                              getattr(segment, "rows", None), getattr(segment, "cols", None)):
-                    if array is not None and id(array) not in seen:
-                        seen.add(id(array))
-                        total += array.nbytes
+        for segment in segments:
+            for array in (segment.src[2], segment.dst[2],
+                          getattr(segment, "rows", None), getattr(segment, "cols", None)):
+                if isinstance(array, np.ndarray) and id(array) not in seen:
+                    seen.add(id(array))
+                    total += array.nbytes
         return total
 
     def owned_bytes(self) -> int:

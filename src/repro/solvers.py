@@ -5,7 +5,10 @@ module provides it: a telescoping Cholesky factorization on the
 compression's nested interpolative bases that applies the inverse of the
 operator's HSS part (leaf diagonal blocks plus one skeleton coupling
 between every pair of siblings) plus ``shift·I`` in O(n·r) per right-hand
-side.  For an HSS-structured operator (every Near list the leaf itself,
+side.  Like the paper's evaluation, it runs level by level: nodes that
+share a level, a width and a rank form one group whose factors (and the
+coefficients ``E`` it needs, stored with them) are stacks, applied as a
+few stacked GEMMs per group.  For an HSS-structured operator (every Near list the leaf itself,
 every Far list the sibling — ``budget=0``) the HSS part is the whole
 operator and the factor is its exact inverse; for an FMM operator it is
 the preconditioner of CG (INV-ASKIT's use of the hierarchical factor).
@@ -14,6 +17,7 @@ the preconditioner of CG (INV-ASKIT's use of the hierarchical factor).
   given any matvec callable (dense, compressed, or matrix-free); a block of
   right-hand sides runs per-column recurrences over shared wide matvecs,
 * :class:`HSSFactor` — the inverse of an operator's HSS part plus ``shift·I``,
+  as :class:`FactorGroup` stacks,
 * :class:`BlockJacobiPreconditioner` — Cholesky factors of the leaf diagonal
   blocks of a :class:`repro.core.hmatrix.CompressedMatrix`, the fallback
   when the HSS part cannot be factored,
@@ -26,15 +30,16 @@ the preconditioner of CG (INV-ASKIT's use of the hierarchical factor).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg as sla
 
 from .core.hmatrix import CompressedMatrix
 from .errors import EvaluationError
-from .obs import get_logger
+from .obs import get_logger, get_tracer
 
 __all__ = [
     "CGResult",
@@ -245,154 +250,222 @@ class HSSFactor:
     B_sr B_rr⁻¹ B_rs`` for ``B = Tᵀ A_τ T``.  Only ``B_rr`` — and the
     root's whole ``A_τ`` — is factored, by Cholesky, so no ill-conditioned
     ``U_τᵀ A_τ⁻¹ U_τ`` is ever inverted.  Each step is a congruence, so a
-    completed factorization proves the factor SPD, as PCG needs.  Per
-    node the factor keeps the Cholesky factor of ``B_rr`` and ``W = B_rr⁻¹
-    B_rs`` (``E`` stays in the compression's coefficients): ``(m − s)·m``
-    numbers for a node of width ``m`` and rank ``s``.
+    completed factorization proves the factor SPD, as PCG needs.
 
-    Applying the inverse is an upward pass that eliminates each node's
-    redundant unknowns (``c_τ = Nᵀ b_τ``, ``z_τ = B_rr⁻¹ c_τ``, ``b̂_τ =
-    Yᵀ b_τ − Wᵀ c_τ``; an internal node's ``b_τ`` stacks its children's
-    ``b̂``) and a downward pass that recovers them from τ's slice ``x̂_τ``
-    of its parent's solution (``x_τ = Y x̂_τ + N (z_τ − W x̂_τ)``) — one
-    triangular solve pair per node, O(n·r) per right-hand side.
+    A node of width ``m`` (its leaf size, or ``s_l + s_r``) and rank ``s``
+    keeps ``E`` (``s × ρ``, ``ρ = m − s``), ``R⁻¹`` (``ρ × ρ``, the inverse
+    of ``B_rr``'s Cholesky factor ``R``, so ``B_rr⁻¹ = R⁻¹ R⁻ᵀ``) and ``W
+    = B_rr⁻¹ B_rs`` (``ρ × s``): ``m² − s²`` numbers.  ``E`` duplicates
+    the redundant columns of the compression's coefficients; stored, the
+    apply reads it in place instead of gathering it per call.  Nodes that
+    share (level, ``m``, ``s``) form one :class:`FactorGroup` whose arrays
+    are stacks, written node by node as the build eliminates.
+
+    Applying the inverse runs the groups deepest level first, each as a
+    few stacked GEMMs over one per-call workspace (the right-hand side's
+    ``n`` rows, then every group's ``b̂`` rows): gather each node's
+    unknowns skeleton first (``b_s``, ``b_r``), ``c = b_r − Eᵀ b_s``, ``z
+    = R⁻¹ R⁻ᵀ c``, ``b̂ = b_s − Wᵀ c`` into the node's rows.  The root
+    solves its system with ``potrs`` in place; the downward pass mirrors
+    the upward one (``x_r = z − W x̂``, scatter ``[x̂ − E x_r, x_r]``) and
+    leaves the solution in the workspace's first ``n`` rows.  O(n·r) per
+    right-hand side.
 
     Raises :class:`~repro.errors.EvaluationError` when a block is missing
     (a sibling coupling with no far block and no matrix to evaluate it
     from), a node of positive rank has no interpolative coefficients, or a
     Cholesky factorization fails (the HSS part plus ``shift·I`` is not
     positive definite).  The object is immutable and safe to share across
-    threads.
+    threads: every call allocates its own workspace.
     """
 
     def __init__(self, compressed: CompressedMatrix, shift: float = 0.0) -> None:
-        self.n = compressed.n
-        self._nodes: list[_NodeFactor] = []
+        start = time.perf_counter()
+        tracer = get_tracer()
+        if tracer.enabled:
+            with tracer.span("solvers.factor.build") as span:
+                self._build(compressed, shift)
+                span.set(nodes=len(compressed.tree.nodes), groups=len(self.groups),
+                         nbytes=self.nbytes)
+        else:
+            self._build(compressed, shift)
+        _LOG.info("HSS factor (shift=%g) built in %.3f s: %d groups, %d bytes",
+                  shift, time.perf_counter() - start, len(self.groups), self.nbytes)
+
+    def _build(self, compressed: CompressedMatrix, shift: float) -> None:
+        tree = compressed.tree
+        self.n = tree.n
+        members: dict[tuple[int, int, int], list] = {}
+        for node in tree.nodes:
+            if not node.is_root:
+                members.setdefault((node.level, _width(node), node.skeleton_rank), []).append(node)
+        # deepest level first: a group's children have written their b̂ before it reads them
+        groups, place, rows = [], {}, self.n
+        for level, m, s in sorted(members, key=lambda key: (-key[0], key[1], key[2])):
+            nodes = members[(level, m, s)]
+            g, rho = len(nodes), m - s
+            if rho < 0:
+                raise EvaluationError(f"node {nodes[0].node_id}: rank {s} exceeds its width {m}")
+            for i, node in enumerate(nodes):
+                place[node.node_id] = (len(groups), i, rows + i * s)
+            groups.append(FactorGroup(
+                level=level,
+                idx=np.empty((g, m), dtype=np.intp),
+                slots=slice(rows, rows + g * s),
+                e=np.empty((g, s, rho)),
+                uinv=np.zeros((g, rho, rho)),
+                w=np.empty((g, rho, s)),
+            ))
+            rows += g * s
+        self.groups: tuple[FactorGroup, ...] = tuple(groups)
+        self.workspace_rows = rows
+
+        def slot_rows(node) -> np.ndarray:
+            first = place[node.node_id][2]
+            return np.arange(first, first + node.skeleton_rank)
+
         reduced: dict[int, np.ndarray] = {}
-        for node in compressed.tree.postorder():
+        for node in tree.postorder():
             if node.is_leaf:
-                record = _NodeFactor(node.node_id, order=node.indices)
+                order = node.indices
                 a = _leaf_system(compressed, node, shift)
             else:
                 left, right = node.children()
-                d_left = reduced.pop(left.node_id)
-                a = _parent_system(compressed, left, right, d_left, reduced.pop(right.node_id))
-                record = _NodeFactor(node.node_id, order=np.arange(a.shape[0]),
-                                     children=(left.node_id, right.node_id), split=d_left.shape[0])
+                order = np.concatenate([slot_rows(left), slot_rows(right)])
+                a = _parent_system(compressed, left, right,
+                                   reduced.pop(left.node_id), reduced.pop(right.node_id))
             if node.is_root:
-                record.factorize(a)
+                self._root_rows = order
+                self._root_factor = _cholesky(a, node.node_id) if a.shape[0] else None
             else:
-                reduced[node.node_id] = record.eliminate(a, _coefficients(node, a.shape[0]))
-            self._nodes.append(record)
+                group, i, _ = place[node.node_id]
+                coeffs = _coefficients(node, a.shape[0])
+                reduced[node.node_id] = _eliminate(a, coeffs, order, self.groups[group], i, node.node_id)
 
     @property
     def nbytes(self) -> int:
-        """Bytes held by the factor (factors, coupling blocks, index arrays)."""
-        return sum(record.nbytes for record in self._nodes)
+        """Bytes held by the factor: every group's stacks and the root's factor and rows."""
+        root = self._root_rows.nbytes + (0 if self._root_factor is None else self._root_factor.nbytes)
+        return root + sum(group.nbytes for group in self.groups)
 
     def __call__(self, rhs: np.ndarray) -> np.ndarray:
+        tracer = get_tracer()
+        if tracer.enabled:
+            columns = 1 if np.ndim(rhs) == 1 else np.shape(rhs)[-1]
+            with tracer.span("solvers.factor.apply", levels=len({g.level for g in self.groups}) + 1,
+                             groups=len(self.groups), columns=columns):
+                return self._apply(rhs)
+        return self._apply(rhs)
+
+    def _apply(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=np.float64)
         b = rhs.reshape(self.n, -1)
-        # upward, children before parents: c_τ = Nᵀ b_τ, z_τ = B_rr⁻¹ c_τ, b̂_τ = Yᵀ b_τ − Wᵀ c_τ
-        solved: dict[int, tuple] = {}                     # z_τ and the E it was gathered with
-        condensed: dict[int, np.ndarray] = {}
-        for record in self._nodes:
-            if record.children is None:
-                b_tau = b[record.order]                    # skeleton rows first
-            else:
-                b_tau = np.concatenate([condensed.pop(c) for c in record.children])[record.order]
-            if record.coeffs is None:                      # the root: z = A_τ⁻¹ b_τ
-                solved[record.node_id] = record.solve(b_tau), None
-                continue
-            e = record.coeffs[:, record.red]               # gathered once, reused downward
-            b_skel = b_tau[: e.shape[0]]
-            c_tau = b_tau[e.shape[0] :] - e.T @ b_skel
-            solved[record.node_id] = record.solve(c_tau), e
-            condensed[record.node_id] = b_skel - record.w.T @ c_tau
-        # downward, parents before children: x_τ = Y x̂_τ + N (z_τ − W x̂_τ)
-        out = np.empty_like(b)
-        given: dict[int, np.ndarray] = {}
-        for record in reversed(self._nodes):
-            x_tau, e = solved.pop(record.node_id)
-            if e is not None:
-                x_hat = given.pop(record.node_id)
-                x_red = x_tau - record.w @ x_hat
-                x_tau = np.concatenate([x_hat - e @ x_red, x_red])
-            if record.children is None:
-                out[record.order] = x_tau
-            else:
-                stacked = np.empty_like(x_tau)
-                stacked[record.order] = x_tau
-                given[record.children[0]] = stacked[: record.split]
-                given[record.children[1]] = stacked[record.split :]
-        return out.reshape(rhs.shape)
+        r = b.shape[1]
+        ws = np.empty((self.workspace_rows, r))
+        ws[: self.n] = b
+        solved = []
+        for group in self.groups:                      # upward, children before parents
+            g, s = group.e.shape[:2]
+            bt = ws[group.idx]                         # (g, m, r), skeleton unknowns first
+            b_s, c = bt[:, :s], bt[:, s:]
+            c -= _t(group.e) @ b_s                     # c = b_r − Eᵀ b_s
+            solved.append(group.uinv @ (_t(group.uinv) @ c))
+            b_s -= _t(group.w) @ c                     # b̂ = b_s − Wᵀ c
+            ws[group.slots] = b_s.reshape(g * s, r)
+        if self._root_factor is not None:
+            ws[self._root_rows] = _POTRS(self._root_factor, ws[self._root_rows])[0]
+        for group, z in zip(reversed(self.groups), reversed(solved)):  # downward
+            g, s = group.e.shape[:2]
+            x = np.empty((g, group.idx.shape[1], r))
+            x_hat, x_red = x[:, :s], x[:, s:]
+            x_hat[...] = ws[group.slots].reshape(g, s, r)
+            np.subtract(z, group.w @ x_hat, out=x_red)     # x_r = z − W x̂
+            x_hat -= group.e @ x_red                   # x_s = x̂ − E x_r
+            ws[group.idx] = x
+        return ws[: self.n].reshape(rhs.shape)
 
 
-#: LAPACK's Cholesky solve, resolved once: the apply calls it at every node.
-_POTRS = sla.get_lapack_funcs("potrs", dtype=np.float64)
+class FactorGroup(NamedTuple):
+    """The nodes of one (level, ``m``, ``s``) shape group of an :class:`HSSFactor`, as stacks.
 
-
-class _NodeFactor:
-    """One node's share of an :class:`HSSFactor`.
-
-    ``order`` says where the node's ``m`` unknowns come from, skeleton
-    ones first once eliminated: rows of the right-hand side at a leaf, rows
-    of the children's stacked ``b̂`` above — one gather up and one scatter
-    down per node.  ``coeffs`` is ``U_τᵀ`` (the compression's own array:
-    ``E = coeffs[:, red]`` is gathered per apply, not stored), ``w`` is
-    ``W = B_rr⁻¹ B_rs``; all three are ``None`` at the root, which keeps
-    only its factor.
+    ``idx[i]`` holds the workspace rows of node ``i``'s ``m`` unknowns,
+    skeleton ones first: rows of the right-hand side at a leaf, its
+    children's ``b̂`` rows above.  ``slots`` are the group's own ``b̂``
+    rows, ``s`` per node, node-major.  ``e``, ``uinv`` and ``w`` stack
+    ``E``, ``R⁻¹`` (upper triangular) and ``W``.
     """
 
-    __slots__ = ("node_id", "order", "children", "split", "factor", "coeffs", "red", "w")
-
-    def __init__(self, node_id: int, order: np.ndarray, children=None, split: int = 0) -> None:
-        self.node_id = node_id
-        self.order = order
-        self.children = children
-        self.split = split
-        self.factor = self.coeffs = self.red = self.w = None
-
-    def eliminate(self, a: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """Factor ``B_rr`` of ``B = Tᵀ a T`` and keep ``W``; return ``D̂_τ``."""
-        skel, red = _interpolation_split(coeffs, self.node_id)
-        e = np.asarray(coeffs, dtype=np.float64)[:, red]
-        a_y = a[:, skel]                                   # A Y
-        a_n = a[:, red]
-        a_n -= a_y @ e                                     # A N
-        b_sr = a_n[skel]                                   # Yᵀ A N
-        b_rr = a_n[red]
-        del a_n
-        b_rr -= e.T @ b_sr                                 # Nᵀ A N
-        self.factorize(b_rr)
-        self.coeffs, self.red = coeffs, red
-        self.order = self.order[np.concatenate([skel, red])]
-        self.w = self.solve(b_sr.T)                        # B_rs = B_srᵀ: a is symmetric
-        d_hat = a_y[skel] - b_sr @ self.w
-        if not np.isfinite(d_hat).all():
-            raise EvaluationError(f"node {self.node_id}: singular reduced system")
-        return d_hat
-
-    def factorize(self, a: np.ndarray) -> None:
-        """Cholesky factor of the symmetric ``a``; a failure is an ``EvaluationError``."""
-        if a.shape[0] == 0:
-            return
-        try:
-            # ``a`` is symmetric, so ``a.T`` is the Fortran-ordered array LAPACK
-            # factors in place (no copy)
-            self.factor, _ = sla.cho_factor(a.T, overwrite_a=True, check_finite=False)
-        except sla.LinAlgError as exc:
-            raise EvaluationError(f"node {self.node_id}: factorization failed: {exc}") from exc
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if rhs.shape[0] == 0:
-            return np.zeros(rhs.shape)
-        return _POTRS(self.factor, rhs)[0]
+    level: int
+    idx: np.ndarray
+    slots: slice
+    e: np.ndarray
+    uinv: np.ndarray
+    w: np.ndarray
 
     @property
     def nbytes(self) -> int:
-        parts = (self.order, self.factor, self.red, self.w)
-        return sum(part.nbytes for part in parts if part is not None)
+        return self.idx.nbytes + self.e.nbytes + self.uinv.nbytes + self.w.nbytes
+
+
+#: LAPACK's Cholesky solve and triangular inverse, resolved once.
+_POTRS = sla.get_lapack_funcs("potrs", dtype=np.float64)
+_TRTRI = sla.get_lapack_funcs("trtri", dtype=np.float64)
+
+
+def _t(stack: np.ndarray) -> np.ndarray:
+    """The transpose of every matrix in a ``(g, a, b)`` stack (a view)."""
+    return stack.transpose(0, 2, 1)
+
+
+def _width(node) -> int:
+    """Number of unknowns node τ eliminates from: its leaf size, or ``s_l + s_r``."""
+    if node.is_leaf:
+        return node.size
+    return node.left.skeleton_rank + node.right.skeleton_rank
+
+
+def _cholesky(a: np.ndarray, node_id: int) -> np.ndarray:
+    """Upper Cholesky factor of the symmetric ``a``; a failure is an ``EvaluationError``."""
+    try:
+        # ``a`` is symmetric, so ``a.T`` is the Fortran-ordered array LAPACK
+        # factors in place (no copy)
+        factor, _ = sla.cho_factor(a.T, overwrite_a=True, check_finite=False)
+    except sla.LinAlgError as exc:
+        raise EvaluationError(f"node {node_id}: factorization failed: {exc}") from exc
+    return factor
+
+
+def _eliminate(a: np.ndarray, coeffs: np.ndarray, order: np.ndarray, group: FactorGroup,
+               i: int, node_id: int) -> np.ndarray:
+    """Factor ``B_rr`` of ``B = Tᵀ a T`` into slot ``i`` of ``group``; return ``D̂_τ``.
+
+    ``order`` says where the node's unknowns live in the apply's workspace.
+    """
+    skel, red = _interpolation_split(coeffs, node_id)
+    s = skel.size
+    group.idx[i, :s] = order[skel]
+    group.idx[i, s:] = order[red]
+    e = group.e[i]
+    e[...] = coeffs[:, red]
+    a_y = a[:, skel]                                   # A Y
+    a_n = a[:, red]
+    a_n -= a_y @ e                                     # A N
+    b_sr = a_n[skel]                                   # Yᵀ A N
+    b_rr = a_n[red]
+    del a_n
+    b_rr -= e.T @ b_sr                                 # Nᵀ A N
+    w = group.w[i]
+    if red.size:
+        factor = _cholesky(b_rr, node_id)
+        w[...] = _POTRS(factor, b_sr.T)[0]             # B_rs = B_srᵀ: a is symmetric
+        inverse, info = _TRTRI(factor, overwrite_c=True)
+        if info:
+            raise EvaluationError(f"node {node_id}: singular Cholesky factor")
+        group.uinv[i] = np.triu(inverse)
+    d_hat = a_y[skel] - b_sr @ w
+    if not np.isfinite(d_hat).all():
+        raise EvaluationError(f"node {node_id}: singular reduced system")
+    return d_hat
 
 
 def _leaf_system(compressed: CompressedMatrix, leaf, shift: float) -> np.ndarray:
@@ -505,10 +578,11 @@ def solve(
     The preconditioner is :func:`make_preconditioner`'s: the
     :class:`HSSFactor` of the operator's HSS part (exact for HSS
     operators: one iteration), block-Jacobi when it cannot be built.
-    ``rhs`` may be a vector ``(n,)`` or a block ``(n, k)``; the blocked
+    ``rhs`` may be a vector ``(n,)`` or a block ``(n, k)``.  The blocked
     solver evaluates each Krylov product for all right-hand sides as one
-    wide matvec, which the planned engine executes as level-batched GEMMs.  ``engine`` selects the matvec engine for the Krylov iterations
-    (default: the operator's residency choice).
+    wide matvec, run by the plan as level-batched GEMMs.  ``engine``
+    selects the matvec engine for the Krylov iterations (default: the
+    operator's residency choice).
     """
     preconditioner = make_preconditioner(compressed, shift=shift) if use_preconditioner else None
     return conjugate_gradient(

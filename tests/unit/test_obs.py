@@ -457,6 +457,35 @@ class TestServingMetricsSchema:
             obs_counters.reset()
 
 
+class TestSolverSpans:
+    def test_traced_solve_shows_the_factor(self, caplog):
+        """A traced solve records the factor's build once and every apply, with their shapes."""
+        matrix = make_gaussian_kernel_matrix(n=200, d=3, bandwidth=1.5, seed=3)
+        op = Session(matrix, small_config()).compress()
+        b = np.random.default_rng(0).standard_normal((matrix.n, 3))
+        tracer = Tracer()
+        with tracing(tracer), caplog.at_level("INFO", logger="repro.solvers"):
+            result = op.solve(b, shift=1.0, tolerance=1e-10)
+        factor = op.preconditioner(1.0)
+        spans = tracer.spans()
+        builds = [s for s in spans if s.name == "solvers.factor.build"]
+        assert len(builds) == 1
+        assert builds[0].attrs == {
+            "nodes": len(op.compressed.tree.nodes),
+            "groups": len(factor.groups),
+            "nbytes": factor.nbytes,
+        }
+        applies = [s for s in spans if s.name == "solvers.factor.apply"]
+        # one before the first iteration, one after each but the converging one
+        assert result.converged and len(applies) == result.iterations
+        assert applies[0].attrs == {
+            "levels": op.compressed.tree.depth + 1, "groups": len(factor.groups), "columns": 3,
+        }
+        assert all(1 <= s.attrs["columns"] <= 3 for s in applies)
+        built = [r for r in caplog.records if "HSS factor" in r.getMessage()]
+        assert len(built) == 1 and built[0].levelname == "INFO"
+
+
 class TestStructuredLogging:
     def test_loggers_live_under_repro_namespace(self):
         from repro.obs import get_logger

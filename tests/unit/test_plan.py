@@ -12,9 +12,10 @@ import pytest
 from repro import ConfigurationError, EvaluationError, GOFMMConfig, compress
 from repro.api import Session
 from repro.config import DistanceMetric
-from repro.core.plan import EvaluationCounters, PlanSegment, pad_ranks
+from repro.core.plan import EvaluationCounters, PlanSegment, pad_ranks, pads_ranks
 from repro.core.streaming import StreamingPlan, build_streaming_plan
 from repro.errors import CompressionError
+from repro.matrices import build_matrix
 from repro.runtime import parallel_evaluate
 
 from ..conftest import make_gaussian_kernel_matrix, make_random_spd
@@ -392,3 +393,62 @@ class TestRankBucketing:
             reference_matvec(op.compressed, w),
             atol=1e-10,
         )
+
+
+class TestSharedPlan:
+    """A bucketing that pads no rank gives the exact plan: both engines share one object."""
+
+    @staticmethod
+    def _unpadded(**overrides):
+        config = GOFMMConfig(leaf_size=64, max_rank=32, budget=0.3, seed=0,
+                             plan_rank_bucketing="none", **overrides)
+        cm = compress(build_matrix("K05", n=1024), config)
+        assert not pads_ranks(cm.tree, config.plan_rank_bucketing)
+        return cm
+
+    @staticmethod
+    def _plan_bytes(plan) -> int:
+        return plan.owned_bytes() + plan.index_bytes() + plan.workspace_bytes
+
+    def test_one_plan_one_count(self):
+        cm = self._unpadded()
+        before = cm.memory_report()["bytes_resident"]
+        plan = cm.plan()
+        assert cm.streaming_plan() is plan
+        assert cm.memory_report()["bytes_resident"] - before == self._plan_bytes(plan)
+        w = np.random.default_rng(0).standard_normal((cm.n, 4))
+        expected = reference_matvec(cm, w)
+        assert np.array_equal(cm.matvec(w, engine="planned"), expected)
+        assert np.array_equal(cm.matvec(w, engine="streamed"), expected)
+
+    def test_streamed_first_is_shared_too(self):
+        cm = self._unpadded(adaptive_rank=False)
+        plan = cm.streaming_plan()
+        assert cm.plan() is plan
+
+    def test_rebuild_builds_a_fresh_plan(self):
+        cm = self._unpadded()
+        plan = cm.plan()
+        assert cm.streaming_plan(rebuild=True) is not plan
+        assert cm.plan() is plan
+        assert cm.plan(rebuild=True) is not plan
+
+    def test_uniform_ranks_are_never_padded(self):
+        config = GOFMMConfig(leaf_size=64, max_rank=32, budget=0.3, seed=0, adaptive_rank=False)
+        cm = compress(build_matrix("K05", n=1024), config)
+        assert config.plan_rank_bucketing == "pow2"
+        assert not pads_ranks(cm.tree, "pow2")
+        assert cm.streaming_plan() is cm.plan()
+
+    def test_padding_plans_stay_separate(self):
+        matrix = make_gaussian_kernel_matrix(n=220, d=3, bandwidth=1.5, seed=0)
+        cm = compress(matrix, _config(budget=0.3, tolerance=1e-4, max_rank=24,
+                                      plan_rank_bucketing="pow2"))
+        assert pads_ranks(cm.tree, "pow2")
+        plan = cm.plan()
+        assert cm.streaming_plan() is not plan
+        expected = self._plan_bytes(plan) + self._plan_bytes(cm.streaming_plan())
+        cm._plan = cm._streaming_plan = None
+        before = cm.memory_report()["bytes_resident"]
+        cm.plan(), cm.streaming_plan()
+        assert cm.memory_report()["bytes_resident"] - before == expected

@@ -315,6 +315,69 @@ class TestHSSFactor:
         assert _relative(HSSFactor(cm, shift=0.3)(b), expected) <= 1e-12
 
 
+class TestHSSFactorInvariance:
+    """The stacked apply does not depend on how the right-hand side is laid out or shared."""
+
+    @pytest.fixture(scope="class")
+    def factor(self, compressed_pair):
+        _, cm = compressed_pair
+        return HSSFactor(cm, shift=1.0)
+
+    @pytest.fixture(scope="class")
+    def rhs(self, compressed_pair):
+        return np.random.default_rng(11).standard_normal((compressed_pair[1].n, 6))
+
+    def test_columns_are_independent(self, factor, rhs):
+        block = factor(rhs)
+        for j in range(rhs.shape[1]):
+            assert _relative(block[:, j], factor(rhs[:, j])) <= 1e-14
+
+    def test_layout_does_not_change_the_result(self, factor, rhs):
+        strided = rhs[:, ::2]
+        assert not strided.flags.c_contiguous
+        assert np.array_equal(factor(strided), factor(np.ascontiguousarray(strided)))
+        assert np.array_equal(factor(np.asfortranarray(rhs)), factor(rhs))
+
+    def test_vector_keeps_its_shape(self, factor, rhs):
+        assert factor(rhs[:, 0]).shape == (rhs.shape[0],)
+        assert factor(rhs[:, :1]).shape == (rhs.shape[0], 1)
+
+    def test_concurrent_applies_equal_sequential(self, factor, rhs):
+        """More threads than cores share one factor; each call has its own workspace."""
+        parts = (rhs[:, :3], rhs[:, 3:])
+        expected = [factor(part) for part in parts]
+        results = [[] for _ in range(4)]
+        barrier = threading.Barrier(len(results))
+
+        def worker(i):
+            barrier.wait()
+            for _ in range(10):
+                results[i].extend(factor(part) for part in parts)
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for answers in results:
+            assert len(answers) == 20
+            assert all(np.array_equal(a, expected[k % 2]) for k, a in enumerate(answers))
+
+    def test_nbytes_is_the_stacks(self, compressed_pair, factor):
+        """``E`` is stored with the factors; the root keeps its Cholesky factor and its rows."""
+        _, cm = compressed_pair
+        stacks = sum(g.idx.nbytes + g.e.nbytes + g.uinv.nbytes + g.w.nbytes for g in factor.groups)
+        root = cm.tree.root.left.skeleton_rank + cm.tree.root.right.skeleton_rank
+        assert sum(g.e.nbytes for g in factor.groups) > 0
+        assert factor.nbytes == stacks + root * (root + 1) * 8
+
+
 @pytest.fixture(scope="module")
 def hss_operator():
     matrix = build_matrix("K05", n=512)

@@ -356,6 +356,27 @@ class TestWorkspaceAccounting:
             plan.owned_bytes() + plan.index_bytes() + plan.workspace_bytes
         )
 
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_index_bytes_count_every_segment(self, matrix, cached):
+        """The N2S / S2N tables count as well as the chunks' gather/scatter tables."""
+        cm = compress(matrix, make_config(cache_near_blocks=cached, cache_far_blocks=cached))
+        plan = cm.streaming_plan()
+        levels = plan.layout.n2s_levels + plan.layout.s2n_levels
+        passes = [s for level in levels for s in level]
+        chunks = [s for chunk in plan.s2s_chunks + plan.l2l_chunks for s in chunk.segments]
+
+        def tables(segments):
+            found = {}
+            for segment in segments:
+                for array in (segment.src[2], segment.dst[2],
+                              getattr(segment, "rows", None), getattr(segment, "cols", None)):
+                    if isinstance(array, np.ndarray):
+                        found[id(array)] = array
+            return found
+
+        assert sum(a.nbytes for a in tables(passes).values()) > 0
+        assert plan.index_bytes() == sum(a.nbytes for a in tables(passes + chunks).values())
+
     def test_over_budget_plan_logs_once_and_stays_bitwise(self, matrix, caplog):
         """A 2 KiB budget puts single blocks over one buffer's share: the
         plan keeps heap buffers, says so once at build, and stays bitwise."""
