@@ -805,13 +805,12 @@ class Session:
         matrix must have the same dimension.  Skeletons and cached blocks
         are always rebuilt against the new matrix's entries.
 
-        This is also how a serving cluster
-        (:class:`~repro.serving.cluster.ShardRouter`) hosts an operator
-        family cheaply: build one session, ``attach`` per family member,
-        compress, and ``router.register`` each resulting operator — the
-        shards then share the matrix-light artifacts through the shared
-        session caches (or, across processes, through one
-        :meth:`save_artifacts` file loaded per build).
+        This is also how a :class:`~repro.serving.MatvecServer` hosts an
+        operator family cheaply: build one session, ``attach`` per family
+        member, compress, and ``server.register`` each resulting operator
+        under its own name — the builds share the matrix-light artifacts
+        through the shared session caches (or, across processes, through
+        one :meth:`save_artifacts` file loaded per build).
         """
         matrix = as_spd_matrix(matrix)
         if matrix.n != self.matrix.n:

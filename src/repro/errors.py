@@ -25,7 +25,6 @@ __all__ = [
     "ServingConfigError",
     "ServerOverloadedError",
     "DeadlineExceededError",
-    "ShardUnavailableError",
 ]
 
 
@@ -192,6 +191,3 @@ class DeadlineExceededError(ServingError):
         self.lane = lane
         self.waited_ms = float(waited_ms)
 
-
-class ShardUnavailableError(ServingError):
-    """No healthy shard can serve the operator (all replicas are down)."""

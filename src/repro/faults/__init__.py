@@ -3,7 +3,7 @@
 Two halves:
 
 * :mod:`repro.faults.plan` — the fault-point registry (``shard.worker``,
-  ``storage.read``, ``serving.shard``), trigger schedules
+  ``storage.read``), trigger schedules
   (:func:`nth_call`, :func:`probability`, :func:`match`, …) and the seeded
   :class:`FaultPlan` scripting what breaks when.
 * :mod:`repro.faults.injection` — the process-global arming state and the
@@ -13,8 +13,8 @@ Two halves:
 The point of injecting faults is proving the supervision around them:
 the :class:`~repro.core.sharding.SupervisedPool` retries killed shard
 tasks and degrades sharded stages to their single-process equivalents
-bit-identically, store reads retry transient I/O errors, and the serving
-cluster restarts / breaker-trips crashed shards — all of it counted in
+bit-identically and store reads retry transient I/O errors — all of it
+counted in
 ``faults_injected`` / ``faults_recovered`` / ``faults_degraded``
 (:mod:`repro.obs.counters`) and exercised end-to-end by
 ``tests/integration/test_chaos.py``.

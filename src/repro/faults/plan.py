@@ -12,8 +12,9 @@ consults its trigger schedule and acts:
 ``kill``   ``os._exit`` the current process (a fork-pool worker vanishing
            mid-task, exactly what the OOM killer looks like),
 ``stall``  sleep ``stall_s`` seconds (a wedged worker / device),
-``flag``   return ``True`` from ``fire`` and let the seam act (used by
-           ``serving.shard``, where the seam kills the picked shard).
+``flag``   return ``True`` from ``fire`` and let the seam act (the
+           action of a point registered without a ``default_error``
+           when ``inject`` names no other).
 
 Triggers are pure functions of ``(call_count, ctx, rng)`` — reproducible
 chaos: :func:`nth_call`, :func:`first_n`, :func:`always`,
@@ -27,7 +28,6 @@ Built-in fault points::
 
     shard.worker    entry of every supervised fork-pool shard task
     storage.read    store manifest / array reads (read_array_dir)
-    serving.shard   cluster submit path (flag: the router kills the shard)
 """
 
 from __future__ import annotations
@@ -236,7 +236,6 @@ class FaultPlan:
         plan = FaultPlan(seed=7)
         plan.inject("shard.worker", kill=True, trigger=match(task=0, attempt=0))
         plan.inject("storage.read", trigger=nth_call(1))
-        plan.inject("serving.shard", trigger=nth_call(1))
         with plan.armed():
             run_pipeline()
 
@@ -271,8 +270,8 @@ class FaultPlan:
         Exactly one action applies: ``kill=True`` exits the process,
         ``stall_s`` sleeps, ``error`` raises (an exception instance or a
         zero-arg factory).  With none given, the point's registered
-        ``default_error`` is raised; a point without one (``serving.shard``)
-        becomes a *flag* — ``fire`` returns ``True`` and the seam acts.
+        ``default_error`` is raised; a point without one becomes a *flag* —
+        ``fire`` returns ``True`` and the seam acts.
         ``times`` bounds total fires (``None`` = unlimited);
         ``trigger`` defaults to :func:`always`.
         """
@@ -386,8 +385,4 @@ register_point(
     "storage.read",
     description="operator-store manifest and array reads (transient I/O errors)",
     default_error=lambda: OSError(errno.EIO, "injected transient I/O error"),
-)
-register_point(
-    "serving.shard",
-    description="cluster submit path (flag: the router kills the picked shard mid-batch)",
 )

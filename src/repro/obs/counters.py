@@ -31,12 +31,10 @@ re-exports these) sees where blocks, bytes and batches actually went:
 ``faults_recovered``           faults survived without changing the
                                execution strategy: a retried shard task
                                that succeeded, a transient store read that
-                               went through on retry, a shard restarted in
-                               place
+                               went through on retry
 ``faults_degraded``            faults survived by *degrading*: a sharded
                                stage falling back to its single-process
-                               equivalent, a shard routed around /
-                               breaker-opened
+                               equivalent
 =============================  =============================================
 
 Counters are monotone within a process; :func:`reset` (tests, benchmark

@@ -7,9 +7,8 @@ and embedders can route it like any stdlib logger.  The root carries a
 :func:`configure` (or attach your own handler) to see events.
 
 The library emits events only where behaviour silently degrades or
-changes shape: shard restarts and route-arounds in the serving cluster,
-deadline sheds, a streaming plan whose workspace exceeds its chunk
-budget, and legacy ``.npz`` artifact fallbacks.
+changes shape: deadline sheds, a streaming plan whose workspace exceeds
+its chunk budget, and legacy ``.npz`` artifact fallbacks.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ _root.addHandler(logging.NullHandler())
 
 
 def get_logger(name: str = "") -> logging.Logger:
-    """Logger under the ``"repro"`` namespace (``get_logger("serving.cluster")``)."""
+    """Logger under the ``"repro"`` namespace (``get_logger("serving.batcher")``)."""
     return _root if not name else logging.getLogger(f"{ROOT_NAME}.{name}")
 
 

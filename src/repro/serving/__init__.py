@@ -10,7 +10,7 @@ package turns the one into the other:
   :class:`~repro.api.operator.CompressedOperator` entries, each behind a
   :class:`MicroBatcher`, with hot reload of artifact-backed operators,
 * :class:`BatchPolicy` — the batching knobs (``max_batch``,
-  ``max_wait_ms``, bounded queue with
+  ``max_wait_ms``, a queue bounded per lane with
   :class:`~repro.errors.ServerOverloadedError` backpressure, canonical
   GEMM width for bitwise batch-invariance) plus named **latency lanes**
   (:class:`LanePolicy`): a ``"throughput"`` lane that coalesces and an
@@ -21,11 +21,7 @@ package turns the one into the other:
   ``asyncio`` front ends with capped-exponential retry-after backoff,
 * :class:`ServingMetrics` — request / latency / batch-occupancy metrics,
   per lane, with a stable :meth:`~ServingMetrics.to_dict` schema and
-  :func:`aggregate_metrics` cluster rollups,
-* :mod:`repro.serving.cluster` — the sharded, SLO-aware serving cluster:
-  :class:`~repro.serving.cluster.ShardRouter` (consistent-hash operator
-  placement, lane-isolated replicas, shard health checks with restart or
-  route-around) over per-shard :class:`MatvecServer` instances.
+  :func:`aggregate_metrics` rollups over several instances.
 
 Quickstart::
 
@@ -40,9 +36,7 @@ Quickstart::
 A demo traffic generator ships as ``python -m repro.serving`` (with
 ``--metrics-json`` for the stable metrics schema);
 ``benchmarks/bench_serving_throughput.py`` measures the batched-vs-
-sequential request throughput and tail latency, and
-``benchmarks/bench_serving_frontier.py`` sweeps the shards × lanes ×
-offered-load latency/throughput frontier.
+sequential request throughput and tail latency.
 """
 
 from .batcher import (
@@ -55,9 +49,8 @@ from .batcher import (
     MicroBatcher,
 )
 from .client import AsyncServingClient, ServingClient
-from .cluster import ClusterShard, HashRing, HealthPolicy, ShardRouter
 from .metrics import METRICS_SCHEMA_VERSION, ServingMetrics, aggregate_metrics
-from .server import MatvecServer, OperatorEntry
+from .server import MatvecServer, OperatorEntry, ShardRouter
 
 __all__ = [
     "MatvecServer",
@@ -66,9 +59,6 @@ __all__ = [
     "BatchPolicy",
     "LanePolicy",
     "ShardRouter",
-    "HashRing",
-    "ClusterShard",
-    "HealthPolicy",
     "ServingClient",
     "AsyncServingClient",
     "ServingMetrics",

@@ -15,10 +15,10 @@ Batching policy (:class:`BatchPolicy`):
 * ``max_wait_ms`` — a request never waits longer than this for co-batched
   traffic; an idle server degenerates to at most one ``max_wait_ms`` of
   added latency,
-* ``max_queue`` — bounded queue (shared across lanes); submissions beyond
-  it are rejected with :class:`~repro.errors.ServerOverloadedError`
-  carrying a ``retry_after_s`` hint (backpressure instead of unbounded
-  memory),
+* ``max_queue`` — bounded queue, **per lane**: a submission that finds
+  its lane already holding ``max_queue`` requests is rejected with
+  :class:`~repro.errors.ServerOverloadedError` carrying a
+  ``retry_after_s`` hint (backpressure instead of unbounded memory),
 * ``latency_target_ms`` — adaptive batching: the effective wait shrinks
   and grows with an EWMA of the observed p90 batch latency so occupancy
   stays high without blowing the latency budget (see
@@ -34,9 +34,9 @@ occupancy for latency.  Custom lanes are declared with
 ``BatchPolicy(lanes={"bulk": LanePolicy(max_wait_ms=50.0)})``.  Ready
 lanes are served **lowest-wait first**: at every batch boundary a
 non-empty low-latency lane preempts the throughput backlog, so a deep
-throughput queue cannot head-of-line-block interactive traffic (it can
-still exhaust the shared ``max_queue`` — shard-level isolation, see
-:mod:`repro.serving.cluster`, is the remedy for that).
+throughput queue cannot head-of-line-block interactive traffic; and since
+every lane is bounded by its own ``max_queue`` count, a throughput backlog
+cannot crowd interactive requests out of the queue either.
 
 **Deadlines and shedding.**  A request may carry ``deadline_ms``; if the
 deadline expires while the request is still queued it is **shed**: its
@@ -163,6 +163,10 @@ class BatchPolicy:
     ``lanes`` declares extra latency lanes (merged over
     :data:`DEFAULT_LANES`); all validation happens here, at construction,
     raising :class:`~repro.errors.ServingConfigError`.
+
+    ``max_queue`` bounds each lane separately (by lane name; a lane's solve
+    requests count with its matvecs), so the queued requests of one
+    operator are bounded by ``len(lanes) * max_queue`` in total.
     """
 
     max_batch: int = 16
@@ -281,7 +285,8 @@ class MicroBatcher:
         self._latency_ewma_ms: Optional[float] = None
         #: One FIFO per lane key; requests only coalesce within a lane.
         self._queues: dict[tuple, deque[_Request]] = {}
-        self._depth = 0        # total queued requests (bounded by max_queue)
+        self._depth = 0        # total queued requests
+        self._lane_depth: dict[str, int] = {}  # queued per lane name (each <= max_queue)
         self._deadlined = 0    # queued requests carrying a deadline (shed fast path)
         self._closed = False
         self._thread: Optional[threading.Thread] = None
@@ -290,11 +295,6 @@ class MicroBatcher:
     @property
     def started(self) -> bool:
         return self._thread is not None
-
-    @property
-    def alive(self) -> bool:
-        """Whether the worker thread is running (health checks probe this)."""
-        return self._thread is not None and self._thread.is_alive()
 
     def start(self) -> None:
         """Start (or restart) the worker; a closed batcher reopens empty."""
@@ -319,8 +319,7 @@ class MicroBatcher:
                 for queue in self._queues.values():
                     dropped.extend(queue)
                 self._queues.clear()
-                self._depth = 0
-                self._deadlined = 0
+                self._dequeued_locked(dropped)
             self._cond.notify_all()
         for request in dropped:
             if not request.future.set_running_or_notify_cancel():
@@ -351,7 +350,7 @@ class MicroBatcher:
 
         ``lane`` selects the latency lane (default :data:`THROUGHPUT`);
         ``deadline_ms`` arms shed-on-deadline (measured from now).  Raises
-        :class:`ServerOverloadedError` when the queue is full and
+        :class:`ServerOverloadedError` when the lane's queue is full and
         :class:`ServingError` for unknown lanes or when the batcher is
         closed or was never started.
         """
@@ -376,14 +375,17 @@ class MicroBatcher:
                 raise ServingError(
                     f"server for operator {self.name!r} is not started (call MatvecServer.start())"
                 )
-            if self._depth >= self.policy.max_queue:
+            queued = self._lane_depth.get(lane_name, 0)
+            if queued >= self.policy.max_queue:
                 self.metrics.record_reject(lane_name)
                 raise ServerOverloadedError(
-                    f"operator {self.name!r} queue is full ({self.policy.max_queue} requests); "
+                    f"operator {self.name!r} lane {lane_name!r} queue is full "
+                    f"({self.policy.max_queue} requests); "
                     f"retry after {self.policy.retry_after_ms:g} ms",
                     retry_after_s=self.policy.retry_after_ms / 1e3,
                 )
             self._queues.setdefault(lane_key, deque()).append(request)
+            self._lane_depth[lane_name] = queued + 1
             self._depth += 1
             if deadline_at is not None:
                 self._deadlined += 1
@@ -441,6 +443,14 @@ class MicroBatcher:
             return self._wait_ms, lane_batch, True
         return wait_ms, lane_batch, False
 
+    def _dequeued_locked(self, requests: Sequence[_Request]) -> None:
+        """Release the queue counts of requests just removed from the queues."""
+        self._depth -= len(requests)
+        for request in requests:
+            self._lane_depth[request.lane_name] -= 1
+            if request.deadline_at is not None:
+                self._deadlined -= 1
+
     def _extract_expired_locked(self, now: float) -> List[_Request]:
         """Remove and return every queued request whose deadline has passed."""
         if self._deadlined == 0:
@@ -460,9 +470,7 @@ class MicroBatcher:
                 self._queues[lane_key] = kept
             else:
                 del self._queues[lane_key]
-        if shed:
-            self._depth -= len(shed)
-            self._deadlined -= len(shed)
+        self._dequeued_locked(shed)
         return shed
 
     def _collect(self) -> Optional[Tuple[List[_Request], List[_Request]]]:
@@ -505,8 +513,7 @@ class MicroBatcher:
                     queue = self._queues[best_key]
                     take = min(len(queue), best_batch)
                     batch = [queue.popleft() for _ in range(take)]
-                    self._depth -= take
-                    self._deadlined -= sum(1 for r in batch if r.deadline_at is not None)
+                    self._dequeued_locked(batch)
                     if not queue:
                         del self._queues[best_key]
                     return batch, []

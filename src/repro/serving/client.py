@@ -1,7 +1,7 @@
 """Serving clients: a blocking thread-based client and an ``asyncio`` front end.
 
-Both are thin wrappers over :meth:`MatvecServer.submit` (or
-:meth:`ShardRouter.submit` — anything with the same ``submit`` surface)
+Both are thin wrappers over :meth:`MatvecServer.submit` (or anything
+with the same ``submit`` surface)
 that add the two behaviours a caller should not hand-roll:
 
 * **overload retry** — :class:`~repro.errors.ServerOverloadedError` carries

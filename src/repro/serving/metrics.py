@@ -1,8 +1,8 @@
 """Request / latency / batch-occupancy metrics for the serving runtime.
 
-One :class:`ServingMetrics` instance per served operator *per shard* (the
-server aggregates snapshots in :meth:`repro.serving.server.MatvecServer.stats`;
-the cluster router rolls shard instances up with :func:`aggregate_metrics`).
+One :class:`ServingMetrics` instance per served operator (the server
+aggregates snapshots in :meth:`repro.serving.server.MatvecServer.stats`;
+:func:`aggregate_metrics` rolls several instances up into one).
 Counters are monotonic; latency and batch-size distributions are kept in
 bounded sliding windows so percentile reporting stays O(window) and the
 memory of a long-running server never grows with traffic.  Latencies are
@@ -14,7 +14,7 @@ Two report shapes:
 * :meth:`ServingMetrics.snapshot` — the human-facing dict used by
   ``MatvecServer.stats()``; omits sections with no data,
 * :meth:`ServingMetrics.to_dict` — the **stable schema** (every key always
-  present, ``schema_version`` pinned) consumed by the cluster aggregation
+  present, ``schema_version`` pinned) consumed by :func:`aggregate_metrics`
   and external scrapers (``python -m repro.serving --metrics-json``).
 
 Everything is guarded by one lock per instance — recording is a few
@@ -41,8 +41,8 @@ __all__ = ["ServingMetrics", "aggregate_metrics", "METRICS_SCHEMA_VERSION"]
 #: counters of :mod:`repro.obs.counters` — every vocabulary key always
 #: present (zero until the instrumented path runs).  The registry is
 #: process-wide, so in-process instances report the same values and
-#: :func:`aggregate_metrics` sums them across instances (one instance per
-#: shard process in a real cluster).  All v2 keys are unchanged.
+#: :func:`aggregate_metrics` sums them across instances.  All v2 keys are
+#: unchanged.
 METRICS_SCHEMA_VERSION = 3
 
 
@@ -201,7 +201,7 @@ class ServingMetrics:
     def to_dict(self) -> Dict[str, object]:
         """The stable metrics schema: every key always present.
 
-        This is the shape the cluster aggregation and external scrapers
+        This is the shape :func:`aggregate_metrics` and external scrapers
         consume (``python -m repro.serving --metrics-json``); its keys are
         pinned by the unit tests and versioned by ``schema_version``.
         """
@@ -319,8 +319,8 @@ def aggregate_metrics(metrics: Iterable[ServingMetrics]) -> Dict[str, object]:
     Counters are summed, sliding windows concatenated (so the percentiles
     are over the union of the recent samples), per-lane sections merged by
     lane name, and the adaptive-wait state averaged over the instances
-    that report one.  This is how the cluster router produces per-operator
-    and cluster-wide rollups from per-shard metrics.
+    that report one.  :class:`~repro.serving.server.ShardRouter` rolls
+    every served operator up with it.
     """
     raws = [m._raw() for m in metrics]
     merged: Dict[str, object] = {

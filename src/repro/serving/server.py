@@ -39,13 +39,13 @@ import numpy as np
 from ..api.operator import CompressedOperator
 from ..api.session import Session
 from ..config import GOFMMConfig
-from ..errors import ServingError
+from ..errors import ServingConfigError, ServingError
 from ..obs.trace import Tracer, get_tracer, tracing
 from ..solvers import CGResult
 from .batcher import MATVEC, SOLVE, BatchPolicy, MicroBatcher
-from .metrics import ServingMetrics
+from .metrics import ServingMetrics, aggregate_metrics
 
-__all__ = ["MatvecServer", "OperatorEntry"]
+__all__ = ["MatvecServer", "OperatorEntry", "ShardRouter"]
 
 #: Solver parameters a solve request may carry (forwarded to CompressedOperator.solve).
 _SOLVE_PARAMS = ("shift", "tolerance", "max_iterations", "use_preconditioner", "engine")
@@ -417,20 +417,6 @@ class MatvecServer:
             self._pool.shutdown(join_timeout=5.0)
             self._pool = None
 
-    @property
-    def serving(self) -> bool:
-        """Whether the server is started and every entry's batcher is alive.
-
-        This is the liveness probe the cluster health checks use: a worker
-        thread that died (or a server that was stopped out from under the
-        router) makes the shard unhealthy.
-        """
-        with self._lock:
-            if not self._started:
-                return False
-            entries = list(self._entries.values())
-        return all(entry.batcher.alive for entry in entries)
-
     def __enter__(self) -> "MatvecServer":
         return self.start()
 
@@ -511,3 +497,34 @@ class MatvecServer:
     def __repr__(self) -> str:
         names = ", ".join(self.operators()) or "none"
         return f"<MatvecServer operators=[{names}] started={self._started}>"
+
+
+class ShardRouter(MatvecServer):
+    """A :class:`MatvecServer` whose :meth:`stats` also rolls every operator up.
+
+    Kept only for the benchmark ledger's load generator
+    (``benchmarks/ledger/loadgen.py``), which builds
+    ``ShardRouter(num_shards=1, policy=...)`` and reads
+    ``stats()["cluster"]``.  It exists until a benchmark change points the
+    load generator at :class:`MatvecServer`; :func:`aggregate_metrics`
+    goes with it.  One shard is the only shape it serves.
+    """
+
+    def __init__(self, num_shards: int = 1, *, policy: Optional[BatchPolicy] = None,
+                 num_workers: int = 0) -> None:
+        if num_shards != 1:
+            raise ServingConfigError(
+                f"ShardRouter serves exactly one shard, got num_shards={num_shards!r}; "
+                f"use MatvecServer"
+            )
+        super().__init__(policy=policy, num_workers=num_workers)
+
+    def stats(self) -> Dict[str, dict]:
+        """``{"cluster": the stable-schema rollup of every operator's metrics,
+        "operators": MatvecServer.stats()}``."""
+        with self._lock:
+            entries = list(self._entries.values())
+        return {
+            "cluster": aggregate_metrics(entry.metrics for entry in entries),
+            "operators": MatvecServer.stats(self),
+        }

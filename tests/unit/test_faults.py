@@ -68,7 +68,7 @@ def _clean_state():
 
 class TestRegistry:
     def test_builtins_available(self):
-        assert {"shard.worker", "storage.read", "serving.shard"} <= set(
+        assert {"shard.worker", "storage.read"} <= set(
             available_fault_points()
         )
         assert is_registered("shard.worker")
@@ -96,7 +96,6 @@ class TestRegistry:
 
     def test_default_errors_of_builtins(self):
         assert get_fault_point("storage.read").default_error().errno == errno.EIO
-        assert get_fault_point("serving.shard").default_error is None
 
 
 # ---------------------------------------------------------------------------
@@ -104,39 +103,45 @@ class TestRegistry:
 # ---------------------------------------------------------------------------
 
 class TestTriggers:
+    @pytest.fixture(autouse=True)
+    def _flag_point(self):
+        # A point without a default error: an actionless inject is a flag —
+        # fire() returns the trigger decision without raising.
+        register_point("test.flag", description="flag point for the trigger tests")
+        yield
+        unregister_point("test.flag")
+
     def _flag_pattern(self, plan, calls, **ctx):
-        # serving.shard has no default error, so an actionless inject is a
-        # flag — fire() returns the trigger decision without raising.
         with plan.armed():
-            return [injection.fire("serving.shard", **ctx) for _ in range(calls)]
+            return [injection.fire("test.flag", **ctx) for _ in range(calls)]
 
     def test_nth_call_fires_exactly_once(self):
         plan = FaultPlan()
-        plan.inject("serving.shard", trigger=nth_call(3))
+        plan.inject("test.flag", trigger=nth_call(3))
         assert self._flag_pattern(plan, 5) == [False, False, True, False, False]
 
     def test_first_n_fires_on_the_first_calls(self):
         plan = FaultPlan()
-        plan.inject("serving.shard", trigger=first_n(2), times=None)
+        plan.inject("test.flag", trigger=first_n(2), times=None)
         assert self._flag_pattern(plan, 4) == [True, True, False, False]
 
     def test_times_bounds_always(self):
         plan = FaultPlan()
-        plan.inject("serving.shard", trigger=always(), times=2)
+        plan.inject("test.flag", trigger=always(), times=2)
         assert self._flag_pattern(plan, 4) == [True, True, False, False]
 
     def test_match_fires_on_context(self):
         plan = FaultPlan()
-        plan.inject("serving.shard", trigger=match(shard="shard-1"), times=None)
+        plan.inject("test.flag", trigger=match(shard="shard-1"), times=None)
         with plan.armed():
-            assert not injection.fire("serving.shard", shard="shard-0")
-            assert injection.fire("serving.shard", shard="shard-1")
-            assert not injection.fire("serving.shard")  # key absent: no match
+            assert not injection.fire("test.flag", shard="shard-0")
+            assert injection.fire("test.flag", shard="shard-1")
+            assert not injection.fire("test.flag")  # key absent: no match
 
     def test_probability_is_seed_reproducible(self):
         def pattern(seed):
             plan = FaultPlan(seed=seed)
-            plan.inject("serving.shard", trigger=probability(0.5), times=None)
+            plan.inject("test.flag", trigger=probability(0.5), times=None)
             return self._flag_pattern(plan, 64)
 
         assert pattern(7) == pattern(7)
@@ -165,7 +170,7 @@ class TestTriggers:
         plan.inject("storage.read")
         plan.inject("shard.worker")
         assert plan.points() == ("shard.worker", "storage.read")
-        assert plan.has("storage.read") and not plan.has("serving.shard")
+        assert plan.has("storage.read") and not plan.has("test.custom")
 
 
 # ---------------------------------------------------------------------------

@@ -450,8 +450,7 @@ class TestServingMetricsSchema:
             assert merged["instances"] == 2
             assert merged["requests"] == 2
             # the registry is process-wide: both instances report the same
-            # values and the rollup sums them (one registry per shard
-            # process in a real cluster)
+            # values and the rollup sums them
             assert merged["counters"]["requests_shed"] == 6
         finally:
             obs_counters.reset()
@@ -492,13 +491,3 @@ class TestStructuredLogging:
 
         logger = get_logger("serving.batcher")
         assert logger.name == "repro.serving.batcher"
-
-    def test_shard_recovery_is_logged(self, caplog):
-        from repro.serving.cluster.health import log_recovery
-
-        with caplog.at_level("WARNING", logger="repro.serving.cluster.health"):
-            log_recovery("shard-0", "restarted", 1)
-            log_recovery("shard-1", "routed-around", 3)
-        messages = [r.getMessage() for r in caplog.records]
-        assert any("rebuilt in place" in m for m in messages)
-        assert any("routed around" in m for m in messages)

@@ -6,7 +6,8 @@ The load-bearing guarantees:
   load is bit-identical to the response the same request gets when served
   alone (canonical GEMM width, pinned with ``np.array_equal``),
 * backpressure rejects cleanly with a retry hint and never corrupts the
-  queue,
+  queue; each lane is bounded by ``max_queue`` on its own, so a full
+  throughput lane never rejects an interactive request,
 * hot reload swaps operators without dropping in-flight requests, and a
   bad artifact file keeps the old operator serving,
 * solve batching produces per-request results that satisfy the requested
@@ -41,6 +42,7 @@ from repro.serving import (
     MicroBatcher,
     ServingClient,
     ServingMetrics,
+    ShardRouter,
     aggregate_metrics,
 )
 
@@ -280,11 +282,15 @@ class TestBackpressure:
             accepted = [batcher.submit(MATVEC, np.zeros(4))]
             assert started.wait(timeout=30)  # worker holds one batch, blocked
             accepted.append(batcher.submit(MATVEC, np.zeros(4)))
-            accepted.append(batcher.submit(MATVEC, np.zeros(4)))  # queue now full
+            accepted.append(batcher.submit(MATVEC, np.zeros(4)))  # throughput lane now full
+            # each lane has its own max_queue: a full throughput lane
+            # leaves the interactive lane accepting
+            accepted.append(batcher.submit(MATVEC, np.zeros(4), lane=INTERACTIVE))
             with pytest.raises(ServerOverloadedError) as excinfo:
                 batcher.submit(MATVEC, np.zeros(4))
             assert excinfo.value.retry_after_s == pytest.approx(0.007)
             assert metrics.rejected == 1
+            assert batcher.queue_depth == 3
             gate.set()
             for future in accepted:  # accepted requests all complete
                 assert future.result(timeout=30).shape == (4,)
@@ -324,6 +330,36 @@ class TestBackpressure:
         assert not closer.is_alive()
         with pytest.raises(ServingError, match="shut down"):
             batcher.submit(MATVEC, np.zeros(4))
+
+
+class TestShardRouterShim:
+    """The one-shard ``ShardRouter`` is a ``MatvecServer`` with a rollup."""
+
+    #: The rollup keys the benchmark ledger's serving probe reads.
+    LEDGER_KEYS = {"requests", "batch_occupancy", "batches", "batch_eval_ms",
+                   "rejected", "shed", "errors"}
+
+    def test_answers_like_matvec_server_and_rolls_up(self, matrix, operator):
+        policy = BatchPolicy(max_batch=8, max_wait_ms=5.0, max_queue=512)
+        vectors = np.random.default_rng(5).standard_normal((12, matrix.n))
+        answers = []
+        for server in (MatvecServer(policy=policy), ShardRouter(num_shards=1, policy=policy)):
+            server.register("op", operator)
+            with server:
+                futures = [server.submit("op", v) for v in vectors]
+                answers.append([f.result(timeout=30) for f in futures])
+                stats = server.stats()
+        for routed, served in zip(answers[1], answers[0]):
+            assert np.array_equal(routed, served)
+        cluster = stats["cluster"]
+        assert self.LEDGER_KEYS <= set(cluster)
+        assert cluster["requests"] == len(vectors) and cluster["batch_eval_ms"]["mean"] > 0
+        assert stats["operators"]["op"]["requests"] == len(vectors)
+        assert stats["operators"]["op"]["queue_depth"] == 0  # MatvecServer.stats() itself
+
+    def test_more_than_one_shard_is_a_config_error(self):
+        with pytest.raises(ServingConfigError, match="one shard"):
+            ShardRouter(num_shards=2)
 
 
 class TestHotReload:
