@@ -97,6 +97,12 @@ class TestRegistry:
     def test_default_errors_of_builtins(self):
         assert get_fault_point("storage.read").default_error().errno == errno.EIO
 
+    def test_serving_shard_point_is_gone(self):
+        # the point left with the serving cluster it was the seam of
+        assert not is_registered("serving.shard")
+        with pytest.raises(ConfigurationError, match="registered points"):
+            FaultPlan().inject("serving.shard")
+
 
 # ---------------------------------------------------------------------------
 # triggers and scripting

@@ -332,6 +332,236 @@ class TestBackpressure:
             batcher.submit(MATVEC, np.zeros(4))
 
 
+class TestPerLaneQueueBound:
+    """``max_queue`` bounds each lane by name: a full lane rejects, the
+    others keep accepting, and every way out of the queue (served, shed,
+    dropped on close) gives the lane its slots back."""
+
+    POLICY = dict(max_batch=1, max_wait_ms=0.0, max_queue=2, retry_after_ms=3.0,
+                  lanes={"bulk": LanePolicy(max_wait_ms=10.0)})
+
+    def _stalled(self, **overrides):
+        """A stub batcher whose worker is parked inside a gated batch."""
+        gate, started = threading.Event(), threading.Event()
+        batcher, metrics = make_stub_batcher(BatchPolicy(**{**self.POLICY, **overrides}),
+                                             gate=gate, started=started)
+        self._started = started
+        blocker = batcher.submit(MATVEC, np.zeros(4))
+        assert started.wait(timeout=30)
+        return batcher, metrics, gate, blocker
+
+    def _restall(self, batcher, gate):
+        """Park the idle worker inside a gated batch again."""
+        gate.clear()
+        self._started.clear()
+        blocker = batcher.submit(MATVEC, np.zeros(4))
+        assert self._started.wait(timeout=30)
+        return blocker
+
+    @pytest.mark.parametrize("full_lane", [THROUGHPUT, INTERACTIVE, "bulk"])
+    def test_full_lane_rejects_while_other_lanes_accept(self, full_lane):
+        batcher, metrics, gate, blocker = self._stalled()
+        try:
+            accepted = [batcher.submit(MATVEC, np.zeros(4), lane=full_lane) for _ in range(2)]
+            with pytest.raises(ServerOverloadedError, match=f"lane {full_lane!r}") as excinfo:
+                batcher.submit(MATVEC, np.zeros(4), lane=full_lane)
+            assert excinfo.value.retry_after_s == pytest.approx(0.003)
+            for other in sorted({THROUGHPUT, INTERACTIVE, "bulk"} - {full_lane}):
+                accepted += [batcher.submit(MATVEC, np.zeros(4), lane=other) for _ in range(2)]
+            assert batcher.queue_depth == 6  # lanes x max_queue in total
+            lanes = metrics.to_dict()["lanes"]
+            assert lanes[full_lane]["rejected"] == 1
+            assert metrics.rejected == 1
+            gate.set()
+            for future in [blocker, *accepted]:
+                assert future.result(timeout=30).shape == (4,)
+        finally:
+            gate.set()
+            batcher.close()
+
+    def test_solves_count_with_matvecs_in_their_lane(self):
+        batcher, metrics, gate, blocker = self._stalled()
+        try:
+            batcher.submit(MATVEC, np.zeros(4))
+            batcher.submit(SOLVE, np.zeros(4), params={"shift": 1.0})
+            # a solve with other parameters is another coalescing queue but
+            # the same lane name, so it meets the same bound
+            with pytest.raises(ServerOverloadedError):
+                batcher.submit(SOLVE, np.zeros(4), params={"shift": 2.0})
+            batcher.submit(SOLVE, np.zeros(4), params={"shift": 2.0}, lane=INTERACTIVE)
+            assert batcher.queue_depth == 3
+        finally:
+            gate.set()
+            batcher.close()
+        assert metrics.rejected == 1
+
+    def test_served_requests_free_their_lane_slots(self):
+        batcher, metrics, gate, blocker = self._stalled()
+        try:
+            first = [batcher.submit(MATVEC, np.zeros(4)) for _ in range(2)]
+            gate.set()
+            for future in [blocker, *first]:
+                future.result(timeout=30)
+            assert batcher.queue_depth == 0
+            blocker = self._restall(batcher, gate)
+            again = [batcher.submit(MATVEC, np.zeros(4)) for _ in range(2)]
+            with pytest.raises(ServerOverloadedError):
+                batcher.submit(MATVEC, np.zeros(4))
+            gate.set()
+            for future in [blocker, *again]:
+                future.result(timeout=30)
+        finally:
+            gate.set()
+            batcher.close()
+        assert metrics.rejected == 1
+
+    def test_shed_requests_free_their_lane_slots(self):
+        batcher, metrics, gate, blocker = self._stalled()
+        try:
+            doomed = [batcher.submit(MATVEC, np.zeros(4), deadline_ms=1.0) for _ in range(2)]
+            time.sleep(0.02)  # both expire while queued behind the blocker
+            gate.set()
+            blocker.result(timeout=30)
+            for future in doomed:
+                with pytest.raises(DeadlineExceededError):
+                    future.result(timeout=30)
+            assert batcher.queue_depth == 0
+            blocker = self._restall(batcher, gate)
+            again = [batcher.submit(MATVEC, np.zeros(4)) for _ in range(2)]
+            with pytest.raises(ServerOverloadedError):
+                batcher.submit(MATVEC, np.zeros(4))
+            gate.set()
+            for future in [blocker, *again]:
+                future.result(timeout=30)
+        finally:
+            gate.set()
+            batcher.close()
+        assert metrics.shed == 2 and metrics.rejected == 1
+
+    def test_dropped_requests_free_their_lane_slots(self):
+        batcher, metrics, gate, blocker = self._stalled()
+        dropped = [batcher.submit(MATVEC, np.zeros(4), lane=lane)
+                   for lane in (THROUGHPUT, THROUGHPUT, INTERACTIVE)]
+        closer = threading.Thread(target=batcher.close, kwargs={"drain": False})
+        closer.start()
+        for future in dropped:
+            with pytest.raises(ServingError, match="shut down"):
+                future.result(timeout=30)
+        gate.set()
+        blocker.result(timeout=30)
+        closer.join(timeout=30)
+        assert not closer.is_alive()
+        assert batcher.queue_depth == 0
+        batcher.start()  # reopens empty: every lane has its full bound again
+        try:
+            blocker = self._restall(batcher, gate)
+            for lane in (THROUGHPUT, INTERACTIVE):
+                batcher.submit(MATVEC, np.zeros(4), lane=lane)
+                batcher.submit(MATVEC, np.zeros(4), lane=lane)
+                with pytest.raises(ServerOverloadedError):
+                    batcher.submit(MATVEC, np.zeros(4), lane=lane)
+        finally:
+            gate.set()
+            batcher.close()
+        assert metrics.rejected == 2
+
+    def test_concurrent_floods_respect_each_lane_bound(self):
+        """Many racing submitters: each lane admits exactly ``max_queue``
+        requests and rejects the rest, whatever the other lane is doing."""
+        batcher, metrics, gate, blocker = self._stalled(max_queue=5)
+        outcomes = {THROUGHPUT: [], INTERACTIVE: []}
+        barrier = threading.Barrier(16)
+
+        def flood(lane):
+            barrier.wait(timeout=30)
+            try:
+                outcomes[lane].append(batcher.submit(MATVEC, np.zeros(4), lane=lane))
+            except ServerOverloadedError:
+                outcomes[lane].append(None)
+
+        threads = [threading.Thread(target=flood, args=(THROUGHPUT if i % 2 else INTERACTIVE,))
+                   for i in range(16)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert batcher.queue_depth == 10
+            for lane, results in outcomes.items():
+                accepted = [f for f in results if f is not None]
+                assert len(results) == 8 and len(accepted) == 5
+                assert metrics.to_dict()["lanes"][lane]["rejected"] == 3
+            gate.set()
+            for future in [blocker, *(f for r in outcomes.values() for f in r if f is not None)]:
+                future.result(timeout=30)
+        finally:
+            gate.set()
+            batcher.close()
+
+    def test_interactive_traffic_is_served_past_a_full_throughput_lane(self, matrix, operator):
+        """End to end on a server: the throughput lane is full and
+        rejecting, and an interactive request is still answered — bitwise
+        what it gets served alone."""
+        gate, started = threading.Event(), threading.Event()
+        policy = BatchPolicy(max_batch=4, max_wait_ms=0.0, max_queue=2)
+        server = MatvecServer(policy=policy)
+        evaluate = server._evaluate
+
+        def gated(op, block):
+            started.set()
+            gate.wait(timeout=30)
+            return evaluate(op, block)
+
+        server._evaluate = gated  # the entry captures the gated evaluation
+        server.register("op", operator)
+        w = np.random.default_rng(13).standard_normal(matrix.n)
+        with server:
+            blocker = server.submit("op", np.zeros(matrix.n))
+            assert started.wait(timeout=30)
+            backlog = [server.submit("op", np.zeros(matrix.n)) for _ in range(2)]
+            with pytest.raises(ServerOverloadedError):
+                server.submit("op", np.zeros(matrix.n))
+            fast = server.submit("op", w, lane=INTERACTIVE)
+            gate.set()
+            got = fast.result(timeout=30)
+            for future in [blocker, *backlog]:
+                future.result(timeout=30)
+            stats = server.stats()["op"]
+        with make_server(operator, max_batch=4) as alone:
+            expected = alone.matvec("op", w, timeout=30)
+        assert np.array_equal(got, expected)
+        assert stats["rejected"] == 1
+        assert stats["lanes"][THROUGHPUT]["rejected"] == 1
+        assert stats["lanes"][INTERACTIVE]["responses"] == 1
+
+
+class TestClusterRemoved:
+    """The in-process serving cluster and the names only it used are gone;
+    ``MatvecServer`` is the one serving process shape."""
+
+    def test_cluster_package_is_gone(self):
+        import importlib.util
+
+        assert importlib.util.find_spec("repro.serving.cluster") is None
+
+    @pytest.mark.parametrize("owner, name", [
+        ("repro.serving", "HashRing"),
+        ("repro.serving", "ClusterShard"),
+        ("repro.serving", "HealthPolicy"),
+        ("repro.errors", "ShardUnavailableError"),
+        ("repro.serving.server", "MatvecServer.serving"),
+        ("repro.serving.batcher", "MicroBatcher.alive"),
+    ])
+    def test_cluster_only_name_is_gone(self, owner, name):
+        import importlib
+
+        obj = importlib.import_module(owner)
+        *path, leaf = name.split(".")
+        for part in path:
+            obj = getattr(obj, part)
+        assert not hasattr(obj, leaf)
+
+
 class TestShardRouterShim:
     """The one-shard ``ShardRouter`` is a ``MatvecServer`` with a rollup."""
 
@@ -360,6 +590,89 @@ class TestShardRouterShim:
     def test_more_than_one_shard_is_a_config_error(self):
         with pytest.raises(ServingConfigError, match="one shard"):
             ShardRouter(num_shards=2)
+
+    def test_mixed_lane_answers_equal_unbatched_single_server(self, matrix, operator):
+        policy = BatchPolicy(max_batch=8, max_wait_ms=2.0, max_queue=512)
+        vectors = np.random.default_rng(0).standard_normal((16, matrix.n))
+        reference_server = MatvecServer(policy=policy)
+        reference_server.register("op", operator)
+        with reference_server:  # unbatched: each request served alone
+            reference = [reference_server.matvec("op", v, timeout=30) for v in vectors]
+        router = ShardRouter(num_shards=1, policy=policy)
+        router.register("op", operator)
+        with router:
+            futures = [router.submit("op", v, lane=INTERACTIVE if i % 2 else THROUGHPUT)
+                       for i, v in enumerate(vectors)]
+            routed = [f.result(timeout=30) for f in futures]
+        for got, expected in zip(routed, reference):
+            assert np.array_equal(got, expected)
+
+    def test_solves_meet_tolerance(self, matrix, operator):
+        rhs = np.random.default_rng(1).standard_normal(matrix.n)
+        router = ShardRouter(policy=BatchPolicy(max_batch=8, max_wait_ms=2.0))
+        router.register("op", operator)
+        with router:
+            result = router.solve("op", rhs, shift=1.0, tolerance=1e-9, timeout=60)
+        assert result.converged
+        residual = np.asarray(operator.apply(result.solution)) + result.solution - rhs
+        assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(rhs)
+
+    def test_rollup_sums_every_operator(self, matrix, operator):
+        router = ShardRouter(policy=BatchPolicy(max_batch=8, max_wait_ms=1.0))
+        router.register("a", operator)
+        router.register("b", operator)
+        with router:
+            for _ in range(3):
+                router.matvec("a", np.zeros(matrix.n), timeout=30)
+            router.matvec("b", np.zeros(matrix.n), lane=INTERACTIVE, timeout=30)
+            stats = router.stats()
+        assert set(stats["operators"]) == {"a", "b"}
+        cluster = stats["cluster"]
+        assert cluster["requests"] == 4 and cluster["responses"] == 4
+        assert cluster["schema_version"] == METRICS_SCHEMA_VERSION
+        assert cluster["lanes"][THROUGHPUT]["responses"] == 3
+        assert cluster["lanes"][INTERACTIVE]["responses"] == 1
+        assert cluster["rejected"] == cluster["shed"] == cluster["errors"] == 0
+
+    def test_swap_bumps_the_served_version(self, matrix, operator):
+        router = ShardRouter(policy=BatchPolicy(max_batch=8, max_wait_ms=1.0))
+        router.register("op", operator)
+        with router:
+            before = router.matvec("op", np.ones(matrix.n), timeout=30)
+            router.swap("op", operator)
+            after = router.matvec("op", np.ones(matrix.n), timeout=30)
+            stats = router.stats()
+        assert stats["operators"]["op"]["version"] == 2
+        assert stats["operators"]["op"]["reloads"] == 1
+        assert np.array_equal(before, after)
+
+    def test_unregister_leaves_the_rollup(self, matrix, operator):
+        router = ShardRouter(policy=BatchPolicy(max_batch=8, max_wait_ms=1.0))
+        router.register("a", operator)
+        router.register("b", operator)
+        with router:
+            router.matvec("a", np.zeros(matrix.n), timeout=30)
+            router.matvec("b", np.zeros(matrix.n), timeout=30)
+            router.unregister("a")
+            stats = router.stats()
+            with pytest.raises(ServingError, match="unknown operator"):
+                router.matvec("a", np.zeros(matrix.n), timeout=30)
+        assert set(stats["operators"]) == {"b"}
+        assert stats["cluster"]["requests"] == 1
+
+    def test_registration_is_validated_like_the_server(self, operator):
+        router = ShardRouter()
+        router.register("op", operator)
+        with pytest.raises(ServingError, match="already registered"):
+            router.register("op", operator)
+        with pytest.raises(ServingError, match="needs an operator"):
+            router.register("other")
+        assert isinstance(router, MatvecServer) and router.operators() == ("op",)
+
+    @pytest.mark.parametrize("num_shards", [0, -1, 3, 16])
+    def test_any_shard_count_but_one_is_rejected(self, num_shards):
+        with pytest.raises(ServingConfigError, match="exactly one shard"):
+            ShardRouter(num_shards=num_shards)
 
 
 class TestHotReload:
