@@ -1,16 +1,18 @@
-"""Process-sharded strong scaling of the ANN search and the skeletonization.
+"""Thread-pool strong scaling of the ANN search and the skeletonization.
 
 Two worker sweeps:
 
 * **ANN search** — steps 1–3 of Algorithm 2.2 swept over
-  ``neighbor_workers`` (projection-tree iterations in waves over a
-  ``fork`` pool + shared-memory slabs);
-* **skeletonization** — the level sweep swept over ``compression_workers``.
+  ``neighbor_workers`` (projection-tree iterations in waves over a thread
+  pool);
+* **skeletonization** — the level sweep swept over ``compression_workers``
+  (subtrees on a thread pool).
 
 Both are worker-count deterministic, so every sweep point first asserts
-its results equal the single-process run.  The artifact records
-``os.cpu_count()`` — on a single-core container the curve honestly shows
-the fork/slab overhead instead of a speedup.
+its results (tables; skeletons and coefficients) equal the single-thread
+run.  The artifact records ``os.cpu_count()`` — on a single-core
+container the curve honestly shows the pool overhead instead of a
+speedup.
 
 Results are written to ``benchmarks/artifacts/compression_scaling.json``.
 
@@ -100,9 +102,9 @@ def neighbor_strong_scaling(n: int, workers_sweep, repeats: int) -> list[dict]:
 
 
 def compression_strong_scaling(n: int, workers_sweep, repeats: int) -> list[dict]:
-    """Sharded skeletonization over a worker sweep on a warm session."""
+    """Subtree-parallel skeletonization over a worker sweep on a warm session."""
     rows = []
-    baseline_skeletons = None
+    baseline_nodes = None
     baseline_seconds = None
     for workers in workers_sweep:
         matrix = KernelMatrix(
@@ -128,20 +130,25 @@ def compression_strong_scaling(n: int, workers_sweep, repeats: int) -> list[dict
             session.invalidate("skeletons")
             op = session.compress()
             best = min(best, op.report.phase_seconds.get("skeletonization", 0.0))
-        skeletons = [
-            None if node.skeleton is None else node.skeleton.copy()
+        nodes = [
+            None if node.skeleton is None else (node.skeleton.copy(), node.coeffs.copy())
             for node in op.compressed.tree.nodes
         ]
-        if baseline_skeletons is None:
-            baseline_skeletons, baseline_seconds = skeletons, best
+        if baseline_nodes is None:
+            baseline_nodes, baseline_seconds = nodes, best
         else:
             identical = all(
                 (a is None and b is None)
-                or (a is not None and b is not None and np.array_equal(a, b))
-                for a, b in zip(baseline_skeletons, skeletons)
+                or (
+                    a is not None and b is not None
+                    and np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+                )
+                for a, b in zip(baseline_nodes, nodes)
             )
             if not identical:
-                raise RuntimeError(f"sharded skeletons changed at compression_workers={workers}")
+                raise RuntimeError(
+                    f"skeletons or coefficients changed at compression_workers={workers}"
+                )
         rows.append(
             {
                 "n": n,

@@ -75,7 +75,7 @@ STAGE_FIELDS: Dict[str, frozenset] = {
         }
     ),
     # neighbor_workers / compression_workers are deliberately untracked:
-    # they are pure execution knobs (the forked neighbor search and the
+    # they are pure execution knobs (the threaded neighbor search and the
     # skeletonization fan-out are worker-count deterministic), so changing
     # them never invalidates an artifact.
     "interactions": frozenset(

@@ -123,20 +123,21 @@ class GOFMMConfig:
         budget, so the evaluation-phase block memory is bounded regardless
         of how many interaction pairs the compression has.
     neighbor_workers:
-        process count of the ANN search (:mod:`repro.core.neighbors`):
+        thread count of the ANN search (:mod:`repro.core.neighbors`):
         above 1, projection-tree iterations are fanned out in waves over a
-        fork pool.  Purely an execution knob: the per-iteration seed
+        thread pool.  Purely an execution knob: the per-iteration seed
         schedule is drawn up front and iterations are merged in order, so
-        any worker count yields the same table — which is why this field
-        enters no stage fingerprint and never invalidates session
-        artifacts.
+        any worker count yields the same table bit for bit — which is why
+        this field enters no stage fingerprint and never invalidates
+        session artifacts.
     compression_workers:
-        process count of the skeletonization level sweep
+        thread count of the skeletonization level sweep
         (:mod:`repro.core.skeletonization`): above 1, whole subtrees are
-        skeletonized on a fork pool.  Like ``neighbor_workers``, an
-        execution knob only (per-node sampling streams make the result
-        bitwise worker-count independent), so it enters no stage
-        fingerprint.
+        skeletonized on a thread pool.  Like ``neighbor_workers``, an
+        execution knob only: per-node sampling streams and a batched ID
+        whose result never depends on a block's bucket-mates make
+        skeletons and coefficients bitwise worker-count independent, so
+        it enters no stage fingerprint.
     plan_rank_bucketing:
         how the ``"planned"`` plan (``CompressedMatrix.plan()``) pads
         skeleton ranks so that adaptive-rank trees batch into fewer,
@@ -148,22 +149,6 @@ class GOFMMConfig:
     prebuild_plan:
         build the evaluation plan during compression (phase ``"plan"`` of
         the report) instead of lazily on the first planned matvec.
-    shard_retries:
-        how many times a failed sharded task (worker killed, stalled past
-        ``shard_task_timeout_s``, or errored) is retried by the
-        :class:`~repro.core.sharding.SupervisedPool` before the sharded
-        stage degrades to its single-process equivalent.  Retries are
-        deterministic — shard tasks rewrite their slab slots from
-        per-node streams, so a retried task produces the bytes the first
-        attempt would have.  Execution knob only: enters no stage
-        fingerprint.
-    shard_task_timeout_s:
-        supervision timeout of the sharded stages, in seconds: the
-        maximum gap between shard-task completions before the supervisor
-        declares the outstanding tasks dead and retries them (a killed
-        fork worker never returns its task, so without this bound a
-        ``pool.map`` would hang forever).  ``None`` disables detection of
-        silent worker death (errors are still retried).
     storage_read_retries:
         how many times a *transient* ``OSError`` (EIO, EAGAIN, ESTALE …)
         on a store manifest/array read is retried (with capped jittered
@@ -217,8 +202,6 @@ class GOFMMConfig:
     compression_workers: int = 1
     plan_rank_bucketing: str = "pow2"
     prebuild_plan: bool = False
-    shard_retries: int = 2
-    shard_task_timeout_s: Optional[float] = 60.0
     storage_read_retries: int = 2
     executor_stall_timeout: Optional[float] = 300.0
     telemetry: bool = False
@@ -249,14 +232,6 @@ class GOFMMConfig:
         if self.streaming_chunk_bytes < 1:
             raise ConfigurationError(
                 f"streaming_chunk_bytes must be >= 1, got {self.streaming_chunk_bytes}"
-            )
-        if not isinstance(self.shard_retries, int) or self.shard_retries < 0:
-            raise ConfigurationError(
-                f"shard_retries must be a non-negative integer, got {self.shard_retries!r}"
-            )
-        if self.shard_task_timeout_s is not None and not (self.shard_task_timeout_s > 0.0):
-            raise ConfigurationError(
-                f"shard_task_timeout_s must be positive or None, got {self.shard_task_timeout_s}"
             )
         if not isinstance(self.storage_read_retries, int) or self.storage_read_retries < 0:
             raise ConfigurationError(

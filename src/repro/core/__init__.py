@@ -15,8 +15,8 @@ algorithmic pieces in the order the paper presents them:
   (Algorithms 2.3–2.5) with the ``budget`` cap,
 * :mod:`repro.core.skeletonization` — nested interpolative decomposition
   (Algorithm 2.6, tasks SKEL / COEF) as one bottom-up level sweep of
-  shape-bucketed stacked pivoted QRs, fanned out over subtrees when
-  ``compression_workers > 1``,
+  shape-bucketed stacked pivoted QRs, fanned out over subtrees on a
+  thread pool when ``compression_workers > 1``,
 * :mod:`repro.core.compress` — Algorithm 2.2 (compression driver),
 * :mod:`repro.core.plan` — Algorithm 2.7 (N2S / S2S / S2N / L2L) as
   level-batched GEMM segments over a packed workspace layout,

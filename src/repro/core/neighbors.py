@@ -19,33 +19,28 @@ Every iteration runs the same blocked leaf pass: each batch of leaf
 distance blocks is stacked, ``argpartition``'d, and merged into the table
 by :func:`screened_merge` with no per-row Python.  With
 ``config.neighbor_workers > 1`` the iterations' leaf passes are fanned out
-in waves over a ``fork`` pool that writes candidates into shared-memory
-slabs; the parent still merges iterations strictly in seed order and
+in waves over a thread pool that writes candidates into preallocated
+arrays; the caller still merges iterations strictly in seed order and
 applies the convergence check after each one, so the table is identical
 for every worker count.  The rng stream is fixed up front (table fillers,
 then one tree seed per iteration from :func:`tree_seed_schedule`), which
-is what lets workers take iterations without touching it.  The per-row
+is what lets threads take iterations without touching it.  The per-row
 merge oracle the tests compare against lives in
 ``tests/oracles/neighbors_reference.py``.
 """
 
 from __future__ import annotations
 
-from contextlib import ExitStack, closing
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ..config import GOFMMConfig
-from ..errors import WorkerCrashError
-from ..obs import counters as _obs_counters
-from ..obs import get_logger
 from .distances import Distance
-from .sharding import SharedSlab, SupervisedPool, fork_available
 from .tree import build_tree
-
-_LOG = get_logger("core.neighbors")
 
 __all__ = [
     "NeighborTable",
@@ -177,7 +172,7 @@ def tree_seed_schedule(rng: np.random.Generator, count: int) -> list[int]:
 
     One scalar draw per tree, in iteration order.  Materializing the
     schedule before any tree is built is what lets the driver hand
-    iterations to fork workers without the worker count ever touching the
+    iterations to worker threads without the worker count ever touching the
     rng stream.
     """
     return [int(rng.integers(np.iinfo(np.int64).max)) for _ in range(count)]
@@ -265,9 +260,9 @@ def merge_candidate_block(
 #: (lazily, to the largest ``chunk·n`` seen) and cleared incrementally —
 #: only the slots a chunk actually stamped are reset — so the scan costs
 #: O(rows·(κ+k)) scattered accesses with no per-call allocation of the
-#: O(chunk·n) array.  Not thread-safe; the neighbor search is
-#: single-threaded per process (the fork workers, and forked
-#: children copy-on-write their own scratch).
+#: O(chunk·n) array.  Not thread-safe: only the merge uses it, and the
+#: merge runs on the search's calling thread (the worker threads compute
+#: candidates, never merge them).
 #: Stamp-array span per chunk.  Sized to stay cache-resident: each chunk's
 #: span is walked four times (scatter, verify, gather, clear), so keeping it
 #: within the last-level cache beats amortizing the Python loop over fewer,
@@ -358,8 +353,8 @@ def screened_merge(
 
     Preconditions (both merge sources satisfy them by construction): table rows
     are sorted ascending by distance, and a row's candidates have distinct
-    indices except for repeats that lose to a stored entry (the fork
-    workers' slab pads short leaves with the row's own index at ``+inf``).
+    indices except for repeats that lose to a stored entry (the thread
+    waves pad short leaves with the row's own index at ``+inf``).
 
     Returns ``(touched, overlap)``: the global indices of the rows actually
     merged (a superset of the rows that changed) and the integer
@@ -561,115 +556,69 @@ def _projection_leaves(distance: Distance, config: GOFMMConfig, seed: int) -> li
 def _iteration_candidates(distance: Distance, config: GOFMMConfig, seeds: list[int], kappa: int):
     """Per iteration, in seed order, the ``(rows, cand_idx, cand_dist)`` batches to merge.
 
-    Iterations go out in fork waves when ``neighbor_workers > 1``, fork is
-    available and there is more than one tree; whatever the waves did not
-    deliver (all of it, or everything from a wave that exhausted its retry
-    budget) runs in process from the same seeds.
+    Iterations go out in thread waves when ``neighbor_workers > 1`` and
+    there is more than one tree; otherwise each runs on the caller's
+    thread when the merge asks for it.
     """
-    start = 0
-    if config.neighbor_workers > 1 and fork_available() and len(seeds) > 1:
-        start = yield from _forked_waves(distance, config, seeds, kappa)
-    for seed in seeds[start:]:
+    if config.neighbor_workers > 1 and len(seeds) > 1:
+        yield from _threaded_waves(distance, config, seeds, kappa)
+        return
+    for seed in seeds:
         yield leaf_candidate_batches(_projection_leaves(distance, config, seed), distance, kappa)
 
 
-#: Read-only state the forked workers inherit (set in the parent right
-#: before the pool forks, cleared once the waves finish).
-_SHARD: Optional[dict] = None
+def _leaf_candidates_into(
+    leaves: list[np.ndarray],
+    distance: Distance,
+    idx_out: np.ndarray,
+    dist_out: np.ndarray,
+) -> None:
+    """Write the κ-NN candidates of ``leaves`` into their rows of one table slot.
 
-
-def _neighbor_shard_task(task: tuple[int, int, int, int]) -> int:
-    """One worker unit: (slot, seed, chunk, num_chunks).
-
-    Builds (or reuses, per process) the iteration's projection tree and
-    writes its share of the leaves' κ-NN candidates into slab slot
-    ``slot``.  Unused candidate columns of short leaves are padded with
-    the row's own index at distance ``+inf``, which the merge discards for
-    free (the row's self entry at distance 0 always wins the dedup).  Leaf
-    chunks partition the leaf list, so any chunk count yields the same
-    slab contents.
+    Unused candidate columns of short leaves are padded with the row's
+    own index at distance ``+inf``, which the merge discards for free (the
+    row's self entry at distance 0 always wins the dedup).  Leaves own
+    disjoint rows, so any split of one tree's leaves writes the same slot.
     """
-    slot, seed, chunk, num_chunks = task
-    state = _SHARD
-    distance = state["distance"]
-    kappa = state["kappa"]
-    cached = state.get("leaves")
-    if cached is None or cached[0] != seed:
-        # Visible only inside this worker process.
-        state["leaves"] = (seed, _projection_leaves(distance, state["config"], seed))
-    mine = state["leaves"][1][chunk::num_chunks]
-    idx_out = state["idx"].array[slot]
-    dist_out = state["dist"].array[slot]
-    for rows, cand_idx, cand_dist in leaf_candidate_batches(mine, distance, kappa):
+    kappa = idx_out.shape[1]
+    for rows, cand_idx, cand_dist in leaf_candidate_batches(leaves, distance, kappa):
         k_local = cand_idx.shape[1]
         idx_out[rows, :k_local] = cand_idx
         dist_out[rows, :k_local] = cand_dist
         if k_local < kappa:
             idx_out[rows, k_local:] = rows[:, None]
             dist_out[rows, k_local:] = np.inf
-    return slot
 
 
-def _forked_waves(distance: Distance, config: GOFMMConfig, seeds: list[int], kappa: int):
-    """Run iterations in waves of ``neighbor_workers`` on a supervised fork pool.
+def _threaded_waves(distance: Distance, config: GOFMMConfig, seeds: list[int], kappa: int):
+    """Run iterations in waves of ``neighbor_workers`` on a thread pool.
 
-    Yields each iteration's slab slot as one whole-table batch, in seed
-    order; a slot is only rewritten by the next wave, after the caller has
-    merged it.  Killed or stalled workers are retried by the
-    :class:`~repro.core.sharding.SupervisedPool` (safe: every task rewrites
-    its full slab slot).  Returns the index of the first seed not
-    delivered: ``len(seeds)``, or the start of a wave that exhausted the
-    retry budget.
+    A wave builds each of its iterations' projection trees once (one task
+    per tree), then splits every tree's leaves into chunks so a partial
+    wave still occupies every thread; the chunks write candidates into a
+    preallocated ``(wave, n, κ)`` pair of arrays.  Each iteration's slot
+    is yielded as one whole-table batch, in seed order; a slot is only
+    rewritten by the next wave, after the caller has merged it.
     """
-    global _SHARD
     n = distance.n
     workers = config.neighbor_workers
     wave = min(workers, len(seeds))
+    idx_out = np.empty((wave, n, kappa), dtype=np.intp)
+    dist_out = np.empty((wave, n, kappa), dtype=np.float64)
     all_rows = np.arange(n, dtype=np.intp)
-    try:
-        with ExitStack() as stack:
-            # Slabs join the stack as they are created so no later failure
-            # (allocation, crashed pool, injected fault) leaks a segment.
-            idx_slab = stack.enter_context(SharedSlab((wave, n, kappa), np.int64))
-            dist_slab = stack.enter_context(SharedSlab((wave, n, kappa), np.float64))
-            _SHARD = {
-                "distance": distance,
-                "config": config,
-                "kappa": kappa,
-                "idx": idx_slab,
-                "dist": dist_slab,
-            }
-            pool = stack.enter_context(
-                SupervisedPool(
-                    workers,
-                    retries=config.shard_retries,
-                    task_timeout=config.shard_task_timeout_s,
-                    label="neighbors",
+    with ThreadPoolExecutor(workers, thread_name_prefix="gofmm-neighbors") as pool:
+        for start in range(0, len(seeds), wave):
+            batch = seeds[start : start + wave]
+            trees = list(pool.map(lambda seed: _projection_leaves(distance, config, seed), batch))
+            chunks = max(1, workers // len(batch))
+            fills = [
+                pool.submit(
+                    _leaf_candidates_into, leaves[chunk::chunks], distance, idx_out[slot], dist_out[slot]
                 )
-            )
-            for start in range(0, len(seeds), wave):
-                batch = seeds[start : start + wave]
-                # Split leaf work within iterations so a partial wave (or a
-                # final lone iteration) still occupies every worker.
-                chunks = max(1, workers // len(batch))
-                tasks = [
-                    (slot, seed, chunk, chunks)
-                    for slot, seed in enumerate(batch)
-                    for chunk in range(chunks)
-                ]
-                try:
-                    pool.map(_neighbor_shard_task, tasks)
-                except WorkerCrashError as exc:
-                    _LOG.warning(
-                        "forked neighbor search exhausted its retry budget (%s); "
-                        "finishing the remaining %d iteration(s) in process",
-                        exc,
-                        len(seeds) - start,
-                    )
-                    _obs_counters.add("faults_degraded")
-                    return start
-                for slot in range(len(batch)):
-                    yield [(all_rows, idx_slab.array[slot], dist_slab.array[slot])]
-    finally:
-        _SHARD = None
-    return len(seeds)
+                for slot, leaves in enumerate(trees)
+                for chunk in range(chunks)
+            ]
+            for fill in fills:
+                fill.result()
+            for slot in range(len(batch)):
+                yield [(all_rows, idx_out[slot], dist_out[slot])]

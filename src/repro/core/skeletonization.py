@@ -33,25 +33,23 @@ COEF of Table 2 for every node of a level at once):
 A node's result depends only on ``(stream base, node_id)``, its own
 indices / neighbor list and its children's skeletons — never on which
 other nodes share the call.  Whole *subtrees* therefore factor perfectly,
-and :func:`skeletonize_tree` fans them out over a fork pool when
-``config.compression_workers > 1``: read-only state is inherited
-copy-on-write, results come back through shared-memory slabs, and any
-worker count — including a pool that exhausts its retry budget and falls
-back to the in-process sweep — produces bit-identical trees.  The per-node
+and :func:`skeletonize_tree` fans them out over a thread pool when
+``config.compression_workers > 1``: each subtree's task writes only its
+own nodes, and any worker count produces bit-identical trees.  The per-node
 postorder form of Algorithm 2.6 lives on as the test oracle
 ``tests/oracles/skeletonization_reference.py``.
 """
 
 from __future__ import annotations
 
-from contextlib import ExitStack
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
 
 from ..config import GOFMMConfig
-from ..errors import CompressionError, RankDeficiencyError, WorkerCrashError
+from ..errors import RankDeficiencyError
 from ..linalg.id import (
     batched_interpolative_decomposition,
     interpolative_decomposition,
@@ -59,10 +57,8 @@ from ..linalg.id import (
 )
 from ..matrices.base import SPDMatrix
 from ..obs import counters as _obs_counters
-from ..obs import get_logger
 from ..obs.trace import get_tracer
 from .neighbors import NeighborTable
-from .sharding import SharedSlab, SupervisedPool, fork_available
 from .tree import BallTree, TreeNode
 
 __all__ = [
@@ -75,13 +71,6 @@ __all__ = [
     "skeletonize_level",
     "skeletonize_tree",
 ]
-
-_LOG = get_logger("core.skeletonization")
-
-#: Hard ceiling on the shared coefficient slab; configurations whose
-#: worst-case capacity would exceed it (huge ``max_rank`` × many workers)
-#: run in process rather than thrash memory.
-_MAX_COEFF_SLAB_BYTES = 512 * 2**20
 
 
 @dataclass
@@ -126,7 +115,7 @@ def node_stream_base(rng: np.random.Generator) -> int:
     Row sampling uses an independent generator per tree node, derived
     deterministically from ``(base, node_id)`` (:func:`node_stream`).
     Because the derivation depends only on the node id — never on the
-    traversal order or on which process handles the node — the level
+    traversal order or on which thread handles the node — the level
     sweep, a subtree's slice of it in a worker, and the per-node test
     oracle all draw bit-identical row samples for every node.
     """
@@ -369,79 +358,23 @@ def _subtree_level_slices(root_id: int, shard_level: int, depth: int) -> Iterato
 
     Node ids are breadth-first positions in a complete binary tree, so the
     descendants of ``root_id`` at depth offset ``d`` occupy the contiguous
-    id range ``[(root_id+1)·2^d − 1, (root_id+2)·2^d − 2]``.  Workers and
-    the parent iterate this identical order when packing / unpacking slab
-    slots.
+    id range ``[(root_id+1)·2^d − 1, (root_id+2)·2^d − 2]``.
     """
     for d in range(depth - shard_level, -1, -1):
         yield (root_id + 1) * (1 << d) - 1, (root_id + 2) * (1 << d) - 2
 
 
-#: Read-only state the forked workers inherit (set in the parent right
-#: before the pool forks, cleared right after it joins).
-_SHARD: Optional[dict] = None
+def _shard_level(tree: BallTree, config: GOFMMConfig) -> int:
+    """Depth of the fan-out's subtree roots, or ``0`` to sweep on the caller's thread.
 
-
-def _shard_task(slot: int) -> Optional[CompressionError]:
-    """Skeletonize one subtree bottom-up and pack the results into slab ``slot``.
-
-    A :class:`CompressionError` from the sweep (``secure_accuracy`` rank
-    deficiency) is a deterministic property of the input, not a fault:
-    it is *returned* so the parent re-raises it instead of retrying.
-    """
-    state = _SHARD
-    tree, matrix, config = state["tree"], state["matrix"], state["config"]
-    shard_level = state["shard_level"]
-    meta, skel, coeff = (state[name].array[slot] for name in ("meta", "skel", "coeff"))
-
-    root_id = (1 << shard_level) - 1 + slot
-    before = matrix.entry_evaluations
-    pos = 0
-    try:
-        for lo, hi in _subtree_level_slices(root_id, shard_level, tree.depth):
-            members = tree.nodes[lo : hi + 1]
-            skeletonize_level(members, tree.n, matrix, config, state["neighbors"], state["base"])
-            for node in members:
-                rank = int(node.skeleton_rank or 0)
-                ncols = int(node.coeffs.shape[1])
-                meta[pos, 0] = rank
-                meta[pos, 1] = ncols
-                if rank:
-                    skel[pos, :rank] = node.skeleton
-                    coeff[pos, :rank, :ncols] = node.coeffs
-                pos += 1
-    except CompressionError as exc:
-        return exc
-    state["evals"].array[slot] = matrix.entry_evaluations - before
-    return None
-
-
-def _shard_layout(tree: BallTree, config: GOFMMConfig) -> Optional[tuple[int, int, int]]:
-    """``(shard_level, cap_rank, cap_cols)`` of the fan-out, or ``None`` to stay in process.
-
-    Fanning out helps only with more than one worker, a ``fork`` start
-    method (the workers inherit the problem copy-on-write) and a tree deep
-    enough to split; it is skipped when the result slab would be oversized.
+    Fanning out helps only with more than one worker and a tree deep
+    enough to split; the level is the shallowest with at least one
+    subtree per worker.
     """
     workers = config.compression_workers
-    if workers <= 1 or not fork_available() or tree.depth < 1:
-        return None
-    shard_level = min(tree.depth, max(1, (workers - 1).bit_length()))
-
-    # Capacity bounds, tightened level by level: a node's column count is
-    # its leaf size at the bottom and twice the children's rank cap above,
-    # and its rank is capped by max_rank and its column count.
-    ncols_cap = max(node.indices.size for node in tree.levels()[tree.depth])
-    cap_rank = cap_cols = 0
-    for _ in range(tree.depth, shard_level - 1, -1):
-        rank_cap = min(config.max_rank, ncols_cap)
-        cap_cols = max(cap_cols, ncols_cap)
-        cap_rank = max(cap_rank, rank_cap)
-        ncols_cap = 2 * rank_cap
-    num_nodes = (1 << (tree.depth + 1)) - (1 << shard_level)
-    if num_nodes * cap_rank * cap_cols * 8 > _MAX_COEFF_SLAB_BYTES:
-        return None
-    return shard_level, max(1, cap_rank), max(1, cap_cols)
+    if workers <= 1 or tree.depth < 1:
+        return 0
+    return min(tree.depth, max(1, (workers - 1).bit_length()))
 
 
 def _skeletonize_shards(
@@ -450,90 +383,37 @@ def _skeletonize_shards(
     config: GOFMMConfig,
     neighbors: Optional[NeighborTable],
     base: int,
-    layout: tuple[int, int, int],
+    shard_level: int,
 ) -> None:
-    """Skeletonize levels ``depth … shard_level`` subtree by subtree on a fork pool.
+    """Skeletonize levels ``depth … shard_level`` subtree by subtree on a thread pool.
 
-    Read-only state is inherited by ``fork``; per node a ``(rank, ncols)``
-    meta record, the skeleton ids and the interpolation coefficients come
-    back through capacity-padded shared-memory slots in a deterministic
-    (bottom-up, id-ordered) node order, plus each worker's matrix
-    ``entry_evaluations`` delta so the parent's accounting matches the
-    in-process sweep exactly.  Raises :class:`WorkerCrashError` when the
-    pool exhausts its retry budget (nothing has been assigned on the
-    parent's tree by then) and re-raises a task's own
-    :class:`CompressionError` after the first attempt.
+    Each task runs one subtree's levels bottom-up through
+    :func:`skeletonize_level` on the tree's own nodes.  Subtrees own
+    disjoint nodes, so the tasks write nothing in common; the per-node
+    LAPACK calls and kernel-entry ufuncs release the GIL, so they overlap.
+    A task's :class:`~repro.errors.CompressionError` (``secure_accuracy`` rank
+    deficiency) propagates to the caller.
     """
-    shard_level, cap_rank, cap_cols = layout
     num_subtrees = 1 << shard_level
     per_subtree = (1 << (tree.depth - shard_level + 1)) - 1
     workers = min(config.compression_workers, num_subtrees)
 
-    # Slabs enter an ExitStack *as they are allocated*: a failed later
-    # allocation, a crashed pool, or an injected fault cannot leak an
-    # earlier slab's /dev/shm segment (SharedSlab.__exit__ unlinks).
-    global _SHARD
-    with ExitStack() as stack:
-        span = stack.enter_context(
-            get_tracer().span(
-                "skeletonize.shards",
-                levels=tree.depth - shard_level + 1,
-                nodes=num_subtrees * per_subtree,
-                workers=workers,
-                entries=0,
-            )
-        )
-        meta = stack.enter_context(SharedSlab((num_subtrees, per_subtree, 2), np.int64))
-        skel = stack.enter_context(SharedSlab((num_subtrees, per_subtree, cap_rank), np.int64))
-        coeff = stack.enter_context(
-            SharedSlab((num_subtrees, per_subtree, cap_rank, cap_cols), np.float64)
-        )
-        evals = stack.enter_context(SharedSlab((num_subtrees,), np.int64))
-        pool = stack.enter_context(
-            SupervisedPool(
-                workers,
-                retries=config.shard_retries,
-                task_timeout=config.shard_task_timeout_s,
-                label="compression.sharded",
-            )
-        )
-        _SHARD = {
-            "tree": tree,
-            "matrix": matrix,
-            "config": config,
-            "neighbors": neighbors,
-            "base": base,
-            "shard_level": shard_level,
-            "meta": meta,
-            "skel": skel,
-            "coeff": coeff,
-            "evals": evals,
-        }
-        try:
-            errors = pool.map(_shard_task, range(num_subtrees))
-        finally:
-            _SHARD = None
-        for error in errors:
-            if error is not None:
-                raise error
+    def run(root_id: int) -> None:
+        for lo, hi in _subtree_level_slices(root_id, shard_level, tree.depth):
+            skeletonize_level(tree.nodes[lo : hi + 1], tree.n, matrix, config, neighbors, base)
 
-        # Unpack in the workers' packing order.
-        for slot in range(num_subtrees):
-            slot_meta, slot_skel, slot_coeff = meta.array[slot], skel.array[slot], coeff.array[slot]
-            pos = 0
-            for lo, hi in _subtree_level_slices(num_subtrees - 1 + slot, shard_level, tree.depth):
-                for node in tree.nodes[lo : hi + 1]:
-                    rank, ncols = map(int, slot_meta[pos])
-                    if rank:
-                        node.skeleton = slot_skel[pos, :rank].astype(np.intp)
-                        node.coeffs = slot_coeff[pos, :rank, :ncols].astype(config.dtype)
-                        node.skeleton_rank = rank
-                    else:
-                        _assign_empty(node, ncols)
-                    pos += 1
-        entries = int(evals.array.sum())
-        matrix.entry_evaluations += entries
-        span.set(entries=entries)
+    before = matrix.entry_evaluations
+    with get_tracer().span(
+        "skeletonize.shards",
+        levels=tree.depth - shard_level + 1,
+        nodes=num_subtrees * per_subtree,
+        workers=workers,
+        entries=0,
+    ) as span:
+        with ThreadPoolExecutor(workers, thread_name_prefix="gofmm-skeletonize") as pool:
+            for _ in pool.map(run, range(num_subtrees - 1, 2 * num_subtrees - 1)):
+                pass
+        span.set(entries=int(matrix.entry_evaluations - before))
 
 
 def skeletonize_tree(
@@ -547,13 +427,11 @@ def skeletonize_tree(
 
     The root has an empty complement (no off-diagonal block), so it is
     never skeletonized; its "skeleton" is irrelevant because ``Far(root)``
-    is always empty.  With ``config.compression_workers > 1`` (and a
-    platform and tree where it can help, :func:`_shard_layout`) the bottom
-    levels run subtree-parallel on a supervised fork pool and the sweep
-    finishes the levels above in process; if the pool exhausts its retry
-    budget the sweep runs every level in process from the *already drawn*
-    stream base.  All three routes produce bit-identical trees, stats and
-    entry-evaluation counts.
+    is always empty.  With ``config.compression_workers > 1`` (and a tree
+    deep enough to split, :func:`_shard_level`) the bottom levels run
+    subtree-parallel on a thread pool and the sweep finishes the levels
+    above on the caller's thread.  Every worker count produces
+    bit-identical trees, stats and entry-evaluation counts.
     """
     rng = rng or np.random.default_rng(config.seed)
     base = node_stream_base(rng)
@@ -562,18 +440,10 @@ def skeletonize_tree(
     start_entries = matrix.entry_evaluations
 
     first = tree.depth
-    layout = _shard_layout(tree, config)
-    if layout is not None:
-        try:
-            _skeletonize_shards(tree, matrix, config, neighbors, base, layout)
-            first = layout[0] - 1
-        except WorkerCrashError as exc:
-            _LOG.warning(
-                "sharded compression exhausted its retry budget (%s); "
-                "degrading to the in-process level sweep",
-                exc,
-            )
-            _obs_counters.add("faults_degraded")
+    shard_level = _shard_level(tree, config)
+    if shard_level:
+        _skeletonize_shards(tree, matrix, config, neighbors, base, shard_level)
+        first = shard_level - 1
 
     for level in range(first, 0, -1):
         members = levels[level]

@@ -19,7 +19,6 @@ __all__ = [
     "EvaluationError",
     "SchedulingError",
     "ExecutorStallError",
-    "WorkerCrashError",
     "MatrixDefinitionError",
     "ServingError",
     "ServingConfigError",
@@ -124,23 +123,6 @@ class ExecutorStallError(SchedulingError):
     def task_label(self) -> str:
         """The first stalled task's id (empty when none were in flight)."""
         return self.stalled_tasks[0] if self.stalled_tasks else ""
-
-
-class WorkerCrashError(GOFMMError, RuntimeError):
-    """A supervised fork-pool shard exhausted its retry budget.
-
-    Raised by :class:`repro.core.sharding.SupervisedPool` after a shard
-    task has died (killed worker), stalled past ``shard_task_timeout_s``,
-    or errored on every one of its ``shard_retries + 1`` attempts.  The
-    sharded stages catch it and degrade to their single-process
-    equivalents.  ``failed_tasks`` are the task keys still outstanding;
-    ``attempts`` is the attempt count the budget was measured against.
-    """
-
-    def __init__(self, message: str, failed_tasks: tuple = (), attempts: int = 0) -> None:
-        super().__init__(message)
-        self.failed_tasks = tuple(failed_tasks)
-        self.attempts = int(attempts)
 
 
 class MatrixDefinitionError(GOFMMError, ValueError):

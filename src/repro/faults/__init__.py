@@ -2,8 +2,8 @@
 
 Two halves:
 
-* :mod:`repro.faults.plan` — the fault-point registry (``shard.worker``,
-  ``storage.read``), trigger schedules
+* :mod:`repro.faults.plan` — the fault-point registry (``storage.read``),
+  trigger schedules
   (:func:`nth_call`, :func:`probability`, :func:`match`, …) and the seeded
   :class:`FaultPlan` scripting what breaks when.
 * :mod:`repro.faults.injection` — the process-global arming state and the
@@ -11,10 +11,7 @@ Two halves:
   (one ``None`` check when no plan is armed).
 
 The point of injecting faults is proving the supervision around them:
-the :class:`~repro.core.sharding.SupervisedPool` retries killed shard
-tasks and degrades sharded stages to their single-process equivalents
-bit-identically and store reads retry transient I/O errors — all of it
-counted in
+store reads retry transient I/O errors bit-identically — counted in
 ``faults_injected`` / ``faults_recovered`` / ``faults_degraded``
 (:mod:`repro.obs.counters`) and exercised end-to-end by
 ``tests/integration/test_chaos.py``.
@@ -28,7 +25,6 @@ from .injection import (
     arming,
     disarm,
     fire,
-    record_detection,
 )
 from .plan import (
     FaultPlan,
@@ -67,5 +63,4 @@ __all__ = [
     "armed",
     "armed_for",
     "active_plan",
-    "record_detection",
 ]

@@ -12,12 +12,6 @@ plus a ``None`` check — the same disabled-cost discipline as
 planned-matvec overhead guard in the obs tests.  Arming is explicit and
 scoped (:func:`arming` / ``FaultPlan.armed()``), so chaos never leaks
 past the ``with`` block that requested it.
-
-Fork interaction: the armed plan rides into fork-pool workers by
-copy-on-write, so child-side seams (``shard.worker``) fire without any
-plumbing; state a child mutates (spec counters) dies with it, which is
-why supervisors report detected kills back through
-:func:`record_detection` in the parent.
 """
 
 from __future__ import annotations
@@ -35,7 +29,6 @@ __all__ = [
     "active_plan",
     "armed",
     "armed_for",
-    "record_detection",
 ]
 
 #: The active plan; ``None`` is the production fast path.
@@ -46,7 +39,7 @@ def fire(point: str, **ctx) -> bool:
     """Fire fault point ``point``; a no-op ``False`` when no plan is armed.
 
     With a plan armed, delegates to :meth:`FaultPlan.fire`: may raise the
-    scripted error, kill or stall the process, or return ``True`` for
+    scripted error, stall, or return ``True`` for
     flag-style points whose seam performs the failure itself.
     """
     plan = _PLAN
@@ -94,17 +87,3 @@ def armed_for(point: str) -> bool:
     """Whether the armed plan scripts faults at ``point``."""
     plan = _PLAN
     return plan is not None and plan.has(point)
-
-
-def record_detection(point: str, count: int = 1) -> bool:
-    """Parent-side accounting for child-fired faults (see ``FaultPlan``).
-
-    Returns ``True`` when an armed plan scripted ``point`` and the
-    detection was recorded; supervisors call this exactly once per task
-    they saw die, so real (un-injected) crashes never inflate the ledger
-    when no chaos was requested.
-    """
-    plan = _PLAN
-    if plan is None:
-        return False
-    return plan.record_detection(point, count)

@@ -9,9 +9,7 @@ registered :class:`FaultSpec`
 consults its trigger schedule and acts:
 
 ``error``  raise the configured exception at the fault point,
-``kill``   ``os._exit`` the current process (a fork-pool worker vanishing
-           mid-task, exactly what the OOM killer looks like),
-``stall``  sleep ``stall_s`` seconds (a wedged worker / device),
+``stall``  sleep ``stall_s`` seconds (a wedged device),
 ``flag``   return ``True`` from ``fire`` and let the seam act (the
            action of a point registered without a ``default_error``
            when ``inject`` names no other).
@@ -20,20 +18,17 @@ Triggers are pure functions of ``(call_count, ctx, rng)`` — reproducible
 chaos: :func:`nth_call`, :func:`first_n`, :func:`always`,
 :func:`probability` (seeded per spec from the plan seed), and
 :func:`match` (fire when the seam's context matches, e.g.
-``match(task=0, attempt=0)`` kills exactly the first attempt of shard
-task 0).  ``times`` bounds how often a spec fires in the process that
-evaluates it; state mutated inside a forked worker stays in that worker.
+``match(what="manifest")`` fails only store manifest reads).  ``times``
+bounds how often a spec fires.
 
 Built-in fault points::
 
-    shard.worker    entry of every supervised fork-pool shard task
     storage.read    store manifest / array reads (read_array_dir)
 """
 
 from __future__ import annotations
 
 import errno
-import os
 import threading
 import time
 import zlib
@@ -169,9 +164,9 @@ def probability(p: float) -> TriggerFn:
 def match(**expected) -> TriggerFn:
     """Fire when every ``key=value`` matches the seam's call context.
 
-    Seams pass identifying context to ``fire`` (e.g. the supervised pool
-    passes ``task=<key>, attempt=<n>``); ``match(task=0, attempt=0)``
-    kills exactly the first attempt of shard task 0 and nothing else.
+    Seams pass identifying context to ``fire`` (e.g. a store read passes
+    ``path=<file>, what="manifest"|"array"``); ``match(what="manifest")``
+    fails manifest reads and nothing else.
     """
     if not expected:
         raise ConfigurationError("match() requires at least one key=value to match on")
@@ -181,9 +176,6 @@ def match(**expected) -> TriggerFn:
 # ---------------------------------------------------------------------------
 # the plan
 # ---------------------------------------------------------------------------
-
-_ACTIONS = ("error", "kill", "stall", "flag")
-
 
 class FaultSpec:
     """One scripted failure: a fault point, a trigger, an action, a budget."""
@@ -234,15 +226,13 @@ class FaultPlan:
     process-global active plan and always disarms on exit)::
 
         plan = FaultPlan(seed=7)
-        plan.inject("shard.worker", kill=True, trigger=match(task=0, attempt=0))
-        plan.inject("storage.read", trigger=nth_call(1))
+        plan.inject("storage.read", trigger=match(what="manifest"))
+        plan.inject("storage.read", trigger=match(what="array"))
         with plan.armed():
             run_pipeline()
 
-    Every parent-side fire increments the ``faults_injected`` counter (and
-    the plan's own :attr:`injected` ledger); kills inside forked workers
-    are counted at *detection* time by the supervisor (the increment made
-    in the doomed child dies with it), so the counter ledger balances:
+    Every fire increments the ``faults_injected`` counter (and the plan's
+    own :attr:`injected` ledger), so the counter ledger balances:
     ``faults_recovered + faults_degraded == faults_injected`` for a plan
     whose every fault is survived.
     """
@@ -252,7 +242,6 @@ class FaultPlan:
         self._specs: Dict[str, List[FaultSpec]] = {}
         self._lock = threading.Lock()
         self.injected = 0
-        self.detected = 0
 
     # -- scripting ----------------------------------------------------------
     def inject(
@@ -262,29 +251,23 @@ class FaultPlan:
         trigger: Optional[TriggerFn] = None,
         times: Optional[int] = 1,
         error: Optional[BaseException | Callable[[], BaseException]] = None,
-        kill: bool = False,
         stall_s: Optional[float] = None,
     ) -> FaultSpec:
         """Script one failure at ``point``; returns the spec (for its counters).
 
-        Exactly one action applies: ``kill=True`` exits the process,
-        ``stall_s`` sleeps, ``error`` raises (an exception instance or a
-        zero-arg factory).  With none given, the point's registered
-        ``default_error`` is raised; a point without one becomes a *flag* —
-        ``fire`` returns ``True`` and the seam acts.
+        At most one action applies: ``stall_s`` sleeps, ``error`` raises
+        (an exception instance or a zero-arg factory).  With none given,
+        the point's registered ``default_error`` is raised; a point without
+        one becomes a *flag* — ``fire`` returns ``True`` and the seam acts.
         ``times`` bounds total fires (``None`` = unlimited);
         ``trigger`` defaults to :func:`always`.
         """
         spec_point = get_fault_point(point)
-        if kill and (error is not None or stall_s is not None):
-            raise ConfigurationError(f"inject({point!r}): kill= excludes error= and stall_s=")
         if error is not None and stall_s is not None:
             raise ConfigurationError(f"inject({point!r}): pass either error= or stall_s=, not both")
         if times is not None and times < 1:
             raise ConfigurationError(f"inject({point!r}): times must be >= 1 or None, got {times}")
-        if kill:
-            action = "kill"
-        elif stall_s is not None:
+        if stall_s is not None:
             if stall_s <= 0:
                 raise ConfigurationError(f"inject({point!r}): stall_s must be positive, got {stall_s}")
             action = "stall"
@@ -314,8 +297,8 @@ class FaultPlan:
         """Evaluate every spec at ``point``; act on the ones that trigger.
 
         Returns ``True`` iff a *flag*-action spec fired (the seam then
-        performs the failure itself).  ``error`` raises, ``kill`` never
-        returns, ``stall`` sleeps then continues evaluating.
+        performs the failure itself).  ``error`` raises, ``stall`` sleeps
+        then continues evaluating.
         """
         from ..obs import counters as _obs_counters
 
@@ -332,34 +315,13 @@ class FaultPlan:
                 continue
             _obs_counters.add("faults_injected")
             _LOG.warning("fault plan firing %s at %s (ctx=%s)", spec.action, point, ctx)
-            if spec.action == "kill":
-                os._exit(17)
-            elif spec.action == "stall":
+            if spec.action == "stall":
                 time.sleep(spec.stall_s)
             elif spec.action == "error":
                 raise spec._make_error()
             else:
                 flagged = True
         return flagged
-
-    def record_detection(self, point: str, count: int = 1) -> bool:
-        """Account for faults that fired in a now-dead child process.
-
-        A ``kill`` inside a forked worker increments counters in the
-        child's copy-on-write memory, which dies with it; the supervisor
-        calls this when it *detects* the loss, so the parent's
-        ``faults_injected`` ledger still balances.  No-op (returns
-        ``False``) when the plan scripts nothing at ``point``.
-        """
-        from ..obs import counters as _obs_counters
-
-        if not self.has(point):
-            return False
-        with self._lock:
-            self.detected += int(count)
-            self.injected += int(count)
-        _obs_counters.add("faults_injected", int(count))
-        return True
 
     # -- arming -------------------------------------------------------------
     def armed(self):
@@ -377,10 +339,6 @@ class FaultPlan:
 # built-in fault points
 # ---------------------------------------------------------------------------
 
-register_point(
-    "shard.worker",
-    description="entry of every supervised fork-pool shard task (kill/stall/error a worker)",
-)
 register_point(
     "storage.read",
     description="operator-store manifest and array reads (transient I/O errors)",

@@ -22,7 +22,7 @@ chunk by chunk in a bounded workspace, otherwise.
 
 Compression has one skeletonizer (:mod:`repro.core.skeletonization`): a
 bottom-up level sweep of shape-bucketed stacked pivoted QRs.
-``config.compression_workers`` fans whole subtrees out over processes;
+``config.compression_workers`` fans whole subtrees out over threads;
 per-node sampling streams make every worker count bitwise identical::
 
     config = gofmm.GOFMMConfig(compression_workers=4)

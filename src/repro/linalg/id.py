@@ -197,10 +197,12 @@ def stacked_sweep_applies(num_blocks: int, rows: int, cols: int) -> bool:
     The decision depends only on the block *shape*, never on the bucket
     size: the stacked sweep and GEQP3 resolve floating-point pivot ties
     differently, so a count-based dispatch would let the grouping (how a
-    tree level is sliced across processes) leak into the results.  A
-    shape-only rule is what keeps every slicing of the same nodes —
-    whole level, subtree slice, single node — bitwise identical, the
-    invariant the process-sharded compression backend is built on.
+    tree level is sliced across threads) leak into the results.  A
+    shape-only rule (with the shape-sized interpolation solve of
+    :func:`batched_interpolative_decomposition`) is what keeps every
+    slicing of the same nodes — whole level, subtree slice, single node —
+    bitwise identical, the invariant the subtree fan-out of the
+    skeletonization sweep is built on.
     """
     return rows * cols <= _STACK_MAX_BLOCK_ELEMENTS
 
@@ -419,12 +421,13 @@ def batched_interpolative_decomposition(
         ranks[i] = rank
 
     # One stacked triangular solve for every block's interpolation matrix:
-    # R11 is embedded into an (rmax, rmax) identity so np.linalg.solve can
+    # R11 is embedded into a (steps, steps) identity so np.linalg.solve can
     # run batched; rows at or beyond each block's rank solve the identity.
-    rmax = int(ranks.max()) if g else 0
-    if rmax > 0:
-        r11 = np.broadcast_to(np.eye(rmax), (g, rmax, rmax)).copy()
-        rhs = np.zeros((g, rmax, k))
+    # The size comes from the bucket shape, never from the largest rank in
+    # the bucket, so a block's coefficients do not depend on its mates.
+    if ranks.max() > 0:
+        r11 = np.broadcast_to(np.eye(steps), (g, steps, steps)).copy()
+        rhs = np.zeros((g, steps, k))
         for i in range(g):
             r = int(ranks[i])
             if r > 0:

@@ -18,6 +18,7 @@ Three concrete implementations cover every use in the repo:
 
 from __future__ import annotations
 
+import threading
 from abc import ABC, abstractmethod
 from typing import Callable, Optional, Sequence
 
@@ -33,6 +34,10 @@ __all__ = ["SPDMatrix", "DenseSPD", "KernelMatrix", "CallbackMatrix", "as_spd_ma
 #: this stay cache-resident in per-block evaluation but would turn the
 #: stacked distance/kernel temporaries into main-memory traffic.
 _KERNEL_BATCH_MAX_BLOCK_ELEMENTS = 8192
+
+#: Guards every ``entry_evaluations`` update: the compression fan-outs and
+#: the streamed engine's fill threads evaluate entries concurrently.
+_COUNT_LOCK = threading.Lock()
 
 
 def _as_index_array(indices: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -53,11 +58,17 @@ class SPDMatrix(ABC):
     ----------
     entry_evaluations:
         running count of scalar entries served, used by benchmarks to report
-        the sampling cost of compression.
+        the sampling cost of compression.  Updated only through
+        :meth:`_count_entries`, so it is exact under concurrent calls.
     """
 
     def __init__(self) -> None:
         self.entry_evaluations: int = 0
+
+    def _count_entries(self, count: int) -> None:
+        """Add ``count`` served entries to :attr:`entry_evaluations` (thread-safe)."""
+        with _COUNT_LOCK:
+            self.entry_evaluations += int(count)
 
     # -- required interface ------------------------------------------------
     @property
@@ -88,7 +99,7 @@ class SPDMatrix(ABC):
         """Dense block ``K[rows][:, cols]`` as a ``(len(rows), len(cols))`` array."""
         rows = _as_index_array(rows)
         cols = _as_index_array(cols)
-        self.entry_evaluations += rows.size * cols.size
+        self._count_entries(rows.size * cols.size)
         block = np.asarray(self._entries(rows, cols), dtype=np.float64)
         if block.shape != (rows.size, cols.size):
             block = block.reshape(rows.size, cols.size)
@@ -102,20 +113,22 @@ class SPDMatrix(ABC):
     ) -> list[np.ndarray]:
         """Dense blocks ``K[rows_i][:, cols_i]`` for several index sets at once.
 
-        The batched compression backend evaluates one tree level's sampled
+        The skeletonization sweep evaluates one tree level's sampled
         blocks through this entry point, and the streamed evaluation engine
-        materializes its chunks here — **from several worker threads
-        concurrently** (its chunk pipeline): implementations, including
+        materializes its chunks here — both **from several worker threads
+        concurrently** (the subtree fan-out of ``compression_workers``,
+        the engine's chunk pipeline): implementations, including
         :meth:`entries` overrides this default delegates to, must be
         thread-safe for concurrent reads.  The built-in matrix classes are
         (pure functions of immutable state); a custom subclass that
         memoizes or wraps a non-reentrant library must either lock
-        internally or avoid the streamed engine.  The default simply loops
-        over :meth:`entries`; matrix classes with vectorizable entry formulas
-        (:class:`KernelMatrix` for distance-based kernels) override it to
-        evaluate the whole batch with a handful of stacked array
-        operations.  Overrides must produce the same values and account
-        the same ``entry_evaluations`` as the per-block loop.
+        internally or avoid the streamed engine and the worker knobs.  The
+        default simply loops over :meth:`entries`; matrix classes with
+        vectorizable entry formulas (:class:`KernelMatrix` for
+        distance-based kernels) override it to evaluate the whole batch
+        with a handful of stacked array operations.  Overrides must produce
+        the same values and account the same ``entry_evaluations`` (through
+        :meth:`_count_entries`) as the per-block loop.
 
         ``out``, when given, is a preallocated ``(len(row_sets), p, k)``
         array receiving the blocks (all index sets must then share the
@@ -136,7 +149,7 @@ class SPDMatrix(ABC):
             indices = np.arange(self.n, dtype=np.intp)
         else:
             indices = _as_index_array(indices)
-        self.entry_evaluations += indices.size
+        self._count_entries(indices.size)
         return self._diagonal(indices)
 
     def _diagonal(self, indices: np.ndarray) -> np.ndarray:
@@ -230,7 +243,7 @@ class DenseSPD(SPDMatrix):
         return np.diag(self._matrix)[indices].astype(np.float64)
 
     def to_dense(self) -> np.ndarray:
-        self.entry_evaluations += self.n * self.n
+        self._count_entries(self.n * self.n)
         return self._matrix.copy()
 
     def matvec(self, w: np.ndarray) -> np.ndarray:
@@ -326,7 +339,7 @@ class KernelMatrix(SPDMatrix):
         ):
             # Pre-stacked same-shape batch (the streamed engine's hot path):
             # one distance GEMM + one kernel application, no regrouping.
-            self.entry_evaluations += row_sets.size * col_sets.shape[1]
+            self._count_entries(row_sets.size * col_sets.shape[1])
             blocks, direct = self._stacked_kernel_blocks(from_sq_dists, row_sets, col_sets, out)
             if out is not None and not direct:
                 for g in range(len(row_sets)):
@@ -351,7 +364,7 @@ class KernelMatrix(SPDMatrix):
                         out[i] = results[i]
                         results[i] = out[i]
                 continue
-            self.entry_evaluations += len(members) * p * k
+            self._count_entries(len(members) * p * k)
             if p == 0 or k == 0:
                 for i in members:
                     results[i] = np.zeros((p, k))

@@ -26,15 +26,12 @@ re-exports these) sees where blocks, bytes and batches actually went:
 ``gemm_bytes_s2n`` /           while tracing is enabled so the disabled
 ``gemm_bytes_l2l``             hot path stays untouched
 ``faults_injected``            faults fired by an armed
-                               :class:`repro.faults.FaultPlan` (worker
-                               kills detected parent-side count here too)
+                               :class:`repro.faults.FaultPlan`
 ``faults_recovered``           faults survived without changing the
-                               execution strategy: a retried shard task
-                               that succeeded, a transient store read that
-                               went through on retry
-``faults_degraded``            faults survived by *degrading*: a sharded
-                               stage falling back to its single-process
-                               equivalent
+                               execution strategy: a transient store read
+                               that went through on retry
+``faults_degraded``            faults survived by *degrading* to a
+                               fallback path (no producer at present)
 =============================  =============================================
 
 Counters are monotone within a process; :func:`reset` (tests, benchmark

@@ -4,7 +4,7 @@ Every leaf's exhaustive
 κ-NN is merged into the table one row at a time, and convergence is the
 full-table :func:`~repro.core.neighbors.unchanged_fraction` recomputed
 after every tree: slow, obvious, and independent of the driver's leaf
-batching, screening, incremental convergence bookkeeping and fork waves.
+batching, screening, incremental convergence bookkeeping and thread waves.
 :func:`~repro.core.neighbors.all_nearest_neighbors` must reproduce these
 tables, iteration counts and convergence flags exactly.
 """

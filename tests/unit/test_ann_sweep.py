@@ -4,7 +4,7 @@ The contract under test is stronger than "similar recall": the driver
 :func:`~repro.core.neighbors.all_nearest_neighbors` must reproduce the
 per-row oracle of ``tests/oracles/neighbors_reference.py`` **bit for bit**
 — tables, iteration count and convergence flag — for every
-``neighbor_workers`` (process count is an execution knob, never a
+``neighbor_workers`` (thread count is an execution knob, never a
 semantic one) and with telemetry on or off.
 """
 
@@ -28,7 +28,6 @@ from repro.core.neighbors import (
     screened_merge,
     unchanged_fraction,
 )
-from repro.core.sharding import fork_available
 from repro.core.tree import build_tree
 from repro.errors import ArtifactMismatchError
 from repro.matrices import build_matrix
@@ -36,10 +35,6 @@ from repro.obs import Tracer, tracing
 
 from ..conftest import make_gaussian_kernel_matrix
 from ..oracles.neighbors_reference import _merge_candidates, reference_neighbors
-
-needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="requires the fork start method"
-)
 
 
 def geometric_config(**overrides):
@@ -78,8 +73,8 @@ def random_merge_problem(rng, n=512, m=96, kappa=7, k=5, duplicates=False):
 
     Tables start from ``init_table`` (self at 0, +inf fillers) and the
     candidates carry exact distances; with ``duplicates`` the candidate
-    rows also repeat entries (the self-padded short leaves of the forked
-    workers' slabs do exactly this).
+    rows also repeat entries (the self-padded short leaves of the thread
+    waves do exactly this).
     """
     idx_table, dist_table = init_table(n, kappa, rng)
     rows = np.sort(rng.choice(n, size=m, replace=False)).astype(np.intp)
@@ -87,7 +82,7 @@ def random_merge_problem(rng, n=512, m=96, kappa=7, k=5, duplicates=False):
     cand_dist = rng.random((m, k))
     if duplicates:
         # Repeats that lose to a stored entry — the documented precondition.
-        # The forked workers' slab pads short leaves with the row's own index at
+        # The thread waves pad short leaves with the row's own index at
         # +inf; self at distance 0 re-proposes the stored self entry.
         cand_idx[:, -1] = rows
         cand_dist[:, -1] = np.inf
@@ -219,13 +214,30 @@ def lattice_oracle(metric):
 @pytest.mark.parametrize("telemetry", [False, True], ids=["telemetry-off", "telemetry-on"])
 @pytest.mark.parametrize("workers", [1, 2, 3, 4])
 def test_driver_matches_oracle(workers, telemetry, metric):
-    if workers > 1 and not fork_available():
-        pytest.skip("requires the fork start method")
     config = lattice_config(metric, neighbor_workers=workers, telemetry=telemetry)
     distance = make_distance(LATTICE_MATRIX, metric)
     with tracing(Tracer() if telemetry else None):
         table = all_nearest_neighbors(distance, config)
     assert_tables_identical(table, lattice_oracle(metric))
+
+
+@pytest.mark.parametrize("metric", [DistanceMetric.KERNEL, DistanceMetric.ANGLE])
+def test_entry_count_is_worker_count_independent(metric):
+    """Entries evaluated on worker threads reach the matrix's counter.
+
+    Two trees on two workers run as one wave, so no iteration is
+    speculative and both counts cover exactly the same work.
+    """
+    matrix = make_gaussian_kernel_matrix(n=600, d=3, bandwidth=1.5, seed=3)
+    counts = []
+    for workers in (1, 2):
+        config = lattice_config(metric, num_neighbor_trees=2, neighbor_workers=workers)
+        matrix.reset_counter()
+        distance = make_distance(matrix, metric)
+        all_nearest_neighbors(distance, config)
+        counts.append(matrix.entry_evaluations)
+    assert counts[0] > 0
+    assert counts[1] == counts[0]
 
 
 def test_oracle_lattice_converges_early():
@@ -301,8 +313,7 @@ class TestSessionIntegration:
         assert session.stale_stages(neighbor_workers=8) == frozenset()
         assert session.stale_stages(compression_workers=8) == frozenset()
 
-    @needs_fork
-    def test_forked_table_roundtrips_through_artifacts(self, tmp_path):
+    def test_threaded_table_roundtrips_through_artifacts(self, tmp_path):
         matrix = make_gaussian_kernel_matrix(n=240, d=3, bandwidth=1.5, seed=0)
         config = GOFMMConfig(
             leaf_size=32, max_rank=24, tolerance=1e-7, neighbors=8,
@@ -318,7 +329,7 @@ class TestSessionIntegration:
         assert "neighbors" in loaded_stages
         _, loaded_neighbors, _ = loader.prepare()
         assert_tables_identical(built_neighbors.table, loaded_neighbors.table)
-        # The forked table equals a single-process build bit for bit (same
+        # The threaded table equals a single-thread build bit for bit (same
         # session seed, workers are an execution knob).
         _, serial_neighbors, _ = Session(matrix, config.replace(neighbor_workers=1)).prepare()
         assert_tables_identical(loaded_neighbors.table, serial_neighbors.table)

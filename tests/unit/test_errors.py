@@ -67,11 +67,3 @@ class TestFaultToleranceErrors:
         assert exc.stalled_tasks == ("b", "a")
         assert exc.task_label == "b"
         assert ExecutorStallError("stalled").task_label == ""
-
-    def test_worker_crash_carries_tasks_and_attempts(self):
-        from repro.errors import WorkerCrashError
-
-        exc = WorkerCrashError("dead", failed_tasks=(0, 2), attempts=3)
-        assert issubclass(WorkerCrashError, GOFMMError)
-        assert issubclass(WorkerCrashError, RuntimeError)
-        assert exc.failed_tasks == (0, 2) and exc.attempts == 3

@@ -145,6 +145,25 @@ class TestBatchedID:
                     approx_ref - blocks[i]
                 ) + 1e-9 * scale
 
+    @pytest.mark.parametrize("trial", range(20))
+    def test_block_result_independent_of_bucket_mates(self, trial):
+        """A block decomposes bitwise alike alone and beside a higher-rank mate.
+
+        The subtree fan-out slices a tree level across threads, so which
+        blocks share a bucket varies with the worker count.
+        """
+        rng = np.random.default_rng(100 + trial)
+        P, K, max_rank = 32, 32, 24
+        low_rank = int(rng.integers(2, 9))
+        low = low_rank_matrix(P, K, low_rank, seed=200 + trial, noise=1e-12)
+        high = low_rank_matrix(P, K, int(rng.integers(low_rank + 4, max_rank + 1)), seed=300 + trial)
+        alone = batched_interpolative_decomposition(low[None], max_rank, 1e-8)[0]
+        paired, mate = batched_interpolative_decomposition(np.stack([low, high]), max_rank, 1e-8)
+        assert alone.rank == low_rank < mate.rank
+        assert paired.rank == alone.rank
+        assert np.array_equal(paired.skeleton, alone.skeleton)
+        assert np.array_equal(paired.coeffs, alone.coeffs)
+
     def test_padding_never_enters_skeleton(self):
         rng = np.random.default_rng(1)
         stack = np.zeros((9, 16, 16))

@@ -32,7 +32,6 @@ import pytest
 
 from repro import GOFMMConfig
 from repro.api import Session
-from repro.core.sharding import fork_available
 from repro.obs import (
     NULL_TRACER,
     NullTracer,
@@ -366,8 +365,6 @@ class TestOverheadAndBitIdentity:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_skeletonization_accounting_is_worker_count_independent(self, workers):
         """Counter delta == total span ``entries``, fanned out or not."""
-        if workers > 1 and not fork_available():
-            pytest.skip("requires the fork start method")
         matrix = make_gaussian_kernel_matrix(n=256, d=3, bandwidth=1.5, seed=5)
         tracer = Tracer()
         before = obs_counters.get("kernel_entries_evaluated")

@@ -1,11 +1,12 @@
 """Unit tests for nested ID skeletonization (Algorithm 2.6).
 
 One sweep, one lattice: every execution route of
-:func:`repro.core.skeletonization.skeletonize_tree` — in process, fanned
-out over 2–4 worker processes, traced or not — must select the skeletons
-of the per-node oracle (``tests/oracles/skeletonization_reference.py``)
-and be **bitwise** equal to the in-process route, because every node's
-row sample comes from its own deterministic stream.
+:func:`repro.core.skeletonization.skeletonize_tree` — on the caller's
+thread, fanned out over 2–4 worker threads, traced or not — must select
+the skeletons of the per-node oracle
+(``tests/oracles/skeletonization_reference.py``) and be **bitwise** equal
+to the single-thread route, because every node's row sample comes from
+its own deterministic stream.
 """
 
 import functools
@@ -20,7 +21,6 @@ from repro.config import DistanceMetric
 from repro.core.distances import make_distance
 from repro.core.interactions import build_node_neighbor_lists
 from repro.core.neighbors import all_nearest_neighbors
-from repro.core.sharding import fork_available
 from repro.core.skeletonization import (
     _pow2,
     sample_rows_level,
@@ -29,7 +29,7 @@ from repro.core.skeletonization import (
 )
 from repro.core.tree import build_tree
 from repro.matrices import DenseSPD
-from repro.obs import Tracer, tracing
+from repro.obs import Tracer, counters, tracing
 
 from ..conftest import make_gaussian_kernel_matrix
 from ..oracles.skeletonization_reference import skeletonize_tree_reference
@@ -220,8 +220,6 @@ class TestEquivalenceLattice:
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     @pytest.mark.parametrize("adaptive", [True, False], ids=["adaptive", "fixed-rank"])
     def test_cell_matches_oracle_and_in_process_sweep(self, adaptive, workers, traced):
-        if workers > 1 and not fork_available():
-            pytest.skip("requires the fork start method")
         tree, stats, evaluations = _run(skeletonize_tree, adaptive, workers, traced)
 
         # Against the per-node oracle: the same skeletons, ranks, stats and
@@ -237,13 +235,34 @@ class TestEquivalenceLattice:
         assert stats == base_stats
         assert evaluations == base_evaluations
 
-    def test_one_worker_never_forks(self, monkeypatch):
+    def test_one_worker_starts_no_pool(self, monkeypatch):
         matrix, config, tree, neighbors = prepared(n=192, leaf_size=32)
-        forked = []
-        monkeypatch.setattr("repro.core.sharding.fork_pool", lambda workers: forked.append(workers))
+        pools = []
+        monkeypatch.setattr(
+            "repro.core.skeletonization.ThreadPoolExecutor", lambda *a, **k: pools.append(a)
+        )
         stats = skeletonize_tree(tree, matrix, config.replace(compression_workers=1), neighbors)
-        assert forked == []
+        assert pools == []
         assert stats.num_nodes == len(tree.nodes) - 1  # root is never skeletonized
+
+    def test_task_compression_error_surfaces(self):
+        """A typed error raised inside a subtree task reaches the caller.
+
+        Zero off-diagonal blocks under ``secure_accuracy`` are rank
+        deficient on every thread; the fan-out re-raises the task's error
+        and touches no fault counter.
+        """
+        config = GOFMMConfig(
+            leaf_size=16, max_rank=8, tolerance=1e-3, budget=0.0,
+            distance=DistanceMetric.LEXICOGRAPHIC, secure_accuracy=True,
+            compression_workers=2,
+        )
+        tree = build_tree(256, config, distance=None)
+        counters.reset()
+        with pytest.raises(RankDeficiencyError):
+            skeletonize_tree(tree, DenseSPD(np.eye(256)), config, None)
+        for name in ("faults_injected", "faults_recovered", "faults_degraded"):
+            assert counters.get(name) == 0
 
     def test_operators_agree_with_oracle_through_session(self, monkeypatch):
         matrix = make_gaussian_kernel_matrix(n=256, d=3, bandwidth=1.5, seed=2)
@@ -260,7 +279,6 @@ class TestEquivalenceLattice:
         assert np.allclose(op_ref.compressed.matvec(w), op.compressed.matvec(w), atol=1e-8)
         assert op.relative_error() == pytest.approx(op_ref.relative_error(), abs=1e-10)
 
-    @pytest.mark.skipif(not fork_available(), reason="requires the fork start method")
     def test_operators_bitwise_equal_across_workers_through_session(self):
         matrix = make_gaussian_kernel_matrix(n=256, d=3, bandwidth=1.5, seed=2)
         config = GOFMMConfig(

@@ -233,6 +233,19 @@ class TestOperatorStore:
         assert not hasattr(reopened.config, "spill_degrade_to_heap")
         assert np.array_equal(reopened.apply(weights, engine="streamed"), reference)
 
+    def test_store_with_retired_shard_keys_opens(self, operator, weights, reference, tmp_path):
+        """Stores written while ``shard_retries`` / ``shard_task_timeout_s``
+        were config fields open unchanged."""
+        path = tmp_path / "old.store"
+        operator.save(path)
+        manifest_path = path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"].update(shard_retries=2, shard_task_timeout_s=60.0)
+        manifest_path.write_text(json.dumps(manifest))
+        reopened = CompressedOperator.open(path)
+        assert not hasattr(reopened.config, "shard_retries")
+        assert np.array_equal(reopened.apply(weights, engine="streamed"), reference)
+
     @pytest.mark.parametrize("resident", ["mmap", "ram"])
     def test_store_with_the_single_blocks_fingerprint_opens(
         self, operator, weights, reference, tmp_path, resident
