@@ -33,7 +33,7 @@ import numpy as np
 
 from ..config import DistanceMetric
 from ..errors import ConfigurationError, NotSPDError
-from ..matrices.base import SPDMatrix
+from ..matrices.base import SPDMatrix, elementwise_chunks
 
 __all__ = [
     "Distance",
@@ -132,36 +132,45 @@ class _GramDistance(Distance):
             )
         self.diag = diag
 
-    def _entry_blocks(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Stacked matrix blocks ``K[rows[b]][:, cols[b]]`` as one ``(B, p, k)`` array.
+    def pairwise(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        return self.pairwise_blocks(rows[None], cols[None])[0]
 
-        Delegates to :meth:`~repro.matrices.base.SPDMatrix.entries_batched`,
-        whose contract guarantees the same values and the same
-        ``entry_evaluations`` accounting as per-block :meth:`entries` calls.
+    def pairwise_blocks(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Distances from one stacked entry evaluation, transformed in place.
+
+        :meth:`~repro.matrices.base.SPDMatrix.entries_batched` writes the
+        blocks ``K[rows[b]][:, cols[b]]`` into the returned buffer (same
+        values and ``entry_evaluations`` as per-block :meth:`entries`
+        calls); :meth:`_transform` then turns them into distances one
+        L2-sized piece at a time, allocating no block-sized temporary.
         """
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
         out = np.empty((rows.shape[0], rows.shape[1], cols.shape[1]), dtype=np.float64)
         self.matrix.entries_batched(rows, cols, out=out)
+        diag_rows = self.diag[rows][:, :, None]
+        diag_cols = self.diag[cols][:, None, :]
+        for blocks, band, view, scratch in elementwise_chunks(out):
+            self._transform(view, diag_rows[blocks, band], diag_cols[blocks], scratch)
         return out
+
+    @abstractmethod
+    def _transform(
+        self, k: np.ndarray, diag_rows: np.ndarray, diag_cols: np.ndarray, scratch: np.ndarray
+    ) -> None:
+        """Overwrite entries ``k`` with their distances, bit for bit the per-block formula."""
 
 
 class KernelDistance(_GramDistance):
     """Gram ℓ2 distance ``d²_ij = K_ii + K_jj − 2 K_ij`` (Eq. (3))."""
 
-    def pairwise(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        k = self.matrix.entries(rows, cols)
-        d2 = self.diag[rows][:, None] + self.diag[cols][None, :] - 2.0 * k
-        np.clip(d2, 0.0, None, out=d2)
-        return d2
-
-    def pairwise_blocks(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        k = self._entry_blocks(rows, cols)
-        d2 = self.diag[rows][:, :, None] + self.diag[cols][:, None, :] - 2.0 * k
-        np.clip(d2, 0.0, None, out=d2)
-        return d2
+    def _transform(self, k, diag_rows, diag_cols, scratch) -> None:
+        np.add(diag_rows, diag_cols, out=scratch)
+        np.multiply(k, 2.0, out=k)
+        np.subtract(scratch, k, out=k)
+        np.clip(k, 0.0, None, out=k)
 
     def to_centroid(self, indices: np.ndarray, sample: np.ndarray) -> np.ndarray:
         """``||φ_i − c||²`` with ``c`` the mean of the sampled Gram vectors.
@@ -183,23 +192,12 @@ class KernelDistance(_GramDistance):
 class AngleDistance(_GramDistance):
     """Gram angle distance ``d_ij = 1 − K_ij² / (K_ii K_jj)`` (Eq. (4))."""
 
-    def pairwise(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        k = self.matrix.entries(rows, cols)
-        denom = self.diag[rows][:, None] * self.diag[cols][None, :]
-        d = 1.0 - (k * k) / denom
-        np.clip(d, 0.0, None, out=d)
-        return d
-
-    def pairwise_blocks(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        k = self._entry_blocks(rows, cols)
-        denom = self.diag[rows][:, :, None] * self.diag[cols][:, None, :]
-        d = 1.0 - (k * k) / denom
-        np.clip(d, 0.0, None, out=d)
-        return d
+    def _transform(self, k, diag_rows, diag_cols, scratch) -> None:
+        np.multiply(diag_rows, diag_cols, out=scratch)
+        np.multiply(k, k, out=k)
+        np.divide(k, scratch, out=k)
+        np.subtract(1.0, k, out=k)
+        np.clip(k, 0.0, None, out=k)
 
     def to_centroid(self, indices: np.ndarray, sample: np.ndarray) -> np.ndarray:
         """``sin²`` of the angle between ``φ_i`` and the sampled centroid.

@@ -321,7 +321,6 @@ def screened_merge(
     rows: np.ndarray,
     cand_idx: np.ndarray,
     cand_dist: np.ndarray,
-    screen: bool = True,
 ) -> tuple[np.ndarray, int]:
     """Screen-then-merge: the leaf pass's fast path into the table.
 
@@ -349,12 +348,13 @@ def screened_merge(
        with four argsorts.  Rows that still carry duplicate entries
        (random ``+inf`` fillers may collide until κ distinct neighbors
        have been seen) take the general :func:`merge_candidate_block`
-       path, which re-deduplicates the row itself.
+       path, which re-deduplicates the row itself; so do rows whose
+       candidates repeat an index that is not inert.  Inert repeats (the
+       thread waves pad short leaves with the row's own index at ``+inf``)
+       are never seated and keep the fast path.
 
-    Preconditions (both merge sources satisfy them by construction): table rows
-    are sorted ascending by distance, and a row's candidates have distinct
-    indices except for repeats that lose to a stored entry (the thread
-    waves pad short leaves with the row's own index at ``+inf``).
+    Precondition (both merge sources satisfy it by construction): table rows
+    are sorted ascending by distance.
 
     Returns ``(touched, overlap)``: the global indices of the rows actually
     merged (a superset of the rows that changed) and the integer
@@ -366,15 +366,14 @@ def screened_merge(
     rescanning the table.  For the fast-path rows even the overlap is a
     byproduct of the merge: every selected entry except a selected
     *non-member* candidate carries an index the row already had, so the
-    overlap is κ minus the count of those.  With ``screen=False`` every
-    row is merged via the general path (the first iteration: the ``+inf``
-    fillers make nearly everything affected anyway).
+    overlap is κ minus the count of those.  The first merge, into a fresh
+    :func:`init_table`, is screened too: its rows are sorted (self at 0,
+    fillers at ``+inf``) and rows whose random fillers collide are not
+    distinct, so they take the general path.
     """
     rows = np.asarray(rows, dtype=np.intp)
-    if not screen or rows.size == 0:
-        previous = table_idx[rows].copy()
-        merge_candidate_block(table_idx, table_dist, rows, cand_idx, cand_dist)
-        return rows, int(row_set_overlap(previous, table_idx[rows]).sum())
+    if rows.size == 0:
+        return rows, 0
 
     kappa = table_idx.shape[1]
     cur_idx = table_idx[rows]
@@ -395,8 +394,18 @@ def screened_merge(
     inert = np.where(member, cand_dist >= stored, cand_dist >= row_max)
     affected = ~distinct_full | ~inert.all(axis=1)
 
+    # Two copies of one index that both beat the row would both be seated
+    # by the single sort below, so rows repeating a non-inert candidate take
+    # the general path too.  Inert candidates get distinct negative keys:
+    # their repeats (a short leaf's self padding) are never seated.
+    fast = affected & distinct_full
+    if np.any(fast):
+        keys = np.where(inert[fast], -1 - np.arange(cand_idx.shape[1]), cand_idx[fast])
+        keys.sort(axis=1)
+        fast[np.flatnonzero(fast)[(keys[:, 1:] == keys[:, :-1]).any(axis=1)]] = False
+
     overlap = 0
-    general = affected & ~distinct_full
+    general = affected & ~fast
     if np.any(general):
         merge_candidate_block(
             table_idx, table_dist, rows[general], cand_idx[general], cand_dist[general]
@@ -404,7 +413,6 @@ def screened_merge(
         # cur_idx is a fancy-indexing copy, i.e. the pre-merge contents.
         overlap += int(row_set_overlap(cur_idx[general], table_idx[rows[general]]).sum())
 
-    fast = affected & distinct_full
     if np.any(fast):
         if fast.all():
             # Every row takes the fast path (the common case while the
@@ -531,9 +539,7 @@ def all_nearest_neighbors(
             iterations += 1
             touched = overlap = 0
             for rows, cand_idx, cand_dist in batches:
-                merged, part = screened_merge(
-                    idx_table, dist_table, rows, cand_idx, cand_dist, screen=iterations > 1
-                )
+                merged, part = screened_merge(idx_table, dist_table, rows, cand_idx, cand_dist)
                 touched += merged.size
                 overlap += part
             unchanged = (overlap + (n - touched) * kappa) / (n * kappa)

@@ -101,10 +101,12 @@ __all__ = [
 ]
 
 #: Per-call cap (in packed block bytes) on one ``entries_batched``
-#: materialization call.  Bounds the evaluator's stacked temporaries
-#: (pairwise distances + kernel values are a small multiple of the block
-#: bytes) so the chunk budget — not the batch evaluator — governs the
-#: engine's memory high-water mark.
+#: materialization call.  A ``KernelMatrix`` writes the blocks straight into
+#: the chunk buffer and keeps its elementwise scratch L2-sized, so what a
+#: call still allocates in proportion to its size is the gathered point
+#: coordinates (``g·(p+k)·d``), the norm and index tables — and, for a
+#: partly cached segment, the fresh blocks themselves.  The cap keeps those
+#: small so the chunk budget governs the engine's memory high-water mark.
 _MATERIALIZE_CALL_BYTES = 2 << 20
 
 #: Number of chunk buffers cycling through the pipeline.  The execution

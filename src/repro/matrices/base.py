@@ -14,26 +14,33 @@ Three concrete implementations cover every use in the repo:
   point set and a kernel function (the machine-learning matrices),
 * :class:`CallbackMatrix` adapts an arbitrary ``f(I, J) -> K[I, J]``
   callable, the fully matrix-free case.
+
+:class:`KernelMatrix` evaluates every block — one from :meth:`~SPDMatrix.entries`
+or a stack of any size from :meth:`~SPDMatrix.entries_batched` — through one
+in-place evaluator: the distance GEMM writes straight into the output, and
+the remaining elementwise passes (norms, clip, kernel, regularization) run
+over :func:`elementwise_chunks` of it that stay in L2.  Its scratch is
+allocated per call, so concurrent calls share nothing but immutable state.
 """
 
 from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from ..errors import NotSPDError
-from .kernels import pairwise_sq_dists
 
 __all__ = ["SPDMatrix", "DenseSPD", "KernelMatrix", "CallbackMatrix", "as_spd_matrix"]
 
 
-#: Per-block element cap of the vectorized kernel batch path: blocks above
-#: this stay cache-resident in per-block evaluation but would turn the
-#: stacked distance/kernel temporaries into main-memory traffic.
-_KERNEL_BATCH_MAX_BLOCK_ELEMENTS = 8192
+#: Elements per piece of :func:`elementwise_chunks`: a piece of the output
+#: and a same-size scratch (512 KiB together) stay in L2 across the four to
+#: nine in-place passes an evaluation makes over them.  Flat from 16 Ki to
+#: 32 Ki elements on a 2 MiB-L2 Xeon; 8 Ki costs ~10 % more per entry.
+_CHUNK_ELEMENTS = 32768
 
 #: Guards every ``entry_evaluations`` update: the compression fan-outs and
 #: the streamed engine's fill threads evaluate entries concurrently.
@@ -45,6 +52,34 @@ def _as_index_array(indices: Sequence[int] | np.ndarray) -> np.ndarray:
     if out.ndim == 0:
         out = out.reshape(1)
     return out
+
+
+def elementwise_chunks(
+    out: np.ndarray,
+) -> Iterator[tuple[slice, slice, np.ndarray, np.ndarray]]:
+    """Cover a C-contiguous ``(g, p, k)`` stack in cache-sized pieces.
+
+    Yields ``(blocks, rows, view, scratch)``: ``view = out[blocks, rows]`` is
+    a contiguous piece of about :data:`_CHUNK_ELEMENTS` entries (whole
+    blocks when they are small, row bands of one block when they are
+    large) and ``scratch`` a same-shape buffer, reused across pieces and
+    allocated once per call.  In-place elementwise transforms run piece by
+    piece, so their passes read L2 instead of main memory; the values do
+    not depend on the pieces.
+    """
+    g, p, k = out.shape
+    if p * k <= _CHUNK_ELEMENTS:
+        step = _CHUNK_ELEMENTS // max(1, p * k)
+        spans = [(slice(b, b + step), slice(None)) for b in range(0, g, step)]
+        size = min(g, step) * p * k
+    else:
+        step = max(1, _CHUNK_ELEMENTS // k)
+        spans = [(slice(b, b + 1), slice(r, r + step)) for b in range(g) for r in range(0, p, step)]
+        size = min(p, step) * k
+    scratch = np.empty(size)
+    for blocks, rows in spans:
+        view = out[blocks, rows]
+        yield blocks, rows, view, scratch[: view.size].reshape(view.shape)
 
 
 class SPDMatrix(ABC):
@@ -120,15 +155,14 @@ class SPDMatrix(ABC):
         the engine's chunk pipeline): implementations, including
         :meth:`entries` overrides this default delegates to, must be
         thread-safe for concurrent reads.  The built-in matrix classes are
-        (pure functions of immutable state); a custom subclass that
-        memoizes or wraps a non-reentrant library must either lock
-        internally or avoid the streamed engine and the worker knobs.  The
-        default simply loops over :meth:`entries`; matrix classes with
-        vectorizable entry formulas (:class:`KernelMatrix` for
-        distance-based kernels) override it to evaluate the whole batch
-        with a handful of stacked array operations.  Overrides must produce
-        the same values and account the same ``entry_evaluations`` (through
-        :meth:`_count_entries`) as the per-block loop.
+        (pure functions of immutable state, scratch allocated per call); a
+        custom subclass that memoizes or wraps a non-reentrant library must
+        either lock internally or avoid the streamed engine and the worker
+        knobs.  The default simply loops over :meth:`entries`;
+        :class:`KernelMatrix` overrides it to evaluate each same-shape stack
+        in one pass of its evaluator, at any block size.  Overrides must
+        produce the same values and account the same ``entry_evaluations``
+        (through :meth:`_count_entries`) as the per-block loop.
 
         ``out``, when given, is a preallocated ``(len(row_sets), p, k)``
         array receiving the blocks (all index sets must then share the
@@ -261,7 +295,9 @@ class KernelMatrix(SPDMatrix):
     Parameters
     ----------
     points:
-        ``(N, d)`` array of coordinates.
+        ``(N, d)`` array of coordinates.  The matrix keeps a read-only copy
+        (its :attr:`coordinates`), so later changes to ``points`` do not
+        reach it.
     kernel:
         a kernel object from :mod:`repro.matrices.kernels` exposing
         ``__call__(X, Y) -> pairwise kernel block`` and ``diagonal(X)``.
@@ -279,12 +315,18 @@ class KernelMatrix(SPDMatrix):
         name: str = "kernel",
     ) -> None:
         super().__init__()
-        self._points = np.asarray(points, dtype=np.float64)
+        # A private, read-only C-ordered copy: the squared norms below are
+        # cached from it, so the points must not change under them.
+        self._points = np.array(points, dtype=np.float64, order="C")
         if self._points.ndim != 2:
             raise NotSPDError("points must be a 2-D array (N, d)")
+        self._points.setflags(write=False)
         self._kernel = kernel
         self._reg = float(regularization)
         self.name = name
+        # Squared norms for the distance expansion; C order makes each row
+        # sum exactly like the gathered rows of the per-block formula.
+        self._sq_norms = np.einsum("ij,ij->i", self._points, self._points)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -300,12 +342,9 @@ class KernelMatrix(SPDMatrix):
         return self._kernel
 
     def _entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        block = self._kernel(self._points[rows], self._points[cols])
-        if self._reg != 0.0:
-            same = rows[:, None] == cols[None, :]
-            if np.any(same):
-                block = block + self._reg * same
-        return block
+        out = np.empty((1, rows.size, cols.size))
+        self._fill(rows[None], cols[None], out)
+        return out[0]
 
     def entries_batched(
         self,
@@ -313,119 +352,85 @@ class KernelMatrix(SPDMatrix):
         col_sets: Sequence[np.ndarray],
         out: Optional[np.ndarray] = None,
     ) -> list[np.ndarray]:
-        """Stacked evaluation of many blocks for distance-based kernels.
+        """Each same-shape stack of blocks in one :meth:`_fill` pass.
 
-        Kernels exposing ``from_sq_dists`` (Gaussian, Laplace, inverse
-        multiquadric, Matérn) are a pointwise function of the pairwise
-        squared distances, so a batch of same-shape blocks reduces to one
-        stacked GEMM plus one vectorized kernel application — the entry
-        values (and the ``entry_evaluations`` count) are identical to the
-        per-block loop, which remains the fallback for dot-product
-        kernels.  Mixed-shape batches are grouped by shape first.
-
-        With ``out`` (a same-shape batch from the streamed engine) the
-        kernel values are written directly into the caller's buffer —
-        ``from_sq_dists(..., out=...)`` — skipping the stacked result
-        allocation and the per-block copies.
+        Pre-stacked ``(g, p)`` / ``(g, k)`` index tables (the streamed
+        engine's segments, the blocks stage's slabs) and ``out`` batches
+        go through as one stack; a list of mixed shapes is grouped by
+        shape first.  Values and ``entry_evaluations`` equal the per-block
+        :meth:`entries` loop's.
         """
-        from_sq_dists = getattr(self._kernel, "from_sq_dists", None)
-        if from_sq_dists is None or len(row_sets) < 2:
-            return super().entries_batched(row_sets, col_sets, out=out)
-
-        if (
-            isinstance(row_sets, np.ndarray) and row_sets.ndim == 2
-            and isinstance(col_sets, np.ndarray) and col_sets.ndim == 2
-            and 0 < row_sets.shape[1] * col_sets.shape[1] <= _KERNEL_BATCH_MAX_BLOCK_ELEMENTS
-        ):
-            # Pre-stacked same-shape batch (the streamed engine's hot path):
-            # one distance GEMM + one kernel application, no regrouping.
-            self._count_entries(row_sets.size * col_sets.shape[1])
-            blocks, direct = self._stacked_kernel_blocks(from_sq_dists, row_sets, col_sets, out)
-            if out is not None and not direct:
-                for g in range(len(row_sets)):
-                    out[g] = blocks[g]
-                return [out[g] for g in range(len(row_sets))]
-            return [blocks[g] for g in range(len(row_sets))]
-
-        row_sets = [np.asarray(r, dtype=np.intp) for r in row_sets]
-        col_sets = [np.asarray(c, dtype=np.intp) for c in col_sets]
+        if len(row_sets) == 0:
+            return []
+        stacked = all(isinstance(s, np.ndarray) and s.ndim == 2 for s in (row_sets, col_sets))
+        if out is not None or stacked:
+            rows = np.asarray(row_sets, dtype=np.intp)
+            cols = np.asarray(col_sets, dtype=np.intp)
+            shape = (rows.shape[0], rows.shape[1], cols.shape[1])
+            self._count_entries(rows.size * shape[2])
+            fits = out is not None and out.dtype == np.float64 and out.flags.c_contiguous
+            blocks = out if fits else np.empty(shape)
+            self._fill(rows, cols, blocks)
+            if out is not None and not fits:
+                out[...] = blocks
+                blocks = out
+            return list(blocks)
         groups: dict[tuple[int, int], list[int]] = {}
         for i, (rows, cols) in enumerate(zip(row_sets, col_sets)):
-            groups.setdefault((rows.size, cols.size), []).append(i)
-
-        results: list[Optional[np.ndarray]] = [None] * len(row_sets)
-        for (p, k), members in groups.items():
-            if p * k > _KERNEL_BATCH_MAX_BLOCK_ELEMENTS or len(members) < 2:
-                # Large blocks: the stacked temporaries (distances, kernel
-                # values) fall out of cache and lose to per-block calls.
-                for i in members:
-                    results[i] = self.entries(row_sets[i], col_sets[i])
-                    if out is not None:
-                        out[i] = results[i]
-                        results[i] = out[i]
-                continue
-            self._count_entries(len(members) * p * k)
-            if p == 0 or k == 0:
-                for i in members:
-                    results[i] = np.zeros((p, k))
-                continue
-            rows = np.stack([row_sets[i] for i in members])
-            cols = np.stack([col_sets[i] for i in members])
-            # Only a single shape group covering the whole batch may write
-            # straight into the caller's buffer (group order == out order).
-            whole = out is not None and len(members) == len(row_sets)
-            blocks, direct = self._stacked_kernel_blocks(
-                from_sq_dists, rows, cols, out if whole else None
+            groups.setdefault((np.size(rows), np.size(cols)), []).append(i)
+        results: list[np.ndarray] = [None] * len(row_sets)  # type: ignore[list-item]
+        for members in groups.values():
+            blocks = self.entries_batched(
+                np.stack([_as_index_array(row_sets[i]) for i in members]),
+                np.stack([_as_index_array(col_sets[i]) for i in members]),
             )
-            if direct:
-                for g, i in enumerate(members):
-                    results[i] = out[i]
-            else:
-                for g, i in enumerate(members):
-                    if out is not None:
-                        out[i] = blocks[g]
-                        results[i] = out[i]
-                    else:
-                        results[i] = blocks[g]
-        return results  # type: ignore[return-value]
+            for i, block in zip(members, blocks):
+                results[i] = block
+        return results
 
-    def _stacked_kernel_blocks(
-        self,
-        from_sq_dists,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        out: Optional[np.ndarray],
-    ) -> tuple[np.ndarray, bool]:
-        """Kernel values of one stacked ``(g, p) × (g, k)`` index batch.
+    def _fill(self, rows: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None:
+        """Write ``K[rows[b]][:, cols[b]]`` into ``out[b]`` for a ``(g, p)`` × ``(g, k)`` stack.
 
-        Writes into ``out`` when given and the kernel supports it (returns
-        ``direct=True``); the values — including the diagonal
-        regularization, applied in place — are bitwise identical either
-        way.  Both ``entries_batched`` paths evaluate through this one
-        helper so they can never drift apart.
+        The one evaluator behind :meth:`entries` and :meth:`entries_batched`;
+        ``out`` is a C-contiguous float64 ``(g, p, k)`` array.  For distance
+        kernels it computes, bit for bit, ``kernel(x, y) + reg · (r == c)``
+        of the per-block formula (:func:`~repro.matrices.kernels.pairwise_sq_dists`
+        then ``from_sq_dists``):
+
+        1. ``out = (−2x) yᵀ`` — the same ``matmul`` per slice as the
+           per-block path (scaling an operand by −2 is exact), written
+           straight into ``out``;
+        2. per :func:`elementwise_chunks` piece: ``(‖x‖² + ‖y‖²) + out``
+           from the norms cached at construction, the clip at 0, the
+           kernel's ``from_sq_dists_inplace``, and ``+ reg`` where a row
+           index meets its column index.
+
+        The GEMM itself is never chunked: BLAS edge tiles would move the
+        last bit.  Other kernels are called once per block.
         """
-        d2 = pairwise_sq_dists(self._points[rows], self._points[cols])
-        direct = out is not None
-        if direct:
-            try:
-                blocks = np.asarray(from_sq_dists(d2, out=out), dtype=np.float64)
-            except TypeError:  # custom kernel without an out parameter
-                direct = False
-            else:
-                # Trust the buffer only if the kernel really wrote it: a
-                # kernel that accepts ``out`` but returns a fresh array (or
-                # a non-float64 one that asarray had to copy) must fall
-                # back to the copy path, not hand out uninitialized memory.
-                direct = blocks is out
-        if not direct:
-            blocks = np.asarray(from_sq_dists(d2), dtype=np.float64)
-        if self._reg != 0.0:
-            same = rows[:, :, None] == cols[:, None, :]
-            if np.any(same):
-                # ``block + reg * same`` of the per-block path, touching only
-                # the matching entries: ``v + reg * 1.0 == v + reg`` exactly.
-                blocks[same] += self._reg
-        return blocks, direct
+        if out.size == 0:
+            return
+        inplace = getattr(self._kernel, "from_sq_dists_inplace", None)
+        if inplace is None:
+            for b in range(out.shape[0]):
+                out[b] = self._kernel(self._points[rows[b]], self._points[cols[b]])
+        else:
+            # ``take`` gathers rows 3-4x faster than fancy indexing, same copy.
+            x = np.take(self._points, rows, axis=0)
+            np.multiply(x, -2.0, out=x)
+            np.matmul(x, np.take(self._points, cols, axis=0).transpose(0, 2, 1), out=out)
+            row_norms = self._sq_norms[rows][:, :, None]
+            col_norms = self._sq_norms[cols][:, None, :]
+        for blocks, band, view, scratch in elementwise_chunks(out):
+            if inplace is not None:
+                np.add(row_norms[blocks, band], col_norms[blocks], out=scratch)
+                np.add(scratch, view, out=view)
+                np.clip(view, 0.0, None, out=view)
+                inplace(view, scratch)
+            if self._reg != 0.0:
+                same = rows[blocks, band, None] == cols[blocks, None, :]
+                if same.any():
+                    np.add(view, self._reg, out=view, where=same)
 
     def _diagonal(self, indices: np.ndarray) -> np.ndarray:
         diag_fn = getattr(self._kernel, "diagonal", None)

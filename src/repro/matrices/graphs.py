@@ -119,11 +119,30 @@ def inverse_graph_laplacian(
     shifted = (lap + shift * max(avg_degree, 1.0) * sp.identity(n, format="csc")).tocsc()
     solver = spla.factorized(shifted)
     keep = n if n_target is None else min(n_target, n)
-    cols = np.column_stack([solver(np.eye(n, 1, -j).ravel()) for j in range(keep)])
-    dense = cols[:keep, :]
-    dense = 0.5 * (dense + dense.T)
-    dense /= max(np.abs(dense).max(), np.finfo(np.float64).tiny)
-    return DenseSPD(dense, coordinates=None, validate=False, name=name)
+    # One keep × keep array the whole way: column j is the first ``keep``
+    # rows of the j-th solve, symmetrised and scaled in place.
+    dense = np.empty((keep, keep), order="F")
+    unit = np.zeros(n)
+    for j in range(keep):
+        unit[j] = 1.0
+        dense[:, j] = solver(unit)[:keep]
+        unit[j] = 0.0
+    _symmetrize_in_place(dense)
+    dense /= max(dense.max(), -dense.min(), np.finfo(np.float64).tiny)
+    # ``dense`` is symmetric, so its transpose is the same matrix, C-ordered.
+    return DenseSPD(dense.T, coordinates=None, validate=False, name=name)
+
+
+def _symmetrize_in_place(a: np.ndarray) -> None:
+    """``a ← 0.5 (a + aᵀ)`` one tile pair at a time, bit for bit the allocating form."""
+    n, tile = a.shape[0], 256
+    for i in range(0, n, tile):
+        rows = slice(i, i + tile)
+        for j in range(i, n, tile):
+            cols = slice(j, j + tile)
+            sym = 0.5 * (a[rows, cols] + a[cols, rows].T)
+            a[rows, cols] = sym
+            a[cols, rows] = sym.T
 
 
 def graph_matrix(which: str, n: int, seed: int = 0, shift: float = 1e-2) -> DenseSPD:

@@ -11,6 +11,11 @@ pairwise block, ``kernel.diagonal(X)`` returns ``k(x, x)`` cheaply.  All of
 them are positive (semi-)definite on distinct points; generators that use
 potentially rank-deficient kernels add a small diagonal shift when wrapping
 them in :class:`repro.matrices.base.KernelMatrix`.
+
+The distance kernels (Gaussian, Laplace, inverse multiquadric, Matérn) are
+pointwise functions of the squared distance: ``from_sq_dists(d2)`` is that
+function and ``from_sq_dists_inplace(d2, scratch)`` the same expression
+evaluated in place, which is how ``KernelMatrix`` evaluates them.
 """
 
 from __future__ import annotations
@@ -35,9 +40,9 @@ def pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Uses the expansion ``||a-b||² = ||a||² + ||b||² − 2 a·b`` (one GEMM) and
     clips tiny negatives caused by cancellation.  Accepts stacked inputs
-    (``(..., p, d)`` against ``(..., k, d)``), returning ``(..., p, k)`` —
-    the batched entry evaluator computes a whole group of blocks through
-    the same formula as the per-block path.
+    (``(..., p, d)`` against ``(..., k, d)``), returning ``(..., p, k)``.
+    :class:`repro.matrices.base.KernelMatrix` evaluates the same expression
+    in place, bit for bit; this allocating form is its test oracle.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
@@ -62,14 +67,20 @@ class GaussianKernel:
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.from_sq_dists(pairwise_sq_dists(x, y))
 
-    def from_sq_dists(self, d2: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Kernel values from squared distances (any shape; enables batching).
+    def from_sq_dists(self, d2: np.ndarray) -> np.ndarray:
+        """Kernel values from squared distances (any shape)."""
+        return np.exp(-d2 / (2.0 * self.bandwidth**2))
 
-        ``out`` receives the values in place (the streamed engine writes
-        straight into its chunk buffer); the values are bitwise identical
-        either way — only the output memory differs.
+    def from_sq_dists_inplace(self, d2: np.ndarray, scratch: np.ndarray) -> None:
+        """Overwrite ``d2`` with :meth:`from_sq_dists` of it, bit for bit.
+
+        ``scratch`` is a same-shape buffer the kernel may clobber.  Every
+        distance kernel keeps its out-of-place expression order here, one
+        in-place ufunc per operation.
         """
-        return np.exp(-d2 / (2.0 * self.bandwidth**2), out=out)
+        np.negative(d2, out=d2)
+        np.divide(d2, 2.0 * self.bandwidth**2, out=d2)
+        np.exp(d2, out=d2)
 
     def diagonal(self, x: np.ndarray) -> np.ndarray:
         return np.ones(np.atleast_2d(x).shape[0])
@@ -88,9 +99,16 @@ class LaplaceKernel:
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.from_sq_dists(pairwise_sq_dists(x, y))
 
-    def from_sq_dists(self, d2: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Kernel values from squared distances (any shape; enables batching)."""
-        return np.exp(-np.sqrt(d2) / self.bandwidth, out=out)
+    def from_sq_dists(self, d2: np.ndarray) -> np.ndarray:
+        """Kernel values from squared distances (any shape)."""
+        return np.exp(-np.sqrt(d2) / self.bandwidth)
+
+    def from_sq_dists_inplace(self, d2: np.ndarray, scratch: np.ndarray) -> None:
+        """Overwrite ``d2`` with :meth:`from_sq_dists` of it, bit for bit."""
+        np.sqrt(d2, out=d2)
+        np.negative(d2, out=d2)
+        np.divide(d2, self.bandwidth, out=d2)
+        np.exp(d2, out=d2)
 
     def diagonal(self, x: np.ndarray) -> np.ndarray:
         return np.ones(np.atleast_2d(x).shape[0])
@@ -113,9 +131,14 @@ class InverseMultiquadricKernel:
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.from_sq_dists(pairwise_sq_dists(x, y))
 
-    def from_sq_dists(self, d2: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Kernel values from squared distances (any shape; enables batching)."""
-        return np.power(d2 + self.shift**2, -self.power / 2.0, out=out)
+    def from_sq_dists(self, d2: np.ndarray) -> np.ndarray:
+        """Kernel values from squared distances (any shape)."""
+        return np.power(d2 + self.shift**2, -self.power / 2.0)
+
+    def from_sq_dists_inplace(self, d2: np.ndarray, scratch: np.ndarray) -> None:
+        """Overwrite ``d2`` with :meth:`from_sq_dists` of it, bit for bit."""
+        np.add(d2, self.shift**2, out=d2)
+        np.power(d2, -self.power / 2.0, out=d2)
 
     def diagonal(self, x: np.ndarray) -> np.ndarray:
         n = np.atleast_2d(x).shape[0]
@@ -183,10 +206,20 @@ class MaternKernel:
     def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return self.from_sq_dists(pairwise_sq_dists(x, y))
 
-    def from_sq_dists(self, d2: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Kernel values from squared distances (any shape; enables batching)."""
+    def from_sq_dists(self, d2: np.ndarray) -> np.ndarray:
+        """Kernel values from squared distances (any shape)."""
         scaled = np.sqrt(3.0) * np.sqrt(d2) / self.bandwidth
-        return np.multiply(1.0 + scaled, np.exp(-scaled), out=out)
+        return (1.0 + scaled) * np.exp(-scaled)
+
+    def from_sq_dists_inplace(self, d2: np.ndarray, scratch: np.ndarray) -> None:
+        """Overwrite ``d2`` with :meth:`from_sq_dists` of it, bit for bit."""
+        np.sqrt(d2, out=d2)
+        np.multiply(d2, np.sqrt(3.0), out=d2)
+        np.divide(d2, self.bandwidth, out=d2)          # d2 holds ``scaled``
+        np.negative(d2, out=scratch)
+        np.exp(scratch, out=scratch)
+        np.add(d2, 1.0, out=d2)
+        np.multiply(d2, scratch, out=d2)
 
     def diagonal(self, x: np.ndarray) -> np.ndarray:
         return np.ones(np.atleast_2d(x).shape[0])

@@ -108,25 +108,14 @@ def test_merge_candidate_block_matches_oracle(seed, duplicates):
     np.testing.assert_array_equal(dist_table, oracle_dist)
 
 
-@pytest.mark.parametrize("screen", [False, True])
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_screened_merge_matches_oracle(seed, screen):
-    rng = np.random.default_rng(seed)
-    idx_table, dist_table, rows, cand_idx, cand_dist = random_merge_problem(
-        rng, duplicates=(seed % 2 == 1)
-    )
-    # Warm the table first so screening has real distances to screen against.
-    warm_idx = rng.integers(0, idx_table.shape[0], size=cand_idx.shape).astype(np.intp)
-    merge_candidate_block(idx_table, dist_table, rows, warm_idx, rng.random(cand_dist.shape))
+def _check_screened_merge(idx_table, dist_table, rows, cand_idx, cand_dist):
     pre_idx = idx_table.copy()
     oracle_idx, oracle_dist = idx_table.copy(), dist_table.copy()
     for r, row in enumerate(rows):
         oracle_idx[row], oracle_dist[row] = _merge_candidates(
             oracle_idx[row], oracle_dist[row], cand_idx[r], cand_dist[r]
         )
-    touched, overlap = screened_merge(
-        idx_table, dist_table, rows, cand_idx, cand_dist, screen=screen
-    )
+    touched, overlap = screened_merge(idx_table, dist_table, rows, cand_idx, cand_dist)
     np.testing.assert_array_equal(idx_table, oracle_idx)
     np.testing.assert_array_equal(dist_table, oracle_dist)
     # The reported overlap must equal the post-hoc set overlap over the
@@ -136,6 +125,50 @@ def test_screened_merge_matches_oracle(seed, screen):
     untouched = np.setdiff1d(rows, touched)
     np.testing.assert_array_equal(pre_idx[untouched], idx_table[untouched])
     assert overlap == int(row_set_overlap(pre_idx[touched], idx_table[touched]).sum())
+
+
+def _screened_merge_problem(seed, warm):
+    rng = np.random.default_rng(seed)
+    idx_table, dist_table, rows, cand_idx, cand_dist = random_merge_problem(
+        rng, duplicates=(seed % 2 == 1)
+    )
+    if warm:
+        # Warm the table first so screening has real distances to screen against.
+        warm_idx = rng.integers(0, idx_table.shape[0], size=cand_idx.shape).astype(np.intp)
+        merge_candidate_block(idx_table, dist_table, rows, warm_idx, rng.random(cand_dist.shape))
+    else:
+        # The first merge goes into a fresh init_table; make sure some of
+        # its random fillers collide, so those rows take the general path.
+        idx_table[rows[::4], 2] = idx_table[rows[::4], 1]
+        idx_table[rows[1::8], 1] = rows[1::8]
+        assert any(len(set(idx_table[row])) < idx_table.shape[1] for row in rows)
+    return idx_table, dist_table, rows, cand_idx, cand_dist
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_screened_merge_matches_oracle(seed, warm):
+    _check_screened_merge(*_screened_merge_problem(seed, warm))
+
+
+def test_screened_merge_matches_oracle_on_any_seed():
+    # The candidates repeat indices freely, including repeats that beat the
+    # stored row; those rows must leave the fast path.
+    for seed in range(200):
+        _check_screened_merge(*_screened_merge_problem(seed, warm=seed % 2 == 0))
+
+
+def test_screened_merge_repeated_winning_candidate():
+    rng = np.random.default_rng(5)
+    idx_table, dist_table = init_table(64, 4, rng)
+    rows = np.arange(8, dtype=np.intp)
+    idx_table[rows, 1:] = np.arange(3) + 40  # distinct fillers
+    cand_idx = np.tile(np.array([20, 21, 20, 22], dtype=np.intp), (8, 1))
+    cand_dist = np.tile(np.array([0.3, 0.2, 0.1, 0.5]), (8, 1))
+    _check_screened_merge(idx_table, dist_table, rows, cand_idx, cand_dist)
+    # Index 20 is seated once, at its nearer distance.
+    np.testing.assert_array_equal(idx_table[rows, 1:], np.tile([20, 21, 22], (8, 1)))
+    np.testing.assert_array_equal(dist_table[rows, 1:], np.tile([0.1, 0.2, 0.5], (8, 1)))
 
 
 def test_row_set_overlap_pinned():

@@ -10,16 +10,15 @@ from repro import GOFMMConfig
 from repro.config import DistanceMetric
 from repro.core.interactions import InteractionLists
 from repro.matrices import CallbackMatrix, DenseSPD, build_matrix
-from repro.matrices.base import _KERNEL_BATCH_MAX_BLOCK_ELEMENTS
 
 from ..oracles import blocks_reference
 
 stages = importlib.import_module("repro.core.compress")
 
 #: One name per matrix class the suite compresses: distance kernels that
-#: batch through ``from_sq_dists`` (K05 Gaussian, K07 inverse multiquadric),
-#: dot-product kernels that take the per-block fallback (K09 polynomial,
-#: K10 cosine), a dense Hessian (K02), a graph Laplacian with no
+#: evaluate in place through ``from_sq_dists_inplace`` (K05 Gaussian, K07
+#: inverse multiquadric), dot-product kernels called once per block (K09
+#: polynomial, K10 cosine), a dense Hessian (K02), a graph Laplacian with no
 #: coordinates (G03) and a bare callback.
 MATRICES = ("K05", "K07", "K09", "K10", "K02", "G03", "callback")
 
@@ -84,11 +83,11 @@ def test_blocks_stage_equals_per_pair_oracle(name, n, symmetrize, cache_near, ca
 
 @pytest.mark.parametrize("name", ["K05", "K09"])
 @pytest.mark.parametrize("leaf_size", [128, 512])
-def test_blocks_above_the_kernel_batch_cap(name, leaf_size):
-    """Leaves of 128 / 512: ``entries_batched`` falls back to per-block evaluation inside."""
-    assert leaf_size * leaf_size > _KERNEL_BATCH_MAX_BLOCK_ELEMENTS
+def test_blocks_of_large_leaves(name, leaf_size):
+    """Leaves of 128 / 512: each near block spans several evaluator pieces, no size cap."""
     matrix, config, tree = _skeletonized(name, 4 * leaf_size, leaf_size, True)
-    assert_stage_matches_oracle(tree, matrix, config)
+    near, _ = assert_stage_matches_oracle(tree, matrix, config)
+    assert any(block.shape == (leaf_size, leaf_size) for _, block in near.cached_items())
 
 
 def test_rank_zero_skeletons():

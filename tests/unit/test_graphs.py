@@ -3,6 +3,8 @@
 import networkx as nx
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from repro.errors import MatrixDefinitionError
 from repro.matrices.graphs import (
@@ -61,6 +63,24 @@ class TestInverseGraphLaplacian:
         expected /= np.abs(expected).max()
         m = inverse_graph_laplacian(graph, shift=0.1)
         assert np.allclose(m.array, expected, atol=1e-8)
+
+    @pytest.mark.parametrize("n", [300, 517])
+    @pytest.mark.parametrize("n_target", [None, 280])
+    def test_equals_the_allocating_formula(self, n, n_target):
+        """One in-place keep × keep array gives the column-stack formula's bits."""
+        graph = random_geometric_graph(n, seed=3)
+        size = graph.number_of_nodes()
+        lap = nx.laplacian_matrix(graph).astype(np.float64).tocsc()
+        shift = 1e-2 * max(float(lap.diagonal().mean()), 1.0)
+        solver = spla.factorized((lap + shift * sp.identity(size, format="csc")).tocsc())
+        keep = size if n_target is None else min(n_target, size)
+        cols = np.column_stack([solver(np.eye(size, 1, -j).ravel()) for j in range(keep)])
+        dense = cols[:keep, :]
+        dense = 0.5 * (dense + dense.T)
+        dense /= max(np.abs(dense).max(), np.finfo(np.float64).tiny)
+        m = inverse_graph_laplacian(graph, n_target=n_target)
+        assert np.array_equal(m.array, dense)
+        assert m.array.flags.c_contiguous
 
     def test_truncation_keeps_spd(self):
         graph = near_regular_graph(60, seed=2)
