@@ -11,16 +11,21 @@ level segments) with the S2S / L2L work, split by residency:
   for an mmap-opened operator), and an S2S target whose far blocks are all
   cached multiplies its block-row, concatenated once at build.  These
   segments form one :class:`PlannedChunk` per stage.
-* **rounds** — the S2S pairs left over (uncached blocks, partly cached
-  targets) are split into rounds: round ``j`` holds every such target's
-  ``j``-th far interaction.  Within a round each target appears at most
-  once, so same-shape pairs batch into one 3-D GEMM with a plain
-  vectorized scatter-add, while each target's accumulator still receives
-  its contributions *in far-list order* — the per-pair products of the
-  per-node traversal of Algorithm 2.7, in its order.  Leaves without an
-  intact row (the near cache off, a replaced block, a store in the older
-  flat layout) are organized the same way over Near lists.
-* **fill chunks** — the round segments are packed, in execution order,
+* **waves** — the pairs left over (uncached blocks, partly cached targets,
+  leaves without an intact row: the near cache off, a replaced block, a
+  store in the older flat layout) run in waves.  :func:`pair_waves` colours
+  each pass's unordered pairs ``{a, b}`` first-fit, in lexicographic order:
+  no node appears twice in a wave, so same-shape items batch into one 3-D
+  GEMM with a plain vectorized scatter-add, and each target accumulates
+  its contributions *in wave order* whatever the grouping, chunk budget,
+  rank padding or threads.  The waves are a pure function of the lists.
+* **each symmetric pair once** — GOFMM's lists are symmetric and so is K
+  (``K_ba = K_abᵀ``).  When both directions of a pair fill and the provider
+  caches neither, the pair folds: its ``(min, max)`` block ``B`` is
+  evaluated once and applied both ways, ``y[a] += B w[b]`` and, for
+  ``a ≠ b``, ``y[b] += Bᵀ w[a]``.  Otherwise each listed direction is a
+  one-sided item of the same wave; a diagonal pair is applied once.
+* **fill chunks** — the wave segments are packed, in execution order,
   into chunks bounded by ``GOFMMConfig.streaming_chunk_bytes``: each
   chunk's blocks are materialized into a reusable buffer (missing blocks
   are evaluated in stacked batches through
@@ -32,7 +37,7 @@ level segments) with the S2S / L2L work, split by residency:
   unless a single block is larger than one buffer's share (a chunk holds at
   least one block), which the plan logs once at build.
 
-Each target gets either one block-row product or its per-block sum in list
+Each target gets either one block-row product or its per-block sum in wave
 order, the rules the per-node oracle follows too.  ``CompressedMatrix``
 builds two packings of this plan: :meth:`~repro.core.hmatrix.CompressedMatrix.plan`
 pads ranks per ``config.plan_rank_bucketing`` (the ``"planned"`` engine)
@@ -98,6 +103,7 @@ __all__ = [
     "StreamChunk",
     "StreamingPlan",
     "build_streaming_plan",
+    "pair_waves",
 ]
 
 #: Per-call cap (in packed block bytes) on one ``entries_batched``
@@ -130,19 +136,22 @@ _PANEL_IO_BYTES = 8 << 20
 # ---------------------------------------------------------------------------
 
 class StreamSegment:
-    """One same-shape batch of interaction blocks from one round.
+    """One same-shape batch of interaction blocks from one wave.
 
     ``rows[g]`` / ``cols[g]`` are the global entry indices of the ``g``-th
     block (skeleton sets for S2S, leaf index sets for L2L) and ``keys[g]``
     its provider key; ``src`` / ``dst`` are the ``(buffer, block, index)``
     gather / scatter accesses of the batched GEMM, run by
-    :func:`~repro.core.plan.gather_gemm_scatter`.  Scatter targets
-    are disjoint within the segment (each target appears at most once per
-    round), so the fancy-index add is a plain vectorized scatter.
+    :func:`~repro.core.plan.gather_gemm_scatter`.  A ``mirrored`` segment
+    holds folded pairs: each block ``B`` is ``K[a, b]`` with ``a < b`` and
+    also runs transposed, ``y[b] += Bᵀ w[a]``, with the two accesses
+    swapped.  No node appears twice in a wave, so every scatter target is
+    disjoint within the segment and the fancy-index add is a plain
+    vectorized scatter.
     """
 
     __slots__ = (
-        "kind", "shape", "keys", "rows", "cols", "src", "dst",
+        "kind", "shape", "keys", "rows", "cols", "src", "dst", "mirrored", "wave",
         "cached", "missing", "flops_per_rhs",
     )
 
@@ -155,10 +164,14 @@ class StreamSegment:
         cols: List[np.ndarray],
         src: Optional[np.ndarray] = None,
         dst: Optional[np.ndarray] = None,
+        mirrored: bool = False,
+        wave: int = 0,
     ) -> None:
         self.kind = kind                  # "S2S" (util scatter) or "L2L" (output scatter)
         self.shape = shape                # (p, k) of every block in the batch
         self.keys = keys
+        self.mirrored = mirrored          # folded pairs: also apply each block transposed
+        self.wave = wave                  # the pass's wave this batch belongs to
         # Pre-stacked (g, p) / (g, k) index tables: entries_batched takes
         # the 2-D arrays straight into its stacked fast path, paying no
         # per-matvec restacking.
@@ -173,7 +186,7 @@ class StreamSegment:
         self.dst = ("util" if s2s else "output", 1, self.rows if dst is None else dst)
         self.cached: List[int] = []       # filled by bind_cache
         self.missing: List[int] = list(range(len(keys)))
-        self.flops_per_rhs = 2.0 * len(keys) * shape[0] * shape[1]
+        self.flops_per_rhs = (4.0 if mirrored else 2.0) * len(keys) * shape[0] * shape[1]
 
     @property
     def batch(self) -> int:
@@ -223,15 +236,17 @@ class StreamSegment:
             return
         for start in range(0, len(self.missing), step):
             chosen = self.missing[start : start + step]
-            blocks = matrix.entries_batched(
-                [self.rows[g] for g in chosen], [self.cols[g] for g in chosen]
-            )
+            blocks = matrix.entries_batched(self.rows[chosen], self.cols[chosen])
             for block, g in zip(blocks, chosen):
                 out[g] = block
 
     def run(self, ctx: PlanContext, blocks: np.ndarray) -> None:
-        """Execute the batched GEMM + scatter from materialized ``blocks``."""
+        """Execute the batched GEMM + scatter from materialized ``blocks``
+        (and, for folded pairs, the transposed one with the accesses swapped)."""
         gather_gemm_scatter(ctx, blocks, self.src, self.dst)
+        if self.mirrored:
+            (src, _, cols), (dst, _, rows) = self.src, self.dst
+            gather_gemm_scatter(ctx, blocks.transpose(0, 2, 1), (src, 1, rows), (dst, 1, cols))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"StreamSegment({self.kind}, batch={self.batch}, shape={self.shape})"
@@ -777,7 +792,7 @@ class StreamingPlan:
 # ---------------------------------------------------------------------------
 
 def _targets(tree) -> Tuple[list, list]:
-    """``(far, near)``: every target with its interaction partners, in list order.
+    """``(far, near)``: every target with its interaction partners.
 
     Far: nodes with a skeleton and the partners of their Far list that have
     one.  Near: non-empty leaves and the non-empty leaves of their Near list.
@@ -799,38 +814,75 @@ def _targets(tree) -> Tuple[list, list]:
     return far, near
 
 
-def _rounds(targets_with_pairs: List[tuple], shape_of) -> List[tuple]:
-    """Round-major, shape-sorted ``(shape, members)`` groups over per-target lists.
+def pair_waves(pairs) -> List[List[Tuple[int, int]]]:
+    """The fill schedule of one pass: a first-fit edge colouring of its pairs.
 
-    Round ``j`` takes each target's ``j``-th pair, so every target appears
-    at most once per round — scatter targets stay disjoint within a group
-    while each target's accumulation order remains its list order (the
-    per-node traversal's order).  Within a round the groups are sorted by
-    shape; ``members`` are ``(target, source)`` node pairs.
+    ``pairs`` are unordered node pairs ``(a, b)``, ``a <= b`` (a diagonal
+    pair is ``(a, a)``).  Taken in lexicographic order, each joins the
+    first wave in which neither endpoint appears yet, so no node appears
+    twice in a wave and a maximum degree of Δ takes at most 2Δ − 1 waves.
+    A pure function of the lists: chunk budget, rank padding and caching
+    do not move it.
     """
+    waves: List[List[Tuple[int, int]]] = []
+    busy: Dict[int, set] = {}
+    for a, b in sorted(set(pairs)):
+        taken = busy.setdefault(a, set()) | busy.setdefault(b, set())
+        wave = next(w for w in range(len(waves) + 1) if w not in taken)
+        if wave == len(waves):
+            waves.append([])
+        waves[wave].append((a, b))
+        busy[a].add(wave)
+        busy[b].add(wave)
+    return waves
+
+
+def _wave_groups(targets: List[tuple], fill: set, provider, shape_of) -> List[tuple]:
+    """Wave-major, shape-sorted ``(wave, (shape, mirrored), members)`` groups of one pass.
+
+    ``targets`` are every target of the pass with its partners (the waves
+    come from all of them); ``fill`` names the targets whose work fills
+    chunks.  A pair folds — one ``(min, max)`` block, applied both ways —
+    when both of its directions are fill items and the provider caches
+    neither; otherwise each fill direction is a one-sided ``(target,
+    source)`` member of the same wave.  Each target therefore receives its
+    contributions in wave order, whatever the grouping.
+    """
+    nodes: Dict[int, object] = {}
+    listed: set = set()
+    for target, partners in targets:
+        nodes[target.node_id] = target
+        for partner in partners:
+            nodes[partner.node_id] = partner
+            listed.add((target.node_id, partner.node_id))
     groups: List[tuple] = []
-    max_len = max((len(pairs) for _, pairs in targets_with_pairs), default=0)
-    for j in range(max_len):
-        by_shape: Dict[tuple[int, int], list] = {}
-        for target, pairs in targets_with_pairs:
-            if j < len(pairs):
-                by_shape.setdefault(shape_of(target, pairs[j]), []).append((target, pairs[j]))
-        groups.extend(sorted(by_shape.items()))
+    for j, wave in enumerate(pair_waves((min(key), max(key)) for key in listed)):
+        by_shape: Dict[tuple, list] = {}
+        for a, b in wave:
+            directions = {(a, b), (b, a)}
+            items = sorted(key for key in directions if key in listed and key[0] in fill)
+            folds = len(items) == 2 and not any(key in provider for key in items)
+            for t, s in items[:1] if folds else items:
+                group = by_shape.setdefault((shape_of(nodes[t], nodes[s]), folds), [])
+                group.append((nodes[t], nodes[s]))
+        groups.extend((j, key, members) for key, members in sorted(by_shape.items()))
     return groups
 
 
-def _fill_chunks(kind, targets, shape_of, make_segment, provider, budget_elems) -> List[StreamChunk]:
-    """The round-major fill chunks over ``targets``.
+def _fill_chunks(kind, targets, fill, shape_of, make_segment, provider, budget_elems) -> List[StreamChunk]:
+    """The wave-major fill chunks of the ``fill`` targets of one pass.
 
-    One segment per round group, split along the batch dimension to the
-    chunk budget (scatter targets stay disjoint, accumulation order
-    intact), its cache split bound once, then packed greedily into chunks.
+    One segment per wave group, split along the batch dimension to the
+    chunk budget (a subset of a wave keeps its targets disjoint), its cache
+    split bound once, then packed greedily into chunks.
     """
+    if not fill:
+        return []
     segments: List[StreamSegment] = []
-    for shape, members in _rounds(targets, shape_of):
+    for wave, (shape, mirrored), members in _wave_groups(targets, fill, provider, shape_of):
         step = max(1, budget_elems // max(shape[0] * shape[1], 1))
         for start in range(0, len(members), step):
-            segment = make_segment(kind, shape, members[start : start + step])
+            segment = make_segment(kind, shape, members[start : start + step], mirrored, wave)
             segment.bind_cache(provider)
             segments.append(segment)
     return _pack_chunks(segments, budget_elems)
@@ -842,7 +894,9 @@ class _S2SSegmentFactory:
     def __init__(self, skel_offset: np.ndarray) -> None:
         self.skel_offset = skel_offset
 
-    def __call__(self, kind: str, shape: tuple[int, int], members: list) -> StreamSegment:
+    def __call__(
+        self, kind: str, shape: tuple[int, int], members: list, mirrored: bool, wave: int
+    ) -> StreamSegment:
         s, k = shape
         offset = self.skel_offset
         src = np.stack([np.arange(offset[a.node_id], offset[a.node_id] + k) for _, a in members])
@@ -855,10 +909,14 @@ class _S2SSegmentFactory:
             cols=[a.skeleton for _, a in members],
             src=src,
             dst=dst,
+            mirrored=mirrored,
+            wave=wave,
         )
 
 
-def _l2l_segment(kind: str, shape: tuple[int, int], members: list) -> StreamSegment:
+def _l2l_segment(
+    kind: str, shape: tuple[int, int], members: list, mirrored: bool, wave: int
+) -> StreamSegment:
     """Builds an L2L stream segment (leaf blocks, global gather/scatter)."""
     return StreamSegment(
         kind,
@@ -866,6 +924,8 @@ def _l2l_segment(kind: str, shape: tuple[int, int], members: list) -> StreamSegm
         keys=[(b.node_id, a.node_id) for b, a in members],
         rows=[b.indices for b, _ in members],
         cols=[a.indices for _, a in members],
+        mirrored=mirrored,
+        wave=wave,
     )
 
 
@@ -898,7 +958,7 @@ def build_streaming_plan(compressed, bucketing: str = "none") -> StreamingPlan:
     stage so the fill chunks' materialization overlaps them: S2S targets
     whose far blocks are all cached, packed as block-rows, and L2L on the
     near cache's intact row slabs.  Everything else is split into
-    round-major fill chunks; their S2S segments address the real ranks
+    wave-major fill chunks; their S2S segments address the real ranks
     inside padded offsets, which is exact because padding rows are zero.
     """
     config = compressed.config
@@ -920,12 +980,12 @@ def build_streaming_plan(compressed, bucketing: str = "none") -> StreamingPlan:
     in_rows = {beta_id for slab in slabs for beta_id, _ in slab.rows}
     packed = _pack_s2s_segments(compressed, layout, [t for t, c in zip(far_targets, cached) if c])
     s2s_chunks = _planned(packed) + _fill_chunks(
-        "S2S", [t for t, c in zip(far_targets, cached) if not c],
+        "S2S", far_targets, {b.node_id for (b, _), c in zip(far_targets, cached) if not c},
         lambda b, a: (b.skeleton_rank, a.skeleton_rank),
         _S2SSegmentFactory(layout.skel_offset), far_blocks, budget_elems,
     )
     l2l_chunks = _planned(slab_segments(compressed, layout, slabs)) + _fill_chunks(
-        "L2L", [t for t in near_targets if t[0].node_id not in in_rows],
+        "L2L", near_targets, {b.node_id for b, _ in near_targets if b.node_id not in in_rows},
         lambda b, a: (b.size, a.size), _l2l_segment, near_blocks, budget_elems,
     )
     return StreamingPlan(

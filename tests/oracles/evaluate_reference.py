@@ -25,7 +25,13 @@ packed plan (``engine="streamed"``) must equal the oracle bitwise
   multiplies that row in one GEMM,
 * a target whose far blocks are all cached multiplies its concatenated
   block-row in one GEMM,
-* every other target accumulates block by block, in list order.
+* every other target accumulates block by block in **wave order**, not
+  list order: each pass's unordered pairs ``{a, b}`` are coloured
+  first-fit in lexicographic order (no node twice in a wave, see
+  :func:`pair_waves`), and the waves are replayed in turn.  A pair whose
+  two directions both accumulate block by block, with neither block
+  cached, is evaluated once as ``B = K[a, b]`` (``a < b``) and applied
+  both ways: ``u_a += B w_b`` and ``u_b += Bᵀ w_a``.
 
 The ``"planned"`` packing of the same plan pads adaptive ranks, and agrees
 to summation order; with uniform ranks (or ``plan_rank_bucketing="none"``)
@@ -80,36 +86,102 @@ def task_n2s(node, state: EvaluationState) -> None:
     state.counters.n2s += 2.0 * node.coeffs.shape[0] * node.coeffs.shape[1] * r
 
 
-def task_s2s(node, state: EvaluationState, far_blocks, tree) -> None:
-    """S2S(β): accumulate skeleton potentials from every far node.
+def pair_waves(pairs) -> list:
+    """First-fit edge colouring: each pair, in lexicographic order, takes the
+    lowest wave holding neither of its endpoints."""
+    waves, used = [], {}
+    for a, b in sorted(set(pairs)):
+        wave = 0
+        while wave in used.get(a, ()) or wave in used.get(b, ()):
+            wave += 1
+        if wave == len(waves):
+            waves.append([])
+        waves[wave].append((a, b))
+        used.setdefault(a, set()).add(wave)
+        used.setdefault(b, set()).add(wave)
+    return waves
 
-    One GEMM on the concatenated block-row when every far block is cached,
-    else one per block in Far-list order.
+
+def fill_items(lists: Dict[int, list], fill: set, provider):
+    """One pass's block-by-block work in wave order: ``(target, source, mirrored)``.
+
+    ``lists`` maps every target of the pass to its partners (the waves come
+    from all of them); ``fill`` names the targets that accumulate block by
+    block.  ``mirrored`` items fold both directions of a pair into the
+    ``(min, max)`` block.
     """
-    if node.is_root or node.skeleton_rank == 0:
-        return
+    listed = {(t, s) for t, partners in lists.items() for s in partners}
+    for wave in pair_waves((min(t, s), max(t, s)) for t, s in listed):
+        for a, b in wave:
+            items = [key for key in sorted({(a, b), (b, a)}) if key in listed and key[0] in fill]
+            if len(items) == 2 and not any(key in provider for key in items):
+                yield a, b, True
+            else:
+                yield from ((t, s, False) for t, s in items)
+
+
+def far_lists(tree) -> Dict[int, list]:
+    """Node id → its Far partners with a skeleton, for nodes with a skeleton and any."""
+    lists = {}
+    for node in tree.nodes:
+        if node.is_root or node.skeleton_rank == 0:
+            continue
+        far = [a for a in node.far if tree.node(a).skeleton_rank > 0]
+        if far:
+            lists[node.node_id] = far
+    return lists
+
+
+def near_lists(tree) -> Dict[int, list]:
+    """Leaf id → its non-empty Near leaves, for non-empty leaves with any."""
+    lists = {}
+    for leaf in tree.leaves:
+        near = [a for a in leaf.near if tree.node(a).size > 0]
+        if leaf.size > 0 and near:
+            lists[leaf.node_id] = near
+    return lists
+
+
+def _block(provider, key, kind: str) -> np.ndarray:
+    block = provider.get(key)
+    if block is None:
+        raise EvaluationError(f"missing cached {kind} block {key}")
+    return block
+
+
+def task_s2s(node, state: EvaluationState, far_blocks, far: list) -> None:
+    """S2S(β) of a node whose far blocks are all cached: one GEMM on the
+    concatenated block-row."""
     r = state.weights.shape[1]
+    blocks = [far_blocks.get((node.node_id, a)) for a in far]
     acc = state.skeleton_potentials.setdefault(node.node_id, np.zeros((node.skeleton_rank, r)))
-    far = [a for a in node.far if tree.node(a).skeleton_rank > 0]
-    if far and all((node.node_id, a) in far_blocks for a in far):
-        blocks = [far_blocks.get((node.node_id, a)) for a in far]
-        acc += np.hstack(blocks) @ np.vstack([state.skeleton_weights[a] for a in far])
-        state.counters.s2s += 2.0 * sum(block.size for block in blocks) * r
-        return
-    for alpha_id in node.far:
-        block = far_blocks.get((node.node_id, alpha_id))
-        if block is None:
-            raise EvaluationError(f"missing cached far block ({node.node_id}, {alpha_id})")
-        w_alpha = state.skeleton_weights.get(alpha_id)
-        if w_alpha is None:
-            raise EvaluationError(f"S2S({node.node_id}) needs w̃ of node {alpha_id} (N2S not finished)")
-        if block.shape[1] != w_alpha.shape[0]:
+    acc += np.hstack(blocks) @ np.vstack([state.skeleton_weights[a] for a in far])
+    state.counters.s2s += 2.0 * sum(block.size for block in blocks) * r
+
+
+def pass_s2s(state: EvaluationState, far_blocks, tree) -> None:
+    """Every S2S(β): ``ũ_β = Σ_{α ∈ Far(β)} K_{β̃α̃} w̃_α``."""
+    lists = far_lists(tree)
+    cached = {b for b, far in lists.items() if all((b, a) in far_blocks for a in far)}
+    for b in sorted(cached):
+        task_s2s(tree.node(b), state, far_blocks, lists[b])
+    r = state.weights.shape[1]
+
+    def acc(node_id):
+        rank = tree.node(node_id).skeleton_rank
+        return state.skeleton_potentials.setdefault(node_id, np.zeros((rank, r)))
+
+    for t, s, mirrored in fill_items(lists, set(lists) - cached, far_blocks):
+        block = _block(far_blocks, (t, s), "far")
+        if block.shape[1] != state.skeleton_weights[s].shape[0]:
             raise EvaluationError(
-                f"S2S({node.node_id}): far block ({node.node_id},{alpha_id}) has {block.shape[1]} columns, "
-                f"but node {alpha_id} has skeleton rank {w_alpha.shape[0]}"
+                f"S2S({t}): far block ({t},{s}) has {block.shape[1]} columns, "
+                f"but node {s} has skeleton rank {state.skeleton_weights[s].shape[0]}"
             )
-        acc += block @ w_alpha
-        state.counters.s2s += 2.0 * block.shape[0] * block.shape[1] * r
+        acc(t)[...] += block @ state.skeleton_weights[s]
+        if mirrored:
+            acc(s)[...] += block.T @ state.skeleton_weights[t]
+        state.counters.s2s += (4.0 if mirrored else 2.0) * block.size * r
 
 
 def task_s2n(node, state: EvaluationState) -> None:
@@ -142,28 +214,26 @@ def intact_rows(tree, near_blocks) -> Dict[int, np.ndarray]:
     return rows
 
 
-def task_l2l(node, state: EvaluationState, tree, near_blocks, rows) -> None:
-    """L2L(β): direct (dense) contribution from every near leaf.
+def pass_l2l(state: EvaluationState, tree, near_blocks) -> None:
+    """Every L2L(β): the direct (dense) contribution ``u_β += Σ_{α ∈ Near(β)} K_{βα} w_α``.
 
-    One GEMM on the leaf's cached row (``rows``, from :func:`intact_rows`)
-    when it has one, else one per block in Near-list order.
+    One GEMM on the leaf's cached row (from :func:`intact_rows`) when it has
+    one, else block by block in wave order.
     """
-    if not node.is_leaf:
-        return
     r = state.weights.shape[1]
-    row = rows.get(node.node_id)
-    if row is not None:
-        cols = np.concatenate([tree.node(a).indices for a in node.near])
-        state.output[node.indices] += row @ state.weights[cols]
+    rows = intact_rows(tree, near_blocks)
+    for beta, row in rows.items():
+        cols = np.concatenate([tree.node(a).indices for a in tree.node(beta).near])
+        state.output[tree.node(beta).indices] += row @ state.weights[cols]
         state.counters.l2l += 2.0 * row.size * r
-        return
-    for alpha_id in node.near:
-        alpha = tree.node(alpha_id)
-        block = near_blocks.get((node.node_id, alpha_id))
-        if block is None:
-            raise EvaluationError(f"missing cached near block ({node.node_id}, {alpha_id})")
-        state.output[node.indices] += block @ state.weights[alpha.indices]
-        state.counters.l2l += 2.0 * block.shape[0] * block.shape[1] * r
+    lists = near_lists(tree)
+    for t, s, mirrored in fill_items(lists, set(lists) - set(rows), near_blocks):
+        block = _block(near_blocks, (t, s), "near")
+        target, source = tree.node(t).indices, tree.node(s).indices
+        state.output[target] += block @ state.weights[source]
+        if mirrored:
+            state.output[source] += block.T @ state.weights[target]
+        state.counters.l2l += (4.0 if mirrored else 2.0) * block.size * r
 
 
 def reference_matvec(cm, w: np.ndarray, counters: EvaluationCounters | None = None) -> np.ndarray:
@@ -178,13 +248,10 @@ def reference_matvec(cm, w: np.ndarray, counters: EvaluationCounters | None = No
 
     for node in tree.postorder():
         task_n2s(node, state)
-    for node in tree.nodes:
-        task_s2s(node, state, cm.far_blocks, tree)
+    pass_s2s(state, cm.far_blocks, tree)
     for node in tree.preorder():
         task_s2n(node, state)
-    rows = intact_rows(tree, cm.near_blocks)
-    for leaf in tree.leaves:
-        task_l2l(leaf, state, tree, cm.near_blocks, rows)
+    pass_l2l(state, tree, cm.near_blocks)
 
     if counters is not None:
         counters.add_flops(vars(state.counters), 1)

@@ -173,6 +173,11 @@ def _oracle(cm, r: int) -> np.ndarray:
     return reference_matvec(cm, np.random.default_rng(r).standard_normal((cm.n, r)))
 
 
+def _close(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal up to summation order."""
+    return np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
 def _without_rows(cm, matrix):
     """``cm`` with a near provider that caches nothing: every leaf's row fills."""
     near = BlockProvider(cm.tree, matrix, use_skeletons=False)
@@ -181,7 +186,9 @@ def _without_rows(cm, matrix):
 
 class TestFillPathLattice:
     """Cells without an intact row fill it block by block, and give the bits
-    of an operator that holds no row slab; at exact packing, the oracle's."""
+    of an operator that holds no row slab (up to round-off where one caches
+    the blocks and the other folds mirrored pairs); at exact packing, the
+    oracle's."""
 
     @pytest.mark.parametrize("r", [1, 16])
     def test_store_opened_into_ram(self, fresh_pair, tmp_path, r):
@@ -202,7 +209,10 @@ class TestFillPathLattice:
         )
         rewrite_in_flat_layout(path)
         flat = CompressedOperator.open(path, resident="ram").compressed
-        assert np.array_equal(_planned(flat, r), _planned(_without_rows(cm, matrix), r))
+        # The flat store caches every block, so its pairs stay one-sided; an
+        # operator caching none folds each mirrored pair into one block and
+        # applies it transposed, which moves the sums at round-off.
+        assert _close(_planned(flat, r), _planned(_without_rows(cm, matrix), r))
         assert np.array_equal(_planned(_exact(flat), r), _oracle(flat, r))
         assert not _l2l(flat.plan()) and flat.plan().filled_chunks > 0
         assert flat.plan().owned_bytes() == flat.plan().packed_entries() * 8

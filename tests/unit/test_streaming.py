@@ -6,7 +6,7 @@ The load-bearing guarantees:
   traversal on memoryless configurations (blocks uncached — near-only,
   far-only, both off), pinned with ``np.array_equal``, not a tolerance,
 * chunk boundaries never change the result: a budget smaller than one
-  segment (hundreds of single-block chunks) and a budget swallowing the
+  segment (one single-block chunk per listed pair) and a budget swallowing the
   whole evaluation (degenerate single chunk per stage) both reproduce the
   reference bitwise,
 * ``default_engine`` prefers the streamed engine exactly when block
@@ -35,7 +35,7 @@ from repro.serving import BatchPolicy, MatvecServer
 from repro.storage import OperatorStore
 
 from ..conftest import make_gaussian_kernel_matrix, rewrite_in_flat_layout
-from ..oracles.evaluate_reference import reference_matvec
+from ..oracles.evaluate_reference import far_lists, near_lists, reference_matvec
 
 
 def make_config(**overrides) -> GOFMMConfig:
@@ -55,6 +55,16 @@ def matrix():
 @pytest.fixture(scope="module")
 def memoryless(matrix):
     return compress(matrix, make_config(cache_near_blocks=False, cache_far_blocks=False))
+
+
+def _listed(lists) -> set:
+    """Every listed ``(target, partner)`` item of one pass."""
+    return {(t, s) for t, partners in lists.items() for s in partners}
+
+
+def _unordered(lists) -> set:
+    """The unordered pairs ``(min, max)`` of one pass's lists."""
+    return {(min(key), max(key)) for key in _listed(lists)}
 
 
 class TestConfig:
@@ -112,9 +122,9 @@ class TestBitIdentity:
 
 class TestChunkBoundaries:
     def test_chunk_smaller_than_one_segment(self, matrix):
-        # 2 KiB budget: far smaller than any round segment — every chunk
-        # degenerates to a single block, the pipeline runs hundreds of
-        # chunks, and the result must still be reference-bitwise.
+        # 2 KiB budget: far smaller than any wave segment — every chunk
+        # degenerates to a single block (one per listed pair), and the
+        # result must still be reference-bitwise.
         cm = compress(
             matrix,
             make_config(
@@ -122,7 +132,11 @@ class TestChunkBoundaries:
             ),
         )
         plan = cm.streaming_plan()
-        assert plan.num_chunks > 50
+        chunks = plan.s2s_chunks + plan.l2l_chunks
+        assert all(chunk.num_blocks == 1 for chunk in chunks)
+        assert plan.num_chunks == len(_unordered(near_lists(cm.tree))) + len(
+            _unordered(far_lists(cm.tree))
+        ) > 30
         w = np.random.default_rng(5).standard_normal((matrix.n, 3))
         assert np.array_equal(
             cm.matvec(w, engine="streamed"), reference_matvec(cm, w)
