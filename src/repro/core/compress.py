@@ -9,7 +9,8 @@ The driver runs the paper's pipeline:
 4. nested skeletonization (tasks SKEL + COEF),
 5. optional caching of near and far submatrices (tasks Kba + SKba), each
    entry evaluated once, in bulk, into read-only slabs — near blocks into
-   per-leaf block-rows, which the evaluation plan multiplies in place,
+   per-leaf block-rows holding each symmetric pair once, which the
+   evaluation plan multiplies in place both ways,
 6. optionally (``config.prebuild_plan``) the ``"planned"`` evaluation plan
    (:meth:`repro.core.hmatrix.CompressedMatrix.plan`).
 
@@ -41,7 +42,7 @@ from ..config import DistanceMetric, GOFMMConfig
 from ..errors import CompressionError
 from ..matrices.base import SPDMatrix, as_spd_matrix
 from .distances import Distance, make_distance
-from .hmatrix import BlockProvider, CompressedMatrix, RowSlab
+from .hmatrix import BlockProvider, CompressedMatrix, RowSlab, fold_near_rows
 from .interactions import InteractionLists, build_interaction_lists, build_node_neighbor_lists
 from .neighbors import NeighborTable, all_nearest_neighbors
 from .skeletonization import SkeletonizationStats, skeletonize_tree
@@ -252,11 +253,11 @@ def _evaluate_blocks(
 
 
 def fill_row_slabs(
-    rows: list[tuple[int, tuple[int, ...]]],
+    rows: list[tuple[int, tuple[int, ...], tuple[bool, ...]]],
     index_sets: list[np.ndarray],
     fill: Callable[[list[tuple[int, int]], list[np.ndarray]], None],
 ) -> tuple[list[RowSlab], dict[tuple[int, int], np.ndarray]]:
-    """Lay the block-rows ``K[β, near(β)]`` of ``rows = [(β, near(β))]`` out in row slabs.
+    """Lay the block-rows ``K[β, cols]`` of ``rows = [(β, cols, mirror)]`` out in row slabs.
 
     The one L2L operand format: the near-blocks stage caches these slabs,
     and the planned engine runs its L2L segments on them in place, one per
@@ -267,20 +268,25 @@ def fill_row_slabs(
     of β's row; the slabs are read-only afterwards.  Returns the slabs and
     the views by key, in ``rows`` order.
     """
-    groups: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
-    for beta_id, near in rows:
-        shape = (index_sets[beta_id].size, sum(index_sets[a].size for a in near))
-        groups.setdefault(shape, []).append((beta_id, near))
+    groups: dict[tuple[int, int], list] = {}
+    for row in rows:
+        beta_id, cols, _ = row
+        shape = (index_sets[beta_id].size, sum(index_sets[a].size for a in cols))
+        groups.setdefault(shape, []).append(row)
     slabs: list[RowSlab] = []
     views: dict[tuple[int, int], np.ndarray] = {}
     for (m, width), members in groups.items():
         per_slab = max(1, _SLAB_BYTES // max(1, 8 * m * width))
         for start in range(0, len(members), per_slab):
-            chunk = tuple(members[start : start + per_slab])
-            slab = RowSlab(np.empty((len(chunk), m, width)), chunk)
+            chunk = members[start : start + per_slab]
+            slab = RowSlab(
+                np.empty((len(chunk), m, width)),
+                tuple((beta_id, cols) for beta_id, cols, _ in chunk),
+                tuple(mirror for _, _, mirror in chunk),
+            )
             views.update(slab.blocks(index_sets))
             slabs.append(slab)
-    keys = [(beta_id, alpha_id) for beta_id, near in rows for alpha_id in near]
+    keys = [(beta_id, alpha_id) for beta_id, cols, _ in rows for alpha_id in cols]
     fill(keys, [views[key] for key in keys])
     for array in [slab.array for slab in slabs] + list(views.values()):
         array.flags.writeable = False  # views made before the fill keep their own flag
@@ -293,27 +299,31 @@ def run_near_blocks_stage(
     config: GOFMMConfig,
     lists: Optional[InteractionLists] = None,
 ) -> BlockProvider:
-    """Task Kba(β): evaluate and store the direct blocks ``K[β, α]``, ``α ∈ Near(β)``.
+    """Task Kba(β): evaluate and store the direct blocks ``K[β, α]``, ``α ∈ Near(β)``,
+    each symmetric pair once.
 
-    Each leaf's blocks are evaluated straight into its block-row
-    ``K[β, Near(β)]`` of a :class:`~repro.core.hmatrix.RowSlab`, the planned
-    engine's L2L operand; the blocks keep the bits of per-block ``entries``.
+    Each leaf's row holds its diagonal block and the pairs it owns
+    (:func:`~repro.core.hmatrix.fold_near_rows`): a pair listed both ways is
+    evaluated once, as ``K[min, max]``, and the provider reads the other
+    direction as its transpose.  The blocks are evaluated straight into the
+    leaf's block-row of a :class:`~repro.core.hmatrix.RowSlab`, the planned
+    engine's L2L operand; they keep the bits of per-block ``entries``.
     Near(β) is read from ``lists`` when given, else from ``leaf.near``; with
     ``lists`` the tree needs ``node.indices`` only, so the session passes
     its pristine partition and the provider outlives any skeletonization.
     """
     near_blocks = BlockProvider(tree, matrix, use_skeletons=False)
     if config.cache_near_blocks:
-        rows = [
-            (leaf.node_id, tuple(leaf.near if lists is None else lists.near_of(leaf)))
+        near = {
+            leaf.node_id: list(leaf.near if lists is None else lists.near_of(leaf))
             for leaf in tree.leaves
-        ]
+        }
         index_sets = [node.indices for node in tree.nodes]
 
         def fill(keys, views):
             _evaluate_blocks(matrix, keys, index_sets, lambda i, block: np.copyto(views[i], block))
 
-        near_blocks.store_rows(*fill_row_slabs([row for row in rows if row[1]], index_sets, fill))
+        near_blocks.store_rows(*fill_row_slabs(fold_near_rows(near), index_sets, fill))
     return near_blocks
 
 

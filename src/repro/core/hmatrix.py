@@ -34,7 +34,7 @@ from .interactions import InteractionLists
 from .neighbors import NeighborTable
 from .tree import BallTree, TreeNode
 
-__all__ = ["BlockProvider", "CompressedMatrix", "RowSlab", "evaluate_block"]
+__all__ = ["BlockProvider", "CompressedMatrix", "RowSlab", "evaluate_block", "fold_near_rows"]
 
 
 def evaluate_block(
@@ -57,26 +57,61 @@ def evaluate_block(
     return matrix.entries(rows, cols)
 
 
-class RowSlab(NamedTuple):
-    """Block-rows ``K[β, near(β)]`` of ``g`` leaves of one shape, stacked ``(g, m, Σk)``.
+def fold_near_rows(near) -> list[tuple[int, tuple[int, ...], tuple[bool, ...]]]:
+    """The cached block-rows of the Near lists ``near`` (leaf β → Near(β)), each
+    symmetric pair once: ``[(β, cols, mirror)]`` in ``near`` order.
 
-    ``rows`` names row ``i`` of ``array`` as ``(β, near(β))``; the block
-    ``(β, α)`` is the ``(m, |α|)`` column view of that row at ``α``'s
-    position in ``near(β)``.  The planned engine's L2L operand.
+    A pair listed both ways is owned by its smaller node id, whose row
+    holds ``K[β, α]`` (``β < α``) with ``mirror`` set: the block also
+    applies transposed, ``K[α, β] = K[β, α]ᵀ``, and α's row skips β.  A
+    diagonal block or a pair listed one way only (``symmetrize_lists=False``)
+    stays in its target's row, applied one way.  Leaves whose row would be
+    empty are left out.
+    """
+    listed = {(beta, alpha) for beta, cols in near.items() for alpha in cols}
+    rows = []
+    for beta, cols in near.items():
+        kept = [a for a in cols if not (a < beta and (a, beta) in listed)]
+        if kept:
+            rows.append((beta, tuple(kept), tuple(a > beta and (a, beta) in listed for a in kept)))
+    return rows
+
+
+class RowSlab(NamedTuple):
+    """Block-rows of ``g`` leaves of one shape, stacked ``(g, m, Σk)``.
+
+    ``rows`` names row ``i`` of ``array`` as ``(β, cols)``: the row is
+    ``K[β, cols]``, and the block ``(β, α)`` is the ``(m, |α|)`` column view
+    at α's position in ``cols``.  ``mirror[i]`` flags the columns whose
+    block also applies transposed (``K[α, β] = K[β, α]ᵀ``, a folded
+    symmetric pair owned by β; see :func:`fold_near_rows`).  The planned
+    engine's L2L operand.
     """
 
     array: np.ndarray
     rows: tuple[tuple[int, tuple[int, ...]], ...]
+    mirror: tuple[tuple[bool, ...], ...]
 
     def blocks(self, index_sets) -> list[tuple[tuple[int, int], np.ndarray]]:
         """``((β, α), view)`` for every block, in row order (``index_sets[α]``: α's indices)."""
         out = []
-        for row, (beta_id, near) in zip(self.array, self.rows):
+        for row, (beta_id, cols) in zip(self.array, self.rows):
             offset = 0
-            for alpha_id in near:
+            for alpha_id in cols:
                 k = index_sets[alpha_id].size
                 out.append(((beta_id, alpha_id), row[:, offset : offset + k]))
                 offset += k
+        return out
+
+    def directions(self) -> list[tuple[int, int]]:
+        """The ordered pairs the slab applies: ``(β, α)`` per column, and
+        ``(α, β)`` per mirrored one."""
+        out = []
+        for (beta_id, cols), flags in zip(self.rows, self.mirror):
+            for alpha_id, flag in zip(cols, flags):
+                out.append((beta_id, alpha_id))
+                if flag:
+                    out.append((alpha_id, beta_id))
         return out
 
 
@@ -87,9 +122,12 @@ class BlockProvider:
     internal dict (tasks ``Kba`` / ``SKba`` of Table 2) — as read-only views
     of the slabs the blocks stage evaluated them into: near blocks as
     column views of their leaf's :class:`RowSlab` row, far blocks as views
-    of same-shape slabs.  When caching is disabled, each request evaluates
-    the block from the original matrix on the fly — trading time for the
-    O(N) cache memory, exactly the trade-off the paper describes.
+    of same-shape slabs.  A folded symmetric pair is held once, as its
+    owner's block: ``get`` of the other direction returns its transposed
+    view, and ``in`` holds for both.  When caching is disabled, each
+    request evaluates the block from the original matrix on the fly —
+    trading time for the O(N) cache memory, exactly the trade-off the paper
+    describes.
 
     A provider may be shared between operators (a near provider reads
     ``node.indices`` only, so it outlives any one skeletonization): cached
@@ -101,15 +139,22 @@ class BlockProvider:
         self._matrix = matrix
         self._use_skeletons = use_skeletons
         self._cache: Dict[tuple[int, int], np.ndarray] = {}
+        # (α, β) → (β, α): the mirrored direction of a folded pair → its owned key.
+        self._mirror: Dict[tuple[int, int], tuple[int, int]] = {}
         # Running totals, kept by ``store``: reports read them on every call.
         self._entries = 0
         self._nbytes = 0
-        # Leaf β → the row slab whose row i is K[β, near(β)] (store_rows).
+        # Leaf β → the row slab whose row i is β's cached block-row (store_rows).
         self._rows: Dict[int, RowSlab] = {}
 
     def store(self, key: tuple[int, int], block: np.ndarray) -> None:
+        """Cache ``block`` as ``key``; for either direction of a folded pair it
+        replaces the owned block (``block.T`` for the mirrored direction)."""
+        owner = self._mirror.get(key)
+        if owner is not None:
+            key, block = owner, block.T
         self._put(key, block)
-        # A replaced block no longer matches its row: retire the row.
+        # A replaced block no longer matches its row: retire the owner's row.
         self._rows.pop(key[0], None)
 
     def _put(self, key: tuple[int, int], block: np.ndarray) -> None:
@@ -122,7 +167,8 @@ class BlockProvider:
         self._nbytes += block.nbytes
 
     def store_rows(self, slabs: list[RowSlab], blocks: Dict[tuple[int, int], np.ndarray]) -> None:
-        """Cache ``blocks`` — column views of the rows of ``slabs`` — in ``blocks`` order.
+        """Cache ``blocks`` — column views of the rows of ``slabs`` — in ``blocks`` order,
+        and link each mirrored column's other direction to its block.
 
         :meth:`row_slabs` then hands the slabs out whole until a block of
         one of their rows is replaced through :meth:`store`.
@@ -131,8 +177,11 @@ class BlockProvider:
             self._put(key, block)
             self._rows.pop(key[0], None)
         for slab in slabs:
-            for beta, _ in slab.rows:
+            for (beta, cols), flags in zip(slab.rows, slab.mirror):
                 self._rows[beta] = slab
+                for alpha, flag in zip(cols, flags):
+                    if flag:
+                        self._mirror[(alpha, beta)] = (beta, alpha)
 
     def row_slabs(self) -> list[RowSlab]:
         """The cached row slabs none of whose blocks has been replaced, in storing order."""
@@ -143,12 +192,15 @@ class BlockProvider:
         ]
 
     def __contains__(self, key: tuple[int, int]) -> bool:
-        return key in self._cache
+        return key in self._cache or key in self._mirror
 
     def get(self, key: tuple[int, int]) -> Optional[np.ndarray]:
         block = self._cache.get(key)
         if block is not None:
             return block
+        owner = self._mirror.get(key)
+        if owner is not None:
+            return self._cache[owner].T
         return evaluate_block(self._tree, self._matrix, self._use_skeletons, key)
 
     @property
@@ -156,7 +208,8 @@ class BlockProvider:
         return self._entries
 
     def cached_items(self):
-        """Iterate ``(key, block)`` over the cached blocks (insertion order)."""
+        """Iterate ``(key, block)`` over the cached blocks (insertion order; a
+        folded pair once, under its owned key)."""
         return self._cache.items()
 
     @property

@@ -51,10 +51,11 @@ fancy-index add — no ``np.add.at`` in the hot loop.
 :func:`_pack_s2s_segments` concatenates (and rank-pads) the block-rows of
 fully cached S2S targets at build.  The L2L operand is the near cache's own
 row slab (:class:`repro.core.hmatrix.RowSlab`): the near-blocks stage
-evaluates each leaf's block-row ``K[β, Near(β)]`` into it once, and
-:func:`slab_segments` runs one segment per intact slab on it unchanged —
-no second copy of the near blocks; a store holds and reopens the same
-slabs.
+evaluates each leaf's block-row — its diagonal block and the symmetric
+pairs it owns — into it once, and :func:`slab_segments` runs one segment
+per intact slab on it unchanged, applying the owned blocks both ways
+(:class:`SlabSegment`) — no second copy of the near blocks; a store holds
+and reopens the same slabs.
 
 **Thread safety.**  Segments and layouts are immutable after build; all
 mutable per-matvec state lives in a :class:`PlanContext`, created per call
@@ -127,10 +128,12 @@ class PlanContext:
     ``offset[α] : offset[α] + rank[α]``); ``util`` stacks the skeleton
     potentials with the same layout.  ``leaves`` holds the weights in
     left-to-right leaf order when every leaf has the same size (else
-    ``None``), so that one block of it is one leaf.
+    ``None``), so that one block of it is one leaf.  ``sums`` accumulates
+    the row slabs' transposed products (:class:`SlabSegment`; allocated by
+    the first).
     """
 
-    __slots__ = ("weights", "leaves", "wtil", "util", "output", "num_rhs")
+    __slots__ = ("weights", "leaves", "wtil", "util", "output", "sums", "num_rhs")
 
     def __init__(
         self,
@@ -154,6 +157,7 @@ class PlanContext:
             self.wtil = np.zeros((workspace_rows, self.num_rhs), dtype=weights.dtype)
             self.util = np.zeros((workspace_rows, self.num_rhs), dtype=weights.dtype)
         self.leaves = weights[leaf_perm] if leaf_perm is not None else None
+        self.sums = None
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +216,10 @@ class PlanSegment:
     @property
     def batch(self) -> int:
         return self.operand.shape[0]
+
+    def tables(self) -> tuple:
+        """The segment's index tables (what :meth:`StreamingPlan.index_bytes` counts)."""
+        return (self.src[2], self.dst[2])
 
     def run(self, ctx: PlanContext) -> None:
         gather_gemm_scatter(ctx, self.operand, self.src, self.dst)
@@ -600,49 +608,164 @@ def _copy_blocks(provider, keys: list[tuple[int, int]], views: list[np.ndarray])
         np.copyto(view, block)
 
 
-def intact_row_slabs(compressed) -> list:
-    """The near cache's row slabs every row of which is its leaf's current Near list.
+def intact_row_slabs(compressed) -> tuple[list, set]:
+    """The near cache's row slabs that apply listed pairs only, none twice,
+    and the ordered pairs they apply.
 
-    Every plan runs its L2L segments on these slabs in place.
+    A slab applies ``(β, α)`` for every column and ``(α, β)`` for every
+    mirrored one (:meth:`~repro.core.hmatrix.RowSlab.directions`).  A slab
+    is intact when each of those is in the leaves' current Near lists and
+    no earlier intact slab applies it.  Every plan runs its L2L segments on
+    these slabs in place; the listed pairs they leave out fill.
     """
-    near = {leaf.node_id: tuple(leaf.near) for leaf in compressed.tree.leaves if leaf.near}
+    listed = {(leaf.node_id, alpha) for leaf in compressed.tree.leaves for alpha in leaf.near}
     cached = getattr(compressed.near_blocks, "row_slabs", None)
-    return [
-        slab for slab in (cached() if cached is not None else [])
-        if all(near.get(beta_id) == cols for beta_id, cols in slab.rows)
-    ]
+    covered: set = set()
+    slabs = []
+    for slab in cached() if cached is not None else []:
+        directions = slab.directions()
+        unique = set(directions)
+        if len(unique) == len(directions) and unique <= listed and covered.isdisjoint(unique):
+            covered |= unique
+            slabs.append(slab)
+    return slabs, covered
+
+
+def _mirrors(provider, beta: int, alpha: int) -> bool:
+    """Whether the provider's ``(α, β)`` block is exactly its ``(β, α)`` block transposed."""
+    return np.array_equal(provider.get((alpha, beta)), provider.get((beta, alpha)).T)
 
 
 def near_row_slabs(compressed) -> list:
-    """Every cached leaf block-row ``K[β, Near(β)]`` in row slabs (what a store saves).
+    """Every cached near block in row slabs, each symmetric pair once (what a store saves).
 
-    The near cache's intact slabs (:func:`intact_row_slabs`) come first;
-    the other leaves whose every near block the provider caches get fresh
-    slabs filled by the near-blocks stage's own routine.
+    The near cache's intact slabs (:func:`intact_row_slabs`) come first.
+    The listed pairs they leave out that the provider caches go into fresh
+    rows of the leaves without an intact row, filled by the near-blocks
+    stage's own routine: a pair cached both ways as exact transposes folds
+    into the row of its smaller free leaf, any other into its target's
+    row.  A pair left out whose target already has an intact row is not
+    stored (an opened store evaluates it from its matrix).
     """
     from .compress import fill_row_slabs  # compress → hmatrix → plan: import at use
 
     tree, provider = compressed.tree, compressed.near_blocks
-    slabs = intact_row_slabs(compressed)
-    covered = {beta_id for slab in slabs for beta_id, _ in slab.rows}
-    rest = [
-        (leaf.node_id, tuple(leaf.near)) for leaf in tree.leaves
-        if leaf.near and leaf.node_id not in covered
-        and all((leaf.node_id, a) in provider for a in leaf.near)
-    ]
-    if rest:
+    slabs, covered = intact_row_slabs(compressed)
+    taken = {beta_id for slab in slabs for beta_id, _ in slab.rows}
+    rest = {
+        (leaf.node_id, alpha) for leaf in tree.leaves for alpha in leaf.near
+        if (leaf.node_id, alpha) not in covered and (leaf.node_id, alpha) in provider
+    }
+    rows = []
+    for leaf in tree.leaves:
+        beta = leaf.node_id
+        if beta in taken:
+            continue
+        cols, mirror = [], []
+        for alpha in leaf.near:
+            if (beta, alpha) not in rest:
+                continue
+            folds = alpha != beta and (alpha, beta) in rest and _mirrors(provider, beta, alpha)
+            if folds and alpha < beta and alpha not in taken:
+                continue                      # alpha's row holds the pair
+            cols.append(alpha)
+            mirror.append(folds)
+        if cols:
+            rows.append((beta, tuple(cols), tuple(mirror)))
+    if rows:
         index_sets = [node.indices for node in tree.nodes]
         fresh, _ = fill_row_slabs(
-            rest, index_sets, lambda keys, views: _copy_blocks(provider, keys, views)
+            rows, index_sets, lambda keys, views: _copy_blocks(provider, keys, views)
         )
         slabs += fresh
     return slabs
 
 
+class SlabSegment(PlanSegment):
+    """An L2L segment on a row slab that also applies its mirrored columns transposed.
+
+    After the forward ``y[β] += row @ w[cols]`` of every row, one batched
+    GEMM on the slab's transposed view gives ``z = rowᵀ @ w[β]`` for each
+    row, and ``sums[targets] += reduce @ z``: ``reduce`` is a fixed CSR map
+    of ones that sums, for each mirrored leaf α, its parts of ``z`` in
+    slab-row order — a slab may hold several rows mirroring one leaf, whose
+    contributions a fancy-index add would drop.  ``sums`` (on the context)
+    collects every slab's transposed sums per leaf, in ``block``-row parts
+    (a whole leaf in leaf order when leaves are uniform, so each part moves
+    as one block; else one row in row order); the last slab segment adds it
+    to the output, ``y[flush] += sums``.  ``back`` gathers each row's ``w[β]``.
+    """
+
+    __slots__ = ("back", "reduce", "targets", "block", "flush")
+
+    def __init__(self, operand, src, dst, back, reduce, targets, block, flush=None) -> None:
+        super().__init__("L2L", 0, operand, src, dst)
+        self.back = back
+        self.reduce = reduce
+        self.targets = targets
+        self.block = block
+        self.flush = flush
+        self.flops_per_rhs = 4.0 * operand.size
+
+    def tables(self) -> tuple:
+        return super().tables() + (
+            self.back[2], self.targets, self.reduce.data, self.reduce.indices, self.reduce.indptr,
+        )
+
+    def run(self, ctx: PlanContext) -> None:
+        gather_gemm_scatter(ctx, self.operand, self.src, self.dst)
+        g, m, width = self.operand.shape
+        r = ctx.num_rhs
+        name, block, index = self.back
+        weights = _blocks(getattr(ctx, name), block)[index].reshape(g, m, r)
+        z = np.matmul(self.operand.transpose(0, 2, 1), weights)
+        summed = self.reduce @ z.reshape(g * width // self.block, self.block * r)
+        if ctx.sums is None:
+            ctx.sums = np.zeros(ctx.output.shape)
+        _blocks(ctx.sums, self.block)[self.targets] += summed.reshape(-1, self.block, r)
+        if self.flush is not None:
+            ctx.output[self.flush] += ctx.sums
+
+
+def _mirror_reduction(sizes: list, slab, block: int, parts_of):
+    """``(targets, reduce)`` of :class:`SlabSegment`: the ``block``-row parts
+    of ``sums`` the slab's mirrored leaves own (``parts_of(α)``; ``sizes[α]``:
+    α's size), by node id, and the CSR map from the parts of ``z`` onto
+    them."""
+    from scipy.sparse import csr_matrix
+
+    width = slab.array.shape[2]
+    starts: Dict[int, list] = {}                  # α → first part of each of its columns
+    for i, ((_, cols), flags) in enumerate(zip(slab.rows, slab.mirror)):
+        offset = i * width
+        for alpha, flag in zip(cols, flags):
+            if flag:
+                starts.setdefault(alpha, []).append(offset // block)
+            offset += sizes[alpha]
+    # Part j of leaf α sums z's part start + j over α's columns, in slab-row order.
+    targets, columns, indptr = [], [], [0]
+    for alpha in sorted(starts):
+        for part, target in enumerate(parts_of(alpha)):
+            targets.append(target)
+            columns += [start + part for start in starts[alpha]]
+            indptr.append(len(columns))
+    shape = (len(targets), slab.array.shape[0] * width // block)
+    reduce = csr_matrix((np.ones(len(columns)), columns, indptr), shape=shape)
+    return np.asarray(targets, dtype=np.intp), reduce
+
+
 def slab_segments(compressed, layout: PassLayout, slabs) -> List[PlanSegment]:
-    """The direct part on row slabs: one L2L segment per slab, the slab itself as operand."""
+    """The direct part on row slabs: one L2L segment per slab, the slab itself as
+    operand.  Slabs with mirrored columns (:class:`SlabSegment`) come last, in
+    order: the last adds every slab's transposed sums to the output."""
     tree = compressed.tree
+    sizes = [node.size for node in tree.nodes]
+    if layout.uniform_leaf_size:     # sums in leaf order: a leaf is one part
+        parts_of = lambda alpha: [layout.leaf_slot[alpha]]
+    else:                            # sums in row order: a row is one part
+        parts_of = lambda alpha: tree.node(alpha).indices.tolist()
     l2l_segments: List[PlanSegment] = []
+    mirrored: List[SlabSegment] = []
     for slab in slabs:
         leaves = [tree.node(beta_id) for beta_id, _ in slab.rows]
         dst = ("output", 1, np.stack([leaf.indices for leaf in leaves]))
@@ -652,5 +775,17 @@ def slab_segments(compressed, layout: PassLayout, slabs) -> List[PlanSegment]:
         else:
             cols = [np.concatenate([tree.node(a).indices for a in row]) for _, row in slab.rows]
             src = ("weights", 1, np.stack(cols))
-        l2l_segments.append(PlanSegment("L2L", 0, slab.array, src, dst))
-    return l2l_segments
+        if not any(any(flags) for flags in slab.mirror):
+            l2l_segments.append(PlanSegment("L2L", 0, slab.array, src, dst))
+            continue
+        block = layout.uniform_leaf_size or 1
+        if layout.uniform_leaf_size:
+            own = np.asarray([[layout.leaf_slot[leaf.node_id]] for leaf in leaves], dtype=np.intp)
+            back = ("leaves", block, own)
+        else:
+            back = ("weights", 1, dst[2])
+        targets, reduce = _mirror_reduction(sizes, slab, block, parts_of)
+        mirrored.append(SlabSegment(slab.array, src, dst, back, reduce, targets, block))
+    if mirrored:
+        mirrored[-1].flush = layout.leaf_perm if layout.uniform_leaf_size else slice(None)
+    return l2l_segments + mirrored

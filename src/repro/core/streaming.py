@@ -5,14 +5,15 @@
 level segments) with the S2S / L2L work, split by residency:
 
 * **in place** — cached work runs :class:`~repro.core.plan.PlanSegment`
-  records on operands that exist before the call: a leaf whose block-row the near
-  cache holds intact multiplies its :class:`~repro.core.hmatrix.RowSlab`
-  row (one GEMM per slab, on the cache's own bytes — the mapped store's,
-  for an mmap-opened operator), and an S2S target whose far blocks are all
-  cached multiplies its block-row, concatenated once at build.  These
-  segments form one :class:`PlannedChunk` per stage.
+  records on operands that exist before the call: the near cache's intact
+  :class:`~repro.core.hmatrix.RowSlab` rows (one GEMM per slab, on the
+  cache's own bytes — the mapped store's, for an mmap-opened operator —
+  plus one on its transposed view for the pairs the rows fold), and an
+  S2S target whose far blocks are all cached multiplies its block-row,
+  concatenated once at build.  These segments form one
+  :class:`PlannedChunk` per stage.
 * **waves** — the pairs left over (uncached blocks, partly cached targets,
-  leaves without an intact row: the near cache off, a replaced block, a
+  pairs no intact row applies: the near cache off, a replaced block, a
   store in the older flat layout) run in waves.  :func:`pair_waves` colours
   each pass's unordered pairs ``{a, b}`` first-fit, in lexicographic order:
   no node appears twice in a wave, so same-shape items batch into one 3-D
@@ -20,11 +21,14 @@ level segments) with the S2S / L2L work, split by residency:
   its contributions *in wave order* whatever the grouping, chunk budget,
   rank padding or threads.  The waves are a pure function of the lists.
 * **each symmetric pair once** — GOFMM's lists are symmetric and so is K
-  (``K_ba = K_abᵀ``).  When both directions of a pair fill and the provider
-  caches neither, the pair folds: its ``(min, max)`` block ``B`` is
-  evaluated once and applied both ways, ``y[a] += B w[b]`` and, for
-  ``a ≠ b``, ``y[b] += Bᵀ w[a]``.  Otherwise each listed direction is a
-  one-sided item of the same wave; a diagonal pair is applied once.
+  (``K_ba = K_abᵀ``).  The near cache holds a pair listed both ways once,
+  in the row of its smaller leaf, and its row slab applies it both ways
+  (:class:`~repro.core.plan.SlabSegment`).  When both directions of a
+  pair fill and the provider caches neither, the pair folds the same way:
+  its ``(min, max)`` block ``B`` is evaluated once and applied both ways,
+  ``y[a] += B w[b]`` and, for ``a ≠ b``, ``y[b] += Bᵀ w[a]``.  Otherwise
+  each listed direction is a one-sided item of the same wave; a diagonal
+  pair is applied once.
 * **fill chunks** — the wave segments are packed, in execution order,
   into chunks bounded by ``GOFMMConfig.streaming_chunk_bytes``: each
   chunk's blocks are materialized into a reusable buffer (missing blocks
@@ -191,6 +195,10 @@ class StreamSegment:
     @property
     def batch(self) -> int:
         return len(self.keys)
+
+    def tables(self) -> tuple:
+        """The segment's index tables (what :meth:`StreamingPlan.index_bytes` counts)."""
+        return (self.src[2], self.dst[2], self.rows, self.cols)
 
     @property
     def elems(self) -> int:
@@ -480,8 +488,7 @@ class StreamingPlan:
         seen: set = set()
         total = 0
         for segment in segments:
-            for array in (segment.src[2], segment.dst[2],
-                          getattr(segment, "rows", None), getattr(segment, "cols", None)):
+            for array in segment.tables():
                 if isinstance(array, np.ndarray) and id(array) not in seen:
                     seen.add(id(array))
                     total += array.nbytes
@@ -841,8 +848,8 @@ def _wave_groups(targets: List[tuple], fill: set, provider, shape_of) -> List[tu
     """Wave-major, shape-sorted ``(wave, (shape, mirrored), members)`` groups of one pass.
 
     ``targets`` are every target of the pass with its partners (the waves
-    come from all of them); ``fill`` names the targets whose work fills
-    chunks.  A pair folds — one ``(min, max)`` block, applied both ways —
+    come from all of them); ``fill`` names the ``(target, source)`` items
+    that fill chunks.  A pair folds — one ``(min, max)`` block, applied both ways —
     when both of its directions are fill items and the provider caches
     neither; otherwise each fill direction is a one-sided ``(target,
     source)`` member of the same wave.  Each target therefore receives its
@@ -860,7 +867,7 @@ def _wave_groups(targets: List[tuple], fill: set, provider, shape_of) -> List[tu
         by_shape: Dict[tuple, list] = {}
         for a, b in wave:
             directions = {(a, b), (b, a)}
-            items = sorted(key for key in directions if key in listed and key[0] in fill)
+            items = sorted(key for key in directions if key in fill)
             folds = len(items) == 2 and not any(key in provider for key in items)
             for t, s in items[:1] if folds else items:
                 group = by_shape.setdefault((shape_of(nodes[t], nodes[s]), folds), [])
@@ -870,7 +877,7 @@ def _wave_groups(targets: List[tuple], fill: set, provider, shape_of) -> List[tu
 
 
 def _fill_chunks(kind, targets, fill, shape_of, make_segment, provider, budget_elems) -> List[StreamChunk]:
-    """The wave-major fill chunks of the ``fill`` targets of one pass.
+    """The wave-major fill chunks of the ``fill`` items of one pass.
 
     One segment per wave group, split along the batch dimension to the
     chunk budget (a subset of a wave keeps its targets disjoint), its cache
@@ -976,17 +983,19 @@ def build_streaming_plan(compressed, bucketing: str = "none") -> StreamingPlan:
     far_blocks, near_blocks = compressed.far_blocks, compressed.near_blocks
     far_targets, near_targets = _targets(compressed.tree)
     cached = [all((b.node_id, a.node_id) in far_blocks for a in pairs) for b, pairs in far_targets]
-    slabs = intact_row_slabs(compressed)
-    in_rows = {beta_id for slab in slabs for beta_id, _ in slab.rows}
+    slabs, in_place = intact_row_slabs(compressed)
     packed = _pack_s2s_segments(compressed, layout, [t for t, c in zip(far_targets, cached) if c])
+    s2s_fill = {
+        (b.node_id, a.node_id) for (b, pairs), c in zip(far_targets, cached) if not c for a in pairs
+    }
     s2s_chunks = _planned(packed) + _fill_chunks(
-        "S2S", far_targets, {b.node_id for (b, _), c in zip(far_targets, cached) if not c},
-        lambda b, a: (b.skeleton_rank, a.skeleton_rank),
+        "S2S", far_targets, s2s_fill, lambda b, a: (b.skeleton_rank, a.skeleton_rank),
         _S2SSegmentFactory(layout.skel_offset), far_blocks, budget_elems,
     )
+    l2l_fill = {(b.node_id, a.node_id) for b, pairs in near_targets for a in pairs} - in_place
     l2l_chunks = _planned(slab_segments(compressed, layout, slabs)) + _fill_chunks(
-        "L2L", near_targets, {b.node_id for b, _ in near_targets if b.node_id not in in_rows},
-        lambda b, a: (b.size, a.size), _l2l_segment, near_blocks, budget_elems,
+        "L2L", near_targets, l2l_fill, lambda b, a: (b.size, a.size), _l2l_segment,
+        near_blocks, budget_elems,
     )
     return StreamingPlan(
         layout=layout,

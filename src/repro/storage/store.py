@@ -16,10 +16,14 @@ Two stores share the layout machinery:
   skeletons + coefficients + interaction lists + cached blocks), written
   by :meth:`OperatorStore.save` / ``CompressedOperator.save`` and opened
   by :meth:`OperatorStore.open` / ``CompressedOperator.open``.  Near
-  blocks are stored as the near cache's row slabs (each leaf's block-row
-  ``K[β, Near(β)]``, the L2L operand of both engines), so an opened
-  operator multiplies the stored bytes in place; far blocks are stored
-  flat, key by key.
+  blocks are stored as the near cache's row slabs, the L2L operand of
+  both engines, so an opened operator multiplies the stored bytes in
+  place.  Each symmetric pair is stored once: a leaf's row holds its
+  diagonal block and the pairs it owns, and a per-row column table names
+  each row's columns and flags those that also apply transposed.  A store
+  written before the column table held every leaf's whole Near list in
+  its row; it reads through the same code as rows with no transposed
+  column.  Far blocks are stored flat, key by key.
 * the session-artifact directory written by
   ``Session.save_artifacts(path, format="dir")`` — same arrays as the
   legacy ``.npz``, one file each, manifest instead of the JSON-in-uint8
@@ -40,7 +44,7 @@ import random
 import shutil
 import tempfile
 import time
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -57,6 +61,7 @@ from ..obs import counters as _obs_counters
 from ..obs import get_logger
 
 __all__ = [
+    "Concatenated",
     "MANIFEST_NAME",
     "STORE_SCHEMA_VERSION",
     "DEFAULT_READ_RETRIES",
@@ -139,6 +144,27 @@ def _read_with_retry(what: str, fn: Callable, retries: int):
 # generic directory layout
 # ---------------------------------------------------------------------------
 
+class Concatenated(NamedTuple):
+    """Arrays written back to back as one flat ``.npy`` of ``dtype``, never
+    concatenated in memory: the file holds the bytes ``np.save`` would
+    write for ``np.concatenate([p.ravel() for p in pieces])``."""
+
+    pieces: list
+    dtype: np.dtype
+
+
+def _save_concatenated(file_path: str, value: Concatenated) -> Tuple[np.dtype, tuple]:
+    """Write ``value`` as one 1-D ``.npy``: the header, then each piece's bytes."""
+    dtype = np.dtype(value.dtype)
+    shape = (sum(int(np.size(piece)) for piece in value.pieces),)
+    header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False, "shape": shape}
+    with open(file_path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        for piece in value.pieces:
+            np.asarray(piece, dtype=dtype).tofile(fh)
+    return dtype, shape
+
+
 def write_array_dir(path, manifest: dict, arrays: Dict[str, np.ndarray]) -> None:
     """Atomically publish ``arrays`` + ``manifest`` as a format-v2 directory.
 
@@ -146,7 +172,8 @@ def write_array_dir(path, manifest: dict, arrays: Dict[str, np.ndarray]) -> None
     (one ``.npy`` per array, manifest last) which is then renamed onto
     ``path`` — a crash mid-write leaves only an inert ``*.tmp-*`` orphan,
     never a directory that parses as a store.  An existing directory at
-    ``path`` is replaced.
+    ``path`` is replaced.  A :class:`Concatenated` value is streamed to its
+    file piece by piece.
     """
     path = os.path.abspath(os.fspath(path))
     parent = os.path.dirname(path)
@@ -155,14 +182,18 @@ def write_array_dir(path, manifest: dict, arrays: Dict[str, np.ndarray]) -> None
     try:
         inventory: Dict[str, dict] = {}
         for name, array in arrays.items():
-            array = np.ascontiguousarray(array)
             filename = f"{name}.npy"
-            np.save(os.path.join(tmp, filename), array)
+            if isinstance(array, Concatenated):
+                dtype, shape = _save_concatenated(os.path.join(tmp, filename), array)
+            else:
+                array = np.ascontiguousarray(array)
+                np.save(os.path.join(tmp, filename), array)
+                dtype, shape = array.dtype, array.shape
             inventory[name] = {
                 "file": filename,
-                "dtype": array.dtype.str,
-                "shape": list(array.shape),
-                "nbytes": int(array.nbytes),
+                "dtype": dtype.str,
+                "shape": list(shape),
+                "nbytes": int(np.prod(shape, dtype=np.int64)) * dtype.itemsize,
             }
         manifest = dict(manifest)
         manifest["arrays"] = inventory
@@ -395,8 +426,10 @@ class StoredRowProvider(BlockProvider):
     The near cache's own format, read back: :meth:`row_slabs` hands out the
     stored ``(g, m, Σk)`` slabs — read-only mmap views with
     ``resident="mmap"`` — and ``get((β, α))`` the column view of β's row
-    at α, so both engines run L2L on the stored bytes.  A block the store
-    does not hold is evaluated from ``matrix`` when one is attached.
+    at α, or the transposed view of α's row at β for the mirrored
+    direction of a folded pair, so both engines run L2L on the stored
+    bytes.  A block the store does not hold is evaluated from ``matrix``
+    when one is attached.
     """
 
     def __init__(self, slabs: list, data: np.ndarray, tree, matrix=None) -> None:
@@ -421,12 +454,40 @@ class StoredRowProvider(BlockProvider):
         return int(self._data.nbytes) if self.disk_backed else 0
 
 
+def _row_columns(arrays: Dict[str, np.ndarray], leaves: np.ndarray, near: Dict[int, list]) -> list:
+    """``(cols, mirror)`` of each stored row, from the store's column table.
+
+    A store written before the column table held each leaf's whole Near
+    list in its row, applied one way: its rows read as exactly that.
+    """
+    if "near_slab_cols" not in arrays:
+        full = [tuple(near.get(beta) or ()) for beta in leaves.tolist()]
+        return [(cols, (False,) * len(cols)) for cols in full]
+    indptr = arrays["near_slab_col_indptr"]
+    cols = arrays["near_slab_cols"]
+    mirror = arrays["near_slab_mirror"]
+    if (
+        indptr.shape != (leaves.size + 1,)
+        or cols.ndim != 1 or cols.dtype.kind not in "iu"
+        or mirror.shape != cols.shape or mirror.dtype != np.bool_
+        or indptr[0] != 0 or np.any(np.diff(indptr) < 0) or indptr[-1] != cols.size
+    ):
+        raise ArtifactMismatchError("store holds a malformed near row column table")
+    cols, mirror = cols.tolist(), mirror.tolist()
+    return [
+        (tuple(cols[a:b]), tuple(mirror[a:b]))
+        for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())
+    ]
+
+
 def _stored_row_slabs(arrays: Dict[str, np.ndarray], tree, near: Dict[int, list]) -> list:
     """The store's near row slabs, checked against the tree and the Near lists.
 
     Slab ``i`` is ``data[offsets[i]:offsets[i+1]]`` viewed ``shapes[i] =
     (g, m, Σk)``; its rows are the next ``g`` entries of ``leaves``, each
-    row's columns the leaf's Near list.
+    row's columns and mirror flags those of the column table
+    (:func:`_row_columns`).  Every pair the rows apply must be listed, and
+    none applied twice.
     """
     shapes = arrays["near_slab_shapes"]
     offsets = arrays["near_slab_offsets"]
@@ -446,21 +507,34 @@ def _stored_row_slabs(arrays: Dict[str, np.ndarray], tree, near: Dict[int, list]
         raise ArtifactMismatchError("store holds a malformed near row-slab leaf list")
     if np.unique(leaves).size != leaves.size:
         raise ArtifactMismatchError("store near row slabs list a leaf in two slabs")
+    columns = _row_columns(arrays, leaves, near)
+    listed = {(beta, alpha) for beta, cols in near.items() for alpha in cols}
+    applied: set = set()
     slabs, start = [], 0
     for i, (g, m, width) in enumerate(shapes.tolist()):
-        rows = tuple((beta, tuple(near.get(beta) or ())) for beta in leaves[start : start + g].tolist())
+        rows = tuple(zip(leaves[start : start + g].tolist(), columns[start : start + g]))
         start += g
         if len(rows) != g or any(
             not cols or tree.node(beta).size != m or sum(tree.node(a).size for a in cols) != width
-            for beta, cols in rows
+            for beta, (cols, _) in rows
         ):
             raise ArtifactMismatchError(
                 f"store near row slab {i} of shape {(g, m, width)} disagrees with its "
-                "leaves' sizes and Near lists"
+                "leaves' sizes and columns"
             )
-        array = data[offsets[i] : offsets[i + 1]].reshape(g, m, width)
-        array.flags.writeable = False
-        slabs.append(RowSlab(array, rows))
+        slab = RowSlab(
+            data[offsets[i] : offsets[i + 1]].reshape(g, m, width),
+            tuple((beta, cols) for beta, (cols, _) in rows),
+            tuple(flags for _, (_, flags) in rows),
+        )
+        keys = slab.directions()
+        if not set(keys) <= listed or len(set(keys)) != len(keys) or not applied.isdisjoint(keys):
+            raise ArtifactMismatchError(
+                f"store near row slab {i} applies a pair its Near lists do not list, or twice"
+            )
+        applied.update(keys)
+        slab.array.flags.writeable = False
+        slabs.append(slab)
     if start != leaves.size:
         raise ArtifactMismatchError("store near row-slab leaf list is longer than its slabs")
     return slabs
@@ -476,8 +550,10 @@ class OperatorStore:
     ``OperatorStore.save(operator, path)`` writes the complete operator —
     tree structure, skeletons, interpolation coefficients, Near/Far lists
     and every cached block — as flat arrays: the near blocks as the near
-    cache's row slabs, the far blocks key by key.  Stores in the older flat
-    near-block layout open and evaluate as well.
+    cache's row slabs with their column table (each symmetric pair once),
+    the far blocks key by key.  Stores with full rows and no column table,
+    and stores in the older flat near-block layout, open and evaluate as
+    well.
     ``OperatorStore(path)`` validates the manifest;
     :meth:`open` rebuilds a :class:`~repro.core.hmatrix.CompressedMatrix`
     whose large arrays stay on disk (``resident="mmap"``) or are loaded
@@ -538,13 +614,19 @@ class OperatorStore:
 
         The near blocks are written as the near cache's
         :class:`~repro.core.hmatrix.RowSlab` arrays, unchanged, back to back
-        in one data array, with each slab's ``(g, m, Σk)`` shape and leaf
-        list (a row's columns are its leaf's Near list).  Rows the provider
-        does not hold intact but caches every block of are laid out in
-        fresh slabs from ``provider.get``.  Far blocks stay flat, in key
-        order.  With memoryless compressions (no cached blocks) the store
-        still round-trips the skeleton representation, and an opened
-        operator then needs a source matrix attached for what it lacks.
+        in one data array (streamed slab by slab into its ``.npy``, never
+        concatenated in memory), with each slab's ``(g, m, Σk)`` shape, its
+        leaf list and the column table of its rows
+        (``near_slab_col_indptr`` / ``near_slab_cols`` /
+        ``near_slab_mirror``): each symmetric pair once, as its owner's
+        block, flagged to apply transposed too.  Listed pairs no intact
+        row holds but the provider caches are laid out in fresh rows from
+        ``provider.get`` (:func:`~repro.core.plan.near_row_slabs`).  Far
+        blocks stay flat, in key order, and coefficients flat by node; both
+        stream to disk the same way.  With memoryless compressions (no
+        cached blocks) the store still round-trips the skeleton
+        representation, and an opened operator then needs a source matrix
+        attached for what it lacks.
         """
         from ..core.plan import near_row_slabs
 
@@ -574,10 +656,7 @@ class OperatorStore:
         )
         coeff_indptr = np.zeros(num_nodes + 1, dtype=np.intp)
         np.cumsum(coeff_shapes[:, 0] * coeff_shapes[:, 1], out=coeff_indptr[1:])
-        coeff_data = np.empty(int(coeff_indptr[-1]), dtype=dtype)
-        for i, node in enumerate(nodes):
-            if node.coeffs is not None:
-                coeff_data[coeff_indptr[i] : coeff_indptr[i + 1]] = node.coeffs.ravel()
+        coeff_data = Concatenated([n.coeffs for n in nodes if n.coeffs is not None], dtype)
 
         near_indptr, near_cols = ragged([lists.near.get(n.node_id, []) for n in nodes])
         far_indptr, far_cols = ragged([lists.far.get(n.node_id, []) for n in nodes])
@@ -585,22 +664,28 @@ class OperatorStore:
         slabs = near_row_slabs(compressed)
         offsets = np.zeros(len(slabs) + 1, dtype=np.intp)
         np.cumsum([slab.array.size for slab in slabs], out=offsets[1:])
+        rows = [row for slab in slabs for row in slab.rows]
+        mirror = [flag for slab in slabs for flags in slab.mirror for flag in flags]
+        col_indptr = np.zeros(len(rows) + 1, dtype=np.intp)
+        np.cumsum([len(cols) for _, cols in rows], out=col_indptr[1:])
         near_slabs = {
             "shapes": np.array([slab.array.shape for slab in slabs], dtype=np.intp).reshape(-1, 3),
             "offsets": offsets,
-            "leaves": np.array([beta for slab in slabs for beta, _ in slab.rows], dtype=np.intp),
-            "data": np.concatenate([slab.array.ravel() for slab in slabs] or [np.empty(0)]),
+            "leaves": np.array([beta for beta, _ in rows], dtype=np.intp),
+            "col_indptr": col_indptr,
+            "cols": np.array([a for _, cols in rows for a in cols], dtype=np.intp),
+            "mirror": np.array(mirror, dtype=bool),
+            "data": Concatenated([slab.array for slab in slabs], np.float64),
         }
-        num_near_blocks = sum(len(cols) for slab in slabs for _, cols in slab.rows)
+        # Listed near pairs the rows apply: one per column, two per mirrored one.
+        num_near_blocks = int(col_indptr[-1]) + sum(mirror)
 
         cached = dict(compressed.far_blocks.cached_items())
         order = sorted(cached)
         shapes = np.array([cached[k].shape for k in order], dtype=np.intp).reshape(-1, 2)
         indptr = np.zeros(len(order) + 1, dtype=np.intp)
         np.cumsum(shapes[:, 0] * shapes[:, 1], out=indptr[1:])
-        data = np.empty(int(indptr[-1]), dtype=dtype)
-        for i, key in enumerate(order):
-            data[indptr[i] : indptr[i + 1]] = np.asarray(cached[key]).ravel()
+        data = Concatenated([cached[key] for key in order], dtype)
         far_blocks = {
             "keys": np.array(order, dtype=np.intp).reshape(-1, 2),
             "indptr": indptr,
@@ -686,12 +771,18 @@ class OperatorStore:
         fully cached store runs the ``"planned"`` engine like a fresh
         operator, on the loaded row slabs.  Either way the near provider
         (:class:`StoredRowProvider`) hands the slabs out through
-        ``row_slabs()``; a store in the older flat near-block layout opens
-        through :class:`StoredBlockProvider` and both engines fill its rows.
-        ``matrix`` re-attaches the source SPD matrix (required to
-        evaluate stores saved from memoryless compressions).  The slab
-        tables are validated here: a shape that disagrees with its leaves,
-        offsets that do not cover the data, or a leaf in two slabs raise
+        ``row_slabs()`` and reads a folded pair's other direction as the
+        transposed view.  A store without a column table (written before
+        each symmetric pair was stored once; readable for one release) opens
+        its rows as each leaf's whole Near list, applied one way — the same
+        reader, the same in-place L2L.  A store in the older flat
+        near-block layout opens through :class:`StoredBlockProvider` and
+        both engines fill its rows.  ``matrix`` re-attaches the source SPD
+        matrix (required to evaluate stores saved from memoryless
+        compressions).  The slab tables are validated here: a shape that
+        disagrees with its leaves, offsets that do not cover the data, a
+        leaf in two slabs, a malformed column table, or rows applying a pair
+        the Near lists do not list, or twice, raise
         :class:`~repro.errors.ArtifactMismatchError`.
         """
         if resident not in ("mmap", "ram"):

@@ -39,23 +39,41 @@ def make_random_spd(n: int = 64, seed: int = 0, decay: float = 2.0) -> DenseSPD:
     return DenseSPD(a, name="random-spd")
 
 
-def rewrite_in_flat_layout(path) -> None:
-    """Rewrite a store's near row slabs as key-ordered flat ``near_block_*``
-    arrays, the layout of earlier writers."""
-    manifest, arrays = read_array_dir(path, mmap=False)
+def _pop_stored_near_blocks(arrays) -> dict:
+    """Every listed near block of a row-slab store, both directions of a folded
+    pair included, popped out of ``arrays`` (``(β, α)`` → block)."""
     sizes = np.diff(arrays["node_offsets"])
     near_indptr, near_cols = arrays["near_indptr"], arrays["near_cols"]
     shapes, offsets = arrays.pop("near_slab_shapes"), arrays.pop("near_slab_offsets")
     leaves, data = arrays.pop("near_slab_leaves"), arrays.pop("near_slab_data")
+    col_indptr = arrays.pop("near_slab_col_indptr", None)
+    cols, mirror = arrays.pop("near_slab_cols", None), arrays.pop("near_slab_mirror", None)
     blocks, start = {}, 0
     for (g, m, width), offset in zip(shapes, offsets):
         slab = data[offset : offset + g * m * width].reshape(g, m, width)
-        for row, beta in zip(slab, leaves[start : start + g]):
+        for i, (row, beta) in enumerate(zip(slab, leaves[start : start + g]), start):
+            if col_indptr is None:          # a full-row store: the leaf's Near list
+                row_cols = near_cols[near_indptr[beta] : near_indptr[beta + 1]]
+                flags = np.zeros(row_cols.size, dtype=bool)
+            else:
+                row_cols = cols[col_indptr[i] : col_indptr[i + 1]]
+                flags = mirror[col_indptr[i] : col_indptr[i + 1]]
             col = 0
-            for alpha in near_cols[near_indptr[beta] : near_indptr[beta + 1]]:
-                blocks[int(beta), int(alpha)] = row[:, col : col + sizes[alpha]]
+            for alpha, flag in zip(row_cols, flags):
+                block = row[:, col : col + sizes[alpha]]
+                blocks[int(beta), int(alpha)] = block
+                if flag:
+                    blocks[int(alpha), int(beta)] = np.ascontiguousarray(block.T)
                 col += sizes[alpha]
         start += g
+    return blocks
+
+
+def rewrite_in_flat_layout(path) -> None:
+    """Rewrite a store's near row slabs as key-ordered flat ``near_block_*``
+    arrays holding every listed direction, the layout of earlier writers."""
+    manifest, arrays = read_array_dir(path, mmap=False)
+    blocks = _pop_stored_near_blocks(arrays)
     keys = sorted(blocks)
     block_shapes = np.array([blocks[k].shape for k in keys], dtype=np.intp).reshape(-1, 2)
     indptr = np.zeros(len(keys) + 1, dtype=np.intp)
@@ -64,6 +82,33 @@ def rewrite_in_flat_layout(path) -> None:
     arrays["near_block_shapes"] = block_shapes
     arrays["near_block_indptr"] = indptr
     arrays["near_block_data"] = np.concatenate([blocks[k].ravel() for k in keys] or [np.empty(0)])
+    write_array_dir(path, manifest, arrays)
+
+
+def rewrite_in_full_row_layout(path) -> None:
+    """Rewrite a store's near row slabs as full rows without a column table,
+    the layout of writers before each symmetric pair was stored once: every
+    leaf's row is its whole Near list, applied one way, one slab per row
+    shape in leaf order."""
+    manifest, arrays = read_array_dir(path, mmap=False)
+    blocks = _pop_stored_near_blocks(arrays)
+    sizes = np.diff(arrays["node_offsets"])
+    near_indptr, near_cols = arrays["near_indptr"], arrays["near_cols"]
+    groups = {}
+    for beta in range(sizes.size):
+        cols = near_cols[near_indptr[beta] : near_indptr[beta + 1]]
+        if cols.size:
+            row = np.hstack([blocks[beta, int(alpha)] for alpha in cols])
+            groups.setdefault(row.shape, []).append((beta, row))
+    members = [member for group in groups.values() for member in group]
+    arrays["near_slab_shapes"] = np.array(
+        [(len(group),) + shape for shape, group in groups.items()], dtype=np.intp
+    ).reshape(-1, 3)
+    offsets = np.zeros(len(groups) + 1, dtype=np.intp)
+    np.cumsum([len(group) * shape[0] * shape[1] for shape, group in groups.items()], out=offsets[1:])
+    arrays["near_slab_offsets"] = offsets
+    arrays["near_slab_leaves"] = np.array([beta for beta, _ in members], dtype=np.intp)
+    arrays["near_slab_data"] = np.concatenate([row.ravel() for _, row in members] or [np.empty(0)])
     write_array_dir(path, manifest, arrays)
 
 

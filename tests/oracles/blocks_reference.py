@@ -4,7 +4,9 @@ Relocated from ``src/repro/core/compress.py`` when the blocks stage became
 slab-batched.  One ``matrix.entries`` call per cached pair, in list order:
 slow, obvious, and independent of the stage's shape grouping, slabs and
 ``entries_batched``.  The stage must reproduce these keys, this insertion
-order and these blocks exactly (``np.array_equal``).
+order and these blocks exactly (``np.array_equal``).  Near blocks follow the
+fold rule: a pair listed both ways is evaluated once, as the block of its
+smaller leaf id; a diagonal block or a one-way pair as its target's.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ def run_blocks_stage(tree, matrix, config):
         for leaf in tree.leaves:
             for alpha_id in leaf.near:
                 alpha = tree.node(alpha_id)
+                if alpha_id < leaf.node_id and leaf.node_id in alpha.near:
+                    continue                     # owned by alpha
+
                 near_blocks.store((leaf.node_id, alpha_id), matrix.entries(leaf.indices, alpha.indices))
     if config.cache_far_blocks:
         for node in tree.nodes:

@@ -20,12 +20,19 @@ A target's products follow the evaluation plan's rules, so the exactly
 packed plan (``engine="streamed"``) must equal the oracle bitwise
 (``np.array_equal``):
 
-* a leaf whose block-row is a row of one of the near provider's intact
-  ``row_slabs()`` (every row of the slab its leaf's current Near list)
-  multiplies that row in one GEMM,
+* the rows of the near provider's intact ``row_slabs()`` run first.  A
+  row ``(β, cols)`` applies ``(β, α)`` for each column and ``(α, β)`` for
+  each mirrored one (a folded symmetric pair, stored once); a slab is
+  intact when all it applies is listed in the current Near lists and no
+  earlier intact slab applies it.  Each row multiplies in one GEMM,
+  ``u_β += row @ w[cols]``.  For each row with a mirrored column,
+  ``z = rowᵀ @ w_β`` (one GEMM on the whole row); a slab sums each
+  mirrored leaf α's parts of ``z`` over its rows in order, the slabs'
+  sums accumulate per leaf in slab order, and each leaf gets
+  ``u_α += Σ`` once, after every slab,
 * a target whose far blocks are all cached multiplies its concatenated
   block-row in one GEMM,
-* every other target accumulates block by block in **wave order**, not
+* every other listed pair accumulates block by block in **wave order**, not
   list order: each pass's unordered pairs ``{a, b}`` are coloured
   first-fit in lexicographic order (no node twice in a wave, see
   :func:`pair_waves`), and the waves are replayed in turn.  A pair whose
@@ -106,14 +113,14 @@ def fill_items(lists: Dict[int, list], fill: set, provider):
     """One pass's block-by-block work in wave order: ``(target, source, mirrored)``.
 
     ``lists`` maps every target of the pass to its partners (the waves come
-    from all of them); ``fill`` names the targets that accumulate block by
-    block.  ``mirrored`` items fold both directions of a pair into the
-    ``(min, max)`` block.
+    from all of them); ``fill`` names the ``(target, source)`` items that
+    accumulate block by block.  ``mirrored`` items fold both directions of
+    a pair into the ``(min, max)`` block.
     """
     listed = {(t, s) for t, partners in lists.items() for s in partners}
     for wave in pair_waves((min(t, s), max(t, s)) for t, s in listed):
         for a, b in wave:
-            items = [key for key in sorted({(a, b), (b, a)}) if key in listed and key[0] in fill]
+            items = [key for key in sorted({(a, b), (b, a)}) if key in fill]
             if len(items) == 2 and not any(key in provider for key in items):
                 yield a, b, True
             else:
@@ -143,10 +150,12 @@ def near_lists(tree) -> Dict[int, list]:
 
 
 def _block(provider, key, kind: str) -> np.ndarray:
+    """The block as a fill materializes it: a C-ordered copy (the provider may
+    hand out the transposed view of a folded pair's block)."""
     block = provider.get(key)
     if block is None:
         raise EvaluationError(f"missing cached {kind} block {key}")
-    return block
+    return np.ascontiguousarray(block)
 
 
 def task_s2s(node, state: EvaluationState, far_blocks, far: list) -> None:
@@ -171,7 +180,8 @@ def pass_s2s(state: EvaluationState, far_blocks, tree) -> None:
         rank = tree.node(node_id).skeleton_rank
         return state.skeleton_potentials.setdefault(node_id, np.zeros((rank, r)))
 
-    for t, s, mirrored in fill_items(lists, set(lists) - cached, far_blocks):
+    fill = {(t, s) for t in set(lists) - cached for s in lists[t]}
+    for t, s, mirrored in fill_items(lists, fill, far_blocks):
         block = _block(far_blocks, (t, s), "far")
         if block.shape[1] != state.skeleton_weights[s].shape[0]:
             raise EvaluationError(
@@ -205,29 +215,66 @@ def task_s2n(node, state: EvaluationState) -> None:
             acc += part
 
 
-def intact_rows(tree, near_blocks) -> Dict[int, np.ndarray]:
-    """Leaf id → its block-row, for the rows of the provider's intact row slabs."""
-    rows: Dict[int, np.ndarray] = {}
+def intact_slabs(tree, near_blocks) -> list:
+    """The provider's row slabs that apply listed pairs only, none twice."""
+    listed = {(leaf.node_id, a) for leaf in tree.leaves for a in leaf.near}
+    applied, slabs = set(), []
     for slab in getattr(near_blocks, "row_slabs", lambda: [])():
-        if all(tuple(tree.node(beta).near) == cols for beta, cols in slab.rows):
-            rows.update((beta, row) for (beta, _), row in zip(slab.rows, slab.array))
-    return rows
+        keys = []
+        for (beta, cols), flags in zip(slab.rows, slab.mirror):
+            for alpha, flag in zip(cols, flags):
+                keys += [(beta, alpha), (alpha, beta)] if flag else [(beta, alpha)]
+        if len(set(keys)) == len(keys) and set(keys) <= listed and applied.isdisjoint(keys):
+            applied.update(keys)
+            slabs.append(slab)
+    return slabs
+
+
+def task_slab(slab, state: EvaluationState, tree, totals: Dict[int, np.ndarray]) -> None:
+    """L2L of one intact row slab: every row forward, then its mirrored columns
+    transposed, summed per leaf in row order and added to ``totals``."""
+    r = state.weights.shape[1]
+    for (beta, cols), row in zip(slab.rows, slab.array):
+        source = np.concatenate([tree.node(a).indices for a in cols])
+        state.output[tree.node(beta).indices] += row @ state.weights[source]
+        state.counters.l2l += 2.0 * row.size * r
+    sums: Dict[int, np.ndarray] = {}
+    for (beta, cols), flags, row in zip(slab.rows, slab.mirror, slab.array):
+        if not any(flags):
+            continue
+        z = row.T @ state.weights[tree.node(beta).indices]
+        offset = 0
+        for alpha, flag in zip(cols, flags):
+            k = tree.node(alpha).size
+            if flag:
+                part = z[offset : offset + k]
+                sums[alpha] = part if alpha not in sums else sums[alpha] + part
+            offset += k
+    for alpha, part in sums.items():
+        totals[alpha] = part if alpha not in totals else totals[alpha] + part
+    if sums:
+        state.counters.l2l += 2.0 * slab.array.size * r
 
 
 def pass_l2l(state: EvaluationState, tree, near_blocks) -> None:
     """Every L2L(β): the direct (dense) contribution ``u_β += Σ_{α ∈ Near(β)} K_{βα} w_α``.
 
-    One GEMM on the leaf's cached row (from :func:`intact_rows`) when it has
-    one, else block by block in wave order.
+    The intact row slabs (:func:`intact_slabs`) first, their transposed sums
+    added once at the end, then every listed pair they do not apply, block by
+    block in wave order.
     """
     r = state.weights.shape[1]
-    rows = intact_rows(tree, near_blocks)
-    for beta, row in rows.items():
-        cols = np.concatenate([tree.node(a).indices for a in tree.node(beta).near])
-        state.output[tree.node(beta).indices] += row @ state.weights[cols]
-        state.counters.l2l += 2.0 * row.size * r
+    applied, totals = set(), {}
+    for slab in intact_slabs(tree, near_blocks):
+        task_slab(slab, state, tree, totals)
+        for (beta, cols), flags in zip(slab.rows, slab.mirror):
+            applied.update((beta, a) for a in cols)
+            applied.update((a, beta) for a, flag in zip(cols, flags) if flag)
+    for alpha, total in totals.items():
+        state.output[tree.node(alpha).indices] += total
     lists = near_lists(tree)
-    for t, s, mirrored in fill_items(lists, set(lists) - set(rows), near_blocks):
+    fill = {(t, s) for t, partners in lists.items() for s in partners} - applied
+    for t, s, mirrored in fill_items(lists, fill, near_blocks):
         block = _block(near_blocks, (t, s), "near")
         target, source = tree.node(t).indices, tree.node(s).indices
         state.output[target] += block @ state.weights[source]

@@ -12,7 +12,7 @@ import pytest
 from repro import ConfigurationError, EvaluationError, GOFMMConfig, compress
 from repro.api import Session
 from repro.config import DistanceMetric
-from repro.core.plan import EvaluationCounters, PlanSegment, pad_ranks, pads_ranks
+from repro.core.plan import EvaluationCounters, PlanSegment, SlabSegment, pad_ranks, pads_ranks
 from repro.core.streaming import StreamingPlan, build_streaming_plan
 from repro.errors import CompressionError
 from repro.matrices import build_matrix
@@ -212,7 +212,13 @@ def _twin_in_place(plan) -> int:
     for _, stage in plan.stages():
         for i, seg in enumerate(stage):
             src, dst = _row_twin(seg.src, plan.layout.leaf_perm), _row_twin(seg.dst, plan.layout.leaf_perm)
-            if (src, dst) != (seg.src, seg.dst):
+            if isinstance(seg, SlabSegment):
+                back = _row_twin(seg.back, plan.layout.leaf_perm)
+                if (src, dst, back) != (seg.src, seg.dst, seg.back):
+                    stage[i] = SlabSegment(seg.operand, src, dst, back, seg.reduce, seg.targets,
+                                           seg.block, seg.flush)
+                    changed += 1
+            elif (src, dst) != (seg.src, seg.dst):
                 stage[i] = PlanSegment(seg.kind, seg.level, seg.operand, src, dst)
                 changed += 1
     return changed
@@ -255,6 +261,7 @@ class TestBlockSize:
         assert expected_parallel.tobytes() == expected.tobytes()
         changed = _twin_in_place(plan)
         assert cm.plan() is plan and all(seg.src[1] == seg.dst[1] == 1 for seg in plan.segments())
+        assert all(seg.back[1] == 1 for seg in plan.segments() if isinstance(seg, SlabSegment))
         assert changed > 0 or (n == 250 and plan.layout.uniform_rank == 0)
         assert plan.execute(w).tobytes() == expected.tobytes()
         parallel = parallel_evaluate(cm, w, num_workers=2, engine="planned")

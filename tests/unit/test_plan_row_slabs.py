@@ -1,9 +1,10 @@
 """The plan's L2L operands are the near cache's row slabs.
 
-The near-blocks stage evaluates each leaf's block-row ``K[β, Near(β)]``
-into a shared row slab; the plan multiplies those slabs in place.  Leaves
-the cache holds no intact row for fill through chunks, block by block,
-the rule the per-node oracle follows too.
+The near-blocks stage evaluates each leaf's block-row — its diagonal block
+and the symmetric pairs it owns — into a shared row slab; the plan
+multiplies those slabs in place, both ways.  Listed pairs no intact row
+applies fill through chunks, block by block, the rule the per-node oracle
+follows too.
 """
 
 import dataclasses
@@ -203,7 +204,8 @@ class TestFillPathLattice:
         plan, slabs = opened.plan(), opened.near_blocks.row_slabs()
         operands = [seg.operand for seg in _l2l(plan)]
         assert len(operands) == len(slabs) and plan.filled_chunks == 0
-        assert all(operand is slab.array for operand, slab in zip(operands, slabs))
+        # slabs with mirrored columns run last, so compare as a set
+        assert {id(operand) for operand in operands} == {id(slab.array) for slab in slabs}
         assert plan.owned_bytes() == sum(
             seg.operand.nbytes for seg in plan.segments() if seg.kind != "L2L"
         )
@@ -234,7 +236,8 @@ class TestFillPathLattice:
         slabs = provider.row_slabs()
         leaf = next(leaf for leaf in mutated.tree.leaves if len(leaf.near) > 1)
         key = (leaf.node_id, leaf.near[-1])
-        stale = next(slab for slab in slabs if any(beta == leaf.node_id for beta, _ in slab.rows))
+        # the slab applying the key holds its owner's row, whichever direction the key is
+        stale = next(slab for slab in slabs if key in slab.directions())
         provider.store(key, np.array(provider.get(key)))
         assert all(slab is not stale for slab in provider.row_slabs())
         assert len(provider.row_slabs()) == len(slabs) - 1
@@ -249,14 +252,14 @@ class TestFillPathLattice:
 
     @pytest.mark.parametrize("r", [1, 16])
     def test_changed_near_list_refuses_the_row(self, fresh_pair, r):
-        """A cached row that is not its leaf's current Near list is filled, not used."""
+        """A cached row that applies a pair the current Near lists drop is filled, not used."""
         matrix, cm = fresh_pair
         _, changed = _fresh(cm.n)
         leaf = next(leaf for leaf in changed.tree.leaves if len(leaf.near) > 1)
+        dropped = (leaf.node_id, leaf.near[-1])
         leaf.near = leaf.near[:-1]
         stale = next(
-            slab for slab in changed.near_blocks.row_slabs()
-            if any(beta == leaf.node_id for beta, _ in slab.rows)
+            slab for slab in changed.near_blocks.row_slabs() if dropped in slab.directions()
         )
         operands = [seg.operand for seg in _l2l(changed.plan())]
         assert not any(operand is stale.array for operand in operands)

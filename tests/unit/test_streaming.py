@@ -372,7 +372,8 @@ class TestWorkspaceAccounting:
 
     @pytest.mark.parametrize("cached", [True, False])
     def test_index_bytes_count_every_segment(self, matrix, cached):
-        """The N2S / S2N tables count as well as the chunks' gather/scatter tables."""
+        """The N2S / S2N tables count as well as the chunks' gather/scatter tables
+        and the row slabs' transposed-half tables."""
         cm = compress(matrix, make_config(cache_near_blocks=cached, cache_far_blocks=cached))
         plan = cm.streaming_plan()
         levels = plan.layout.n2s_levels + plan.layout.s2n_levels
@@ -382,8 +383,12 @@ class TestWorkspaceAccounting:
         def tables(segments):
             found = {}
             for segment in segments:
+                reduce = getattr(segment, "reduce", None)
+                mirror = (segment.back[2], segment.targets, reduce.data, reduce.indices,
+                          reduce.indptr) if reduce is not None else ()
                 for array in (segment.src[2], segment.dst[2],
-                              getattr(segment, "rows", None), getattr(segment, "cols", None)):
+                              getattr(segment, "rows", None), getattr(segment, "cols", None),
+                              *mirror):
                     if isinstance(array, np.ndarray):
                         found[id(array)] = array
             return found
